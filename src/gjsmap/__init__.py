@@ -63,7 +63,6 @@ from .gha import (
     build_gha,
     casimir_gha,
     gauss_factorial,
-    gauss_number,
     gauss_numbers,
     gha_from_dict,
     gha_to_dict,

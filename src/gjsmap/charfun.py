@@ -218,6 +218,17 @@ class FixedPointInfo:
         }
 
 
+def _tangency(c0: float, c1: float, c2: float) -> tuple[float, bool]:
+    """Discriminant of ``c0 + c1 x + c2 x**2`` and whether it counts as zero.
+
+    Zero means within ``DOUBLE_ROOT_RTOL`` of the coefficient scale; the
+    quadratic then has one (double) root.
+    """
+    disc = c1 * c1 - 4.0 * c2 * c0
+    scale = max(1.0, c1 * c1, abs(4.0 * c2 * c0))
+    return disc, abs(disc) <= DOUBLE_ROOT_RTOL * scale
+
+
 def _fixed_point_poly(fn: CharFn) -> list[float]:
     """Coefficients of h(x) = fn(x) - x."""
     h = list(fn.coefficients)
@@ -285,9 +296,8 @@ def fixed_points(fn: CharFn) -> list[FixedPointInfo]:
         locations = [-h[0] / h[1]]
     elif len(h) == 3:
         c0, c1, c2 = h
-        disc = c1 * c1 - 4.0 * c2 * c0
-        scale = max(1.0, c1 * c1, abs(4.0 * c2 * c0))
-        if abs(disc) <= DOUBLE_ROOT_RTOL * scale:
+        disc, tangent = _tangency(c0, c1, c2)
+        if tangent:
             locations = [-c1 / (2.0 * c2)]
         elif disc < 0.0:
             raise NoRealFixedPoint("fixed-point discriminant is negative")
@@ -316,7 +326,7 @@ def discriminant(fn: CharFn) -> float:
     both orientations with no sign bookkeeping.
     """
     a0, a1, a2 = _quadratic_coeffs(fn)
-    return (a1 - 1.0) ** 2 - 4.0 * a2 * a0
+    return _tangency(a0, a1 - 1.0, a2)[0]
 
 
 def invertibility_boundary(fn: CharFn) -> float:
@@ -363,9 +373,8 @@ def classify_region(fn: CharFn, x0: float) -> RegionLabel:
         If the discriminant is not zero within tolerance.
     """
     a0, a1, a2 = _quadratic_coeffs(fn)
-    disc = (a1 - 1.0) ** 2 - 4.0 * a2 * a0
-    scale = max(1.0, (a1 - 1.0) ** 2, abs(4.0 * a2 * a0))
-    if abs(disc) > DOUBLE_ROOT_RTOL * scale:
+    disc, tangent = _tangency(a0, a1 - 1.0, a2)
+    if not tangent:
         raise UnsupportedDiscriminant(
             f"discriminant {disc!r} is not zero; region structure undefined"
         )

@@ -3,9 +3,9 @@
 Every library operation is exposed as a subcommand producing deterministic
 JSON on stdout (fixed field order, shortest round-trip float formatting) and
 optional CSV/JSON files under ``--out``.  Exit codes: 0 on success, 1 on any
-validation or construction error, 2 when a verification report fails its
-tolerance.  The environment variable ``GJS_DIVERGENCE_BOUND`` overrides the
-default iterate bound of 1e12.
+validation or construction error (output that cannot be encoded as JSON
+included), 2 when a verification report fails its tolerance.  The environment
+variable ``GJS_DIVERGENCE_BOUND`` overrides the default iterate bound of 1e12.
 
 A batch mode (``run --config jobs.json``) executes a list of jobs, each the
 equivalent of one subcommand invocation with parameters given as JSON values;
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -72,7 +73,10 @@ from .jsmap import (
     verify_pairing_identity,
 )
 from .orbit import (
-    WINDOW_PAD,
+    FigureBundle,
+    FigureName,
+    OrbitReport,
+    _window_from_landmarks,
     cobweb,
     figure_bundle,
     report_to_dict,
@@ -121,6 +125,25 @@ def _window_arg(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"bad window {text!r}, want 'lo,hi'") from exc
 
 
+def _finite_arg(text: str, allow_zero: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
+        want = "non-negative" if allow_zero else "positive"
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite {want} number")
+    return value
+
+
+def _tolerance_arg(text: str) -> float:
+    return _finite_arg(text, allow_zero=True)
+
+
+def _grid_arg(text: str) -> float:
+    return _finite_arg(text, allow_zero=False)
+
+
 def _perturb_arg(text: str):
     try:
         target, index_s, amount_s = text.split(":")
@@ -137,159 +160,136 @@ def _bound() -> float:
     if raw is None:
         return DIVERGENCE_BOUND
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise CliError(f"bad GJS_DIVERGENCE_BOUND value {raw!r}") from exc
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value > 0.0:
+        raise CliError(f"bad GJS_DIVERGENCE_BOUND value {raw!r}")
+    return value
 
 
-def _perturb_sequence(values: tuple[float, ...], indices, amount) -> tuple[float, ...]:
-    if len(indices) != 1 or not (0 <= indices[0] < len(values)):
-        raise CliError(f"perturbation index {indices} out of range")
-    out = list(values)
-    out[indices[0]] += amount
-    return tuple(out)
+#: ``--perturb`` target, aliases included, to the representation field it
+#: changes, per command group.
+_PERTURB_FIELDS = {
+    "gha": {"ladder": "ladder", "eigenvalues": "eigenvalues"},
+    "gsl2": {"weights": "weights", "ladder_sq": "ladder_sq", "ladder-sq": "ladder_sq"},
+    "jsmap": {
+        "sz": "s_z", "s_z": "s_z", "splus": "s_plus", "s_plus": "s_plus",
+        "sminus": "s_minus", "s_minus": "s_minus", "ssq": "s_sq", "s_sq": "s_sq",
+    },
+}
 
 
-def _perturb_matrix(matrix: OperatorMatrix, indices, amount) -> OperatorMatrix:
-    if len(indices) != 2:
+def _perturbed(rep, args):
+    """``rep`` with the ``--perturb`` amount added to one entry of one field.
+
+    Sequences take one non-negative index; matrices take ``row,col`` with
+    numpy's indexing rules.
+    """
+    if args.perturb is None:
+        return rep
+    target, indices, amount = args.perturb
+    fields = _PERTURB_FIELDS[args.group]
+    if target not in fields:
+        raise CliError(f"unknown perturbation target {target!r}")
+    value = getattr(rep, fields[target])
+    is_matrix = isinstance(value, OperatorMatrix)
+    if is_matrix and len(indices) != 2:
         raise CliError("matrix perturbation needs a row,col index")
-    entries = np.array(matrix.entries)
+    if not is_matrix and (len(indices) != 1 or indices[0] < 0):
+        raise CliError(f"perturbation index {indices} out of range")
+    entries = np.array(value.entries if is_matrix else value)
     try:
         entries[indices] += amount
     except IndexError as exc:
         raise CliError(f"perturbation index {indices} out of range") from exc
-    return OperatorMatrix(entries, matrix.basis_label, matrix.state_labels)
+    if is_matrix:
+        changed = OperatorMatrix(entries, value.basis_label, value.state_labels)
+    else:
+        changed = tuple(entries.tolist())
+    return replace(rep, **{fields[target]: changed})
 
 
-def cmd_charfun_analyze(args) -> tuple[dict, int]:
+def _verify(payload: dict, args, verify, rep) -> int:
+    """Add the ``--verify`` report of the (perturbed) ``rep``; returns the exit code."""
+    if not args.verify:
+        return 0
+    report = verify(_perturbed(rep, args), tol=args.tol)
+    payload["verification"] = report.to_dict()
+    return 0 if report.passed else 2
+
+
+def _or_none(errors, func, *args):
+    """``func(*args)``, or None when it raises one of ``errors``."""
+    try:
+        return func(*args)
+    except errors:
+        return None
+
+
+# Handlers return ``(payload, exit code, files)``.  ``files`` is None or a
+# callable giving the ``{name: content}`` table that :func:`_write_files`
+# writes under ``--out``; it is only called when ``--out`` is given.
+
+
+def cmd_charfun_analyze(args):
     fn = args.fn
-    payload: dict = {"fn": charfn_to_dict(fn), "degree": fn.degree}
-    try:
-        payload["discriminant"] = discriminant(fn)
-    except NotQuadratic:
-        payload["discriminant"] = None
-    try:
-        payload["boundary"] = invertibility_boundary(fn)
-    except NotQuadratic:
-        payload["boundary"] = None
-    try:
-        payload["fixed_points"] = [fp.to_dict() for fp in fixed_points(fn)]
-    except NoRealFixedPoint:
-        payload["fixed_points"] = []
+    points = _or_none(NoRealFixedPoint, fixed_points, fn) or []
+    payload: dict = {
+        "fn": charfn_to_dict(fn),
+        "degree": fn.degree,
+        "discriminant": _or_none(NotQuadratic, discriminant, fn),
+        "boundary": _or_none(NotQuadratic, invertibility_boundary, fn),
+        "fixed_points": [fp.to_dict() for fp in points],
+    }
     if args.x0 is not None:
         payload["x0"] = args.x0
-        try:
-            payload["region"] = classify_region(fn, args.x0).value
-        except (NotQuadratic, UnsupportedDiscriminant):
-            payload["region"] = None
-    return payload, 0
+        region = _or_none((NotQuadratic, UnsupportedDiscriminant), classify_region, fn, args.x0)
+        payload["region"] = region.value if region else None
+    return payload, 0, None
 
 
-def cmd_gha_build(args) -> tuple[dict, int]:
+def cmd_gha_build(args):
     rep = build_gha(args.fn, args.alpha0, args.dim, bound=_bound())
     payload: dict = {"rep": gha_to_dict(rep)}
-    code = 0
-    if args.verify:
-        checked = rep
-        if args.perturb is not None:
-            target, indices, amount = args.perturb
-            if target == "ladder":
-                checked = replace(rep, ladder=_perturb_sequence(rep.ladder, indices, amount))
-            elif target == "eigenvalues":
-                checked = replace(
-                    rep, eigenvalues=_perturb_sequence(rep.eigenvalues, indices, amount)
-                )
-            else:
-                raise CliError(f"unknown perturbation target {target!r}")
-        report = verify_gha_relations(checked, tol=args.tol)
-        payload["verification"] = report.to_dict()
-        code = 0 if report.passed else 2
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        files = {
-            "gha_H.csv": matrix_H(rep),
-            "gha_A.csv": matrix_A(rep),
-            "gha_Adag.csv": matrix_Adag(rep),
-            "gha_N.csv": matrix_N(rep),
-            "gha_casimir.csv": casimir_gha(rep),
-        }
-        for fname, matrix in files.items():
-            write_matrix_csv(matrix, out / fname)
-        (out / "gha_rep.json").write_text(
-            json.dumps(payload["rep"], indent=2, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
-        payload["files"] = [*files.keys(), "gha_rep.json"]
-    return payload, code
+    code = _verify(payload, args, verify_gha_relations, rep)
+    return payload, code, lambda: {
+        "gha_H.csv": matrix_H(rep),
+        "gha_A.csv": matrix_A(rep),
+        "gha_Adag.csv": matrix_Adag(rep),
+        "gha_N.csv": matrix_N(rep),
+        "gha_casimir.csv": casimir_gha(rep),
+        "gha_rep.json": payload["rep"],
+    }
 
 
-def cmd_gsl2_build(args) -> tuple[dict, int]:
+def cmd_gsl2_build(args):
     kind = RepKind(args.kind)
     rep = build_gsl2(
         args.gn, args.alphaj, args.dim, kind, cut_tol=args.cut_tol, bound=_bound()
     )
     payload: dict = {"rep": gsl2_to_dict(rep)}
-    code = 0
-    if args.verify:
-        checked = rep
-        if args.perturb is not None:
-            target, indices, amount = args.perturb
-            if target == "weights":
-                checked = replace(
-                    rep, weights=_perturb_sequence(rep.weights, indices, amount)
-                )
-            elif target in ("ladder_sq", "ladder-sq"):
-                checked = replace(
-                    rep, ladder_sq=_perturb_sequence(rep.ladder_sq, indices, amount)
-                )
-            else:
-                raise CliError(f"unknown perturbation target {target!r}")
-        report = verify_gsl2_relations(checked, tol=args.tol)
-        payload["verification"] = report.to_dict()
-        code = 0 if report.passed else 2
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        files = {
-            "gsl2_J0.csv": matrix_J0(rep),
-            "gsl2_Jplus.csv": matrix_Jplus(rep),
-            "gsl2_Jminus.csv": matrix_Jminus(rep),
-            "gsl2_casimir.csv": casimir_gsl2(rep),
-        }
-        for fname, matrix in files.items():
-            write_matrix_csv(matrix, out / fname)
-        (out / "gsl2_rep.json").write_text(
-            json.dumps(payload["rep"], indent=2, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
-        payload["files"] = [*files.keys(), "gsl2_rep.json"]
-    return payload, code
-
-
-def cmd_gsl2_cut(args) -> tuple[dict, int]:
-    solutions = cut_condition_solve(
-        args.gn, args.d, window=args.window_size, step=args.step
-    )
-    payload = {
-        "gn": charfn_to_dict(args.gn),
-        "d": args.d,
-        "included": list(solutions.included),
-        "excluded": list(solutions.excluded),
+    code = _verify(payload, args, verify_gsl2_relations, rep)
+    return payload, code, lambda: {
+        "gsl2_J0.csv": matrix_J0(rep),
+        "gsl2_Jplus.csv": matrix_Jplus(rep),
+        "gsl2_Jminus.csv": matrix_Jminus(rep),
+        "gsl2_casimir.csv": casimir_gsl2(rep),
+        "gsl2_rep.json": payload["rep"],
     }
-    return payload, 0
 
 
-def cmd_gsl2_periodic(args) -> tuple[dict, int]:
-    roots = periodic_condition_solve(
-        args.gn, args.d, window=args.window_size, step=args.step
-    )
-    payload = {
-        "gn": charfn_to_dict(args.gn),
-        "d": args.d,
-        "roots": list(roots),
-    }
-    return payload, 0
+def cmd_gsl2_solve(args):
+    """``gsl2 cut`` and ``gsl2 periodic``: one grid scan, two closure equations."""
+    payload = {"gn": charfn_to_dict(args.gn), "d": args.d}
+    grid = {"window": args.window_size, "step": args.step}
+    if args.command == "cut":
+        solutions = cut_condition_solve(args.gn, args.d, **grid)
+        payload["included"] = list(solutions.included)
+        payload["excluded"] = list(solutions.excluded)
+    else:
+        payload["roots"] = list(periodic_condition_solve(args.gn, args.d, **grid))
+    return payload, 0, None
 
 
 def _jsmap_mode(args):
@@ -302,61 +302,30 @@ def _jsmap_mode(args):
     raise CliError("one of --j or --full-grid is required")
 
 
-def cmd_jsmap_build(args) -> tuple[dict, int]:
+def cmd_jsmap_build(args):
     rep = build_jsmap(
         args.fn, args.alpha0, args.gn, args.alphaj, _jsmap_mode(args), bound=_bound()
     )
     payload: dict = {"rep": jsmap_to_dict(rep)}
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        files = {
-            "jsmap_Sz.csv": rep.s_z,
-            "jsmap_Splus.csv": rep.s_plus,
-            "jsmap_Sminus.csv": rep.s_minus,
-            "jsmap_Ssq.csv": rep.s_sq,
-        }
-        for fname, matrix in files.items():
-            write_matrix_csv(matrix, out / fname)
-        (out / "jsmap_rep.json").write_text(
-            json.dumps(payload["rep"], indent=2, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
-        payload["files"] = [*files.keys(), "jsmap_rep.json"]
-    return payload, 0
+    return payload, 0, lambda: {
+        "jsmap_Sz.csv": rep.s_z,
+        "jsmap_Splus.csv": rep.s_plus,
+        "jsmap_Sminus.csv": rep.s_minus,
+        "jsmap_Ssq.csv": rep.s_sq,
+        "jsmap_rep.json": payload["rep"],
+    }
 
 
-def cmd_jsmap_verify(args) -> tuple[dict, int]:
+def cmd_jsmap_verify(args):
     if args.j is None:
         raise CliError("--j is required for verification")
     jsrep = build_jsmap(
         args.fn, args.alpha0, args.gn, args.alphaj, FixedJ(args.j), bound=_bound()
     )
-    if args.perturb is not None:
-        target, indices, amount = args.perturb
-        fields = {
-            "sz": "s_z",
-            "s_z": "s_z",
-            "splus": "s_plus",
-            "s_plus": "s_plus",
-            "sminus": "s_minus",
-            "s_minus": "s_minus",
-            "ssq": "s_sq",
-            "s_sq": "s_sq",
-        }
-        if target not in fields:
-            raise CliError(f"unknown perturbation target {target!r}")
-        field = fields[target]
-        jsrep = replace(
-            jsrep, **{field: _perturb_matrix(getattr(jsrep, field), indices, amount)}
-        )
+    jsrep = _perturbed(jsrep, args)
+    kind = RepKind(args.kind)
     direct = build_gsl2(
-        args.gn,
-        args.alphaj,
-        args.j + 1,
-        RepKind(args.kind),
-        cut_tol=args.cut_tol,
-        bound=_bound(),
+        args.gn, args.alphaj, args.j + 1, kind, cut_tol=args.cut_tol, bound=_bound()
     )
     map_report = verify_map_equals_gsl2(jsrep, direct, tol=args.tol)
     relation_report = verify_jsmap_relations(jsrep, tol=args.tol)
@@ -366,10 +335,10 @@ def cmd_jsmap_verify(args) -> tuple[dict, int]:
         "relations": relation_report.to_dict(),
         "passed": passed,
     }
-    return payload, 0 if passed else 2
+    return payload, 0 if passed else 2, None
 
 
-def cmd_jsmap_pairing(args) -> tuple[dict, int]:
+def cmd_jsmap_pairing(args):
     gn, alpha_j = derive_pairing(args.fn, args.alpha0)
     report = verify_pairing_identity(
         args.fn, args.alpha0, gn, alpha_j, args.mmax, tol=args.tol
@@ -381,48 +350,34 @@ def cmd_jsmap_pairing(args) -> tuple[dict, int]:
         "alpha_j": alpha_j,
         "report": report.to_dict(),
     }
-    return payload, 0 if report.passed else 2
+    return payload, 0 if report.passed else 2, None
 
 
-def cmd_orbit_figure(args) -> tuple[dict, int]:
+def cmd_orbit_figure(args):
     bundle = figure_bundle(args.name, bound=_bound())
-    files = write_bundle(bundle, args.out)
     payload = {
         "figure": bundle.name,
         "series": [series for series, _ in bundle.reports],
         "out_dir": str(args.out),
-        "files": files,
     }
-    return payload, 0
+    return payload, 0, lambda: {bundle.name: bundle}
 
 
-def cmd_orbit_cobweb(args) -> tuple[dict, int]:
-    fn = args.fn
+def cmd_orbit_cobweb(args):
     window = args.window
     if window is None:
         landmarks = [args.x0]
         try:
-            landmarks.extend(fp.location for fp in fixed_points(fn))
+            landmarks.extend(fp.location for fp in fixed_points(args.fn))
         except (GjsError, ValueError):
             pass
         try:
-            landmarks.append(invertibility_boundary(fn))
+            landmarks.append(invertibility_boundary(args.fn))
         except NotQuadratic:
             pass
-        lo, hi = min(landmarks), max(landmarks)
-        if hi - lo < 1e-9:
-            lo, hi = lo - 1.0, hi + 1.0
-        pad = WINDOW_PAD * (hi - lo)
-        window = (lo - pad, hi + pad)
-    report = cobweb(fn, args.x0, args.steps, window, bound=_bound())
-    payload = {"report": report_to_dict(report)}
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report_json(report, out / "cobweb.json")
-        write_report_csvs(report, out / "cobweb_curve.csv", out / "cobweb_cobweb.csv")
-        payload["files"] = ["cobweb.json", "cobweb_curve.csv", "cobweb_cobweb.csv"]
-    return payload, 0
+        window = _window_from_landmarks(landmarks)
+    report = cobweb(args.fn, args.x0, args.steps, window, bound=_bound())
+    return {"report": report_to_dict(report)}, 0, lambda: {"cobweb": report}
 
 
 def _job_argv(job: dict) -> list[str]:
@@ -439,7 +394,7 @@ def _job_argv(job: dict) -> list[str]:
     return argv
 
 
-def cmd_run(args) -> tuple[dict, int]:
+def cmd_run(args):
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -472,32 +427,156 @@ def cmd_run(args) -> tuple[dict, int]:
     any_failure = False
     for name, job, ns in parsed:
         entry: dict = {"name": name, "command": job["command"]}
+        output = job.get("output")
         try:
-            payload, code = ns.handler(ns)
+            payload, code = _dispatch(ns)
+            if output is not None:
+                path = Path(output)
+                _write_files(path.parent, {path.name: payload})
         except (CliError, GjsError, ValueError, OSError) as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
             any_error = True
-            statuses.append(entry)
-            continue
-        entry["status"] = "ok" if code == 0 else "verification_failed"
-        entry["exit_code"] = code
-        any_failure = any_failure or code == 2
-        output = job.get("output")
-        if output is not None:
-            path = Path(output)
-            if path.parent != Path(""):
-                path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                encoding="utf-8",
-            )
-            entry["output"] = str(output)
         else:
-            entry["payload"] = payload
+            entry["status"] = "ok" if code == 0 else "verification_failed"
+            entry["exit_code"] = code
+            any_failure = any_failure or code == 2
+            if output is not None:
+                entry["output"] = str(output)
+            else:
+                entry["payload"] = payload
         statuses.append(entry)
     overall = 1 if any_error else (2 if any_failure else 0)
-    return {"jobs": statuses}, overall
+    return {"jobs": statuses}, overall, None
+
+
+def _encode(value) -> str:
+    """The one JSON encoding, for stdout and every JSON file."""
+    try:
+        return json.dumps(value, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CliError(f"output cannot be encoded as JSON: {exc}") from exc
+
+
+def _write_files(out_dir, files: dict) -> list[str]:
+    """Create ``out_dir`` and write ``files`` into it; returns the file names.
+
+    A matrix becomes ``name`` as CSV, an orbit report ``name.json`` plus its
+    curve/cobweb CSV pair, a figure bundle its stock files, and any other
+    value ``name`` as JSON.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    names: list[str] = []
+    for name, content in files.items():
+        if isinstance(content, FigureBundle):
+            names += write_bundle(content, out)
+            continue
+        if isinstance(content, OrbitReport):
+            write_report_json(content, out / f"{name}.json")
+            write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv")
+            names += [f"{name}.json", f"{name}_curve.csv", f"{name}_cobweb.csv"]
+            continue
+        if isinstance(content, OperatorMatrix):
+            write_matrix_csv(content, out / name)
+        else:
+            (out / name).write_text(_encode(content) + "\n", encoding="utf-8")
+        names.append(name)
+    return names
+
+
+def _dispatch(args) -> tuple[dict, int]:
+    """Run the handler, then write its files when ``--out`` is given."""
+    payload, code, files = args.handler(args)
+    if files is not None and args.out is not None:
+        payload["files"] = _write_files(args.out, files())
+    return payload, code
+
+
+def _option(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+_FN = _option("--fn", type=_charfn_arg, required=True)
+_GN = _option("--gn", type=_charfn_arg, required=True)
+_ALPHA0 = _option("--alpha0", type=float, required=True)
+_ALPHAJ = _option("--alphaj", type=float, required=True)
+_DIM = _option("--dim", type=int, required=True)
+_TOL = _option("--tol", type=_tolerance_arg, default=1e-10)
+_VERIFY = [_option("--verify", action="store_true"), _TOL]
+_CUT_TOL = _option("--cut-tol", type=_tolerance_arg, default=CUT_ACCEPT_TOL)
+_OUT = _option("--out", default=None)
+_KINDS = [k.value for k in RepKind]
+_SHELL = [_FN, _ALPHA0, _GN, _ALPHAJ, _option(
+    "--j", type=_two_j_arg, default=None, help="shell spin, e.g. 1/2"
+)]
+_SCAN = [
+    _GN,
+    _option("--d", type=int, required=True),
+    _option("--window-size", type=_grid_arg, default=100.0),
+    _option("--step", type=_grid_arg, default=1e-4),
+]
+
+
+def _perturb_option(example: str) -> tuple[str, dict]:
+    return _option(
+        "--perturb", type=_perturb_arg, default=None, help=f"negative control: {example}"
+    )
+
+
+_GROUPS = {
+    "charfun": "characteristic function analysis",
+    "gha": "oscillator-side representations",
+    "gsl2": "weight-side representations",
+    "jsmap": "two-oscillator realization",
+    "orbit": "cobweb traces and figure bundles",
+}
+
+#: ``(group, command)``, or ``(command,)`` at top level, to
+#: ``(help, handler, options)``.  ``build_parser`` turns this into the parser
+#: that both ``main`` and batch mode use.
+_COMMANDS = {
+    ("charfun", "analyze"): ("fixed points, regions, boundary", cmd_charfun_analyze, [
+        _option("--fn", type=_charfn_arg, required=True, help="CharFn JSON"),
+        _option("--x0", type=float, default=None, help="start value to classify"),
+    ]),
+    ("gha", "build"): ("build a truncated ladder", cmd_gha_build, [
+        _FN, _ALPHA0, _DIM, *_VERIFY,
+        _option("--out", default=None, help="directory for CSV/JSON dumps"),
+        _perturb_option("'ladder:IDX:AMOUNT' or 'eigenvalues:IDX:AMOUNT'"),
+    ]),
+    ("gsl2", "build"): ("build a highest-weight rep", cmd_gsl2_build, [
+        _GN, _ALPHAJ, _DIM, _option("--kind", choices=_KINDS, required=True), _CUT_TOL,
+        *_VERIFY, _OUT, _perturb_option("'weights:IDX:AMOUNT' or 'ladder_sq:IDX:AMOUNT'"),
+    ]),
+    ("gsl2", "cut"): ("solve the finite-cut condition", cmd_gsl2_solve, _SCAN),
+    ("gsl2", "periodic"): ("solve the periodic condition", cmd_gsl2_solve, _SCAN),
+    ("jsmap", "build"): ("build the mapped generators", cmd_jsmap_build, [
+        *_SHELL, _option("--full-grid", type=int, default=None, metavar="DIM"), _OUT,
+    ]),
+    ("jsmap", "verify"): ("compare the map with the direct representation", cmd_jsmap_verify, [
+        *_SHELL, _TOL,
+        _option("--kind", choices=_KINDS, default=RepKind.FINITE_CUT.value), _CUT_TOL,
+        _perturb_option("'splus:ROW,COL:AMOUNT' etc."),
+    ]),
+    ("jsmap", "pairing"): ("check the reflection-pairing identity", cmd_jsmap_pairing, [
+        _FN, _ALPHA0, _option("--mmax", type=int, required=True), _TOL,
+    ]),
+    ("orbit", "figure"): ("write a stock figure bundle", cmd_orbit_figure, [
+        _option("--name", choices=[f.value for f in FigureName], required=True),
+        _option("--out", required=True),
+    ]),
+    ("orbit", "cobweb"): ("trace one orbit", cmd_orbit_cobweb, [
+        _FN,
+        _option("--x0", type=float, required=True),
+        _option("--steps", type=int, required=True),
+        _option("--window", type=_window_arg, default=None),
+        _OUT,
+    ]),
+    ("run",): ("batch mode from a JSON run config", cmd_run, [
+        _option("--config", required=True),
+    ]),
+}
 
 
 def build_parser() -> _Parser:
@@ -509,120 +588,16 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="group")
-
-    charfun_p = sub.add_parser("charfun", help="characteristic function analysis")
-    charfun_sub = charfun_p.add_subparsers(dest="command")
-    analyze = charfun_sub.add_parser("analyze", help="fixed points, regions, boundary")
-    analyze.add_argument("--fn", type=_charfn_arg, required=True, help="CharFn JSON")
-    analyze.add_argument("--x0", type=float, default=None, help="start value to classify")
-    analyze.set_defaults(handler=cmd_charfun_analyze)
-
-    gha_p = sub.add_parser("gha", help="oscillator-side representations")
-    gha_sub = gha_p.add_subparsers(dest="command")
-    gha_build = gha_sub.add_parser("build", help="build a truncated ladder")
-    gha_build.add_argument("--fn", type=_charfn_arg, required=True)
-    gha_build.add_argument("--alpha0", type=float, required=True)
-    gha_build.add_argument("--dim", type=int, required=True)
-    gha_build.add_argument("--verify", action="store_true")
-    gha_build.add_argument("--tol", type=float, default=1e-10)
-    gha_build.add_argument("--out", default=None, help="directory for CSV/JSON dumps")
-    gha_build.add_argument(
-        "--perturb",
-        type=_perturb_arg,
-        default=None,
-        help="negative control: 'ladder:IDX:AMOUNT' or 'eigenvalues:IDX:AMOUNT'",
-    )
-    gha_build.set_defaults(handler=cmd_gha_build)
-
-    gsl2_p = sub.add_parser("gsl2", help="weight-side representations")
-    gsl2_sub = gsl2_p.add_subparsers(dest="command")
-    gsl2_build = gsl2_sub.add_parser("build", help="build a highest-weight rep")
-    gsl2_build.add_argument("--gn", type=_charfn_arg, required=True)
-    gsl2_build.add_argument("--alphaj", type=float, required=True)
-    gsl2_build.add_argument("--dim", type=int, required=True)
-    gsl2_build.add_argument(
-        "--kind", choices=[k.value for k in RepKind], required=True
-    )
-    gsl2_build.add_argument("--cut-tol", type=float, default=CUT_ACCEPT_TOL)
-    gsl2_build.add_argument("--verify", action="store_true")
-    gsl2_build.add_argument("--tol", type=float, default=1e-10)
-    gsl2_build.add_argument("--out", default=None)
-    gsl2_build.add_argument(
-        "--perturb",
-        type=_perturb_arg,
-        default=None,
-        help="negative control: 'weights:IDX:AMOUNT' or 'ladder_sq:IDX:AMOUNT'",
-    )
-    gsl2_build.set_defaults(handler=cmd_gsl2_build)
-    gsl2_cut = gsl2_sub.add_parser("cut", help="solve the finite-cut condition")
-    gsl2_cut.add_argument("--gn", type=_charfn_arg, required=True)
-    gsl2_cut.add_argument("--d", type=int, required=True)
-    gsl2_cut.add_argument("--window-size", type=float, default=100.0)
-    gsl2_cut.add_argument("--step", type=float, default=1e-4)
-    gsl2_cut.set_defaults(handler=cmd_gsl2_cut)
-    gsl2_periodic = gsl2_sub.add_parser("periodic", help="solve the periodic condition")
-    gsl2_periodic.add_argument("--gn", type=_charfn_arg, required=True)
-    gsl2_periodic.add_argument("--d", type=int, required=True)
-    gsl2_periodic.add_argument("--window-size", type=float, default=100.0)
-    gsl2_periodic.add_argument("--step", type=float, default=1e-4)
-    gsl2_periodic.set_defaults(handler=cmd_gsl2_periodic)
-
-    jsmap_p = sub.add_parser("jsmap", help="two-oscillator realization")
-    jsmap_sub = jsmap_p.add_subparsers(dest="command")
-    jsmap_build = jsmap_sub.add_parser("build", help="build the mapped generators")
-    jsmap_verify = jsmap_sub.add_parser(
-        "verify", help="compare the map with the direct representation"
-    )
-    for p in (jsmap_build, jsmap_verify):
-        p.add_argument("--fn", type=_charfn_arg, required=True)
-        p.add_argument("--alpha0", type=float, required=True)
-        p.add_argument("--gn", type=_charfn_arg, required=True)
-        p.add_argument("--alphaj", type=float, required=True)
-        p.add_argument("--j", type=_two_j_arg, default=None, help="shell spin, e.g. 1/2")
-    jsmap_build.add_argument("--full-grid", type=int, default=None, metavar="DIM")
-    jsmap_build.add_argument("--out", default=None)
-    jsmap_build.set_defaults(handler=cmd_jsmap_build, full_grid=None)
-    jsmap_verify.add_argument("--tol", type=float, default=1e-10)
-    jsmap_verify.add_argument(
-        "--kind", choices=[k.value for k in RepKind], default=RepKind.FINITE_CUT.value
-    )
-    jsmap_verify.add_argument("--cut-tol", type=float, default=CUT_ACCEPT_TOL)
-    jsmap_verify.add_argument(
-        "--perturb",
-        type=_perturb_arg,
-        default=None,
-        help="negative control: 'splus:ROW,COL:AMOUNT' etc.",
-    )
-    jsmap_verify.set_defaults(handler=cmd_jsmap_verify)
-    jsmap_pairing = jsmap_sub.add_parser(
-        "pairing", help="check the reflection-pairing identity"
-    )
-    jsmap_pairing.add_argument("--fn", type=_charfn_arg, required=True)
-    jsmap_pairing.add_argument("--alpha0", type=float, required=True)
-    jsmap_pairing.add_argument("--mmax", type=int, required=True)
-    jsmap_pairing.add_argument("--tol", type=float, default=1e-10)
-    jsmap_pairing.set_defaults(handler=cmd_jsmap_pairing)
-
-    orbit_p = sub.add_parser("orbit", help="cobweb traces and figure bundles")
-    orbit_sub = orbit_p.add_subparsers(dest="command")
-    orbit_figure = orbit_sub.add_parser("figure", help="write a stock figure bundle")
-    orbit_figure.add_argument(
-        "--name", choices=["fig1", "fig2", "fig3", "fig4"], required=True
-    )
-    orbit_figure.add_argument("--out", required=True)
-    orbit_figure.set_defaults(handler=cmd_orbit_figure)
-    orbit_cobweb = orbit_sub.add_parser("cobweb", help="trace one orbit")
-    orbit_cobweb.add_argument("--fn", type=_charfn_arg, required=True)
-    orbit_cobweb.add_argument("--x0", type=float, required=True)
-    orbit_cobweb.add_argument("--steps", type=int, required=True)
-    orbit_cobweb.add_argument("--window", type=_window_arg, default=None)
-    orbit_cobweb.add_argument("--out", default=None)
-    orbit_cobweb.set_defaults(handler=cmd_orbit_cobweb)
-
-    run_p = sub.add_parser("run", help="batch mode from a JSON run config")
-    run_p.add_argument("--config", required=True)
-    run_p.set_defaults(handler=cmd_run)
-
+    groups = {
+        name: sub.add_parser(name, help=text).add_subparsers(dest="command")
+        for name, text in _GROUPS.items()
+    }
+    for path, (text, handler, options) in _COMMANDS.items():
+        parent = groups[path[0]] if len(path) > 1 else sub
+        command = parent.add_parser(path[-1], help=text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -633,14 +608,15 @@ def main(argv=None) -> int:
         if not hasattr(args, "handler"):
             parser.print_help()
             return 0
-        payload, code = args.handler(args)
+        payload, code = _dispatch(args)
+        text = _encode(payload)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     except (GjsError, ValueError, OSError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(text)
     return code
 
 

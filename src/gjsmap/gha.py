@@ -186,36 +186,19 @@ def casimir_gha(rep: GhaRep) -> OperatorMatrix:
     return OperatorMatrix(adag @ adag.T - h, _basis_label(rep), _state_labels(rep))
 
 
-def gauss_number(
-    fn: CharFn, alpha0: float, m: int, bound: float = math.inf
-) -> float:
-    """Generalized Gauss number ``[m] = (f^(m)(a0) - a0) / (f(a0) - a0)``.
+def gauss_numbers(
+    fn: CharFn, alpha0: float, m_max: int, bound: float = math.inf
+) -> list[float]:
+    """Generalized Gauss numbers ``[0], [1], ..., [m_max]`` in one pass.
 
-    ``f(x) = x + 1`` gives back the plain integers; ``f(x) = q x + 1`` the
-    q-numbers.
+    ``[m] = (f^(m)(a0) - a0) / (f(a0) - a0)``: ``f(x) = x + 1`` gives back the
+    plain integers, ``f(x) = q x + 1`` the q-numbers.
 
     Raises
     ------
     FixedPointVacuum
         If ``alpha0`` is (numerically) a fixed point of ``fn``.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    denom = evaluate(fn, alpha0) - alpha0
-    if abs(denom) <= GAUSS_DENOMINATOR_TOL:
-        raise FixedPointVacuum(
-            f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined"
-        )
-    if m == 0:
-        return 0.0
-    xs = iterate(fn, alpha0, m, bound=bound)
-    return (xs[m] - xs[0]) / denom
-
-
-def gauss_numbers(
-    fn: CharFn, alpha0: float, m_max: int, bound: float = math.inf
-) -> list[float]:
-    """``[0], [1], ..., [m_max]`` in one pass over the orbit."""
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     denom = evaluate(fn, alpha0) - alpha0

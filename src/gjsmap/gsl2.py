@@ -194,8 +194,32 @@ def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
     )
 
 
-def _g_of_j0(rep: Gsl2Rep) -> np.ndarray:
-    return np.diag([evaluate(rep.gn, w) for w in rep.weights])
+def _g_diag(gn: CharFn, j0: np.ndarray) -> np.ndarray:
+    """``g(J0)`` for a diagonal ``J0``, evaluated entry by entry."""
+    return np.diag([evaluate(gn, w) for w in np.diag(j0).tolist()])
+
+
+def _weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
+    """``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2`` from the matrices."""
+    gj0 = _g_diag(gn, j0)
+    eye = np.eye(len(j0))
+    return 0.5 * (jp @ jm + jm @ jp + j0 @ (j0 + eye) + gj0 @ (gj0 + eye))
+
+
+def _weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple[float, float, float]:
+    """Max-abs residuals of the three defining relations on columns ``< ncols``.
+
+    In order: ``J0 J- = J- g(J0)``, ``J+ J0 = g(J0) J+`` and
+    ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``.  ``jm`` is taken as given, not
+    as the transpose of ``jp``, so a lowering operator that drifted from it
+    still shows up.
+    """
+    gj0 = _g_diag(gn, j0)
+    eye = np.eye(len(j0))
+    r_lower = j0 @ jm - jm @ gj0
+    r_raise = jp @ j0 - gj0 @ jp
+    r_comm = (jp @ jm - jm @ jp) - (j0 @ (j0 + eye) - gj0 @ (gj0 + eye))
+    return tuple(float(np.max(np.abs(r[:, :ncols]))) for r in (r_lower, r_raise, r_comm))
 
 
 def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
@@ -206,12 +230,8 @@ def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
     term leaks on the lowest retained state, so constancy holds on states
     ``0..dim-2`` only.
     """
-    j0 = matrix_J0(rep).entries
     jp = matrix_Jplus(rep).entries
-    jm = jp.T
-    gj0 = _g_of_j0(rep)
-    eye = np.eye(rep.dim)
-    c = 0.5 * (jp @ jm + jm @ jp + j0 @ (j0 + eye) + gj0 @ (gj0 + eye))
+    c = _weight_casimir(matrix_J0(rep).entries, jp, jp.T, rep.gn)
     return OperatorMatrix(c, _basis_label(rep), _state_labels(rep))
 
 
@@ -224,22 +244,11 @@ def verify_gsl2_relations(rep: Gsl2Rep, tol: float = 1e-10) -> ResidualReport:
     """
     if rep.dim < 2:
         raise ValueError("relation residuals need dim >= 2")
-    j0 = matrix_J0(rep).entries
     jp = matrix_Jplus(rep).entries
-    jm = jp.T
-    gj0 = _g_of_j0(rep)
-    eye = np.eye(rep.dim)
-    r_lower = j0 @ jm - jm @ gj0
-    r_raise = jp @ j0 - gj0 @ jp
-    r_comm = (jp @ jm - jm @ jp) - (j0 @ (j0 + eye) - gj0 @ (gj0 + eye))
     ncols = rep.dim if rep.kind is not RepKind.TRUNCATED_INFINITE else rep.dim - 1
-    cols = slice(0, ncols)
-    residuals = {
-        "j0_jminus_intertwine": float(np.max(np.abs(r_lower[:, cols]))),
-        "jplus_j0_intertwine": float(np.max(np.abs(r_raise[:, cols]))),
-        "commutator": float(np.max(np.abs(r_comm[:, cols]))),
-    }
-    return ResidualReport(residuals, tol)
+    residuals = _weight_residuals(matrix_J0(rep).entries, jp, jp.T, rep.gn, ncols)
+    names = ("j0_jminus_intertwine", "jplus_j0_intertwine", "commutator")
+    return ResidualReport(dict(zip(names, residuals)), tol)
 
 
 def _compose(gn: CharFn, x, d: int):

@@ -38,7 +38,9 @@ from .charfun import (
 from .errors import (
     DescentViolation,
     DimensionMismatch,
+    GjsError,
     NegativeRadicand,
+    NoRealFixedPoint,
     OutOfBasis,
     PairingMismatch,
 )
@@ -52,7 +54,14 @@ from .gha import (
     gha_to_dict,
     matrix_Adag,
 )
-from .gsl2 import Gsl2Rep, matrix_J0, matrix_Jplus, casimir_gsl2
+from .gsl2 import (
+    Gsl2Rep,
+    _weight_casimir,
+    _weight_residuals,
+    casimir_gsl2,
+    matrix_J0,
+    matrix_Jplus,
+)
 
 #: Radicands in [-RADICAND_CLAMP_TOL, 0) are clamped to zero.
 RADICAND_CLAMP_TOL = 1e-12
@@ -264,8 +273,13 @@ def build_jsmap(
 
     ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2``; ``S_-``
     puts ``F`` on the other side of the reverse hop, which lands exactly on
-    the transpose of ``S_+`` (asserted).  ``S^2`` is assembled from the four
-    generators with ``g`` applied to the diagonal of ``S_z``.
+    the transpose of ``S_+`` (checked).  ``S^2`` is the weight-algebra
+    invariant of :mod:`gsl2` evaluated on the mapped generators.
+
+    Raises
+    ------
+    GjsError
+        If the reverse hop does not reproduce the transpose of ``S_+``.
     """
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
@@ -279,16 +293,10 @@ def build_jsmap(
     raise_hop, lower_hop = _hop_matrices(space)
     s_plus = f_diag[:, None] * raise_hop
     s_minus = lower_hop * f_diag[None, :]
-    assert np.array_equal(s_minus, s_plus.T), "S_- must be the transpose of S_+"
+    if not np.array_equal(s_minus, s_plus.T):
+        raise GjsError("S_- must be the transpose of S_+")
     s_z = g_mat.entries
-    g_s_z = np.diag([evaluate(gn, v) for v in np.diag(s_z)])
-    eye = np.eye(space.size)
-    s_sq = 0.5 * (
-        s_plus @ s_minus
-        + s_minus @ s_plus
-        + s_z @ (s_z + eye)
-        + g_s_z @ (g_s_z + eye)
-    )
+    s_sq = _weight_casimir(s_z, s_plus, s_minus, gn)
     label = _space_label(space, f"alpha_j = {alpha_j!r}")
     states = _state_labels(space)
     m0_sq = evaluate(fn, alpha0) - alpha0
@@ -357,21 +365,15 @@ def verify_jsmap_relations(jsrep: JsMapRep, tol: float = 1e-10) -> ResidualRepor
     q = jsrep.q2 * gg[two_j + 1]
     bottom_sq = -q * (2.0 * jsrep.alpha_j + 1.0 + q)
     closed = abs(bottom_sq) <= 1e-9 * max(1.0, abs(jsrep.alpha_j) + 1.0)
-    sz = jsrep.s_z.entries
-    sp = jsrep.s_plus.entries
-    sm = jsrep.s_minus.entries
-    gsz = np.diag([evaluate(jsrep.gn, v) for v in np.diag(sz)])
-    eye = np.eye(size)
-    r_lower = sz @ sm - sm @ gsz
-    r_raise = sp @ sz - gsz @ sp
-    r_comm = (sp @ sm - sm @ sp) - (sz @ (sz + eye) - gsz @ (gsz + eye))
-    cols = slice(0, size if closed else size - 1)
-    residuals = {
-        "sz_sminus_intertwine": float(np.max(np.abs(r_lower[:, cols]))),
-        "splus_sz_intertwine": float(np.max(np.abs(r_raise[:, cols]))),
-        "commutator": float(np.max(np.abs(r_comm[:, cols]))),
-    }
-    return ResidualReport(residuals, tol)
+    residuals = _weight_residuals(
+        jsrep.s_z.entries,
+        jsrep.s_plus.entries,
+        jsrep.s_minus.entries,
+        jsrep.gn,
+        size if closed else size - 1,
+    )
+    names = ("sz_sminus_intertwine", "splus_sz_intertwine", "commutator")
+    return ResidualReport(dict(zip(names, residuals)), tol)
 
 
 @dataclass(frozen=True)
@@ -446,7 +448,7 @@ def verify_pairing_identity(
         try:
             pts_f = fixed_points(fn)
             pts_g = fixed_points(gn)
-        except Exception:
+        except NoRealFixedPoint:
             pts_f = pts_g = []
         if len(pts_f) == 1 and len(pts_g) == 1:
             fp_f = pts_f[0].location

@@ -187,8 +187,15 @@ class FigureBundle:
         raise KeyError(series)
 
 
-def _window_from_landmarks(landmarks: tuple[float, ...]) -> tuple[float, float]:
+def _window_from_landmarks(landmarks) -> tuple[float, float]:
+    """The landmarks' span padded by ``WINDOW_PAD`` on each side.
+
+    A span narrower than 1e-9 (a single landmark) is first widened by 1 on
+    each side.
+    """
     lo, hi = min(landmarks), max(landmarks)
+    if hi - lo < 1e-9:
+        lo, hi = lo - 1.0, hi + 1.0
     pad = WINDOW_PAD * (hi - lo)
     return (lo - pad, hi + pad)
 

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from gjsmap.cli import main
 
@@ -396,6 +399,73 @@ class TestRunConfig:
         assert payload["jobs"][0]["status"] == "verification_failed"
 
 
+GHA3 = ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "3"]
+CUT = ["gsl2", "cut", "--gn", GN_FIG2, "--d", "1"]
+PERIODIC = ["gsl2", "periodic", "--gn", GN_FIG2, "--d", "1"]
+SHELL = ["jsmap", "verify", "--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alphaj", "1",
+         "--j", "1"]
+NAN_TOL_JOB = {"jobs": [{"name": "nan-tol", "command": "gha build",
+                         "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3,
+                                    "verify": True, "tol": "nan"}}]}
+
+#: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
+#: names)`` for inputs that must end in a JSON error on stderr and exit code 1.
+BAD_INPUTS = {
+    "tol nan": ([*GHA3, "--verify", "--tol", "nan"], None, None, "--tol"),
+    "tol negative": ([*GHA3, "--verify", "--tol=-1e-10"], None, None, "--tol"),
+    "tol inf": (["jsmap", "pairing", "--fn", FN_FIG4, "--alpha0", "-0.15", "--mmax", "3",
+                 "--tol", "inf"], None, None, "--tol"),
+    "shell tol nan": ([*SHELL, "--tol", "nan"], None, None, "--tol"),
+    "cut-tol nan": (["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind",
+                     "cut", "--cut-tol", "nan"], None, None, "--cut-tol"),
+    "cut-tol negative": ([*SHELL, "--cut-tol=-1e-9"], None, None, "--cut-tol"),
+    "step zero": ([*CUT, "--step", "0"], None, None, "--step"),
+    "step negative": ([*CUT, "--step", "-1"], None, None, "--step"),
+    "step inf": ([*PERIODIC, "--step", "inf"], None, None, "--step"),
+    "window-size zero": ([*PERIODIC, "--window-size", "0"], None, None, "--window-size"),
+    "window-size nan": ([*CUT, "--window-size", "nan"], None, None, "--window-size"),
+    "bound nan": (GHA3, "nan", None, "GJS_DIVERGENCE_BOUND"),
+    "bound negative": (GHA3, "-1", None, "GJS_DIVERGENCE_BOUND"),
+    "bound zero": (GHA3, "0", None, "GJS_DIVERGENCE_BOUND"),
+    "nan residual": (["gha", "build", "--fn", FN_FIG4, "--alpha0", "0", "--dim", "11",
+                      "--verify"], "1e300", None, "cannot be encoded"),
+    "batch job with nan tol": (["run", "--config", "jobs.json"], None, NAN_TOL_JOB, "--tol"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_json_error(case, capsys, monkeypatch, tmp_path):
+    argv, bound, config, named = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    if bound is None:
+        monkeypatch.delenv("GJS_DIVERGENCE_BOUND", raising=False)
+    else:
+        monkeypatch.setenv("GJS_DIVERGENCE_BOUND", bound)
+    if config is not None:
+        (tmp_path / "jobs.json").write_text(json.dumps(config))
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload is None
+    assert named in json.loads(err)["error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unencodable_batch_output_is_a_job_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GJS_DIVERGENCE_BOUND", "1e300")
+    config = {"jobs": [{"name": "overflow", "command": "gha build", "output": "overflow.json",
+                        "params": {"fn": json.loads(FN_FIG4), "alpha0": 0, "dim": 11,
+                                   "verify": True}}]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    code, payload, _ = run_cli(capsys, "run", "--config", "jobs.json")
+    assert code == 1
+    (job,) = payload["jobs"]
+    assert job["status"] == "error"
+    assert "cannot be encoded" in job["error"]
+    assert not (tmp_path / "overflow.json").exists()
+
+
 class TestDeterminismAndEnv:
     def test_byte_identical_output(self):
         argv = [
@@ -433,7 +503,7 @@ class TestDeterminismAndEnv:
             argv,
             capture_output=True,
             check=True,
-            env={"GJS_DIVERGENCE_BOUND": "1e3", "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "GJS_DIVERGENCE_BOUND": "1e3"},
         )
         loose_iter = json.loads(loose.stdout)["report"]["iterates"]
         tight_iter = json.loads(tight.stdout)["report"]["iterates"]

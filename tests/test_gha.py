@@ -14,7 +14,6 @@ from gjsmap import (
     build_gha,
     casimir_gha,
     gauss_factorial,
-    gauss_number,
     gauss_numbers,
     gha_from_dict,
     gha_to_dict,
@@ -141,34 +140,34 @@ class TestCasimir:
 
 class TestGaussNumbers:
     def test_integers_for_boson(self):
-        assert gauss_number(BOSON, 0.25, 5) == pytest.approx(5.0, rel=1e-15)
+        assert gauss_numbers(BOSON, 0.25, 5)[5] == pytest.approx(5.0, rel=1e-15)
 
     def test_first_two_values(self):
-        assert gauss_number(FIG4_FN, -0.15, 0) == 0.0
-        assert gauss_number(FIG4_FN, -0.15, 1) == 1.0
+        assert gauss_numbers(FIG4_FN, -0.15, 0)[0] == 0.0
+        assert gauss_numbers(FIG4_FN, -0.15, 1)[1] == 1.0
 
     def test_exact_rational_oracle(self):
         coeffs = (Fraction(1), Fraction(3), Fraction(1))
         expect = gauss_number_fraction(coeffs, Fraction(-3, 20), 2)
         assert float(expect) == pytest.approx(4.4225, rel=1e-15)
-        assert gauss_number(FIG4_FN, -0.15, 2) == pytest.approx(
+        assert gauss_numbers(FIG4_FN, -0.15, 2)[2] == pytest.approx(
             float(expect), rel=1e-13
         )
 
     def test_factorial(self):
         assert gauss_factorial(BOSON, 0.0, 0) == 1.0
         assert gauss_factorial(BOSON, 0.0, 4) == pytest.approx(24.0, rel=1e-14)
-        expect = 1.0 * gauss_number(FIG4_FN, -0.15, 2)
+        expect = 1.0 * gauss_numbers(FIG4_FN, -0.15, 2)[2]
         assert gauss_factorial(FIG4_FN, -0.15, 2) == pytest.approx(expect, rel=1e-14)
 
     def test_sequence_matches_singletons(self):
         seq = gauss_numbers(FIG4_FN, -0.15, 6)
         for m, value in enumerate(seq):
-            assert value == gauss_number(FIG4_FN, -0.15, m)
+            assert value == gauss_numbers(FIG4_FN, -0.15, m)[m]
 
     def test_fixed_point_vacuum_rejected(self):
         with pytest.raises(FixedPointVacuum):
-            gauss_number(FIG1_FN, 0.7, 3)
+            gauss_numbers(FIG1_FN, 0.7, 3)[3]
 
     def test_ladder_gauss_consistency(self):
         rng = np.random.default_rng(23)

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gjsmap import (
     CharFn,
+    GjsError,
+    OperatorMatrix,
     FixedJ,
     FullGrid,
     Orientation,
@@ -31,6 +34,7 @@ from gjsmap.errors import (
     OutOfBasis,
     PairingMismatch,
 )
+from gjsmap import jsmap
 from helpers import textbook_j0, textbook_jplus
 
 BOSON = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
@@ -147,6 +151,17 @@ class TestBuild:
         expect = math.sqrt(-q2 * (2.0 * root + 1.0 + q2))
         assert rep.s_plus.entries[0, 1] == pytest.approx(expect, rel=1e-13)
 
+    def test_lowering_hop_must_mirror_raising_hop(self, monkeypatch):
+        def skewed(space):
+            raise_hop, lower_hop = hop_matrices(space)
+            lower_hop[1, 0] *= 2.0
+            return raise_hop, lower_hop
+
+        hop_matrices = jsmap._hop_matrices
+        monkeypatch.setattr(jsmap, "_hop_matrices", skewed)
+        with pytest.raises(GjsError, match="transpose"):
+            build_jsmap(BOSON, 0.0, SL2, 1.0, FixedJ(2))
+
     def test_q2_must_be_negative(self):
         rising = CharFn((1.0, 1.0), Orientation.WEIGHT)
         with pytest.raises(DescentViolation):
@@ -222,6 +237,15 @@ class TestRelationsFromMap:
         rep = build_jsmap(BOSON, 0.0, SL2, 2.0, FixedJ(4))
         assert verify_jsmap_relations(rep, tol=1e-12).passed
 
+    def test_relations_use_the_stored_lowering_operator(self):
+        rep = build_jsmap(BOSON, 0.0, SL2, 1.0, FixedJ(2))
+        entries = np.array(rep.s_minus.entries)
+        entries[1, 0] += 0.01
+        skewed = replace(rep, s_minus=OperatorMatrix(entries, rep.s_minus.basis_label))
+        report = verify_jsmap_relations(skewed, tol=1e-12)
+        assert not report.passed
+        assert report.residuals["commutator"] > 1e-3
+
 
 class TestCasimirFromMap:
     def test_constant_on_closed_shells(self):
@@ -289,6 +313,15 @@ class TestPairing:
             report = verify_pairing_identity(fn, alpha0, gn, alpha_j, 10, tol=1e-10)
             assert report.passed
             checked += 1
+
+    def test_quadratic_pair_without_real_fixed_points(self):
+        fn = CharFn((2.0, 3.0, 1.0), Orientation.OSCILLATOR)
+        gn, alpha_j = derive_pairing(fn, 0.0)
+        report = verify_pairing_identity(fn, 0.0, gn, alpha_j, 5, tol=1e-10)
+        assert report.passed
+        assert report.fixed_point_f is None
+        assert report.fixed_point_g is None
+        assert report.reflection_residual is None
 
     def test_mismatch_rejected(self):
         with pytest.raises(PairingMismatch):
