@@ -76,7 +76,6 @@ from .orbit import (
     FigureBundle,
     FigureName,
     OrbitReport,
-    _window_from_landmarks,
     cobweb,
     figure_bundle,
     report_to_dict,
@@ -364,19 +363,7 @@ def cmd_orbit_figure(args):
 
 
 def cmd_orbit_cobweb(args):
-    window = args.window
-    if window is None:
-        landmarks = [args.x0]
-        try:
-            landmarks.extend(fp.location for fp in fixed_points(args.fn))
-        except (GjsError, ValueError):
-            pass
-        try:
-            landmarks.append(invertibility_boundary(args.fn))
-        except NotQuadratic:
-            pass
-        window = _window_from_landmarks(landmarks)
-    report = cobweb(args.fn, args.x0, args.steps, window, bound=_bound())
+    report = cobweb(args.fn, args.x0, args.steps, args.window, bound=_bound())
     return {"report": report_to_dict(report)}, 0, lambda: {"cobweb": report}
 
 
@@ -399,7 +386,7 @@ def cmd_run(args):
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read run config: {exc}") from exc
-    jobs = config.get("jobs")
+    jobs = config.get("jobs") if isinstance(config, dict) else None
     if not isinstance(jobs, list):
         raise CliError("run config needs a 'jobs' list")
     parser = build_parser()
@@ -409,6 +396,9 @@ def cmd_run(args):
         if not isinstance(job, dict) or "command" not in job:
             raise CliError(f"job {pos} must be an object with a 'command'")
         name = str(job.get("name", f"job{pos}"))
+        params, output = job.get("params", {}), job.get("output", "")
+        if not (isinstance(params, dict) and isinstance(output, str)):
+            raise CliError(f"job {name!r}: 'params' must be an object and 'output' a string")
         argv = _job_argv(job)
         try:
             ns = parser.parse_args(argv)
@@ -416,7 +406,7 @@ def cmd_run(args):
             raise CliError(f"job {name!r} does not validate: {exc}") from exc
         if not hasattr(ns, "handler") or ns.handler is cmd_run:
             raise CliError(f"job {name!r} does not name a runnable subcommand")
-        for declared in (job.get("output"), job.get("params", {}).get("out")):
+        for declared in (job.get("output"), params.get("out")):
             if declared is not None:
                 declared_outputs.append(os.path.abspath(str(declared)))
         parsed.append((name, job, ns))
@@ -433,7 +423,7 @@ def cmd_run(args):
             if output is not None:
                 path = Path(output)
                 _write_files(path.parent, {path.name: payload})
-        except (CliError, GjsError, ValueError, OSError) as exc:
+        except (CliError, GjsError, ValueError, OSError, MemoryError) as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
             any_error = True
@@ -613,7 +603,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    except (GjsError, ValueError, OSError) as exc:
+    except (GjsError, ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 1
     print(text)

@@ -154,10 +154,7 @@ def matrix_H(rep: GhaRep) -> OperatorMatrix:
 
 def matrix_Adag(rep: GhaRep) -> OperatorMatrix:
     """Raising operator: entry ``M_m`` at row ``m + 1``, column ``m``."""
-    a = np.zeros((rep.dim, rep.dim))
-    for m, v in enumerate(rep.ladder):
-        a[m + 1, m] = v
-    return OperatorMatrix(a, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(np.diag(rep.ladder, -1), _basis_label(rep), _state_labels(rep))
 
 
 def matrix_A(rep: GhaRep) -> OperatorMatrix:
@@ -221,6 +218,25 @@ def gauss_factorial(
     return out
 
 
+def _c_of(fn: CharFn, d: np.ndarray) -> np.ndarray:
+    """``c(D)`` for a diagonal ``D``, evaluated entry by entry."""
+    return np.diag([evaluate(fn, v) for v in np.diag(d).tolist()])
+
+
+def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tuple:
+    """Max-abs residuals of ``D R = R c(D)``, ``L D = c(D) L`` and ``[L, R] = comm_rhs``.
+
+    Any ``extra`` residual matrices follow; only columns ``< ncols`` count.
+    The oscillator algebra passes ``(H, A, Adag)``, the weight algebras
+    ``(J0, J+, J-)``.  ``l_op`` and ``r_op`` are both taken as given, so a
+    stored operator that drifted from the other's transpose still shows up.
+    """
+    r_right = d @ r_op - r_op @ c_d
+    r_left = l_op @ d - c_d @ l_op
+    r_comm = (l_op @ r_op - r_op @ l_op) - comm_rhs
+    return tuple(float(np.abs(r[:, :ncols]).max()) for r in (r_right, r_left, r_comm, *extra))
+
+
 def verify_gha_relations(rep: GhaRep, tol: float = 1e-10) -> ResidualReport:
     """Residuals of the defining relations on the truncated matrices.
 
@@ -235,20 +251,11 @@ def verify_gha_relations(rep: GhaRep, tol: float = 1e-10) -> ResidualReport:
         raise ValueError("relation residuals need dim >= 2")
     h = matrix_H(rep).entries
     adag = matrix_Adag(rep).entries
-    a = adag.T
-    f_h = np.diag([evaluate(rep.fn, ev) for ev in rep.eigenvalues])
-    interior = slice(0, rep.dim - 1)
-    r_raise = h @ adag - adag @ f_h
-    r_lower = a @ h - f_h @ a
-    r_comm = (a @ adag - adag @ a) - (f_h - h)
-    r_casimir = (adag @ a - h) - (a @ adag - f_h)
-    residuals = {
-        "h_adag_intertwine": float(np.max(np.abs(r_raise[:, interior]))),
-        "a_h_intertwine": float(np.max(np.abs(r_lower[:, interior]))),
-        "commutator": float(np.max(np.abs(r_comm[:, interior]))),
-        "casimir_forms": float(np.max(np.abs(r_casimir[:, interior]))),
-    }
-    return ResidualReport(residuals, tol)
+    f_h = _c_of(rep.fn, h)
+    r_casimir = casimir_gha(rep).entries - (adag.T @ adag - f_h)
+    residuals = _relation_residuals(h, adag.T, adag, f_h, f_h - h, rep.dim - 1, r_casimir)
+    names = ("h_adag_intertwine", "a_h_intertwine", "commutator", "casimir_forms")
+    return ResidualReport(dict(zip(names, residuals)), tol)
 
 
 def gha_to_dict(rep: GhaRep) -> dict:

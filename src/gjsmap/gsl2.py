@@ -44,7 +44,7 @@ from .errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
-from .gha import OperatorMatrix, ResidualReport
+from .gha import OperatorMatrix, ResidualReport, _c_of, _relation_residuals
 
 #: Ladder squares in [-LADDER_CLAMP_TOL, 0) are clamped to zero.
 LADDER_CLAMP_TOL = 1e-12
@@ -181,9 +181,10 @@ def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
 
     Column 0 is identically zero: the highest weight state is annihilated.
     """
-    jp = np.zeros((rep.dim, rep.dim))
-    for m in range(1, rep.dim):
-        jp[m - 1, m] = math.sqrt(rep.ladder_sq[m - 1])
+    ladder_sq = np.asarray(rep.ladder_sq, dtype=float)
+    if np.any(ladder_sq < 0.0):
+        raise ValueError("ladder squares must be non-negative")
+    jp = np.diag(np.sqrt(ladder_sq), 1)
     return OperatorMatrix(jp, _basis_label(rep), _state_labels(rep))
 
 
@@ -194,32 +195,23 @@ def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
     )
 
 
-def _g_diag(gn: CharFn, j0: np.ndarray) -> np.ndarray:
-    """``g(J0)`` for a diagonal ``J0``, evaluated entry by entry."""
-    return np.diag([evaluate(gn, w) for w in np.diag(j0).tolist()])
-
-
 def _weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
     """``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2`` from the matrices."""
-    gj0 = _g_diag(gn, j0)
+    gj0 = _c_of(gn, j0)
     eye = np.eye(len(j0))
     return 0.5 * (jp @ jm + jm @ jp + j0 @ (j0 + eye) + gj0 @ (gj0 + eye))
 
 
 def _weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple[float, float, float]:
-    """Max-abs residuals of the three defining relations on columns ``< ncols``.
+    """:func:`gha._relation_residuals` with ``L = J+``, ``R = J-`` on columns ``< ncols``.
 
     In order: ``J0 J- = J- g(J0)``, ``J+ J0 = g(J0) J+`` and
-    ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``.  ``jm`` is taken as given, not
-    as the transpose of ``jp``, so a lowering operator that drifted from it
-    still shows up.
+    ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``.
     """
-    gj0 = _g_diag(gn, j0)
+    gj0 = _c_of(gn, j0)
     eye = np.eye(len(j0))
-    r_lower = j0 @ jm - jm @ gj0
-    r_raise = jp @ j0 - gj0 @ jp
-    r_comm = (jp @ jm - jm @ jp) - (j0 @ (j0 + eye) - gj0 @ (gj0 + eye))
-    return tuple(float(np.max(np.abs(r[:, :ncols]))) for r in (r_lower, r_raise, r_comm))
+    rhs = j0 @ (j0 + eye) - gj0 @ (gj0 + eye)
+    return _relation_residuals(j0, jp, jm, gj0, rhs, ncols)
 
 
 def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
@@ -327,17 +319,6 @@ def _scan_roots(
     return deduped
 
 
-def _scan_window(gn: CharFn, window: float) -> tuple[float, float]:
-    lo_r, hi_r = invertibility_region(gn)
-    if math.isfinite(hi_r):
-        center = hi_r
-    elif math.isfinite(lo_r):
-        center = lo_r
-    else:
-        center = 0.0
-    return center - window, center + window
-
-
 @dataclass(frozen=True)
 class CutSolutions:
     """Roots of the closure equation, split by admissibility.
@@ -352,6 +333,16 @@ class CutSolutions:
     excluded: tuple[float, ...]
 
 
+def _closure_roots(gn: CharFn, d: int, func, dfunc, window, step, residual_tol):
+    """Roots of ``func`` within ``window`` of the region boundary (or 0), flagged in-region."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    lo_r, hi_r = invertibility_region(gn)
+    center = hi_r if math.isfinite(hi_r) else lo_r if math.isfinite(lo_r) else 0.0
+    roots = _scan_roots(func, dfunc, center - window, center + window, step, residual_tol)
+    return [(r, lo_r < r < hi_r) for r in roots]
+
+
 def cut_condition_solve(
     gn: CharFn,
     d: int,
@@ -361,12 +352,8 @@ def cut_condition_solve(
 ) -> CutSolutions:
     """Solve ``alpha + g^(d)(alpha) + 1 = 0`` for ``d``-state cut reps.
 
-    The scan covers ``window`` on both sides of the invertibility boundary so
-    that out-of-region roots are still found and reported as excluded.
+    Roots out of region or failing to build a cut representation are excluded.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    lo, hi = _scan_window(gn, window)
 
     def func(x):
         return x + _compose(gn, x, d) + 1.0
@@ -374,11 +361,9 @@ def cut_condition_solve(
     def dfunc(x):
         return 1.0 + _compose_derivative(gn, x, d)
 
-    roots = _scan_roots(func, dfunc, lo, hi, step, residual_tol)
-    lo_r, hi_r = invertibility_region(gn)
     included, excluded = [], []
-    for r in roots:
-        if lo_r < r < hi_r:
+    for r, inside in _closure_roots(gn, d, func, dfunc, window, step, residual_tol):
+        if inside:
             try:
                 build_gsl2(gn, r, d, RepKind.FINITE_CUT, cut_tol=residual_tol)
             except (GjsError, ValueError):
@@ -402,9 +387,6 @@ def periodic_condition_solve(
     ``d = 1`` gives the fixed points (one-state representations); larger ``d``
     gives period-``d`` candidates, with no unitarity claim attached.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    lo, hi = _scan_window(gn, window)
 
     def func(x):
         return _compose(gn, x, d) - x
@@ -412,9 +394,8 @@ def periodic_condition_solve(
     def dfunc(x):
         return _compose_derivative(gn, x, d) - 1.0
 
-    roots = _scan_roots(func, dfunc, lo, hi, step, residual_tol)
-    lo_r, hi_r = invertibility_region(gn)
-    return tuple(r for r in roots if lo_r < r < hi_r)
+    roots = _closure_roots(gn, d, func, dfunc, window, step, residual_tol)
+    return tuple(r for r, inside in roots if inside)
 
 
 def gsl2_to_dict(rep: Gsl2Rep) -> dict:

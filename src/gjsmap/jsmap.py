@@ -142,9 +142,7 @@ def _state_labels(space: TwoOscillatorSpace) -> tuple[str, ...]:
     return tuple(f"({n1},{n2})" for n1, n2 in space.basis)
 
 
-def functional_G(
-    space: TwoOscillatorSpace, gn: CharFn, alpha_j: float
-) -> OperatorMatrix:
+def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
     """Diagonal of ``S_z``: entry ``alpha_j + Q2 [n2]_g`` at state ``(n1, n2)``.
 
     ``Q2 = g(alpha_j) - alpha_j``; the Gauss-number index reduces to ``n2``
@@ -156,12 +154,7 @@ def functional_G(
         gg = [0.0]
     else:
         gg = gauss_numbers(gn, alpha_j, max_n2, bound=math.inf)
-    diag = [alpha_j + q2 * gg[n2] for _, n2 in space.basis]
-    return OperatorMatrix(
-        np.diag(diag),
-        _space_label(space, f"alpha_j = {alpha_j!r}"),
-        _state_labels(space),
-    )
+    return np.array([alpha_j + q2 * gg[n2] for _, n2 in space.basis])
 
 
 def functional_F(
@@ -170,8 +163,8 @@ def functional_F(
     alpha0: float,
     gn: CharFn,
     alpha_j: float,
-) -> OperatorMatrix:
-    """Diagonal dressing of the hopping term ``A1+ A2``.
+) -> np.ndarray:
+    """Diagonal of the dressing of the hopping term ``A1+ A2``.
 
     Entry at ``(n1, n2)``:
 
@@ -214,11 +207,7 @@ def functional_F(
             diag.append(0.0)
             continue
         diag.append(math.sqrt(max(radicand, 0.0)) / (m0_sq * math.sqrt(den_sq)))
-    return OperatorMatrix(
-        np.diag(diag),
-        _space_label(space, f"alpha_j = {alpha_j!r}"),
-        _state_labels(space),
-    )
+    return np.array(diag)
 
 
 @dataclass(frozen=True)
@@ -246,18 +235,18 @@ class JsMapRep:
 
 
 def _hop_matrices(space: TwoOscillatorSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of ``A1+ A2`` and ``A2+ A1`` on the basis."""
+    """Matrices of ``A1+ A2`` and ``A2+ A1`` on the basis.
+
+    Source ``(n1, n2)`` hops to ``(n1 + 1, n2 - 1)`` with weight
+    ``M_{n1} M_{n2-1}`` whenever that image is in the basis.
+    """
     lad = space.gha.ladder
-    if isinstance(space.mode, FixedJ):
-        two_j = space.mode.two_j
-        size = two_j + 1
-        raise_op = np.zeros((size, size))
-        for m in range(1, size):
-            # source (2j - m, m) -> image (2j - m + 1, m - 1)
-            raise_op[m - 1, m] = lad[two_j - m] * lad[m - 1]
-        return raise_op, raise_op.T.copy()
-    adag = matrix_Adag(space.gha).entries
-    raise_op = np.kron(adag, adag.T)
+    index = {state: i for i, state in enumerate(space.basis)}
+    raise_op = np.zeros((space.size, space.size))
+    for col, (n1, n2) in enumerate(space.basis):
+        row = index.get((n1 + 1, n2 - 1))
+        if row is not None:
+            raise_op[row, col] = lad[n1] * lad[n2 - 1]
     return raise_op, raise_op.T.copy()
 
 
@@ -287,15 +276,13 @@ def build_jsmap(
     q2 = evaluate(gn, alpha_j) - alpha_j
     if not (q2 < 0.0):
         raise DescentViolation(1, evaluate(gn, alpha_j))
-    g_mat = functional_G(space, gn, alpha_j)
-    f_mat = functional_F(space, fn, alpha0, gn, alpha_j)
-    f_diag = np.diag(f_mat.entries)
+    s_z = np.diag(functional_G(space, gn, alpha_j))
+    f_diag = functional_F(space, fn, alpha0, gn, alpha_j)
     raise_hop, lower_hop = _hop_matrices(space)
     s_plus = f_diag[:, None] * raise_hop
     s_minus = lower_hop * f_diag[None, :]
     if not np.array_equal(s_minus, s_plus.T):
         raise GjsError("S_- must be the transpose of S_+")
-    s_z = g_mat.entries
     s_sq = _weight_casimir(s_z, s_plus, s_minus, gn)
     label = _space_label(space, f"alpha_j = {alpha_j!r}")
     states = _state_labels(space)

@@ -89,7 +89,7 @@ def cobweb(
     fn: CharFn,
     x0: float,
     steps: int,
-    window: tuple[float, float],
+    window: Optional[tuple[float, float]] = None,
     samples: int = DEFAULT_SAMPLES,
     bound: float = DIVERGENCE_BOUND,
     guide_lines: tuple[GuideLine, ...] = (),
@@ -101,10 +101,22 @@ def cobweb(
     and the x-coordinates of the horizontal endpoints replay the iterate
     sequence bit for bit.  Segments stop at the first point outside the
     window (``truncated_window``); iterates stop only at the divergence
-    bound (``truncated_divergence``).
+    bound (``truncated_divergence``).  The default window pads the span of
+    ``x0``, the fixed points and the invertibility boundary.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    try:
+        fps = tuple(fixed_points(fn))
+    except (NoRealFixedPoint, ValueError):
+        fps = ()
+    try:
+        boundary = invertibility_boundary(fn)
+    except NotQuadratic:
+        boundary = None
+    if window is None:
+        extra = () if boundary is None else (boundary,)
+        window = _window_from_landmarks((x0, *(fp.location for fp in fps), *extra))
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be a non-empty interval")
@@ -135,14 +147,6 @@ def cobweb(
     fn_samples = tuple((float(x), float(y)) for x, y in zip(xs, ys))
     diagonal = tuple((float(x), float(x)) for x in xs)
 
-    try:
-        fps = tuple(fixed_points(fn))
-    except (NoRealFixedPoint, ValueError):
-        fps = ()
-    try:
-        boundary = invertibility_boundary(fn)
-    except NotQuadratic:
-        boundary = None
     try:
         region = classify_region(fn, x0)
     except (NotQuadratic, UnsupportedDiscriminant):

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gjsmap import CharFn, GhaRep, Gsl2Rep, Orientation, RepKind, build_gha, build_gsl2
 
@@ -62,6 +63,25 @@ def random_gsl2_rep(rng: np.random.Generator, max_dim: int = 12) -> Gsl2Rep:
     alpha_j = star + rng.uniform(0.05, 0.95) * (boundary - star)
     dim = int(rng.integers(2, max_dim + 1))
     return build_gsl2(gn, alpha_j, dim, RepKind.TRUNCATED_INFINITE)
+
+
+#: q for the q-oscillator pair f = q x + 1, g = q x - 1 (Biedenharn, Macfarlane),
+#: with extra weight within 1e-5 of q = 1, where q-numbers lose the most.
+Q_PARAMETER = st.one_of(st.floats(0.9, 1.1), st.floats(1.0 - 1e-5, 1.0 + 1e-5))
+
+
+def q_cut_root(q: float, d: int) -> float:
+    """Highest weight at which g = q x - 1 closes after d states: ([d]_q - 1) / (1 + q^d).
+
+    ``[d]_q`` is summed term by term; ``(q^d - 1) / (q - 1)`` loses about
+    ``eps / |q - 1|`` near q = 1.
+    """
+    return (math.fsum(q**k for k in range(d)) - 1.0) / (1.0 + q**d)
+
+
+def scaled_tol(casimir: float) -> float:
+    """Residual tolerance that grows with the representation: 1024 eps max(1, |C|)."""
+    return 1024.0 * np.finfo(float).eps * max(1.0, abs(casimir))
 
 
 def textbook_jplus(two_j: int) -> np.ndarray:

@@ -232,6 +232,19 @@ class TestDiscriminantAndBoundary:
             math.inf,
         )
 
+    @pytest.mark.parametrize(
+        "coefficients,orientation,region",
+        [
+            ((0.0, -3.0, 0.0, 1.0), Orientation.OSCILLATOR, (1.0, math.inf)),
+            ((0.0, 0.5, 0.0, 1.0), Orientation.OSCILLATOR, (-math.inf, math.inf)),
+            ((0.0, 3.0, 0.0, -1.0), Orientation.WEIGHT, (-math.inf, -1.0)),
+        ],
+    )
+    def test_region_cubic(self, coefficients, orientation, region):
+        # bounded by the critical point nearest the unbounded side, if any
+        lo, hi = invertibility_region(CharFn(coefficients, orientation))
+        assert (lo, hi) == pytest.approx(region, abs=1e-12)
+
 
 class TestClassifyRegion:
     @pytest.mark.parametrize(

@@ -407,6 +407,8 @@ SHELL = ["jsmap", "verify", "--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alph
 NAN_TOL_JOB = {"jobs": [{"name": "nan-tol", "command": "gha build",
                          "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3,
                                     "verify": True, "tol": "nan"}}]}
+UNWRITABLE_JOB = {"jobs": [{"command": "gha build", "output": 5,
+                             "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3}}]}
 
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
 #: names)`` for inputs that must end in a JSON error on stderr and exit code 1.
@@ -430,6 +432,16 @@ BAD_INPUTS = {
     "nan residual": (["gha", "build", "--fn", FN_FIG4, "--alpha0", "0", "--dim", "11",
                       "--verify"], "1e300", None, "cannot be encoded"),
     "batch job with nan tol": (["run", "--config", "jobs.json"], None, NAN_TOL_JOB, "--tol"),
+    "batch config not an object": (["run", "--config", "jobs.json"], None, [1, 2], "'jobs'"),
+    "batch params not an object": (["run", "--config", "jobs.json"], None,
+                                   {"jobs": [{"command": "gha build", "params": [1]}]}, "'params'"),
+    "batch output not a string": (["run", "--config", "jobs.json"], None, UNWRITABLE_JOB, "'output'"),
+    "perturbed ladder square negative": (
+        ["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind", "cut", "--verify",
+         "--perturb", "ladder_sq:0:-5"], None, None, "ladder squares"),
+    # 2e17 grid samples: more bytes than any 57-bit address space, refused at once
+    "step unallocatable": (["gsl2", "cut", "--gn", GN_FIG2, "--d", "2", "--step", "1e-15"], None,
+                           None, "MemoryError"),
 }
 
 
@@ -464,6 +476,22 @@ def test_unencodable_batch_output_is_a_job_error(capsys, monkeypatch, tmp_path):
     assert job["status"] == "error"
     assert "cannot be encoded" in job["error"]
     assert not (tmp_path / "overflow.json").exists()
+
+
+def test_unallocatable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    config = {"jobs": [
+        {"name": "huge", "command": "gsl2 cut",
+         "params": {"gn": json.loads(GN_FIG2), "d": 2, "step": 1e-15}},
+        {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}},
+    ]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    code, payload, _ = run_cli(capsys, "run", "--config", "jobs.json")
+    assert code == 1
+    huge, small = payload["jobs"]
+    assert huge["status"] == "error"
+    assert "MemoryError" in huge["error"]
+    assert small["status"] == "ok"
 
 
 class TestDeterminismAndEnv:

@@ -27,8 +27,14 @@ from gjsmap.errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import (
+    Q_PARAMETER,
     cut_quartic_roots_oracle,
+    q_cut_root,
+    scaled_tol,
     random_gsl2_rep,
     textbook_j0,
     textbook_jplus,
@@ -150,6 +156,13 @@ class TestMatrices:
         assert (
             np.max(np.abs(matrix_Jplus(rep).entries - textbook_jplus(two_j))) <= 1e-12
         )
+
+    def test_jplus_is_entrywise_sqrt(self):
+        rep = random_gsl2_rep(np.random.default_rng(3))
+        expect = np.zeros((rep.dim, rep.dim))
+        for m in range(1, rep.dim):
+            expect[m - 1, m] = math.sqrt(rep.ladder_sq[m - 1])
+        assert np.array_equal(matrix_Jplus(rep).entries, expect)
 
     def test_cut_two_state_raising_entry(self):
         root = exact_cut_root()
@@ -301,3 +314,19 @@ class TestSerialization:
         assert again.weights == rep.weights
         assert again.ladder_sq == rep.ladder_sq
         assert again.kind is rep.kind
+
+
+class TestQOscillatorCut:
+    """g = q x - 1 at its closed-form cut root, an oracle outside the solver."""
+
+    @given(q=Q_PARAMETER, two_j=st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_relations_and_casimir(self, q, two_j):
+        gn = CharFn((-1.0, q), Orientation.WEIGHT)
+        alpha_j = q_cut_root(q, two_j + 1)
+        casimir = alpha_j * (alpha_j + 1.0)
+        rep = build_gsl2(gn, alpha_j, two_j + 1, RepKind.FINITE_CUT)
+        assert verify_gsl2_relations(rep, tol=scaled_tol(casimir)).passed
+        assert np.max(np.abs(np.diag(casimir_gsl2(rep).entries) - casimir)) <= scaled_tol(
+            casimir
+        )

@@ -21,6 +21,7 @@ from gjsmap import (
     functional_G,
     gauss_numbers,
     jsmap_to_dict,
+    matrix_Adag,
     reflection_pair,
     two_oscillator_space,
     verify_jsmap_relations,
@@ -35,7 +36,10 @@ from gjsmap.errors import (
     PairingMismatch,
 )
 from gjsmap import jsmap
-from helpers import textbook_j0, textbook_jplus
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import Q_PARAMETER, q_cut_root, scaled_tol, textbook_j0, textbook_jplus
 
 BOSON = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
 SL2 = CharFn((-1.0, 1.0), Orientation.WEIGHT)
@@ -69,13 +73,13 @@ class TestFunctionals:
         space = two_oscillator_space(BOSON, 0.0, FixedJ(4))
         gm = functional_G(space, SL2, 2.0)
         expect = [(n1 - n2) / 2.0 for n1, n2 in space.basis]
-        assert list(np.diag(gm.entries)) == expect
+        assert list(gm) == expect
 
     def test_standard_limit_F_is_one(self):
         for two_j in (1, 2, 3, 4):
             space = two_oscillator_space(BOSON, 0.0, FixedJ(two_j))
             fm = functional_F(space, BOSON, 0.0, SL2, two_j / 2.0)
-            diag = np.diag(fm.entries)
+            diag = fm
             # every well-posed entry is exactly 1; the n1 = 0 slot multiplies
             # a vanishing ladder product and is pinned to 0 by convention
             assert list(diag[:-1]) == [1.0] * two_j
@@ -84,13 +88,13 @@ class TestFunctionals:
     def test_highest_weight_entry(self):
         space = two_oscillator_space(FIG4_FN, -0.33479, FixedJ(2))
         gm = functional_G(space, FIG2_GN, 0.33479)
-        assert gm.entries[0, 0] == 0.33479
+        assert gm[0] == 0.33479
 
     def test_G_matches_weight_iterates(self):
         root = exact_cut_root()
         space = two_oscillator_space(FIG4_FN, -root, FixedJ(1))
         gm = functional_G(space, FIG2_GN, root)
-        assert gm.entries[1, 1] == pytest.approx(FIG2_GN(root), rel=1e-14)
+        assert gm[1] == pytest.approx(FIG2_GN(root), rel=1e-14)
 
     def test_F_agrees_with_simplified_form_under_pairing(self):
         # with a reflection-paired (fn, gn) and alpha_j = -alpha0 the
@@ -99,7 +103,7 @@ class TestFunctionals:
         root = exact_cut_root()
         for two_j in (1, 2):
             space = two_oscillator_space(FIG4_FN, -root, FixedJ(two_j))
-            fm = np.diag(functional_F(space, FIG4_FN, -root, FIG2_GN, root).entries)
+            fm = functional_F(space, FIG4_FN, -root, FIG2_GN, root)
             q2 = FIG2_GN(root) - root
             gg = gauss_numbers(FIG2_GN, root, two_j + 1)
             for m, (n1, n2) in enumerate(space.basis):
@@ -161,6 +165,18 @@ class TestBuild:
         monkeypatch.setattr(jsmap, "_hop_matrices", skewed)
         with pytest.raises(GjsError, match="transpose"):
             build_jsmap(BOSON, 0.0, SL2, 1.0, FixedJ(2))
+
+    @pytest.mark.parametrize("mode", [FullGrid(5), FixedJ(4)])
+    def test_hop_is_kron_of_ladders(self, mode):
+        # A1+ A2 is kron(Adag, A) on the full grid; a shell keeps the rows and
+        # columns of its own states
+        space = two_oscillator_space(FIG4_FN, -0.15, mode)
+        adag = matrix_Adag(space.gha).entries
+        picks = [n1 * space.gha.dim + n2 for n1, n2 in space.basis]
+        expect = np.kron(adag, adag.T)[np.ix_(picks, picks)]
+        raise_hop, lower_hop = jsmap._hop_matrices(space)
+        assert np.array_equal(raise_hop, expect)
+        assert np.array_equal(lower_hop, expect.T)
 
     def test_q2_must_be_negative(self):
         rising = CharFn((1.0, 1.0), Orientation.WEIGHT)
@@ -369,3 +385,21 @@ class TestSerialization:
         assert data["basis"] == [[2, 0], [1, 1], [0, 2]]
         assert data["matrices"]["s_z"][0][0] == 1.0
         assert len(data["matrices"]["s_plus"]) == 3
+
+
+class TestQOscillatorMap:
+    """The map of the q-oscillator pair f = q x + 1, g = q x - 1 at the cut root."""
+
+    @given(q=Q_PARAMETER, two_j=st.integers(1, 24), alpha0=st.floats(-2.0, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_map_equals_direct(self, q, two_j, alpha0):
+        fn = CharFn((1.0, q), Orientation.OSCILLATOR)
+        gn = CharFn((-1.0, q), Orientation.WEIGHT)
+        alpha_j = q_cut_root(q, two_j + 1)
+        casimir = alpha_j * (alpha_j + 1.0)
+        tol = scaled_tol(casimir)
+        mapped = build_jsmap(fn, alpha0, gn, alpha_j, FixedJ(two_j))
+        direct = build_gsl2(gn, alpha_j, two_j + 1, RepKind.FINITE_CUT)
+        assert verify_map_equals_gsl2(mapped, direct, tol=tol).passed
+        assert verify_jsmap_relations(mapped, tol=tol).passed
+        assert np.max(np.abs(np.diag(mapped.s_sq.entries) - casimir)) <= tol
