@@ -183,7 +183,7 @@ def _perturbed(rep, args):
     """``rep`` with the ``--perturb`` amount added to one entry of one field.
 
     Sequences take one non-negative index; matrices take ``row,col`` with
-    numpy's indexing rules.
+    numpy's indexing rules, on the one diagonal the matrix stores.
     """
     if args.perturb is None:
         return rep
@@ -195,17 +195,19 @@ def _perturbed(rep, args):
     is_matrix = isinstance(value, OperatorMatrix)
     if is_matrix and len(indices) != 2:
         raise CliError("matrix perturbation needs a row,col index")
-    if not is_matrix and (len(indices) != 1 or indices[0] < 0):
+    size = rep.dim if is_matrix else len(value)
+    lowest = -size if is_matrix else 0
+    if (not is_matrix and len(indices) != 1) or not all(lowest <= i < size for i in indices):
         raise CliError(f"perturbation index {indices} out of range")
-    entries = np.array(value.entries if is_matrix else value)
-    try:
-        entries[indices] += amount
-    except IndexError as exc:
-        raise CliError(f"perturbation index {indices} out of range") from exc
+    position = indices[0]
     if is_matrix:
-        changed = OperatorMatrix(entries, value.basis_label, value.state_labels)
-    else:
-        changed = tuple(entries.tolist())
+        row, col = (i % size for i in indices)
+        if col - row != value.offset:
+            raise CliError(f"perturbation index {indices} is off the diagonal of {target}")
+        position = min(row, col)
+    entries = np.array(value.values if is_matrix else value)
+    entries[position] += amount
+    changed = replace(value, values=entries) if is_matrix else tuple(entries.tolist())
     return replace(rep, **{fields[target]: changed})
 
 

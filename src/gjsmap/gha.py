@@ -3,16 +3,16 @@
 A characteristic function ``f`` and a vacuum eigenvalue ``alpha0`` fix the
 whole ladder: level ``m`` carries eigenvalue ``f^(m)(alpha0)`` and the rung
 connecting levels ``m`` and ``m + 1`` has weight
-``M_m = sqrt(f^(m+1)(alpha0) - alpha0)``.  Everything here is dense real
-matrices on the first ``D`` levels, plus the generalized Gauss numbers that
-normalize repeated applications of the raising operator.
+``M_m = sqrt(f^(m+1)(alpha0) - alpha0)``.  Every operator on the first ``D``
+levels is stored as its one nonzero diagonal, plus the generalized Gauss
+numbers that normalize repeated applications of the raising operator.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,18 +39,38 @@ GAUSS_DENOMINATOR_TOL = 1e-14
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real matrix together with a description of its ordered basis."""
+    """The square matrix ``np.diag(values, offset)`` and a description of its ordered basis."""
 
-    entries: np.ndarray
+    values: np.ndarray
+    offset: int
     basis_label: str
     state_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "values", arr)
         if self.state_labels is not None:
             object.__setattr__(self, "state_labels", tuple(self.state_labels))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, built on each access; read-only."""
+        arr = np.diag(self.values, self.offset)
+        arr.setflags(write=False)
+        return arr
+
+    @property
+    def T(self) -> "OperatorMatrix":
+        """The transpose: the same values at the opposite offset."""
+        return replace(self, offset=-self.offset)
+
+
+def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
+    """Diagonal of ``x @ y`` for ``x`` at offset ``-k`` and ``y`` at offset ``k``: one term
+    per entry, ``x.values * y.values`` after ``k`` zeros or before ``-k`` zeros."""
+    k = y.offset
+    return np.pad(x.values * y.values, (max(k, 0), max(-k, 0)))
 
 
 def write_matrix_csv(matrix: OperatorMatrix, path) -> None:
@@ -149,25 +169,23 @@ def _state_labels(rep: GhaRep) -> tuple[str, ...]:
 
 def matrix_H(rep: GhaRep) -> OperatorMatrix:
     """Diagonal Hamiltonian: the iterated eigenvalues."""
-    return OperatorMatrix(np.diag(rep.eigenvalues), _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(rep.eigenvalues, 0, _basis_label(rep), _state_labels(rep))
 
 
 def matrix_Adag(rep: GhaRep) -> OperatorMatrix:
     """Raising operator: entry ``M_m`` at row ``m + 1``, column ``m``."""
-    return OperatorMatrix(np.diag(rep.ladder, -1), _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(rep.ladder, -1, _basis_label(rep), _state_labels(rep))
 
 
 def matrix_A(rep: GhaRep) -> OperatorMatrix:
     """Lowering operator, the exact transpose of the raising operator."""
-    return OperatorMatrix(
-        matrix_Adag(rep).entries.T, _basis_label(rep), _state_labels(rep)
-    )
+    return matrix_Adag(rep).T
 
 
 def matrix_N(rep: GhaRep) -> OperatorMatrix:
     """Number operator: diagonal ``0..dim-1``."""
     return OperatorMatrix(
-        np.diag(np.arange(rep.dim, dtype=float)), _basis_label(rep), _state_labels(rep)
+        np.arange(rep.dim, dtype=float), 0, _basis_label(rep), _state_labels(rep)
     )
 
 
@@ -178,9 +196,9 @@ def casimir_gha(rep: GhaRep) -> OperatorMatrix:
     the alternative form ``A Adag - f(H)`` fails on the top level of any
     finite truncation by construction and is not used here.
     """
-    adag = matrix_Adag(rep).entries
-    h = matrix_H(rep).entries
-    return OperatorMatrix(adag @ adag.T - h, _basis_label(rep), _state_labels(rep))
+    adag = matrix_Adag(rep)
+    c = _diag_product(adag, adag.T) - matrix_H(rep).values
+    return OperatorMatrix(c, 0, _basis_label(rep), _state_labels(rep))
 
 
 def gauss_numbers(
@@ -218,23 +236,21 @@ def gauss_factorial(
     return out
 
 
-def _c_of(fn: CharFn, d: np.ndarray) -> np.ndarray:
-    """``c(D)`` for a diagonal ``D``, evaluated entry by entry."""
-    return np.diag([evaluate(fn, v) for v in np.diag(d).tolist()])
-
-
 def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tuple:
     """Max-abs residuals of ``D R = R c(D)``, ``L D = c(D) L`` and ``[L, R] = comm_rhs``.
 
-    Any ``extra`` residual matrices follow; only columns ``< ncols`` count.
+    ``d``, ``c_d``, ``comm_rhs`` and any ``extra`` residuals are diagonals, ``l_op`` sits
+    at offset +1 and ``r_op`` at -1; only columns ``< ncols`` count.
     The oscillator algebra passes ``(H, A, Adag)``, the weight algebras
     ``(J0, J+, J-)``.  ``l_op`` and ``r_op`` are both taken as given, so a
     stored operator that drifted from the other's transpose still shows up.
     """
-    r_right = d @ r_op - r_op @ c_d
-    r_left = l_op @ d - c_d @ l_op
-    r_comm = (l_op @ r_op - r_op @ l_op) - comm_rhs
-    return tuple(float(np.abs(r[:, :ncols]).max()) for r in (r_right, r_left, r_comm, *extra))
+    r, lv = r_op.values, l_op.values
+    r_right = (d[1:] * r - r * c_d[:-1])[:ncols]
+    r_left = (lv * d[1:] - c_d[:-1] * lv)[: ncols - 1]
+    r_comm = ((_diag_product(l_op, r_op) - _diag_product(r_op, l_op)) - comm_rhs)[:ncols]
+    residuals = (r_right, r_left, r_comm, *(x[:ncols] for x in extra))
+    return tuple(float(np.abs(v).max(initial=0.0)) for v in residuals)
 
 
 def verify_gha_relations(rep: GhaRep, tol: float = 1e-10) -> ResidualReport:
@@ -249,10 +265,10 @@ def verify_gha_relations(rep: GhaRep, tol: float = 1e-10) -> ResidualReport:
     """
     if rep.dim < 2:
         raise ValueError("relation residuals need dim >= 2")
-    h = matrix_H(rep).entries
-    adag = matrix_Adag(rep).entries
-    f_h = _c_of(rep.fn, h)
-    r_casimir = casimir_gha(rep).entries - (adag.T @ adag - f_h)
+    h = matrix_H(rep).values
+    adag = matrix_Adag(rep)
+    f_h = evaluate(rep.fn, h)
+    r_casimir = casimir_gha(rep).values - (_diag_product(adag.T, adag) - f_h)
     residuals = _relation_residuals(h, adag.T, adag, f_h, f_h - h, rep.dim - 1, r_casimir)
     names = ("h_adag_intertwine", "a_h_intertwine", "commutator", "casimir_forms")
     return ResidualReport(dict(zip(names, residuals)), tol)

@@ -44,7 +44,7 @@ from .errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
-from .gha import OperatorMatrix, ResidualReport, _c_of, _relation_residuals
+from .gha import OperatorMatrix, ResidualReport, _diag_product, _relation_residuals
 
 #: Ladder squares in [-LADDER_CLAMP_TOL, 0) are clamped to zero.
 LADDER_CLAMP_TOL = 1e-12
@@ -173,7 +173,7 @@ def _state_labels(rep: Gsl2Rep) -> tuple[str, ...]:
 
 def matrix_J0(rep: Gsl2Rep) -> OperatorMatrix:
     """Diagonal generator: the weight ladder."""
-    return OperatorMatrix(np.diag(rep.weights), _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(rep.weights, 0, _basis_label(rep), _state_labels(rep))
 
 
 def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
@@ -184,33 +184,30 @@ def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
     ladder_sq = np.asarray(rep.ladder_sq, dtype=float)
     if np.any(ladder_sq < 0.0):
         raise ValueError("ladder squares must be non-negative")
-    jp = np.diag(np.sqrt(ladder_sq), 1)
-    return OperatorMatrix(jp, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(np.sqrt(ladder_sq), 1, _basis_label(rep), _state_labels(rep))
 
 
 def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
     """Lowering operator, the exact transpose of the raising operator."""
-    return OperatorMatrix(
-        matrix_Jplus(rep).entries.T, _basis_label(rep), _state_labels(rep)
-    )
+    return matrix_Jplus(rep).T
 
 
 def _weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
-    """``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2`` from the matrices."""
-    gj0 = _c_of(gn, j0)
-    eye = np.eye(len(j0))
-    return 0.5 * (jp @ jm + jm @ jp + j0 @ (j0 + eye) + gj0 @ (gj0 + eye))
+    """Diagonal of ``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2``; ``j0`` is diagonal."""
+    gj0 = evaluate(gn, j0)
+    return 0.5 * (
+        _diag_product(jp, jm) + _diag_product(jm, jp) + j0 * (j0 + 1.0) + gj0 * (gj0 + 1.0)
+    )
 
 
 def _weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple[float, float, float]:
     """:func:`gha._relation_residuals` with ``L = J+``, ``R = J-`` on columns ``< ncols``.
 
     In order: ``J0 J- = J- g(J0)``, ``J+ J0 = g(J0) J+`` and
-    ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``.
+    ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``; ``j0`` is the diagonal of ``J0``.
     """
-    gj0 = _c_of(gn, j0)
-    eye = np.eye(len(j0))
-    rhs = j0 @ (j0 + eye) - gj0 @ (gj0 + eye)
+    gj0 = evaluate(gn, j0)
+    rhs = j0 * (j0 + 1.0) - gj0 * (gj0 + 1.0)
     return _relation_residuals(j0, jp, jm, gj0, rhs, ncols)
 
 
@@ -222,9 +219,9 @@ def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
     term leaks on the lowest retained state, so constancy holds on states
     ``0..dim-2`` only.
     """
-    jp = matrix_Jplus(rep).entries
-    c = _weight_casimir(matrix_J0(rep).entries, jp, jp.T, rep.gn)
-    return OperatorMatrix(c, _basis_label(rep), _state_labels(rep))
+    jp = matrix_Jplus(rep)
+    c = _weight_casimir(matrix_J0(rep).values, jp, jp.T, rep.gn)
+    return OperatorMatrix(c, 0, _basis_label(rep), _state_labels(rep))
 
 
 def verify_gsl2_relations(rep: Gsl2Rep, tol: float = 1e-10) -> ResidualReport:
@@ -236,9 +233,9 @@ def verify_gsl2_relations(rep: Gsl2Rep, tol: float = 1e-10) -> ResidualReport:
     """
     if rep.dim < 2:
         raise ValueError("relation residuals need dim >= 2")
-    jp = matrix_Jplus(rep).entries
+    jp = matrix_Jplus(rep)
     ncols = rep.dim if rep.kind is not RepKind.TRUNCATED_INFINITE else rep.dim - 1
-    residuals = _weight_residuals(matrix_J0(rep).entries, jp, jp.T, rep.gn, ncols)
+    residuals = _weight_residuals(matrix_J0(rep).values, jp, jp.T, rep.gn, ncols)
     names = ("j0_jminus_intertwine", "jplus_j0_intertwine", "commutator")
     return ResidualReport(dict(zip(names, residuals)), tol)
 

@@ -38,7 +38,6 @@ from .charfun import (
 from .errors import (
     DescentViolation,
     DimensionMismatch,
-    GjsError,
     NegativeRadicand,
     NoRealFixedPoint,
     OutOfBasis,
@@ -52,7 +51,6 @@ from .gha import (
     gauss_factorial,
     gauss_numbers,
     gha_to_dict,
-    matrix_Adag,
 )
 from .gsl2 import (
     Gsl2Rep,
@@ -234,20 +232,21 @@ class JsMapRep:
         return self.space.size
 
 
-def _hop_matrices(space: TwoOscillatorSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of ``A1+ A2`` and ``A2+ A1`` on the basis.
+def _hop(space: TwoOscillatorSpace) -> tuple[int, list[float]]:
+    """``A1+ A2`` on the basis as its one diagonal: ``(offset, values)``.
 
     Source ``(n1, n2)`` hops to ``(n1 + 1, n2 - 1)`` with weight
-    ``M_{n1} M_{n2-1}`` whenever that image is in the basis.
+    ``M_{n1} M_{n2-1}`` whenever that image is in the basis; the image sits
+    one state before the source on a shell and ``dim - 1`` states after it
+    on a grid.
     """
     lad = space.gha.ladder
-    index = {state: i for i, state in enumerate(space.basis)}
-    raise_op = np.zeros((space.size, space.size))
-    for col, (n1, n2) in enumerate(space.basis):
-        row = index.get((n1 + 1, n2 - 1))
-        if row is not None:
-            raise_op[row, col] = lad[n1] * lad[n2 - 1]
-    return raise_op, raise_op.T.copy()
+    offset = 1 if isinstance(space.mode, FixedJ) else 1 - space.gha.dim
+    pairs = zip(space.basis[max(-offset, 0):], space.basis[max(offset, 0):])
+    return offset, [
+        lad[n1] * lad[n2 - 1] if image == (n1 + 1, n2 - 1) else 0.0
+        for image, (n1, n2) in pairs
+    ]
 
 
 def build_jsmap(
@@ -260,15 +259,9 @@ def build_jsmap(
 ) -> JsMapRep:
     """Assemble ``S_z``, ``S_+``, ``S_-`` and the invariant ``S^2``.
 
-    ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2``; ``S_-``
-    puts ``F`` on the other side of the reverse hop, which lands exactly on
-    the transpose of ``S_+`` (checked).  ``S^2`` is the weight-algebra
-    invariant of :mod:`gsl2` evaluated on the mapped generators.
-
-    Raises
-    ------
-    GjsError
-        If the reverse hop does not reproduce the transpose of ``S_+``.
+    ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2`` and
+    ``S_-`` its transpose.  ``S^2`` is the weight-algebra invariant of
+    :mod:`gsl2` evaluated on the mapped generators.
     """
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
@@ -276,16 +269,13 @@ def build_jsmap(
     q2 = evaluate(gn, alpha_j) - alpha_j
     if not (q2 < 0.0):
         raise DescentViolation(1, evaluate(gn, alpha_j))
-    s_z = np.diag(functional_G(space, gn, alpha_j))
-    f_diag = functional_F(space, fn, alpha0, gn, alpha_j)
-    raise_hop, lower_hop = _hop_matrices(space)
-    s_plus = f_diag[:, None] * raise_hop
-    s_minus = lower_hop * f_diag[None, :]
-    if not np.array_equal(s_minus, s_plus.T):
-        raise GjsError("S_- must be the transpose of S_+")
-    s_sq = _weight_casimir(s_z, s_plus, s_minus, gn)
     label = _space_label(space, f"alpha_j = {alpha_j!r}")
     states = _state_labels(space)
+    s_z = OperatorMatrix(functional_G(space, gn, alpha_j), 0, label, states)
+    offset, hop = _hop(space)
+    f_rows = functional_F(space, fn, alpha0, gn, alpha_j)[max(-offset, 0):][: len(hop)]
+    s_plus = OperatorMatrix(f_rows * hop, offset, label, states)
+    s_sq = _weight_casimir(s_z.values, s_plus, s_plus.T, gn)
     m0_sq = evaluate(fn, alpha0) - alpha0
     return JsMapRep(
         space,
@@ -293,10 +283,10 @@ def build_jsmap(
         float(alpha_j),
         float(q2),
         float(m0_sq),
-        OperatorMatrix(s_z, label, states),
-        OperatorMatrix(s_plus, label, states),
-        OperatorMatrix(s_minus, label, states),
-        OperatorMatrix(s_sq, label, states),
+        s_z,
+        s_plus,
+        s_plus.T,
+        OperatorMatrix(s_sq, 0, label, states),
     )
 
 
@@ -321,16 +311,16 @@ def verify_map_equals_gsl2(
         or jsrep.alpha_j != gsl2rep.alpha_j
     ):
         raise ValueError("the two sides use different gn or alpha_j")
-    jp = matrix_Jplus(gsl2rep).entries
+    jp = matrix_Jplus(gsl2rep).values
+    pairs = {
+        "s_z_vs_j0": (jsrep.s_z.values, matrix_J0(gsl2rep).values),
+        "s_plus_vs_jplus": (jsrep.s_plus.values, jp),
+        "s_minus_vs_jminus": (jsrep.s_minus.values, jp),
+        "s_sq_vs_casimir": (jsrep.s_sq.values, casimir_gsl2(gsl2rep).values),
+    }
     residuals = {
-        "s_z_vs_j0": float(
-            np.max(np.abs(jsrep.s_z.entries - matrix_J0(gsl2rep).entries))
-        ),
-        "s_plus_vs_jplus": float(np.max(np.abs(jsrep.s_plus.entries - jp))),
-        "s_minus_vs_jminus": float(np.max(np.abs(jsrep.s_minus.entries - jp.T))),
-        "s_sq_vs_casimir": float(
-            np.max(np.abs(jsrep.s_sq.entries - casimir_gsl2(gsl2rep).entries))
-        ),
+        name: float(np.abs(mapped - direct).max(initial=0.0))
+        for name, (mapped, direct) in pairs.items()
     }
     return ResidualReport(residuals, tol)
 
@@ -353,11 +343,7 @@ def verify_jsmap_relations(jsrep: JsMapRep, tol: float = 1e-10) -> ResidualRepor
     bottom_sq = -q * (2.0 * jsrep.alpha_j + 1.0 + q)
     closed = abs(bottom_sq) <= 1e-9 * max(1.0, abs(jsrep.alpha_j) + 1.0)
     residuals = _weight_residuals(
-        jsrep.s_z.entries,
-        jsrep.s_plus.entries,
-        jsrep.s_minus.entries,
-        jsrep.gn,
-        size if closed else size - 1,
+        jsrep.s_z.values, jsrep.s_plus, jsrep.s_minus, jsrep.gn, size if closed else size - 1
     )
     names = ("sz_sminus_intertwine", "splus_sz_intertwine", "commutator")
     return ResidualReport(dict(zip(names, residuals)), tol)
@@ -469,23 +455,15 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
         raise OutOfBasis("state vectors need a full-grid basis")
     if not (0 <= n1 < space.mode.dim and 0 <= n2 < space.mode.dim):
         raise OutOfBasis(f"({n1}, {n2}) is not in the basis")
-    dim = space.mode.dim
-    adag = matrix_Adag(space.gha).entries
-    eye = np.eye(dim)
-    raise_1 = np.kron(adag, eye)
-    raise_2 = np.kron(eye, adag)
-    vec = np.zeros(dim * dim)
-    vec[0] = 1.0
-    for _ in range(n2):
-        vec = raise_2 @ vec
-    for _ in range(n1):
-        vec = raise_1 @ vec
-    m0 = space.gha.ladder[0] if space.gha.dim > 1 else 0.0
+    lad, dim = space.gha.ladder, space.mode.dim
+    m0 = lad[0] if dim > 1 else 0.0
     fn, alpha0 = space.gha.fn, space.gha.alpha0
     norm = (m0 ** (n1 + n2)) * math.sqrt(
         gauss_factorial(fn, alpha0, n1) * gauss_factorial(fn, alpha0, n2)
     )
-    return vec / norm
+    vec = np.zeros(dim * dim)
+    vec[n1 * dim + n2] = math.prod(lad[:n1], start=math.prod(lad[:n2])) / norm
+    return vec
 
 
 def jsmap_to_dict(rep: JsMapRep) -> dict:
