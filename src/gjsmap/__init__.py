@@ -4,12 +4,12 @@ A polynomial characteristic function determines a whole ladder algebra: an
 oscillator-like function ``f`` closes a generalized Heisenberg algebra whose
 level eigenvalues are the iterates of a vacuum value, and a weight-like
 function ``g`` closes a generalized sl(2)-type algebra whose weights descend
-along the iterates of a highest weight.  This package builds truncated dense
-matrix representations of both, solves the closure conditions that make the
-weight side finite dimensional, and realizes the weight algebra on two
-independent copies of the oscillator through diagonal dressing functionals
-(a generalized two-boson construction that reduces to the classic one for
-``f = x + 1``, ``g = x - 1``).
+along the iterates of a highest weight.  This package builds truncated matrix
+representations of both, each operator stored as its one nonzero diagonal,
+solves the closure conditions that make the weight side finite dimensional,
+and realizes the weight algebra on two independent copies of the oscillator
+through diagonal dressing functionals (a generalized two-boson construction
+that reduces to the classic one for ``f = x + 1``, ``g = x - 1``).
 
 Everything is float64 and verified at machine precision by residual reports;
 see the ``demos/`` scripts and the CLI (``gjsmap --help``) for tours.

@@ -118,17 +118,30 @@ def _two_j_arg(text: str) -> int:
 
 def _window_arg(text: str) -> tuple[float, float]:
     try:
-        lo_s, hi_s = text.split(",")
-        return (float(lo_s), float(hi_s))
+        lo, hi = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad window {text!r}, want 'lo,hi'") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"window {text!r} is not finite")
+    return (lo, hi)
+
+
+def _float_arg(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _real_arg(text: str) -> float:
+    value = _float_arg(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _finite_arg(text: str, allow_zero: bool) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _float_arg(text)
     if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
         want = "non-negative" if allow_zero else "positive"
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite {want} number")
@@ -530,7 +543,7 @@ _GROUPS = {
 _COMMANDS = {
     ("charfun", "analyze"): ("fixed points, regions, boundary", cmd_charfun_analyze, [
         _option("--fn", type=_charfn_arg, required=True, help="CharFn JSON"),
-        _option("--x0", type=float, default=None, help="start value to classify"),
+        _option("--x0", type=_real_arg, default=None, help="start value to classify"),
     ]),
     ("gha", "build"): ("build a truncated ladder", cmd_gha_build, [
         _FN, _ALPHA0, _DIM, *_VERIFY,
@@ -560,7 +573,7 @@ _COMMANDS = {
     ]),
     ("orbit", "cobweb"): ("trace one orbit", cmd_orbit_cobweb, [
         _FN,
-        _option("--x0", type=float, required=True),
+        _option("--x0", type=_real_arg, required=True),
         _option("--steps", type=int, required=True),
         _option("--window", type=_window_arg, default=None),
         _OUT,

@@ -67,8 +67,10 @@ class OperatorMatrix:
 
 
 def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
-    """Diagonal of ``x @ y`` for ``x`` at offset ``-k`` and ``y`` at offset ``k``: one term
-    per entry, ``x.values * y.values`` after ``k`` zeros or before ``-k`` zeros."""
+    """Diagonal of the product ``x y`` for ``x`` at offset ``-k`` and ``y`` at offset ``k``.
+
+    Each entry has one term: ``x.values * y.values``, after ``k`` zeros or before ``-k``.
+    """
     k = y.offset
     return np.pad(x.values * y.values, (max(k, 0), max(-k, 0)))
 
@@ -245,8 +247,8 @@ def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tup
     ``(J0, J+, J-)``.  ``l_op`` and ``r_op`` are both taken as given, so a
     stored operator that drifted from the other's transpose still shows up.
     """
-    r, lv = r_op.values, l_op.values
-    r_right = (d[1:] * r - r * c_d[:-1])[:ncols]
+    lv, rv = l_op.values, r_op.values
+    r_right = (d[1:] * rv - rv * c_d[:-1])[:ncols]
     r_left = (lv * d[1:] - c_d[:-1] * lv)[: ncols - 1]
     r_comm = ((_diag_product(l_op, r_op) - _diag_product(r_op, l_op)) - comm_rhs)[:ncols]
     residuals = (r_right, r_left, r_comm, *(x[:ncols] for x in extra))

@@ -38,6 +38,7 @@ from .charfun import (
 from .errors import (
     DescentViolation,
     DimensionMismatch,
+    GjsError,
     NegativeRadicand,
     NoRealFixedPoint,
     OutOfBasis,
@@ -450,6 +451,11 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     Applies the raising operators ``n2`` times on the second mode and ``n1``
     times on the first, then divides by ``M0**(n1+n2) sqrt([n1]_f! [n2]_f!)``.
     Only available on a full grid, which contains the vacuum.
+
+    Raises
+    ------
+    GjsError
+        If the raised amplitude or the norm is not a finite positive float.
     """
     if not isinstance(space.mode, FullGrid):
         raise OutOfBasis("state vectors need a full-grid basis")
@@ -458,11 +464,17 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     lad, dim = space.gha.ladder, space.mode.dim
     m0 = lad[0] if dim > 1 else 0.0
     fn, alpha0 = space.gha.fn, space.gha.alpha0
-    norm = (m0 ** (n1 + n2)) * math.sqrt(
-        gauss_factorial(fn, alpha0, n1) * gauss_factorial(fn, alpha0, n2)
-    )
+    amplitude = math.prod(lad[:n1], start=math.prod(lad[:n2]))
+    try:
+        norm = (m0 ** (n1 + n2)) * math.sqrt(
+            gauss_factorial(fn, alpha0, n1) * gauss_factorial(fn, alpha0, n2)
+        )
+    except OverflowError:
+        norm = math.inf
+    if not (math.isfinite(amplitude) and 0.0 < norm < math.inf):
+        raise GjsError(f"state ({n1}, {n2}) has amplitude {amplitude!r} and norm {norm!r}")
     vec = np.zeros(dim * dim)
-    vec[n1 * dim + n2] = math.prod(lad[:n1], start=math.prod(lad[:n2])) / norm
+    vec[n1 * dim + n2] = amplitude / norm
     return vec
 
 

@@ -8,7 +8,19 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from gjsmap import CharFn, GhaRep, Gsl2Rep, Orientation, RepKind, build_gha, build_gsl2
+from gjsmap import (
+    CharFn,
+    GhaRep,
+    Gsl2Rep,
+    Orientation,
+    RepKind,
+    build_gha,
+    build_gsl2,
+    evaluate,
+    functional_F,
+    functional_G,
+    gauss_factorial,
+)
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.
@@ -118,3 +130,114 @@ def gauss_number_fraction(coeffs_frac, alpha0: Fraction, m: int) -> Fraction:
         xs.append(poly(xs[-1]))
     denom = poly(alpha0) - alpha0
     return (xs[m] - alpha0) / denom
+
+
+# Dense references: every operator as a full matrix and every identity as a
+# matrix product, as the package computed them before it stored one diagonal
+# per operator.  Each product has at most one nonzero term per entry, so the
+# diagonal forms must match these bit for bit.
+
+
+def identical(got: np.ndarray, want: np.ndarray) -> bool:
+    """Same shape and same bytes: equal values, sign of zero included."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _dense_c(fn: CharFn, d: np.ndarray) -> np.ndarray:
+    return np.diag([evaluate(fn, v) for v in np.diag(d).tolist()])
+
+
+def dense_relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tuple:
+    """Max-abs of ``D R - R c(D)``, ``L D - c(D) L`` and ``[L, R] - rhs`` on columns < ncols."""
+    r_right = d @ r_op - r_op @ c_d
+    r_left = l_op @ d - c_d @ l_op
+    r_comm = (l_op @ r_op - r_op @ l_op) - comm_rhs
+    return tuple(float(np.abs(r[:, :ncols]).max()) for r in (r_right, r_left, r_comm, *extra))
+
+
+def dense_gha(rep: GhaRep) -> tuple:
+    """``(H, Adag, Adag A - H, relation residuals)``; residuals need dim >= 2."""
+    h = np.diag(rep.eigenvalues)
+    adag = np.diag(rep.ladder, -1)
+    casimir = adag @ adag.T - h
+    if rep.dim < 2:
+        return h, adag, casimir, None
+    f_h = _dense_c(rep.fn, h)
+    r_casimir = casimir - (adag.T @ adag - f_h)
+    residuals = dense_relation_residuals(h, adag.T, adag, f_h, f_h - h, rep.dim - 1, r_casimir)
+    return h, adag, casimir, residuals
+
+
+def dense_weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
+    gj0 = _dense_c(gn, j0)
+    eye = np.eye(len(j0))
+    return 0.5 * (jp @ jm + jm @ jp + j0 @ (j0 + eye) + gj0 @ (gj0 + eye))
+
+
+def dense_weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple:
+    gj0 = _dense_c(gn, j0)
+    eye = np.eye(len(j0))
+    rhs = j0 @ (j0 + eye) - gj0 @ (gj0 + eye)
+    return dense_relation_residuals(j0, jp, jm, gj0, rhs, ncols)
+
+
+def dense_gsl2(rep: Gsl2Rep) -> tuple:
+    """``(J0, J+, Casimir, relation residuals)``; residuals need dim >= 2."""
+    j0 = np.diag(rep.weights)
+    jp = np.diag(np.sqrt(np.asarray(rep.ladder_sq, dtype=float)), 1)
+    casimir = dense_weight_casimir(j0, jp, jp.T, rep.gn)
+    if rep.dim < 2:
+        return j0, jp, casimir, None
+    ncols = rep.dim if rep.kind is not RepKind.TRUNCATED_INFINITE else rep.dim - 1
+    return j0, jp, casimir, dense_weight_residuals(j0, jp, jp.T, rep.gn, ncols)
+
+
+def dense_hop(space) -> np.ndarray:
+    """``A1+ A2`` on the basis: ``(n1, n2)`` to ``(n1 + 1, n2 - 1)``, weight ``M_n1 M_(n2-1)``."""
+    lad = space.gha.ladder
+    index = {state: i for i, state in enumerate(space.basis)}
+    hop = np.zeros((space.size, space.size))
+    for col, (n1, n2) in enumerate(space.basis):
+        row = index.get((n1 + 1, n2 - 1))
+        if row is not None:
+            hop[row, col] = lad[n1] * lad[n2 - 1]
+    return hop
+
+
+def dense_jsmap(space, gn: CharFn, alpha_j: float) -> tuple:
+    """``(S_z, S_+, S_-, S^2)``; ``F`` scales the hop's rows and its transpose's columns."""
+    s_z = np.diag(functional_G(space, gn, alpha_j))
+    f = functional_F(space, space.gha.fn, space.gha.alpha0, gn, alpha_j)
+    hop = dense_hop(space)
+    s_plus = f[:, None] * hop
+    s_minus = hop.T * f[None, :]
+    return s_z, s_plus, s_minus, dense_weight_casimir(s_z, s_plus, s_minus, gn)
+
+
+def dense_map_residuals(mapped: tuple, direct: tuple) -> tuple:
+    """Max-abs entrywise differences of ``(S_z, S_+, S_-, S^2)`` and ``(J0, J+, J-, C)``."""
+    j0, jp, casimir, _ = direct
+    return tuple(
+        float(np.max(np.abs(m - d))) for m, d in zip(mapped, (j0, jp, jp.T, casimir))
+    )
+
+
+def kron_state_vector(space, n1: int, n2: int) -> np.ndarray:
+    """The vacuum raised ``n2`` times by ``1 x Adag``, then ``n1`` times by ``Adag x 1``."""
+    dim = space.mode.dim
+    adag = np.diag(space.gha.ladder, -1)
+    eye = np.eye(dim)
+    raise_1 = np.kron(adag, eye)
+    raise_2 = np.kron(eye, adag)
+    vec = np.zeros(dim * dim)
+    vec[0] = 1.0
+    for _ in range(n2):
+        vec = raise_2 @ vec
+    for _ in range(n1):
+        vec = raise_1 @ vec
+    m0 = space.gha.ladder[0] if dim > 1 else 0.0
+    fn, alpha0 = space.gha.fn, space.gha.alpha0
+    norm = (m0 ** (n1 + n2)) * math.sqrt(
+        gauss_factorial(fn, alpha0, n1) * gauss_factorial(fn, alpha0, n2)
+    )
+    return vec / norm

@@ -402,6 +402,7 @@ class TestRunConfig:
 GHA3 = ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "3"]
 CUT = ["gsl2", "cut", "--gn", GN_FIG2, "--d", "1"]
 PERIODIC = ["gsl2", "periodic", "--gn", GN_FIG2, "--d", "1"]
+COBWEB = ["orbit", "cobweb", "--fn", FN_FIG1, "--steps", "5"]
 SHELL = ["jsmap", "verify", "--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alphaj", "1",
          "--j", "1"]
 NAN_TOL_JOB = {"jobs": [{"name": "nan-tol", "command": "gha build",
@@ -439,6 +440,11 @@ BAD_INPUTS = {
     "perturbed ladder square negative": (
         ["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind", "cut", "--verify",
          "--perturb", "ladder_sq:0:-5"], None, None, "ladder squares"),
+    "perturb off the diagonal": ([*SHELL, "--perturb", "s_sq:0,2:0.01"], None, None,
+                                 "(0, 2) is off the diagonal of s_sq"),
+    "cobweb window inf": ([*COBWEB, "--x0", "0.5", "--window", "0,inf"], None, None, "--window"),
+    "cobweb x0 inf": ([*COBWEB, "--x0", "inf"], None, None, "--x0"),
+    "analyze x0 nan": (["charfun", "analyze", "--fn", FN_FIG1, "--x0", "nan"], None, None, "--x0"),
     # 2e17 grid samples: more bytes than any 57-bit address space, refused at once
     "step unallocatable": (["gsl2", "cut", "--gn", GN_FIG2, "--d", "2", "--step", "1e-15"], None,
                            None, "MemoryError"),

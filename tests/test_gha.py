@@ -30,7 +30,7 @@ from gjsmap.errors import (
     NegativeNormSquared,
     OverflowDiverged,
 )
-from helpers import gauss_number_fraction, random_gha_rep
+from helpers import dense_gha, gauss_number_fraction, identical, random_gha_rep, scaled_tol
 
 BOSON = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
 FIG1_FN = CharFn((1.225, -2.5, 2.5), Orientation.OSCILLATOR)
@@ -211,6 +211,46 @@ class TestRelations:
         rep = build_gha(BOSON, 0.0, 1)
         with pytest.raises(ValueError):
             verify_gha_relations(rep)
+
+
+class TestDenseReference:
+    """The diagonal forms equal the dense matmul formulas bit for bit."""
+
+    def test_random_reps(self):
+        rng = np.random.default_rng(43)
+        reps = [build_gha(BOSON, 0.0, 1)] + [random_gha_rep(rng) for _ in range(30)]
+        for rep in reps:
+            h, adag, casimir, residuals = dense_gha(rep)
+            assert identical(matrix_H(rep).entries, h)
+            assert identical(matrix_Adag(rep).entries, adag)
+            assert identical(matrix_A(rep).entries, adag.T)
+            assert identical(matrix_N(rep).entries, np.diag(np.arange(rep.dim, dtype=float)))
+            assert identical(casimir_gha(rep).entries, casimir)
+            if rep.dim >= 2:
+                assert tuple(verify_gha_relations(rep).residuals.values()) == residuals
+
+    def test_perturbed_reps(self):
+        from dataclasses import replace
+
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            rep = random_gha_rep(rng)
+            i = int(rng.integers(0, rep.dim - 1))
+            ladder, eigenvalues = list(rep.ladder), list(rep.eigenvalues)
+            ladder[i] += rng.normal()
+            eigenvalues[i + 1] += rng.normal()
+            for bad in (replace(rep, ladder=tuple(ladder)),
+                        replace(rep, eigenvalues=tuple(eigenvalues))):
+                report = verify_gha_relations(bad)
+                assert tuple(report.residuals.values()) == dense_gha(bad)[3]
+
+
+class TestScale:
+    def test_boson_ladder_of_200000_levels(self):
+        # dense matrices of this size would need 320 GB each
+        rep = build_gha(BOSON, 0.0, 200_000)
+        report = verify_gha_relations(rep, tol=scaled_tol(rep.eigenvalues[-1]))
+        assert report.passed
 
 
 class TestStateConstruction:

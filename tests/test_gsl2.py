@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from hypothesis import strategies as st
 from helpers import (
     Q_PARAMETER,
     cut_quartic_roots_oracle,
+    dense_gsl2,
+    identical,
     q_cut_root,
     scaled_tol,
     random_gsl2_rep,
@@ -170,6 +173,39 @@ class TestMatrices:
         a, w1 = root, rep.weights[1]
         expect = math.sqrt(a * (a + 1.0) - w1 * (w1 + 1.0))
         assert matrix_Jplus(rep).entries[0, 1] == pytest.approx(expect, rel=1e-14)
+
+
+class TestDenseReference:
+    """The diagonal forms equal the dense matmul formulas bit for bit."""
+
+    @staticmethod
+    def reps():
+        rng = np.random.default_rng(53)
+        flip = CharFn((0.0, -1.0), Orientation.WEIGHT)
+        yield build_gsl2(SL2, 1.0, 1, RepKind.TRUNCATED_INFINITE)
+        yield build_gsl2(flip, 0.5, 2, RepKind.FINITE_PERIODIC)
+        yield build_gsl2(FIG2_GN, exact_cut_root(), 2, RepKind.FINITE_CUT, cut_tol=1e-9)
+        for two_j in range(1, 9):
+            yield build_gsl2(SL2, two_j / 2.0, two_j + 1, RepKind.FINITE_CUT)
+        for _ in range(30):
+            rep = random_gsl2_rep(rng)
+            yield rep
+            i = int(rng.integers(0, rep.dim - 1))
+            weights, ladder_sq = list(rep.weights), list(rep.ladder_sq)
+            weights[i] += rng.normal()
+            ladder_sq[i] += abs(rng.normal())
+            yield replace(rep, weights=tuple(weights))
+            yield replace(rep, ladder_sq=tuple(ladder_sq))
+
+    def test_matrices_casimir_and_residuals(self):
+        for rep in self.reps():
+            j0, jp, casimir, residuals = dense_gsl2(rep)
+            assert identical(matrix_J0(rep).entries, j0)
+            assert identical(matrix_Jplus(rep).entries, jp)
+            assert identical(matrix_Jminus(rep).entries, jp.T)
+            assert identical(casimir_gsl2(rep).entries, casimir)
+            if rep.dim >= 2:
+                assert tuple(verify_gsl2_relations(rep).residuals.values()) == residuals
 
 
 class TestCasimir:

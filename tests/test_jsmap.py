@@ -38,7 +38,21 @@ from gjsmap import jsmap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import Q_PARAMETER, q_cut_root, scaled_tol, textbook_j0, textbook_jplus
+from helpers import (
+    Q_PARAMETER,
+    dense_gsl2,
+    dense_jsmap,
+    dense_map_residuals,
+    dense_weight_residuals,
+    identical,
+    kron_state_vector,
+    q_cut_root,
+    random_gha_rep,
+    random_gsl2_rep,
+    scaled_tol,
+    textbook_j0,
+    textbook_jplus,
+)
 
 BOSON = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
 SL2 = CharFn((-1.0, 1.0), Orientation.WEIGHT)
@@ -177,6 +191,47 @@ class TestBuild:
         for mat in (rep.s_z.entries, rep.s_plus.entries, rep.s_minus.entries):
             comm = mat @ total - total @ mat
             assert np.max(np.abs(comm)) <= 1e-12
+
+
+class TestDenseReference:
+    """The diagonal forms equal the dense matmul formulas bit for bit."""
+
+    def test_random_shells_and_grids(self):
+        rng = np.random.default_rng(59)
+        modes = [FixedJ(0), FullGrid(1)]
+        modes += [FixedJ(int(n)) for n in rng.integers(1, 13, 20)]
+        modes += [FullGrid(int(n)) for n in rng.integers(2, 9, 10)]
+        for mode in modes:
+            osc, weight = random_gha_rep(rng), random_gsl2_rep(rng)
+            gn, alpha_j = weight.gn, weight.alpha_j
+            rep = build_jsmap(osc.fn, osc.alpha0, gn, alpha_j, mode)
+            dense = dense_jsmap(rep.space, gn, alpha_j)
+            for got, want in zip((rep.s_z, rep.s_plus, rep.s_minus, rep.s_sq), dense):
+                assert identical(got.entries, want)
+            if isinstance(mode, FullGrid):
+                continue
+            direct = build_gsl2(gn, alpha_j, rep.dim, RepKind.TRUNCATED_INFINITE)
+            report = verify_map_equals_gsl2(rep, direct)
+            assert tuple(report.residuals.values()) == dense_map_residuals(
+                dense, dense_gsl2(direct)
+            )
+            for ncols in range(1, rep.dim + 1):
+                got = jsmap._weight_residuals(
+                    rep.s_z.values, rep.s_plus, rep.s_minus, gn, ncols
+                )
+                assert got == dense_weight_residuals(*dense[:3], gn, ncols)
+
+
+class TestScale:
+    def test_schwinger_shell_of_100001_states(self):
+        # j = 50000: dense matrices of this size would need 80 GB each
+        two_j = 100_000
+        j = two_j / 2.0
+        rep = build_jsmap(BOSON, 0.0, SL2, j, FixedJ(two_j))
+        direct = build_gsl2(SL2, j, two_j + 1, RepKind.FINITE_CUT)
+        tol = scaled_tol(j * (j + 1.0))
+        assert verify_map_equals_gsl2(rep, direct, tol=tol).passed
+        assert verify_jsmap_relations(rep, tol=tol).passed
 
 
 class TestMapEqualsDirect:
@@ -355,6 +410,27 @@ class TestStateVectors:
         expect = np.zeros(9)
         expect[space.index_of(1, 1)] = 1.0
         assert np.max(np.abs(vec - expect)) <= 1e-10
+
+    @pytest.mark.parametrize("fn, alpha0", [(BOSON, 0.0), (FIG4_FN, -0.15), (BOSON, 0.25)])
+    def test_equals_kron_construction(self, fn, alpha0):
+        for dim in range(2, 7):
+            space = two_oscillator_space(fn, alpha0, FullGrid(dim))
+            for n1, n2 in space.basis:
+                want = kron_state_vector(space, n1, n2)
+                assert identical(build_state_vector(space, n1, n2), want)
+
+    @pytest.mark.parametrize(
+        "fn, alpha0, dim, state",
+        [
+            (BOSON, 0.0, 201, (200, 199)),  # [200]! overflows amplitude and norm
+            (BOSON, 0.0, 201, (100, 99)),  # [100]! [99]! overflows only the norm
+            (CharFn((1.0, 1e3), Orientation.OSCILLATOR), 1e3, 60, (59, 59)),  # M0**118
+        ],
+    )
+    def test_overflow_is_an_error(self, fn, alpha0, dim, state):
+        space = two_oscillator_space(fn, alpha0, FullGrid(dim), bound=math.inf)
+        with pytest.raises(GjsError, match=rf"state \({state[0]}, {state[1]}\)"):
+            build_state_vector(space, *state)
 
     def test_out_of_basis(self):
         space = two_oscillator_space(BOSON, 0.0, FullGrid(2))
