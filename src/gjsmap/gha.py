@@ -82,10 +82,7 @@ def write_matrix_csv(matrix: OperatorMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"basis: {matrix.basis_label}", *labels])
-        for row_label, row in zip(
-            matrix.state_labels or tuple(str(i) for i in range(entries.shape[0])),
-            entries,
-        ):
+        for row_label, row in zip(labels, entries):
             writer.writerow([row_label, *[repr(float(v)) for v in row]])
 
 
@@ -152,12 +149,12 @@ def build_gha(
             f"alpha0 = {alpha0!r} outside the invertibility region ({lo!r}, {hi!r})"
         )
     eigenvalues = iterate(fn, alpha0, dim - 1, bound=bound)
-    ladder = []
-    for m in range(dim - 1):
-        norm_sq = eigenvalues[m + 1] - eigenvalues[0]
-        if norm_sq < -NORM_CLAMP_TOL:
-            raise NegativeNormSquared(m, norm_sq)
-        ladder.append(math.sqrt(max(norm_sq, 0.0)))
+    with np.errstate(over="ignore"):
+        norm_sq = np.subtract(eigenvalues[1:], eigenvalues[0])
+    below = np.flatnonzero(norm_sq < -NORM_CLAMP_TOL)
+    if below.size:
+        raise NegativeNormSquared(int(below[0]), float(norm_sq[below[0]]))
+    ladder = np.sqrt(np.where(norm_sq < 0.0, 0.0, norm_sq)).tolist()
     return GhaRep(fn, float(alpha0), int(dim), tuple(eigenvalues), tuple(ladder))
 
 
@@ -203,6 +200,22 @@ def casimir_gha(rep: GhaRep) -> OperatorMatrix:
     return OperatorMatrix(c, 0, _basis_label(rep), _state_labels(rep))
 
 
+def _gauss_denominator(fn: CharFn, alpha0: float) -> float:
+    """``f(alpha0) - alpha0``; :class:`FixedPointVacuum` if it is (numerically) zero."""
+    denom = evaluate(fn, alpha0) - alpha0
+    if abs(denom) <= GAUSS_DENOMINATOR_TOL:
+        raise FixedPointVacuum(f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined")
+    return denom
+
+
+def _gauss_from_orbit(orbit, denom: float) -> np.ndarray:
+    """Gauss numbers ``[0], [1], ...`` of the orbit ``x0, f(x0), ...``: ``(x_m - x_0) / denom``."""
+    with np.errstate(over="ignore"):
+        out = np.subtract(orbit, orbit[0]) / denom
+    out[0] = 0.0
+    return out
+
+
 def gauss_numbers(
     fn: CharFn, alpha0: float, m_max: int, bound: float = math.inf
 ) -> list[float]:
@@ -218,24 +231,15 @@ def gauss_numbers(
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    denom = evaluate(fn, alpha0) - alpha0
-    if abs(denom) <= GAUSS_DENOMINATOR_TOL:
-        raise FixedPointVacuum(
-            f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined"
-        )
-    xs = iterate(fn, alpha0, m_max, bound=bound)
-    return [0.0] + [(xs[m] - xs[0]) / denom for m in range(1, m_max + 1)]
+    denom = _gauss_denominator(fn, alpha0)
+    return _gauss_from_orbit(iterate(fn, alpha0, m_max, bound=bound), denom).tolist()
 
 
 def gauss_factorial(
     fn: CharFn, alpha0: float, m: int, bound: float = math.inf
 ) -> float:
     """``[m]! = [m][m-1]...[1]``, with the empty product ``[0]! = 1``."""
-    numbers = gauss_numbers(fn, alpha0, m, bound=bound)
-    out = 1.0
-    for k in range(1, m + 1):
-        out *= numbers[k]
-    return out
+    return math.prod(gauss_numbers(fn, alpha0, m, bound=bound)[1:], start=1.0)
 
 
 def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tuple:

@@ -121,24 +121,23 @@ def build_gsl2(
     orbit = iterate(gn, alpha_j, dim, bound=bound)
     weights = orbit[:dim]
     next_weight = orbit[dim]
-    for m in range(1, dim):
-        if not (alpha_j > weights[m]):
-            raise DescentViolation(m, weights[m])
-    ladder_sq = []
-    top = alpha_j * (alpha_j + 1.0)
-    for m in range(dim - 1):
-        w = weights[m + 1]
-        value = top - w * (w + 1.0)
-        if value < -LADDER_CLAMP_TOL:
-            raise NegativeLadderSquare(m, value)
-        ladder_sq.append(max(value, 0.0))
+    lower = np.array(weights[1:])
+    ascent = np.flatnonzero(~(alpha_j > lower))
+    if ascent.size:
+        raise DescentViolation(int(ascent[0]) + 1, weights[ascent[0] + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = alpha_j * (alpha_j + 1.0) - lower * (lower + 1.0)
+    below = np.flatnonzero(value < -LADDER_CLAMP_TOL)
+    if below.size:
+        raise NegativeLadderSquare(int(below[0]), float(value[below[0]]))
+    ladder_sq = np.where(value < 0.0, 0.0, value).tolist()
     cut_residual = alpha_j + next_weight + 1.0
     if kind is RepKind.FINITE_CUT:
         if abs(cut_residual) > cut_tol:
             raise CutResidualTooLarge(
                 f"|alpha_j + g^({dim})(alpha_j) + 1| = {abs(cut_residual)!r} > {cut_tol!r}"
             )
-        if any(v == 0.0 for v in ladder_sq):
+        if 0.0 in ladder_sq:
             raise ValueError(
                 "an interior ladder square vanishes; the cut representation decomposes"
             )
@@ -278,7 +277,7 @@ def _scan_roots(
     with np.errstate(over="ignore", invalid="ignore"):
         ys = np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
     finite = np.isfinite(ys)
-    roots = [float(x) for x, y in zip(xs, ys) if y == 0.0]
+    roots = xs[ys == 0.0].tolist()
     flips = np.nonzero(
         finite[:-1]
         & finite[1:]

@@ -33,6 +33,7 @@ from .charfun import (
     evaluate,
     fixed_points,
     is_reflection_pair,
+    iterate,
     reflection_pair,
 )
 from .errors import (
@@ -48,6 +49,8 @@ from .gha import (
     GhaRep,
     OperatorMatrix,
     ResidualReport,
+    _gauss_denominator,
+    _gauss_from_orbit,
     build_gha,
     gauss_factorial,
     gauss_numbers,
@@ -88,24 +91,31 @@ class TwoOscillatorSpace:
     """Ordered occupation basis shared by both oscillators.
 
     Both oscillators use the same characteristic function and the same vacuum
-    eigenvalue, so one ladder (``gha``) serves the two factors.  On a fixed-j
-    shell, basis entry ``m`` is ``(n1, n2) = (2j - m, m)``: the shell index
-    ``m`` equals ``n2``, matching the weight states highest-first.
+    eigenvalue, so one ladder (``gha``) serves the two factors.  State ``i`` is
+    ``(n1[i], n2[i])``, from two read-only integer arrays: ``i = n2`` on a
+    fixed-j shell (the weight states highest-first), ``n1 * dim + n2`` on a grid.
     """
 
     gha: GhaRep
-    basis: tuple[tuple[int, int], ...]
+    n1: np.ndarray
+    n2: np.ndarray
     mode: Mode
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.n2)
+
+    @property
+    def basis(self) -> tuple[tuple[int, int], ...]:
+        """The states as ``(n1, n2)`` pairs."""
+        return tuple(zip(self.n1.tolist(), self.n2.tolist()))
 
     def index_of(self, n1: int, n2: int) -> int:
-        try:
-            return self.basis.index((n1, n2))
-        except ValueError as exc:
-            raise OutOfBasis(f"({n1}, {n2}) is not in the basis") from exc
+        """Position of ``(n1, n2)``: ``n2`` on a shell, ``n1 * dim + n2`` on a grid."""
+        index = n2 if isinstance(self.mode, FixedJ) else n1 * self.gha.dim + n2
+        if not (0 <= index < self.size) or (self.n1[int(index)], self.n2[int(index)]) != (n1, n2):
+            raise OutOfBasis(f"({n1}, {n2}) is not in the basis")
+        return int(index)
 
 
 def two_oscillator_space(
@@ -116,17 +126,18 @@ def two_oscillator_space(
         if mode.two_j < 0:
             raise ValueError("two_j must be non-negative")
         rep = build_gha(fn, alpha0, mode.two_j + 1, bound=bound)
-        basis = tuple((mode.two_j - m, m) for m in range(mode.two_j + 1))
+        n2 = np.arange(mode.two_j + 1)
+        n1 = mode.two_j - n2
     elif isinstance(mode, FullGrid):
         if mode.dim < 1:
             raise ValueError("grid dimension must be >= 1")
         rep = build_gha(fn, alpha0, mode.dim, bound=bound)
-        basis = tuple(
-            (n1, n2) for n1 in range(mode.dim) for n2 in range(mode.dim)
-        )
+        n1, n2 = np.divmod(np.arange(mode.dim * mode.dim), mode.dim)
     else:
         raise TypeError(f"unsupported mode {mode!r}")
-    return TwoOscillatorSpace(rep, basis, mode)
+    n1.setflags(write=False)
+    n2.setflags(write=False)
+    return TwoOscillatorSpace(rep, n1, n2, mode)
 
 
 def _space_label(space: TwoOscillatorSpace, extra: str) -> str:
@@ -137,31 +148,19 @@ def _space_label(space: TwoOscillatorSpace, extra: str) -> str:
     return f"two-oscillator basis ({shell}), {extra}"
 
 
-def _state_labels(space: TwoOscillatorSpace) -> tuple[str, ...]:
-    return tuple(f"({n1},{n2})" for n1, n2 in space.basis)
-
-
 def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
     """Diagonal of ``S_z``: entry ``alpha_j + Q2 [n2]_g`` at state ``(n1, n2)``.
 
     ``Q2 = g(alpha_j) - alpha_j``; the Gauss-number index reduces to ``n2``
     on every shell because the shell spin enters as ``(n1 + n2) / 2``.
     """
-    q2 = evaluate(gn, alpha_j) - alpha_j
-    max_n2 = max(n2 for _, n2 in space.basis)
-    if max_n2 == 0:
-        gg = [0.0]
-    else:
-        gg = gauss_numbers(gn, alpha_j, max_n2, bound=math.inf)
-    return np.array([alpha_j + q2 * gg[n2] for _, n2 in space.basis])
+    max_n2 = int(space.n2.max())
+    gg = gauss_numbers(gn, alpha_j, max_n2, bound=math.inf) if max_n2 else [0.0]
+    return alpha_j + (evaluate(gn, alpha_j) - alpha_j) * np.array(gg)[space.n2]
 
 
 def functional_F(
-    space: TwoOscillatorSpace,
-    fn: CharFn,
-    alpha0: float,
-    gn: CharFn,
-    alpha_j: float,
+    space: TwoOscillatorSpace, fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float
 ) -> np.ndarray:
     """Diagonal of the dressing of the hopping term ``A1+ A2``.
 
@@ -171,10 +170,11 @@ def functional_F(
         ------------------------------------------------
                 M0^2 sqrt([n2+1]_f [n1]_f)
 
-    States whose entry only ever multiplies a vanishing ladder product
-    (``n1 = 0``, the top ``n2`` row of a grid, or any zero Gauss number in
-    the denominator) get the value 0: any finite choice there is
-    unobservable, and 0 avoids spurious division errors.
+    The entry is 0 by convention where the row of ``S_+`` is empty (``n1 = 0``,
+    or the largest ``n2``: the last state of a shell, the top ``n2`` row of a
+    grid) and where the squared denominator is not finite and positive.  Such
+    entries only multiply a vanishing ladder product, so the ``f`` Gauss
+    numbers need no more of the orbit than the ladder's own eigenvalues.
 
     Raises
     ------
@@ -185,28 +185,30 @@ def functional_F(
     """
     if fn.coefficients != space.gha.fn.coefficients or alpha0 != space.gha.alpha0:
         raise ValueError("fn and alpha0 must match the oscillator behind the space")
+    m0_sq = _gauss_denominator(fn, alpha0)
     q2 = evaluate(gn, alpha_j) - alpha_j
-    max_n1 = max(n1 for n1, _ in space.basis)
-    max_n2 = max(n2 for _, n2 in space.basis)
-    fg = gauss_numbers(fn, alpha0, max(max_n1, max_n2 + 1), bound=math.inf)
-    gg = gauss_numbers(gn, alpha_j, max_n2 + 1, bound=math.inf)
-    m0_sq = evaluate(fn, alpha0) - alpha0
-    diag = []
-    for n1, n2 in space.basis:
+    gg = gauss_numbers(gn, alpha_j, int(space.n2.max()) + 1, bound=math.inf)
+    return _f_diag(space, m0_sq, np.array(gg), q2, alpha_j)
+
+
+def _f_diag(space: TwoOscillatorSpace, m0_sq, gg, q2, alpha_j) -> np.ndarray:
+    """:func:`functional_F` from ``M0^2`` and the ``g`` Gauss numbers ``gg``."""
+    obs = np.flatnonzero((space.n1 >= 1) & (space.n2 < space.n2.max()))
+    n1, n2 = space.n1[obs], space.n2[obs]
+    fg = _gauss_from_orbit(space.gha.eigenvalues, m0_sq)
+    out = np.zeros(space.size)
+    with np.errstate(over="ignore", invalid="ignore"):
         q = q2 * gg[n2 + 1]
         radicand = -q * (2.0 * alpha_j + 1.0 + q)
-        observable = n1 >= 1 and n2 <= max_n2 - 1
-        if radicand < -RADICAND_CLAMP_TOL:
-            if observable:
-                raise NegativeRadicand((n1, n2), radicand)
-            diag.append(0.0)
-            continue
+        negative = np.flatnonzero(radicand < -RADICAND_CLAMP_TOL)
+        if negative.size:
+            i = negative[0]
+            raise NegativeRadicand((int(n1[i]), int(n2[i])), float(radicand[i]))
         den_sq = fg[n2 + 1] * fg[n1]
-        if not (den_sq > 0.0 and math.isfinite(den_sq)):
-            diag.append(0.0)
-            continue
-        diag.append(math.sqrt(max(radicand, 0.0)) / (m0_sq * math.sqrt(den_sq)))
-    return np.array(diag)
+        keep = (den_sq > 0.0) & np.isfinite(den_sq)
+        root = np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
+        out[obs[keep]] = root[keep] / (m0_sq * np.sqrt(den_sq[keep]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,13 +229,14 @@ class JsMapRep:
     s_plus: OperatorMatrix
     s_minus: OperatorMatrix
     s_sq: OperatorMatrix
+    g_orbit: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.space.size
 
 
-def _hop(space: TwoOscillatorSpace) -> tuple[int, list[float]]:
+def _hop(space: TwoOscillatorSpace) -> tuple[int, np.ndarray]:
     """``A1+ A2`` on the basis as its one diagonal: ``(offset, values)``.
 
     Source ``(n1, n2)`` hops to ``(n1 + 1, n2 - 1)`` with weight
@@ -241,13 +244,13 @@ def _hop(space: TwoOscillatorSpace) -> tuple[int, list[float]]:
     one state before the source on a shell and ``dim - 1`` states after it
     on a grid.
     """
-    lad = space.gha.ladder
-    offset = 1 if isinstance(space.mode, FixedJ) else 1 - space.gha.dim
-    pairs = zip(space.basis[max(-offset, 0):], space.basis[max(offset, 0):])
-    return offset, [
-        lad[n1] * lad[n2 - 1] if image == (n1 + 1, n2 - 1) else 0.0
-        for image, (n1, n2) in pairs
-    ]
+    n1, n2, dim = space.n1, space.n2, space.gha.dim
+    hops = (n2 >= 1) & (n1 + 1 < dim)
+    lad = np.array(space.gha.ladder)
+    weights = np.zeros(space.size)
+    weights[hops] = lad[n1[hops]] * lad[n2[hops] - 1]
+    offset = 1 if isinstance(space.mode, FixedJ) else 1 - dim
+    return offset, weights[max(offset, 0):][: space.size - abs(offset)]
 
 
 def build_jsmap(
@@ -262,7 +265,8 @@ def build_jsmap(
 
     ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2`` and
     ``S_-`` its transpose.  ``S^2`` is the weight-algebra invariant of
-    :mod:`gsl2` evaluated on the mapped generators.
+    :mod:`gsl2` evaluated on the mapped generators.  One ``g`` orbit, kept as
+    ``g_orbit``, serves ``G``, ``F`` and :func:`verify_jsmap_relations`.
     """
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
@@ -270,24 +274,20 @@ def build_jsmap(
     q2 = evaluate(gn, alpha_j) - alpha_j
     if not (q2 < 0.0):
         raise DescentViolation(1, evaluate(gn, alpha_j))
+    _gauss_denominator(gn, alpha_j)
+    g_orbit = np.array(iterate(gn, alpha_j, int(space.n2.max()) + 1, bound=math.inf))
+    g_orbit.setflags(write=False)
+    gg = _gauss_from_orbit(g_orbit, q2)
+    m0_sq = _gauss_denominator(fn, alpha0)
     label = _space_label(space, f"alpha_j = {alpha_j!r}")
-    states = _state_labels(space)
-    s_z = OperatorMatrix(functional_G(space, gn, alpha_j), 0, label, states)
+    states = tuple(f"({n1},{n2})" for n1, n2 in space.basis)
+    s_z = OperatorMatrix(alpha_j + q2 * gg[space.n2], 0, label, states)
     offset, hop = _hop(space)
-    f_rows = functional_F(space, fn, alpha0, gn, alpha_j)[max(-offset, 0):][: len(hop)]
+    f_rows = _f_diag(space, m0_sq, gg, q2, alpha_j)[max(-offset, 0):][: len(hop)]
     s_plus = OperatorMatrix(f_rows * hop, offset, label, states)
-    s_sq = _weight_casimir(s_z.values, s_plus, s_plus.T, gn)
-    m0_sq = evaluate(fn, alpha0) - alpha0
+    s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, s_plus.T, gn), 0, label, states)
     return JsMapRep(
-        space,
-        gn,
-        float(alpha_j),
-        float(q2),
-        float(m0_sq),
-        s_z,
-        s_plus,
-        s_plus.T,
-        OperatorMatrix(s_sq, 0, label, states),
+        space, gn, float(alpha_j), float(q2), float(m0_sq), s_z, s_plus, s_plus.T, s_sq, g_orbit
     )
 
 
@@ -338,9 +338,7 @@ def verify_jsmap_relations(jsrep: JsMapRep, tol: float = 1e-10) -> ResidualRepor
     size = jsrep.dim
     if size < 2:
         raise ValueError("relation residuals need at least 2 states")
-    two_j = jsrep.space.mode.two_j
-    gg = gauss_numbers(jsrep.gn, jsrep.alpha_j, two_j + 1, bound=math.inf)
-    q = jsrep.q2 * gg[two_j + 1]
+    q = jsrep.q2 * _gauss_from_orbit(jsrep.g_orbit, jsrep.q2)[-1]
     bottom_sq = -q * (2.0 * jsrep.alpha_j + 1.0 + q)
     closed = abs(bottom_sq) <= 1e-9 * max(1.0, abs(jsrep.alpha_j) + 1.0)
     residuals = _weight_residuals(
@@ -459,8 +457,7 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     """
     if not isinstance(space.mode, FullGrid):
         raise OutOfBasis("state vectors need a full-grid basis")
-    if not (0 <= n1 < space.mode.dim and 0 <= n2 < space.mode.dim):
-        raise OutOfBasis(f"({n1}, {n2}) is not in the basis")
+    index = space.index_of(n1, n2)
     lad, dim = space.gha.ladder, space.mode.dim
     m0 = lad[0] if dim > 1 else 0.0
     fn, alpha0 = space.gha.fn, space.gha.alpha0
@@ -474,7 +471,7 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     if not (math.isfinite(amplitude) and 0.0 < norm < math.inf):
         raise GjsError(f"state ({n1}, {n2}) has amplitude {amplitude!r} and norm {norm!r}")
     vec = np.zeros(dim * dim)
-    vec[n1 * dim + n2] = amplitude / norm
+    vec[index] = amplitude / norm
     return vec
 
 
@@ -487,7 +484,7 @@ def jsmap_to_dict(rep: JsMapRep) -> dict:
     )
     return {
         "mode": mode_dict,
-        "basis": [list(state) for state in rep.space.basis],
+        "basis": np.stack([rep.space.n1, rep.space.n2], axis=1).tolist(),
         "oscillator": gha_to_dict(rep.space.gha),
         "gn": charfn_to_dict(rep.gn),
         "alpha_j": rep.alpha_j,

@@ -34,7 +34,7 @@ from gjsmap.errors import (
     OutOfBasis,
     PairingMismatch,
 )
-from gjsmap import jsmap
+from gjsmap import charfun, gha, gsl2, jsmap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +60,9 @@ FIG2_GN = CharFn((-1.0, 3.0, -1.0), Orientation.WEIGHT)
 FIG4_FN = CharFn((1.0, 3.0, 1.0), Orientation.OSCILLATOR)
 
 
+SMALL_MODES = [FixedJ(0), FixedJ(1), FixedJ(5), FullGrid(1), FullGrid(2), FullGrid(4)]
+
+
 def exact_cut_root() -> float:
     return cut_condition_solve(FIG2_GN, 2).included[0]
 
@@ -79,6 +82,27 @@ class TestSpace:
         assert space.index_of(1, 1) == 1
         with pytest.raises(OutOfBasis):
             space.index_of(2, 2)
+
+    @pytest.mark.parametrize("mode", SMALL_MODES)
+    def test_index_of_is_the_basis_position(self, mode):
+        space = two_oscillator_space(BOSON, 0.0, mode)
+        for position, (n1, n2) in enumerate(space.basis):
+            assert space.index_of(n1, n2) == position
+
+    @pytest.mark.parametrize("mode", SMALL_MODES)
+    def test_index_of_rejects_pairs_outside_the_basis(self, mode):
+        space = two_oscillator_space(BOSON, 0.0, mode)
+        dim = space.gha.dim
+        negative = [(-1, 0), (0, -1), (-1, -1), (1, -1), (-1, dim)]
+        too_large = [(dim, 0), (0, dim), (dim, dim), (dim, -1), (-1, dim + 1)]
+        outside = negative + too_large
+        if isinstance(mode, FixedJ):
+            # one step off the shell in every direction, from every state
+            for n1, n2 in space.basis:
+                outside += [(n1 + 1, n2), (n1, n2 + 1), (n1 - 1, n2), (n1, n2 - 1)]
+        for n1, n2 in outside:
+            with pytest.raises(OutOfBasis):
+                space.index_of(n1, n2)
 
 
 class TestFunctionals:
@@ -191,6 +215,34 @@ class TestBuild:
         for mat in (rep.s_z.entries, rep.s_plus.entries, rep.s_minus.entries):
             comm = mat @ total - total @ mat
             assert np.max(np.abs(comm)) <= 1e-12
+
+
+class TestOrbitPasses:
+    """Each characteristic function is iterated once per build, never by verification."""
+
+    @pytest.fixture
+    def orbit_calls(self, monkeypatch):
+        calls = []
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn.coefficients)
+            return charfun.iterate(fn, *args, **kwargs)
+
+        for module in (gha, gsl2, jsmap):
+            if hasattr(module, "iterate"):
+                monkeypatch.setattr(module, "iterate", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", [FixedJ(6), FullGrid(4)])
+    def test_build_iterates_once_per_side(self, orbit_calls, mode):
+        build_jsmap(BOSON, 0.0, SL2, 3.0, mode)
+        assert sorted(orbit_calls) == sorted([BOSON.coefficients, SL2.coefficients])
+
+    def test_verification_iterates_nothing(self, orbit_calls):
+        rep = build_jsmap(BOSON, 0.0, SL2, 3.0, FixedJ(6))
+        orbit_calls.clear()
+        assert verify_jsmap_relations(rep, tol=1e-12).passed
+        assert orbit_calls == []
 
 
 class TestDenseReference:
