@@ -16,6 +16,7 @@ any of them runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from .charfun import (
     fixed_points,
     invertibility_boundary,
 )
+from .encoding import OutputEncoder
 from .errors import GjsError, NoRealFixedPoint, NotQuadratic, UnsupportedDiscriminant
 from .gha import (
     OperatorMatrix,
@@ -89,9 +91,20 @@ class CliError(Exception):
     """Invalid invocation; maps to exit code 1."""
 
 
+class _HelpRequested(CliError):
+    """``--help`` was given; ``text`` is the help that only ``main`` prints."""
+
+    def __init__(self, text: str):
+        super().__init__("--help prints a help text, not a result")
+        self.text = text
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _charfn_arg(text: str) -> CharFn:
@@ -458,7 +471,7 @@ def cmd_run(args):
 def _encode(value) -> str:
     """The one JSON encoding, for stdout and every JSON file."""
     try:
-        return json.dumps(value, indent=2, allow_nan=False)
+        return json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)
     except ValueError as exc:
         raise CliError(f"output cannot be encoded as JSON: {exc}") from exc
 
@@ -584,7 +597,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once per process.
+
+    It depends only on the module's tables, and parsing does not change it,
+    so ``main`` and batch mode share one instance.  Callers must not modify
+    it.
+    """
     parser = _Parser(
         prog="gjsmap",
         description=(
@@ -611,10 +631,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
-            parser.print_help()
-            return 0
+            raise _HelpRequested(parser.format_help())
         payload, code = _dispatch(args)
         text = _encode(payload)
+    except _HelpRequested as exc:
+        print(exc.text, end="")
+        return 0
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -82,8 +83,9 @@ def write_matrix_csv(matrix: OperatorMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"basis: {matrix.basis_label}", *labels])
-        for row_label, row in zip(labels, entries):
-            writer.writerow([row_label, *[repr(float(v)) for v in row]])
+        cells = map(repr, entries.ravel().tolist())
+        rows, width = entries.shape
+        writer.writerows([label, *islice(cells, width)] for label in labels[:rows])
 
 
 @dataclass(frozen=True)

@@ -447,7 +447,8 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     """Normalized basis vector built by raising the two-mode vacuum.
 
     Applies the raising operators ``n2`` times on the second mode and ``n1``
-    times on the first, then divides by ``M0**(n1+n2) sqrt([n1]_f! [n2]_f!)``.
+    times on the first, then divides by ``M0**(n1+n2) sqrt([n1]_f!) sqrt([n2]_f!)``,
+    whose two square roots keep the norm finite wherever the entry is.
     Only available on a full grid, which contains the vacuum.
 
     Raises
@@ -463,8 +464,10 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     fn, alpha0 = space.gha.fn, space.gha.alpha0
     amplitude = math.prod(lad[:n1], start=math.prod(lad[:n2]))
     try:
-        norm = (m0 ** (n1 + n2)) * math.sqrt(
-            gauss_factorial(fn, alpha0, n1) * gauss_factorial(fn, alpha0, n2)
+        norm = (
+            (m0 ** (n1 + n2))
+            * math.sqrt(gauss_factorial(fn, alpha0, n1))
+            * math.sqrt(gauss_factorial(fn, alpha0, n2))
         )
     except OverflowError:
         norm = math.inf

@@ -18,6 +18,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +37,7 @@ from .charfun import (
     invertibility_boundary,
     iterate,
 )
+from .encoding import OutputEncoder
 from .errors import (
     NoRealFixedPoint,
     NotQuadratic,
@@ -286,7 +288,7 @@ def report_to_dict(report: OrbitReport) -> dict:
 
 
 def write_report_json(report: OrbitReport, path) -> None:
-    payload = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
+    payload = json.dumps(report_to_dict(report), cls=OutputEncoder, indent=2, allow_nan=False)
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
@@ -295,13 +297,15 @@ def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
     with open(curve_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "fn", "diagonal"])
-        for (x, y), (_, d) in zip(report.fn_samples, report.diagonal_samples):
-            writer.writerow([repr(x), repr(y), repr(d)])
+        # zip draws from its arguments in order: x and fn from one stream, then diagonal
+        curve = map(repr, chain.from_iterable(report.fn_samples))
+        diagonal = map(repr, islice(chain.from_iterable(report.diagonal_samples), 1, None, 2))
+        writer.writerows(zip(curve, curve, diagonal))
     with open(cobweb_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x1", "y1", "x2", "y2"])
-        for (x1, y1), (x2, y2) in report.cobweb_segments:
-            writer.writerow([repr(x1), repr(y1), repr(x2), repr(y2)])
+        ends = map(repr, chain.from_iterable(chain.from_iterable(report.cobweb_segments)))
+        writer.writerows(zip(ends, ends, ends, ends))
 
 
 def write_bundle(bundle: FigureBundle, out_dir) -> list[str]:

@@ -237,7 +237,9 @@ def kron_state_vector(space, n1: int, n2: int) -> np.ndarray:
         vec = raise_1 @ vec
     m0 = space.gha.ladder[0] if dim > 1 else 0.0
     fn, alpha0 = space.gha.fn, space.gha.alpha0
-    norm = (m0 ** (n1 + n2)) * math.sqrt(
-        gauss_factorial(fn, alpha0, n1) * gauss_factorial(fn, alpha0, n2)
+    norm = (
+        (m0 ** (n1 + n2))
+        * math.sqrt(gauss_factorial(fn, alpha0, n1))
+        * math.sqrt(gauss_factorial(fn, alpha0, n2))
     )
     return vec / norm

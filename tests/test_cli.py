@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gjsmap.cli import main
+from gjsmap.cli import CliError, _HelpRequested, _job_argv, build_parser, main
 
 FN_FIG1 = '{"coefficients":[1.225,-2.5,2.5],"orientation":"oscillator"}'
 FN_FIG4 = '{"coefficients":[1,3,1],"orientation":"oscillator"}'
@@ -408,6 +408,8 @@ SHELL = ["jsmap", "verify", "--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alph
 NAN_TOL_JOB = {"jobs": [{"name": "nan-tol", "command": "gha build",
                          "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3,
                                     "verify": True, "tol": "nan"}}]}
+HELP_JOB = {"jobs": [{"name": "helper", "command": "gsl2 cut", "params": {"help": True}}]}
+HELP_PREFIX_JOB = {"jobs": [{"name": "short", "command": "orbit cobweb", "params": {"h": True}}]}
 UNWRITABLE_JOB = {"jobs": [{"command": "gha build", "output": 5,
                              "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3}}]}
 
@@ -437,6 +439,9 @@ BAD_INPUTS = {
     "batch params not an object": (["run", "--config", "jobs.json"], None,
                                    {"jobs": [{"command": "gha build", "params": [1]}]}, "'params'"),
     "batch output not a string": (["run", "--config", "jobs.json"], None, UNWRITABLE_JOB, "'output'"),
+    "batch job asks for help": (["run", "--config", "jobs.json"], None, HELP_JOB, "'helper'"),
+    "batch job abbreviates help": (["run", "--config", "jobs.json"], None, HELP_PREFIX_JOB,
+                                   "'short'"),
     "perturbed ladder square negative": (
         ["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind", "cut", "--verify",
          "--perturb", "ladder_sq:0:-5"], None, None, "ladder squares"),
@@ -498,6 +503,41 @@ def test_unallocatable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
     assert huge["status"] == "error"
     assert "MemoryError" in huge["error"]
     assert small["status"] == "ok"
+
+
+class TestParserReuse:
+    #: Parses in order: a success, a failure, a batch job, help, the success again.
+    SEQUENCE = [
+        ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "3", "--verify"],
+        ["gsl2", "cut", "--d", "2"],
+        _job_argv({"command": "jsmap verify",
+                   "params": {"fn": json.loads(BOSON), "alpha0": 0, "gn": json.loads(SL2),
+                              "alphaj": 1, "j": "1/2", "perturb": "splus:0,1:0.01"}}),
+        ["orbit", "cobweb", "--help"],
+        ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "3", "--verify"],
+    ]
+
+    @staticmethod
+    def _parse(parser, argv):
+        try:
+            return parser.parse_args(argv)
+        except _HelpRequested as exc:
+            return exc.text
+        except CliError as exc:
+            return str(exc)
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_parses_like_a_fresh_one(self):
+        shared = build_parser()
+        outcomes = [self._parse(shared, argv) for argv in self.SEQUENCE]
+        fresh = [self._parse(build_parser.__wrapped__(), argv) for argv in self.SEQUENCE]
+        assert outcomes == fresh
+        assert outcomes[0] == outcomes[-1]
+        assert [type(o).__name__ for o in outcomes] == [
+            "Namespace", "str", "Namespace", "str", "Namespace"
+        ]
 
 
 class TestDeterminismAndEnv:

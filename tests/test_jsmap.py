@@ -475,7 +475,6 @@ class TestStateVectors:
         "fn, alpha0, dim, state",
         [
             (BOSON, 0.0, 201, (200, 199)),  # [200]! overflows amplitude and norm
-            (BOSON, 0.0, 201, (100, 99)),  # [100]! [99]! overflows only the norm
             (CharFn((1.0, 1e3), Orientation.OSCILLATOR), 1e3, 60, (59, 59)),  # M0**118
         ],
     )
@@ -483,6 +482,14 @@ class TestStateVectors:
         space = two_oscillator_space(fn, alpha0, FullGrid(dim), bound=math.inf)
         with pytest.raises(GjsError, match=rf"state \({state[0]}, {state[1]}\)"):
             build_state_vector(space, *state)
+
+    def test_norm_survives_factorial_overflow(self):
+        # [100]! [99]! overflows, sqrt([100]!) sqrt([99]!) does not
+        space = two_oscillator_space(BOSON, 0.0, FullGrid(201), bound=math.inf)
+        vec = build_state_vector(space, 100, 99)
+        index = space.index_of(100, 99)
+        assert vec[index] == pytest.approx(1.0, rel=1e-14)
+        assert np.count_nonzero(vec) == 1
 
     def test_out_of_basis(self):
         space = two_oscillator_space(BOSON, 0.0, FullGrid(2))
