@@ -87,6 +87,25 @@ def _horner(coeffs: Sequence[float], x):
     return acc
 
 
+def _horner_interval(coeffs: Sequence[float], lo, hi):
+    """Enclosure ``(lo, hi)`` of :func:`_horner` over the boxes ``[lo, hi]`` (ndarrays).
+
+    The operations are :func:`_horner`'s in the same order, each product
+    bounded by the least and greatest of its four corner products (R. E.
+    Moore, *Interval Analysis*, 1966).  Rounding to nearest is monotone, so at
+    every point of a box the float :func:`_horner` returns is NaN or lies in
+    the box's enclosure, unless a bound is NaN (a corner product ``0 * inf``).
+    """
+    import numpy as np  # only array callers get here; module import stays numpy-free
+
+    acc_lo = acc_hi = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        p, q, r, s = acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi
+        acc_lo = np.minimum(np.minimum(p, q), np.minimum(r, s)) + c
+        acc_hi = np.maximum(np.maximum(p, q), np.maximum(r, s)) + c
+    return acc_lo, acc_hi
+
+
 def _derivative(coeffs: Sequence[float]) -> list[float]:
     return [i * c for i, c in enumerate(coeffs)][1:] or [0.0]
 

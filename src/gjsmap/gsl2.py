@@ -10,9 +10,20 @@ A representation closes after ``d`` states when the next ladder square
 vanishes, which happens in exactly two ways: the orbit returns to the highest
 weight (``g^(d)(alpha_j) = alpha_j``, periodic) or the closure equation
 ``alpha_j + g^(d)(alpha_j) + 1 = 0`` holds (cut).  Solvers for both equations
-scan a dense grid over the invertibility region and refine sign changes by
-bisection; the iterated ``g`` is composed numerically, never expanded
-symbolically.
+scan a grid of ``2 window / step`` samples around the invertibility boundary
+and refine sign changes by bisection; the iterated ``g`` is composed
+numerically, never expanded symbolically.
+
+The scan evaluates only the grid blocks that can hold a root.  It splits the
+grid into blocks of ``BLOCK`` sample pairs and bounds the closure function
+over each block's box by interval arithmetic: the same Horner operations, in
+the same order, on box ends (``charfun._horner_interval``).  Rounding to
+nearest is monotone, so every float the closure function returns inside a box
+lies within the box's bounds.  A block whose bounds keep away from zero by
+twice the residual tolerance therefore holds no zero sample, no sign change
+and no tangent candidate that would pass the residual test; skipping it
+leaves the roots bit for bit as the full grid gives them.  Most of the
+default window is such blocks, where ``g^(d)`` has run off towards infinity.
 """
 
 from __future__ import annotations
@@ -29,10 +40,12 @@ from .charfun import (
     CharFn,
     Orientation,
     _bisect,
+    _derivative,
+    _horner,
+    _horner_interval,
     charfn_from_dict,
     charfn_to_dict,
     evaluate,
-    derivative_at,
     invertibility_region,
     iterate,
 )
@@ -48,6 +61,9 @@ from .gha import OperatorMatrix, ResidualReport, _diag_product, _relation_residu
 
 #: Ladder squares in [-LADDER_CLAMP_TOL, 0) are clamped to zero.
 LADDER_CLAMP_TOL = 1e-12
+
+#: Sample pairs per block of the closure scan; see :func:`_scan_roots`.
+BLOCK = 4096
 
 #: Default residual accepted when a caller supplies the closure value
 #: directly (loose enough for a 5-digit root); solver-recomputed roots are
@@ -247,39 +263,119 @@ def _compose(gn: CharFn, x, d: int):
     return y
 
 
-def _compose_derivative(gn: CharFn, x, d: int):
-    """Chain-rule derivative of ``g^(d)``; ``x`` may be a float or ndarray."""
-    out = 1.0
-    y = x
+def _compose_interval(gn: CharFn, lo, hi, d: int):
+    """Enclosure of :func:`_compose` over the boxes ``[lo, hi]`` (ndarrays)."""
     for _ in range(d):
-        out = out * derivative_at(gn, y)
-        y = evaluate(gn, y)
-    return out
+        lo, hi = _horner_interval(gn.coefficients, lo, hi)
+    return lo, hi
+
+
+def _closure_functions(gn: CharFn, d: int, kind: RepKind):
+    """``(func, dfunc, enclosure)`` of the closure equation of a finite ``kind``.
+
+    ``func`` is ``x + g^(d)(x) + 1`` (cut) or ``g^(d)(x) - x`` (periodic) and
+    ``dfunc`` its chain-rule derivative, both for a float or an ndarray.
+    ``enclosure(lo, hi)`` bounds ``func`` over the boxes ``[lo, hi]`` by the
+    same operations in the same order (:func:`_compose_interval`).
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    coeffs = gn.coefficients
+    dcoeffs = _derivative(coeffs)
+
+    def slope(x):
+        # g'(x) g'(g(x)) ... g'(g^(d-1)(x)): g itself is needed d - 1 times
+        out = _horner(dcoeffs, x)
+        for _ in range(d - 1):
+            x = _horner(coeffs, x)
+            out = out * _horner(dcoeffs, x)
+        return out
+
+    if kind is RepKind.FINITE_CUT:
+
+        def func(x):
+            return x + _compose(gn, x, d) + 1.0
+
+        def dfunc(x):
+            return 1.0 + slope(x)
+
+        def enclosure(lo, hi):
+            ylo, yhi = _compose_interval(gn, lo, hi, d)
+            return lo + ylo + 1.0, hi + yhi + 1.0
+
+    else:
+
+        def func(x):
+            return _compose(gn, x, d) - x
+
+        def dfunc(x):
+            return slope(x) - 1.0
+
+        def enclosure(lo, hi):
+            ylo, yhi = _compose_interval(gn, lo, hi, d)
+            return ylo - hi, yhi - lo
+
+    return func, dfunc, enclosure
 
 
 def _scan_roots(
     func: Callable,
-    dfunc: Callable[[float], float],
+    dfunc: Callable,
+    enclosure: Callable,
     lo: float,
     hi: float,
     step: float,
     residual_tol: float,
 ) -> list[float]:
-    """Roots of a scalar function on ``[lo, hi]`` from a dense grid scan.
+    """Roots of a scalar function on ``[lo, hi]`` from a grid scan.
 
-    Sign changes between finite neighbouring samples are refined by
-    bisection.  Tangent (no-sign-change) roots are recovered at the zeros of
+    The grid is ``np.linspace(lo, hi, n)`` with spacing at most ``step``:
+    sample ``i`` is ``i * h + lo`` and the last is ``hi``.  Zero samples are
+    roots; sign changes between finite neighbouring samples are refined by
+    bisection; tangent (no-sign-change) roots are recovered at the zeros of
     ``dfunc`` where ``|func|`` is small.  Every candidate must meet
     ``residual_tol`` relative to ``max(1, |x|)``.
+
+    Only some samples are evaluated.  The grid splits into blocks of
+    ``BLOCK`` sample pairs, neighbouring blocks sharing one sample, and
+    ``enclosure`` bounds ``func`` over each block's box.  A block whose bounds
+    lie above ``t`` or below ``-t``, with ``t = 2 residual_tol max(1, |x|)``
+    over the box, holds no zero sample, no sign change and no tangent
+    candidate that could pass the residual test, so skipping it changes no
+    root; a block with a NaN bound is kept.
     """
     n = max(int(math.ceil((hi - lo) / step)) + 1, 2)
-    xs = np.linspace(lo, hi, n)
+    h = (hi - lo) / (n - 1)
+    starts = np.arange(0, n - 1, BLOCK, dtype=float)
+    ends = np.minimum(starts + BLOCK, n - 1)
+    box_lo = starts * h + lo
+    box_hi = ends * h + lo
+    # The last sample is hi itself, which rounding may place on either side
+    # of (n - 1) * h + lo.
+    box_lo[-1] = min(box_lo[-1], hi)
+    box_hi[-1] = max(box_hi[-1], hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_lo, f_hi = enclosure(box_lo, box_hi)
+        t = 2.0 * residual_tol * np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
+        keep = ~((f_lo > t) | (f_hi < -t))
+    # Each run of kept blocks starts where ``keep`` rises and stops where it falls.
+    first, stop = np.flatnonzero(np.diff(keep, prepend=False, append=False)).reshape(-1, 2).T
+    if not first.size:
+        return []
+    index = np.concatenate(
+        [np.arange(s, e + 1, dtype=float) for s, e in zip(starts[first], ends[stop - 1])]
+    )
+    xs = index * h + lo
+    if index[-1] == n - 1:
+        xs[-1] = hi
+    joined = np.diff(index) == 1.0  # neighbouring samples, not the two ends of a gap
     with np.errstate(over="ignore", invalid="ignore"):
         ys = np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
     finite = np.isfinite(ys)
     roots = xs[ys == 0.0].tolist()
     flips = np.nonzero(
-        finite[:-1]
+        joined
+        & finite[:-1]
         & finite[1:]
         & (np.signbit(ys[:-1]) != np.signbit(ys[1:]))
         & (ys[:-1] != 0.0)
@@ -295,7 +391,8 @@ def _scan_roots(
         dys = np.broadcast_to(np.asarray(dfunc(xs), dtype=float), xs.shape)
     dfinite = np.isfinite(dys)
     dflips = np.nonzero(
-        dfinite[:-1]
+        joined
+        & dfinite[:-1]
         & dfinite[1:]
         & (np.signbit(dys[:-1]) != np.signbit(dys[1:]))
     )[0]
@@ -329,13 +426,14 @@ class CutSolutions:
     excluded: tuple[float, ...]
 
 
-def _closure_roots(gn: CharFn, d: int, func, dfunc, window, step, residual_tol):
-    """Roots of ``func`` within ``window`` of the region boundary (or 0), flagged in-region."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+def _closure_roots(gn: CharFn, d: int, kind: RepKind, window, step, residual_tol):
+    """Closure roots within ``window`` of the region boundary (or 0), flagged in-region."""
+    func, dfunc, enclosure = _closure_functions(gn, d, kind)
     lo_r, hi_r = invertibility_region(gn)
     center = hi_r if math.isfinite(hi_r) else lo_r if math.isfinite(lo_r) else 0.0
-    roots = _scan_roots(func, dfunc, center - window, center + window, step, residual_tol)
+    roots = _scan_roots(
+        func, dfunc, enclosure, center - window, center + window, step, residual_tol
+    )
     return [(r, lo_r < r < hi_r) for r in roots]
 
 
@@ -350,15 +448,8 @@ def cut_condition_solve(
 
     Roots out of region or failing to build a cut representation are excluded.
     """
-
-    def func(x):
-        return x + _compose(gn, x, d) + 1.0
-
-    def dfunc(x):
-        return 1.0 + _compose_derivative(gn, x, d)
-
     included, excluded = [], []
-    for r, inside in _closure_roots(gn, d, func, dfunc, window, step, residual_tol):
+    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT, window, step, residual_tol):
         if inside:
             try:
                 build_gsl2(gn, r, d, RepKind.FINITE_CUT, cut_tol=residual_tol)
@@ -383,14 +474,7 @@ def periodic_condition_solve(
     ``d = 1`` gives the fixed points (one-state representations); larger ``d``
     gives period-``d`` candidates, with no unitarity claim attached.
     """
-
-    def func(x):
-        return _compose(gn, x, d) - x
-
-    def dfunc(x):
-        return _compose_derivative(gn, x, d) - 1.0
-
-    roots = _closure_roots(gn, d, func, dfunc, window, step, residual_tol)
+    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC, window, step, residual_tol)
     return tuple(r for r, inside in roots if inside)
 
 

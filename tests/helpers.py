@@ -16,11 +16,14 @@ from gjsmap import (
     RepKind,
     build_gha,
     build_gsl2,
+    derivative_at,
     evaluate,
     functional_F,
     functional_G,
     gauss_factorial,
+    invertibility_region,
 )
+from gjsmap.charfun import _bisect
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.
@@ -243,3 +246,91 @@ def kron_state_vector(space, n1: int, n2: int) -> np.ndarray:
         * math.sqrt(gauss_factorial(fn, alpha0, n2))
     )
     return vec / norm
+
+
+# Full-grid closure scan: the solver as it was before it skipped grid blocks
+# by interval enclosure.  It samples and evaluates every grid point, so the
+# block-pruned solver must return exactly these roots.
+
+
+def full_grid_scan_roots(func, dfunc, lo: float, hi: float, step: float,
+                         residual_tol: float) -> list[float]:
+    """Roots of ``func`` on ``[lo, hi]`` from every sample of ``np.linspace(lo, hi, n)``."""
+    n = max(int(math.ceil((hi - lo) / step)) + 1, 2)
+    xs = np.linspace(lo, hi, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
+    finite = np.isfinite(ys)
+    roots = xs[ys == 0.0].tolist()
+    flips = np.nonzero(
+        finite[:-1]
+        & finite[1:]
+        & (np.signbit(ys[:-1]) != np.signbit(ys[1:]))
+        & (ys[:-1] != 0.0)
+        & (ys[1:] != 0.0)
+    )[0]
+    for i in flips:
+        roots.append(
+            _bisect(func, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1]))
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        dys = np.broadcast_to(np.asarray(dfunc(xs), dtype=float), xs.shape)
+    dfinite = np.isfinite(dys)
+    dflips = np.nonzero(
+        dfinite[:-1]
+        & dfinite[1:]
+        & (np.signbit(dys[:-1]) != np.signbit(dys[1:]))
+    )[0]
+    for i in dflips:
+        c = _bisect(
+            dfunc, float(xs[i]), float(xs[i + 1]), float(dys[i]), float(dys[i + 1])
+        )
+        if abs(func(c)) <= residual_tol * max(1.0, abs(c)):
+            roots.append(c)
+    roots = [r for r in roots if abs(func(r)) <= residual_tol * max(1.0, abs(r))]
+    roots.sort()
+    deduped: list[float] = []
+    for r in roots:
+        if deduped and abs(r - deduped[-1]) <= 10.0 * residual_tol * max(1.0, abs(r)):
+            continue
+        deduped.append(r)
+    return deduped
+
+
+def full_grid_closure_roots(gn: CharFn, d: int, kind: str, window: float, step: float,
+                            residual_tol: float = 1e-9) -> list[float]:
+    """Every root :func:`full_grid_scan_roots` finds for ``kind`` ("cut" or "periodic").
+
+    The derivative is the chain rule as first written: one ``derivative_at``
+    and one ``evaluate`` per factor, ``g`` evaluated ``d`` times.
+    """
+
+    def compose(x):
+        for _ in range(d):
+            x = evaluate(gn, x)
+        return x
+
+    def slope(x):
+        out = 1.0
+        for _ in range(d):
+            out = out * derivative_at(gn, x)
+            x = evaluate(gn, x)
+        return out
+
+    if kind == "cut":
+        def func(x):
+            return x + compose(x) + 1.0
+
+        def dfunc(x):
+            return 1.0 + slope(x)
+    else:
+        def func(x):
+            return compose(x) - x
+
+        def dfunc(x):
+            return slope(x) - 1.0
+
+    lo_r, hi_r = invertibility_region(gn)
+    center = hi_r if math.isfinite(hi_r) else lo_r if math.isfinite(lo_r) else 0.0
+    return full_grid_scan_roots(func, dfunc, center - window, center + window, step,
+                                residual_tol)

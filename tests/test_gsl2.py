@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from gjsmap import (
     RepKind,
     build_gsl2,
     casimir_gsl2,
+    charfun,
     cut_condition_solve,
     gauss_numbers,
+    gsl2,
     gsl2_from_dict,
     gsl2_to_dict,
+    invertibility_region,
     matrix_J0,
     matrix_Jminus,
     matrix_Jplus,
@@ -35,6 +39,7 @@ from helpers import (
     Q_PARAMETER,
     cut_quartic_roots_oracle,
     dense_gsl2,
+    full_grid_closure_roots,
     identical,
     q_cut_root,
     scaled_tol,
@@ -338,6 +343,150 @@ class TestPeriodicSolve:
         # are the fixed point itself
         roots = periodic_condition_solve(FIG2_GN, 2)
         assert roots == pytest.approx([1.0], abs=1e-8)
+
+
+#: Weight quadratics, random cubics and quadratics padded with a trailing zero.
+CLOSURE_COEFFS = st.one_of(
+    st.tuples(st.floats(-2.0, 1.0), st.floats(0.5, 4.0), st.floats(-2.0, -0.2)),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3, st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)),
+    st.tuples(st.floats(-2.0, 1.0), st.floats(0.5, 4.0), st.floats(-2.0, -0.2), st.just(0.0)),
+)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def assert_full_grid_roots(gn: CharFn, d: int, window: float, step: float) -> None:
+    """Both solvers return exactly the roots of the full-grid reference scan."""
+    lo_r, hi_r = invertibility_region(gn)
+    cut = cut_condition_solve(gn, d, window=window, step=step)
+    want = full_grid_closure_roots(gn, d, "cut", window, step)
+    assert hexes(sorted(cut.included + cut.excluded)) == hexes(want)
+    want = full_grid_closure_roots(gn, d, "periodic", window, step)
+    got = periodic_condition_solve(gn, d, window=window, step=step)
+    assert hexes(got) == hexes(r for r in want if lo_r < r < hi_r)
+
+
+class TestBlockScan:
+    """The block-pruned scan against the full-grid scan it replaced."""
+
+    @given(
+        coeffs=CLOSURE_COEFFS,
+        d=st.integers(1, 8),
+        window=st.floats(5.0, 20.0),
+        step=st.floats(8e-4, 1.2e-3),
+        block=st.sampled_from([1, 3, 64, gsl2.BLOCK]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_grid_scan(self, coeffs, d, window, step, block):
+        with mock.patch.object(gsl2, "BLOCK", block):
+            assert_full_grid_roots(CharFn(coeffs, Orientation.WEIGHT), d, window, step)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_root_on_a_grid_sample(self, monkeypatch, d):
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        root = cut_condition_solve(SL2, d, window=20.0, step=1e-3).included
+        assert root == ((d - 1) / 2.0,)
+        assert root[0] in np.linspace(-20.0, 20.0, 40001)
+        assert_full_grid_roots(SL2, d, 20.0, 1e-3)
+
+    @pytest.mark.parametrize("side", [-0.25, 0.25])
+    def test_sign_change_at_a_shared_block_edge(self, monkeypatch, side):
+        # g(x) - x = x - r changes sign between sample 4800, which blocks
+        # 599 and 600 share, and its left or right neighbour.
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        xs = np.linspace(-5.0, 5.0, 10001)
+        r = xs[4800] + side * (xs[4801] - xs[4800])
+        gn = CharFn((-r, 2.0), Orientation.WEIGHT)
+        ys = xs + -r
+        flips = np.flatnonzero(np.signbit(ys[:-1]) != np.signbit(ys[1:]))
+        assert flips.tolist() == [4800 if side > 0 else 4799]
+        assert periodic_condition_solve(gn, 1, window=5.0, step=1e-3) == pytest.approx([r])
+        assert_full_grid_roots(gn, 1, 5.0, 1e-3)
+
+    def test_brackets_are_neighbouring_samples(self, monkeypatch):
+        # x + g(x) + 1 = -x^2 + 4x: kept blocks near the roots 0 and 4, and
+        # the derivative changes sign at 2, inside the dropped blocks between.
+        brackets = []
+        bisect = gsl2._bisect
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        monkeypatch.setattr(
+            gsl2, "_bisect", lambda f, u, v, fu, fv: brackets.append(v - u) or bisect(f, u, v, fu, fv)
+        )
+        sols = cut_condition_solve(FIG2_GN, 1, window=5.0, step=1.1e-3)
+        assert sols.included + sols.excluded == pytest.approx([0.0, 4.0], abs=1e-12)
+        assert brackets and max(brackets) <= 1.1e-3
+        assert_full_grid_roots(FIG2_GN, 1, 5.0, 1.1e-3)
+
+    def test_showcase_tangent_fixed_point(self, monkeypatch):
+        # -x^2 + 3x - 1 touches the diagonal at 1 without crossing it: the
+        # root comes from the derivative's sign change alone.
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        roots = periodic_condition_solve(FIG2_GN, 1, window=20.0, step=1e-4)
+        assert roots == pytest.approx([1.0], abs=1e-9)
+        assert_full_grid_roots(FIG2_GN, 1, 20.0, 1e-4)
+
+    def test_overflow_inside_the_window(self, monkeypatch):
+        # -x^3 + 3x - 1 padded with a zero: the orbit overflows to +-inf, and
+        # one step later the padding's 0 * inf makes it NaN.
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        gn = CharFn((-1.0, 3.0, 0.0, -1.0, 0.0), Orientation.WEIGHT)
+        xs = np.linspace(-1.0 - 20.0, -1.0 + 20.0, 40001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = gsl2._compose(gn, xs, 6)
+        assert np.isinf(values).any() and np.isnan(values).any()
+        assert_full_grid_roots(gn, 6, 20.0, 1e-3)
+        assert_full_grid_roots(FIG2_GN, 8, 20.0, 1e-3)
+
+    def test_derivative_coefficients_built_once_per_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gsl2, "_derivative", lambda c: calls.append(c) or charfun._derivative(c))
+        cut_condition_solve(FIG2_GN, 3, window=20.0, step=1e-3)
+        periodic_condition_solve(FIG2_GN, 2, window=20.0, step=1e-3)
+        assert calls == [FIG2_GN.coefficients] * 2
+
+    def test_chain_rule_evaluates_g_d_minus_one_times(self, monkeypatch):
+        _, dfunc, _ = gsl2._closure_functions(FIG2_GN, 4, RepKind.FINITE_CUT)
+        calls = []
+        monkeypatch.setattr(gsl2, "_horner", lambda c, x: calls.append(len(c)) or charfun._horner(c, x))
+        dfunc(0.3)
+        assert calls == [2, 3, 2, 3, 2, 3, 2]  # g' four times, g three times
+
+
+def assert_in_box(value: float, lo: float, hi: float) -> None:
+    """``value`` lies in ``[lo, hi]``, or it or a bound is NaN."""
+    assert math.isnan(value) or math.isnan(lo) or math.isnan(hi) or lo <= value <= hi
+
+
+class TestEnclosure:
+    """At every point of a box the float results lie in the box's enclosure."""
+
+    @given(
+        coeffs=CLOSURE_COEFFS,
+        d=st.integers(1, 8),
+        lo=st.floats(-50.0, 50.0) | st.floats(-1e200, 1e200),
+        width=st.floats(0.0, 10.0) | st.floats(0.0, 1e200),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_values_lie_in_enclosure(self, coeffs, d, lo, width, data):
+        gn = CharFn(coeffs, Orientation.WEIGHT)
+        hi = lo + width
+        points = data.draw(st.lists(st.floats(lo, hi), max_size=8)) + [lo, hi]
+        box = np.array([lo]), np.array([hi])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ylo, yhi = (float(b[0]) for b in gsl2._compose_interval(gn, *box, d))
+            closures = []
+            for kind in (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC):
+                func, _, enclosure = gsl2._closure_functions(gn, d, kind)
+                closures.append((func, *(float(b[0]) for b in enclosure(*box))))
+            for x in points:
+                assert_in_box(gsl2._compose(gn, x, d), ylo, yhi)
+                assert_in_box(float(gsl2._compose(gn, np.array([x]), d)[0]), ylo, yhi)
+                for func, flo, fhi in closures:
+                    assert_in_box(func(x), flo, fhi)
+                    assert_in_box(float(func(np.array([x]))[0]), flo, fhi)
 
 
 class TestSerialization:
