@@ -43,6 +43,7 @@ from .gha import (
     OperatorMatrix,
     build_gha,
     casimir_gha,
+    gha_csv_labels,
     gha_to_dict,
     matrix_A,
     matrix_Adag,
@@ -57,6 +58,7 @@ from .gsl2 import (
     build_gsl2,
     casimir_gsl2,
     cut_condition_solve,
+    gsl2_csv_labels,
     gsl2_to_dict,
     matrix_J0,
     matrix_Jminus,
@@ -69,6 +71,7 @@ from .jsmap import (
     FullGrid,
     build_jsmap,
     derive_pairing,
+    jsmap_csv_labels,
     jsmap_to_dict,
     verify_jsmap_relations,
     verify_map_equals_gsl2,
@@ -255,8 +258,12 @@ def _or_none(errors, func, *args):
 
 
 # Handlers return ``(payload, exit code, files)``.  ``files`` is None or a
-# callable giving the ``{name: content}`` table that :func:`_write_files`
-# writes under ``--out``; it is only called when ``--out`` is given.
+# callable, called only under ``--out``, giving the ``{name: content}`` table
+# of :func:`_write_files`; :func:`_labelled` pairs each matrix with its CSV labels.
+
+
+def _labelled(labels, files: dict) -> dict:
+    return {k: (v, labels) if isinstance(v, OperatorMatrix) else v for k, v in files.items()}
 
 
 def cmd_charfun_analyze(args):
@@ -280,30 +287,29 @@ def cmd_gha_build(args):
     rep = build_gha(args.fn, args.alpha0, args.dim, bound=_bound())
     payload: dict = {"rep": gha_to_dict(rep)}
     code = _verify(payload, args, verify_gha_relations, rep)
-    return payload, code, lambda: {
+    return payload, code, lambda: _labelled(gha_csv_labels(rep), {
         "gha_H.csv": matrix_H(rep),
         "gha_A.csv": matrix_A(rep),
         "gha_Adag.csv": matrix_Adag(rep),
         "gha_N.csv": matrix_N(rep),
         "gha_casimir.csv": casimir_gha(rep),
         "gha_rep.json": payload["rep"],
-    }
+    })
 
 
 def cmd_gsl2_build(args):
-    kind = RepKind(args.kind)
     rep = build_gsl2(
-        args.gn, args.alphaj, args.dim, kind, cut_tol=args.cut_tol, bound=_bound()
+        args.gn, args.alphaj, args.dim, RepKind(args.kind), cut_tol=args.cut_tol, bound=_bound()
     )
     payload: dict = {"rep": gsl2_to_dict(rep)}
     code = _verify(payload, args, verify_gsl2_relations, rep)
-    return payload, code, lambda: {
+    return payload, code, lambda: _labelled(gsl2_csv_labels(rep), {
         "gsl2_J0.csv": matrix_J0(rep),
         "gsl2_Jplus.csv": matrix_Jplus(rep),
         "gsl2_Jminus.csv": matrix_Jminus(rep),
         "gsl2_casimir.csv": casimir_gsl2(rep),
         "gsl2_rep.json": payload["rep"],
-    }
+    })
 
 
 def cmd_gsl2_solve(args):
@@ -334,13 +340,13 @@ def cmd_jsmap_build(args):
         args.fn, args.alpha0, args.gn, args.alphaj, _jsmap_mode(args), bound=_bound()
     )
     payload: dict = {"rep": jsmap_to_dict(rep)}
-    return payload, 0, lambda: {
+    return payload, 0, lambda: _labelled(jsmap_csv_labels(rep), {
         "jsmap_Sz.csv": rep.s_z,
         "jsmap_Splus.csv": rep.s_plus,
         "jsmap_Sminus.csv": rep.s_minus,
         "jsmap_Ssq.csv": rep.s_sq,
         "jsmap_rep.json": payload["rep"],
-    }
+    })
 
 
 def cmd_jsmap_verify(args):
@@ -350,9 +356,8 @@ def cmd_jsmap_verify(args):
         args.fn, args.alpha0, args.gn, args.alphaj, FixedJ(args.j), bound=_bound()
     )
     jsrep = _perturbed(jsrep, args)
-    kind = RepKind(args.kind)
     direct = build_gsl2(
-        args.gn, args.alphaj, args.j + 1, kind, cut_tol=args.cut_tol, bound=_bound()
+        args.gn, args.alphaj, args.j + 1, RepKind(args.kind), cut_tol=args.cut_tol, bound=_bound()
     )
     map_report = verify_map_equals_gsl2(jsrep, direct, tol=args.tol)
     relation_report = verify_jsmap_relations(jsrep, tol=args.tol)
@@ -479,9 +484,9 @@ def _encode(value) -> str:
 def _write_files(out_dir, files: dict) -> list[str]:
     """Create ``out_dir`` and write ``files`` into it; returns the file names.
 
-    A matrix becomes ``name`` as CSV, an orbit report ``name.json`` plus its
-    curve/cobweb CSV pair, a figure bundle its stock files, and any other
-    value ``name`` as JSON.
+    A ``(matrix, labels)`` pair becomes ``name`` as CSV, an orbit report
+    ``name.json`` plus its curve/cobweb CSV pair, a figure bundle its stock
+    files, and any other value ``name`` as JSON.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -495,8 +500,8 @@ def _write_files(out_dir, files: dict) -> list[str]:
             write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv")
             names += [f"{name}.json", f"{name}_curve.csv", f"{name}_cobweb.csv"]
             continue
-        if isinstance(content, OperatorMatrix):
-            write_matrix_csv(content, out / name)
+        if isinstance(content, tuple):
+            write_matrix_csv(content[0], out / name, content[1])
         else:
             (out / name).write_text(_encode(content) + "\n", encoding="utf-8")
         names.append(name)

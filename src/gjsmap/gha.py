@@ -14,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -40,19 +39,15 @@ GAUSS_DENOMINATOR_TOL = 1e-14
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """The square matrix ``np.diag(values, offset)`` and a description of its ordered basis."""
+    """The square matrix ``np.diag(values, offset)``."""
 
     values: np.ndarray
     offset: int
-    basis_label: str
-    state_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.state_labels is not None:
-            object.__setattr__(self, "state_labels", tuple(self.state_labels))
 
     @property
     def entries(self) -> np.ndarray:
@@ -76,16 +71,17 @@ def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
     return np.pad(x.values * y.values, (max(k, 0), max(-k, 0)))
 
 
-def write_matrix_csv(matrix: OperatorMatrix, path) -> None:
-    """Row-major CSV dump; the header row carries the basis description."""
+def write_matrix_csv(matrix: OperatorMatrix, path, labels: tuple[str, tuple[str, ...]]) -> None:
+    """Row-major CSV dump; ``labels`` is ``(basis description, state labels)``."""
+    basis, states = labels
     entries = matrix.entries
-    labels = matrix.state_labels or tuple(str(i) for i in range(entries.shape[1]))
+    if len(states) != len(entries):
+        raise ValueError(f"{len(states)} state labels for a {len(entries)}-state matrix")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"basis: {matrix.basis_label}", *labels])
+        writer.writerow([f"basis: {basis}", *states])
         cells = map(repr, entries.ravel().tolist())
-        rows, width = entries.shape
-        writer.writerows([label, *islice(cells, width)] for label in labels[:rows])
+        writer.writerows([label, *islice(cells, len(states))] for label in states)
 
 
 @dataclass(frozen=True)
@@ -160,22 +156,22 @@ def build_gha(
     return GhaRep(fn, float(alpha0), int(dim), tuple(eigenvalues), tuple(ladder))
 
 
-def _basis_label(rep: GhaRep) -> str:
-    return f"Fock levels |0>..|{rep.dim - 1}>, vacuum eigenvalue {rep.alpha0!r}"
-
-
-def _state_labels(rep: GhaRep) -> tuple[str, ...]:
-    return tuple(f"|{m}>" for m in range(rep.dim))
+def gha_csv_labels(rep: GhaRep) -> tuple[str, tuple[str, ...]]:
+    """``(basis description, state labels)`` of the ladder's CSV files."""
+    return (
+        f"Fock levels |0>..|{rep.dim - 1}>, vacuum eigenvalue {rep.alpha0!r}",
+        tuple(f"|{m}>" for m in range(rep.dim)),
+    )
 
 
 def matrix_H(rep: GhaRep) -> OperatorMatrix:
     """Diagonal Hamiltonian: the iterated eigenvalues."""
-    return OperatorMatrix(rep.eigenvalues, 0, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(rep.eigenvalues, 0)
 
 
 def matrix_Adag(rep: GhaRep) -> OperatorMatrix:
     """Raising operator: entry ``M_m`` at row ``m + 1``, column ``m``."""
-    return OperatorMatrix(rep.ladder, -1, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(rep.ladder, -1)
 
 
 def matrix_A(rep: GhaRep) -> OperatorMatrix:
@@ -185,9 +181,7 @@ def matrix_A(rep: GhaRep) -> OperatorMatrix:
 
 def matrix_N(rep: GhaRep) -> OperatorMatrix:
     """Number operator: diagonal ``0..dim-1``."""
-    return OperatorMatrix(
-        np.arange(rep.dim, dtype=float), 0, _basis_label(rep), _state_labels(rep)
-    )
+    return OperatorMatrix(np.arange(rep.dim, dtype=float), 0)
 
 
 def casimir_gha(rep: GhaRep) -> OperatorMatrix:
@@ -199,7 +193,7 @@ def casimir_gha(rep: GhaRep) -> OperatorMatrix:
     """
     adag = matrix_Adag(rep)
     c = _diag_product(adag, adag.T) - matrix_H(rep).values
-    return OperatorMatrix(c, 0, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(c, 0)
 
 
 def _gauss_denominator(fn: CharFn, alpha0: float) -> float:

@@ -175,20 +175,18 @@ def build_gsl2(
     )
 
 
-def _basis_label(rep: Gsl2Rep) -> str:
+def gsl2_csv_labels(rep: Gsl2Rep) -> tuple[str, tuple[str, ...]]:
+    """``(basis description, state labels)`` of the representation's CSV files."""
     return (
         f"weight states m=0..{rep.dim - 1} (highest weight first), "
-        f"alpha_j = {rep.alpha_j!r}, kind = {rep.kind.value}"
+        f"alpha_j = {rep.alpha_j!r}, kind = {rep.kind.value}",
+        tuple(f"m={m}" for m in range(rep.dim)),
     )
-
-
-def _state_labels(rep: Gsl2Rep) -> tuple[str, ...]:
-    return tuple(f"m={m}" for m in range(rep.dim))
 
 
 def matrix_J0(rep: Gsl2Rep) -> OperatorMatrix:
     """Diagonal generator: the weight ladder."""
-    return OperatorMatrix(rep.weights, 0, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(rep.weights, 0)
 
 
 def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
@@ -199,7 +197,7 @@ def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
     ladder_sq = np.asarray(rep.ladder_sq, dtype=float)
     if np.any(ladder_sq < 0.0):
         raise ValueError("ladder squares must be non-negative")
-    return OperatorMatrix(np.sqrt(ladder_sq), 1, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(np.sqrt(ladder_sq), 1)
 
 
 def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
@@ -236,7 +234,7 @@ def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
     """
     jp = matrix_Jplus(rep)
     c = _weight_casimir(matrix_J0(rep).values, jp, jp.T, rep.gn)
-    return OperatorMatrix(c, 0, _basis_label(rep), _state_labels(rep))
+    return OperatorMatrix(c, 0)
 
 
 def verify_gsl2_relations(rep: Gsl2Rep, tol: float = 1e-10) -> ResidualReport:
@@ -344,6 +342,8 @@ def _scan_roots(
     candidate that could pass the residual test, so skipping it changes no
     root; a block with a NaN bound is kept.
     """
+    if not math.isfinite((hi - lo) / step):
+        raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} has no finite size")
     n = max(int(math.ceil((hi - lo) / step)) + 1, 2)
     h = (hi - lo) / (n - 1)
     starts = np.arange(0, n - 1, BLOCK, dtype=float)

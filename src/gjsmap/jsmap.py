@@ -140,14 +140,6 @@ def two_oscillator_space(
     return TwoOscillatorSpace(rep, n1, n2, mode)
 
 
-def _space_label(space: TwoOscillatorSpace, extra: str) -> str:
-    if isinstance(space.mode, FixedJ):
-        shell = f"fixed shell n1+n2 = {space.mode.two_j}"
-    else:
-        shell = f"full grid n1,n2 < {space.mode.dim}"
-    return f"two-oscillator basis ({shell}), {extra}"
-
-
 def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
     """Diagonal of ``S_z``: entry ``alpha_j + Q2 [n2]_g`` at state ``(n1, n2)``.
 
@@ -279,15 +271,24 @@ def build_jsmap(
     g_orbit.setflags(write=False)
     gg = _gauss_from_orbit(g_orbit, q2)
     m0_sq = _gauss_denominator(fn, alpha0)
-    label = _space_label(space, f"alpha_j = {alpha_j!r}")
-    states = tuple(f"({n1},{n2})" for n1, n2 in space.basis)
-    s_z = OperatorMatrix(alpha_j + q2 * gg[space.n2], 0, label, states)
+    s_z = OperatorMatrix(alpha_j + q2 * gg[space.n2], 0)
     offset, hop = _hop(space)
     f_rows = _f_diag(space, m0_sq, gg, q2, alpha_j)[max(-offset, 0):][: len(hop)]
-    s_plus = OperatorMatrix(f_rows * hop, offset, label, states)
-    s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, s_plus.T, gn), 0, label, states)
+    s_plus = OperatorMatrix(f_rows * hop, offset)
+    s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, s_plus.T, gn), 0)
     return JsMapRep(
         space, gn, float(alpha_j), float(q2), float(m0_sq), s_z, s_plus, s_plus.T, s_sq, g_orbit
+    )
+
+
+def jsmap_csv_labels(rep: JsMapRep) -> tuple[str, tuple[str, ...]]:
+    """``(basis description, state labels)`` of the mapped generators' CSV files."""
+    mode = rep.space.mode
+    shell = (f"fixed shell n1+n2 = {mode.two_j}" if isinstance(mode, FixedJ)
+             else f"full grid n1,n2 < {mode.dim}")
+    return (
+        f"two-oscillator basis ({shell}), alpha_j = {rep.alpha_j!r}",
+        tuple(f"({n1},{n2})" for n1, n2 in rep.space.basis),
     )
 
 

@@ -267,6 +267,7 @@ def figure_bundle(
 
 
 def report_to_dict(report: OrbitReport) -> dict:
+    """The report as JSON-ready values; the sample and segment nests are its own tuples."""
     return {
         "fn": charfn_to_dict(report.fn),
         "x0": report.x0,
@@ -279,11 +280,9 @@ def report_to_dict(report: OrbitReport) -> dict:
         "boundary": report.boundary,
         "region": report.region_label.value if report.region_label else None,
         "guide_lines": [g.to_dict() for g in report.guide_lines],
-        "fn_samples": [list(p) for p in report.fn_samples],
-        "diagonal_samples": [list(p) for p in report.diagonal_samples],
-        "cobweb_segments": [
-            [list(a), list(b)] for a, b in report.cobweb_segments
-        ],
+        "fn_samples": report.fn_samples,
+        "diagonal_samples": report.diagonal_samples,
+        "cobweb_segments": report.cobweb_segments,
     }
 
 

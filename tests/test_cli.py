@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gjsmap import cli, gha, gsl2, jsmap
 from gjsmap.cli import CliError, _HelpRequested, _job_argv, build_parser, main
 
 FN_FIG1 = '{"coefficients":[1.225,-2.5,2.5],"orientation":"oscillator"}'
@@ -453,6 +454,10 @@ BAD_INPUTS = {
     # 2e17 grid samples: more bytes than any 57-bit address space, refused at once
     "step unallocatable": (["gsl2", "cut", "--gn", GN_FIG2, "--d", "2", "--step", "1e-15"], None,
                            None, "MemoryError"),
+    # (hi - lo) / step overflows to inf, so the grid has no sample count
+    "window-size overflows the grid": ([*CUT, "--window-size", "1e308"], None, None,
+                                       "no finite size"),
+    "step too fine for the grid": ([*PERIODIC, "--step", "5e-324"], None, None, "no finite size"),
 }
 
 
@@ -503,6 +508,73 @@ def test_unallocatable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
     assert huge["status"] == "error"
     assert "MemoryError" in huge["error"]
     assert small["status"] == "ok"
+
+
+def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    config = {"jobs": [
+        {"name": "wide", "command": "gsl2 cut",
+         "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 1e308}},
+        {"name": "fine", "command": "gsl2 periodic",
+         "params": {"gn": json.loads(GN_FIG2), "d": 1, "step": 5e-324}},
+        {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}},
+    ]}
+    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
+    assert code == 1
+    assert err == ""
+    wide, fine, small = payload["jobs"]
+    for job in (wide, fine):
+        assert job["status"] == "error"
+        assert job["error"].startswith("ValueError: ") and "no finite size" in job["error"]
+    assert small["status"] == "ok"
+
+
+class TestLabelsOnlyAtExport:
+    """State labels are built for ``--out`` CSV files and nowhere else."""
+
+    LABELS = [(gha, "gha_csv_labels"), (gsl2, "gsl2_csv_labels"), (jsmap, "jsmap_csv_labels")]
+    RUNS = {
+        "gha build": ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "5", "--verify"],
+        "gsl2 build": ["gsl2", "build", "--gn", SL2, "--alphaj", "2", "--dim", "5", "--kind",
+                       "cut", "--verify"],
+        "jsmap build": ["jsmap", "build", "--fn", BOSON, "--alpha0", "0", "--gn", SL2,
+                        "--alphaj", "2", "--j", "2"],
+        "jsmap verify": [*SHELL],
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the label functions called, in order; each is wrapped where it lives."""
+        called = []
+        for module, name in self.LABELS:
+            original = getattr(module, name)
+
+            def wrapped(rep, name=name, original=original):
+                called.append(name)
+                return original(rep)
+
+            monkeypatch.setattr(module, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped)
+        return called
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_no_labels_without_out(self, run, calls, capsys):
+        code, payload, _ = run_cli(capsys, *self.RUNS[run])
+        assert code == 0
+        assert payload is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("run, name", [
+        ("gha build", "gha_csv_labels"),
+        ("gsl2 build", "gsl2_csv_labels"),
+        ("jsmap build", "jsmap_csv_labels"),
+    ])
+    def test_one_label_call_per_out_table(self, run, name, calls, capsys, tmp_path):
+        code, payload, _ = run_cli(capsys, *self.RUNS[run], "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [name]
+        assert sum(f.endswith(".csv") for f in payload["files"]) >= 4
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gjsmap import (
     CharFn,
+    OperatorMatrix,
     Orientation,
     build_gha,
     casimir_gha,
@@ -30,6 +32,7 @@ from gjsmap.errors import (
     NegativeNormSquared,
     OverflowDiverged,
 )
+from gjsmap.gha import gha_csv_labels
 from helpers import dense_gha, gauss_number_fraction, identical, random_gha_rep, scaled_tol
 
 BOSON = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
@@ -292,7 +295,7 @@ class TestSerialization:
     def test_csv_export(self, tmp_path):
         rep = build_gha(BOSON, 0.0, 3)
         path = tmp_path / "h.csv"
-        write_matrix_csv(matrix_H(rep), path)
+        write_matrix_csv(matrix_H(rep), path, gha_csv_labels(rep))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0].startswith("basis: ")
@@ -301,3 +304,13 @@ class TestSerialization:
         assert values == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    def test_csv_labels_must_match_the_matrix(self, tmp_path):
+        rep = build_gha(BOSON, 0.0, 3)
+        path = tmp_path / "h.csv"
+        with pytest.raises(ValueError, match="2 state labels for a 3-state matrix"):
+            write_matrix_csv(matrix_H(rep), path, ("levels", ("|0>", "|1>")))
+        assert not path.exists()
+
+    def test_operator_matrix_is_values_and_offset(self):
+        assert [f.name for f in dataclasses.fields(OperatorMatrix)] == ["values", "offset"]
