@@ -29,9 +29,9 @@ from .charfun import (
 )
 from .errors import FixedPointVacuum, InvalidVacuum, NegativeNormSquared
 
-#: Norm squares in [-NORM_CLAMP_TOL, 0) are grazing the fixed point and are
-#: clamped to zero; anything lower aborts construction.
-NORM_CLAMP_TOL = 1e-12
+#: Norm squares, ladder squares and radicands in [-CLAMP_TOL, 0) are rounding
+#: around an exact zero and are clamped to it; anything lower is an error.
+CLAMP_TOL = 1e-12
 
 #: |f(alpha0) - alpha0| at or below this makes Gauss numbers undefined.
 GAUSS_DENOMINATOR_TOL = 1e-14
@@ -123,6 +123,17 @@ class GhaRep:
     ladder: tuple[float, ...]
 
 
+def _clamped(values: np.ndarray, error) -> np.ndarray:
+    """``values`` with the entries in ``[-CLAMP_TOL, 0)`` set to 0.
+
+    The first entry below ``-CLAMP_TOL`` raises ``error(index, value)``.
+    """
+    below = np.flatnonzero(values < -CLAMP_TOL)
+    if below.size:
+        raise error(int(below[0]), float(values[below[0]]))
+    return np.where(values < 0.0, 0.0, values)
+
+
 def build_gha(
     fn: CharFn, alpha0: float, dim: int, bound: float = DIVERGENCE_BOUND
 ) -> GhaRep:
@@ -133,7 +144,7 @@ def build_gha(
     InvalidVacuum
         If ``alpha0`` is not strictly inside the invertibility region.
     NegativeNormSquared
-        If some ``f^(m+1)(alpha0) - alpha0`` is below ``-NORM_CLAMP_TOL``;
+        If some ``f^(m+1)(alpha0) - alpha0`` is below ``-CLAMP_TOL``;
         the truncation is not unitarizable.  Values merely grazing zero are
         clamped to an exact zero rung.
     """
@@ -149,10 +160,7 @@ def build_gha(
     eigenvalues = iterate(fn, alpha0, dim - 1, bound=bound)
     with np.errstate(over="ignore"):
         norm_sq = np.subtract(eigenvalues[1:], eigenvalues[0])
-    below = np.flatnonzero(norm_sq < -NORM_CLAMP_TOL)
-    if below.size:
-        raise NegativeNormSquared(int(below[0]), float(norm_sq[below[0]]))
-    ladder = np.sqrt(np.where(norm_sq < 0.0, 0.0, norm_sq)).tolist()
+    ladder = np.sqrt(_clamped(norm_sq, NegativeNormSquared)).tolist()
     return GhaRep(fn, float(alpha0), int(dim), tuple(eigenvalues), tuple(ladder))
 
 

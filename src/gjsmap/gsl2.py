@@ -24,6 +24,7 @@ twice the residual tolerance therefore holds no zero sample, no sign change
 and no tangent candidate that would pass the residual test; skipping it
 leaves the roots bit for bit as the full grid gives them.  Most of the
 default window is such blocks, where ``g^(d)`` has run off towards infinity.
+The kept blocks are the rows of one sample array, scanned in a single pass.
 """
 
 from __future__ import annotations
@@ -57,10 +58,7 @@ from .errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
-from .gha import OperatorMatrix, ResidualReport, _diag_product, _relation_residuals
-
-#: Ladder squares in [-LADDER_CLAMP_TOL, 0) are clamped to zero.
-LADDER_CLAMP_TOL = 1e-12
+from .gha import OperatorMatrix, ResidualReport, _clamped, _diag_product, _relation_residuals
 
 #: Sample pairs per block of the closure scan; see :func:`_scan_roots`.
 BLOCK = 4096
@@ -120,7 +118,7 @@ def build_gsl2(
     DescentViolation
         Some iterate fails ``alpha_j > g^(m)(alpha_j)``.
     NegativeLadderSquare
-        A ladder square below ``-LADDER_CLAMP_TOL``: not unitary.
+        A ladder square below ``-gha.CLAMP_TOL``: not unitary.
     CutResidualTooLarge / PeriodicResidualTooLarge
         Closure defect above ``cut_tol`` for the finite kinds.
     """
@@ -143,10 +141,7 @@ def build_gsl2(
         raise DescentViolation(int(ascent[0]) + 1, weights[ascent[0] + 1])
     with np.errstate(over="ignore", invalid="ignore"):
         value = alpha_j * (alpha_j + 1.0) - lower * (lower + 1.0)
-    below = np.flatnonzero(value < -LADDER_CLAMP_TOL)
-    if below.size:
-        raise NegativeLadderSquare(int(below[0]), float(value[below[0]]))
-    ladder_sq = np.where(value < 0.0, 0.0, value).tolist()
+    ladder_sq = _clamped(value, NegativeLadderSquare).tolist()
     cut_residual = alpha_j + next_weight + 1.0
     if kind is RepKind.FINITE_CUT:
         if abs(cut_residual) > cut_tol:
@@ -340,11 +335,16 @@ def _scan_roots(
     lie above ``t`` or below ``-t``, with ``t = 2 residual_tol max(1, |x|)``
     over the box, holds no zero sample, no sign change and no tangent
     candidate that could pass the residual test, so skipping it changes no
-    root; a block with a NaN bound is kept.
+    root; a block with a NaN bound is kept.  The kept blocks are the rows of
+    one sample array, so no neighbour pair spans a gap; a short last row
+    repeats ``hi``, and a zero sample two rows share is deduplicated.
     """
     if not math.isfinite((hi - lo) / step):
         raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} has no finite size")
     n = max(int(math.ceil((hi - lo) / step)) + 1, 2)
+    # One float64 per block start: numpy sizes no array above intp's maximum bytes.
+    if 8 * -(-(n - 1) // BLOCK) > np.iinfo(np.intp).max:
+        raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} is too large for numpy")
     h = (hi - lo) / (n - 1)
     starts = np.arange(0, n - 1, BLOCK, dtype=float)
     ends = np.minimum(starts + BLOCK, n - 1)
@@ -358,50 +358,31 @@ def _scan_roots(
         f_lo, f_hi = enclosure(box_lo, box_hi)
         t = 2.0 * residual_tol * np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
         keep = ~((f_lo > t) | (f_hi < -t))
-    # Each run of kept blocks starts where ``keep`` rises and stops where it falls.
-    first, stop = np.flatnonzero(np.diff(keep, prepend=False, append=False)).reshape(-1, 2).T
-    if not first.size:
+    if not keep.any():
         return []
-    index = np.concatenate(
-        [np.arange(s, e + 1, dtype=float) for s, e in zip(starts[first], ends[stop - 1])]
-    )
+    index = np.minimum(starts[keep, None] + np.arange(BLOCK + 1), n - 1)
     xs = index * h + lo
-    if index[-1] == n - 1:
-        xs[-1] = hi
-    joined = np.diff(index) == 1.0  # neighbouring samples, not the two ends of a gap
+    xs[index == n - 1] = hi
     with np.errstate(over="ignore", invalid="ignore"):
         ys = np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
-    finite = np.isfinite(ys)
-    roots = xs[ys == 0.0].tolist()
-    flips = np.nonzero(
-        joined
-        & finite[:-1]
-        & finite[1:]
-        & (np.signbit(ys[:-1]) != np.signbit(ys[1:]))
-        & (ys[:-1] != 0.0)
-        & (ys[1:] != 0.0)
-    )[0]
-    for i in flips:
-        roots.append(
-            _bisect(func, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1]))
-        )
-    # Tangent roots: bracket the derivative instead, then keep stationary
-    # points where the function itself vanishes.
-    with np.errstate(over="ignore", invalid="ignore"):
         dys = np.broadcast_to(np.asarray(dfunc(xs), dtype=float), xs.shape)
-    dfinite = np.isfinite(dys)
-    dflips = np.nonzero(
-        joined
-        & dfinite[:-1]
-        & dfinite[1:]
-        & (np.signbit(dys[:-1]) != np.signbit(dys[1:]))
-    )[0]
-    for i in dflips:
-        c = _bisect(
-            dfunc, float(xs[i]), float(xs[i + 1]), float(dys[i]), float(dys[i + 1])
-        )
-        if abs(func(c)) <= residual_tol * max(1.0, abs(c)):
-            roots.append(c)
+    roots = xs[ys == 0.0].tolist()
+    finite, dfinite = np.isfinite(ys), np.isfinite(dys)
+    flips = (
+        finite[:, :-1]
+        & finite[:, 1:]
+        & (np.signbit(ys[:, :-1]) != np.signbit(ys[:, 1:]))
+        & (ys[:, :-1] != 0.0)
+        & (ys[:, 1:] != 0.0)
+    )
+    # Tangent roots: bracket the derivative instead; the residual test below
+    # keeps the stationary points where the function itself vanishes.
+    dflips = dfinite[:, :-1] & dfinite[:, 1:] & (np.signbit(dys[:, :-1]) != np.signbit(dys[:, 1:]))
+    for f, fs, pairs in ((func, ys, flips), (dfunc, dys, dflips)):
+        # Row-major pair numbers: np.nonzero of a 2-D mask is far slower.
+        for i, j in zip(*np.divmod(np.flatnonzero(pairs), BLOCK)):
+            u, v = float(xs[i, j]), float(xs[i, j + 1])
+            roots.append(_bisect(f, u, v, float(fs[i, j]), float(fs[i, j + 1])))
     roots = [r for r in roots if abs(func(r)) <= residual_tol * max(1.0, abs(r))]
     roots.sort()
     deduped: list[float] = []

@@ -49,6 +49,7 @@ from .gha import (
     GhaRep,
     OperatorMatrix,
     ResidualReport,
+    _clamped,
     _gauss_denominator,
     _gauss_from_orbit,
     build_gha,
@@ -64,9 +65,6 @@ from .gsl2 import (
     matrix_J0,
     matrix_Jplus,
 )
-
-#: Radicands in [-RADICAND_CLAMP_TOL, 0) are clamped to zero.
-RADICAND_CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,7 @@ def functional_F(
     Raises
     ------
     NegativeRadicand
-        If the radicand drops below ``-RADICAND_CLAMP_TOL`` at a state whose
+        If the radicand drops below ``-gha.CLAMP_TOL`` at a state whose
         entry is observable; the ``(gn, alpha_j)`` pair does not admit a real
         representation on this basis.
     """
@@ -192,13 +190,11 @@ def _f_diag(space: TwoOscillatorSpace, m0_sq, gg, q2, alpha_j) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         q = q2 * gg[n2 + 1]
         radicand = -q * (2.0 * alpha_j + 1.0 + q)
-        negative = np.flatnonzero(radicand < -RADICAND_CLAMP_TOL)
-        if negative.size:
-            i = negative[0]
-            raise NegativeRadicand((int(n1[i]), int(n2[i])), float(radicand[i]))
+        root = np.sqrt(
+            _clamped(radicand, lambda i, v: NegativeRadicand((int(n1[i]), int(n2[i])), v))
+        )
         den_sq = fg[n2 + 1] * fg[n1]
         keep = (den_sq > 0.0) & np.isfinite(den_sq)
-        root = np.sqrt(np.where(radicand < 0.0, 0.0, radicand))
         out[obs[keep]] = root[keep] / (m0_sq * np.sqrt(den_sq[keep]))
     return out
 

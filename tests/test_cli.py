@@ -458,6 +458,15 @@ BAD_INPUTS = {
     "window-size overflows the grid": ([*CUT, "--window-size", "1e308"], None, None,
                                        "no finite size"),
     "step too fine for the grid": ([*PERIODIC, "--step", "5e-324"], None, None, "no finite size"),
+    # More block starts than numpy can size an array for; at exactly 2**63
+    # blocks np.arange returned an empty array instead of raising.
+    "window-size beyond numpy": ([*CUT, "--window-size", "1e20"], None, None,
+                                 "too large for numpy"),
+    "step beyond numpy": ([*CUT, "--step", "1e-300"], None, None, "too large for numpy"),
+    "window-size just beyond numpy": ([*CUT, "--window-size", "1.85e18"], None, None,
+                                      "too large for numpy"),
+    "window-size at 2**63 blocks": ([*CUT, "--window-size", "1.8889465931478582e+18"], None, None,
+                                    "too large for numpy"),
 }
 
 
@@ -517,16 +526,19 @@ def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
          "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 1e308}},
         {"name": "fine", "command": "gsl2 periodic",
          "params": {"gn": json.loads(GN_FIG2), "d": 1, "step": 5e-324}},
+        {"name": "blocks", "command": "gsl2 cut",
+         "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 1.8889465931478582e+18}},
         {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}},
     ]}
     (tmp_path / "jobs.json").write_text(json.dumps(config))
     code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
     assert code == 1
     assert err == ""
-    wide, fine, small = payload["jobs"]
-    for job in (wide, fine):
+    wide, fine, blocks, small = payload["jobs"]
+    for job, named in ((wide, "no finite size"), (fine, "no finite size"),
+                       (blocks, "too large for numpy")):
         assert job["status"] == "error"
-        assert job["error"].startswith("ValueError: ") and "no finite size" in job["error"]
+        assert job["error"].startswith("ValueError: ") and named in job["error"]
     assert small["status"] == "ok"
 
 

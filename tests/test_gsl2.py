@@ -405,6 +405,41 @@ class TestBlockScan:
         assert periodic_condition_solve(gn, 1, window=5.0, step=1e-3) == pytest.approx([r])
         assert_full_grid_roots(gn, 1, 5.0, 1e-3)
 
+    @staticmethod
+    def scan_periodic_line(r: float, step: float) -> tuple[list[float], np.ndarray]:
+        """Roots of ``g(x) - x = x - r`` on [-5, 5], and the sample rows the scan built."""
+        gn = CharFn((-r, 2.0), Orientation.WEIGHT)
+        func, dfunc, enclosure = gsl2._closure_functions(gn, 1, RepKind.FINITE_PERIODIC)
+        rows = []
+
+        def spy(x):
+            if np.ndim(x):
+                rows.append(x)
+            return func(x)
+
+        roots = gsl2._scan_roots(spy, dfunc, enclosure, -5.0, 5.0, step, 1e-9)
+        assert_full_grid_roots(gn, 1, 5.0, step)
+        return roots, rows[0]
+
+    def test_zero_sample_two_kept_blocks_share(self, monkeypatch):
+        # Sample 4800 closes block 599 and opens block 600: both rows hold it.
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        r = float(np.linspace(-5.0, 5.0, 10001)[4800])
+        roots, rows = self.scan_periodic_line(r, 1e-3)
+        assert rows.shape[1] == 9 and np.count_nonzero(rows == r) == 2
+        assert roots == [r]
+
+    def test_sign_change_in_a_short_last_block(self, monkeypatch):
+        # 9987 sample pairs: the last block holds 3 and repeats hi to fill its
+        # row.  9987 h - 5 rounds below 5, so the scan must set hi itself.
+        monkeypatch.setattr(gsl2, "BLOCK", 8)
+        assert 9987.0 * (10.0 / 9987) + -5.0 < 5.0
+        xs = np.linspace(-5.0, 5.0, 9988)
+        r = 0.5 * (xs[-2] + xs[-1])
+        roots, rows = self.scan_periodic_line(r, 1.0014e-3)
+        assert rows[-1].tolist() == [*xs[-4:-1], 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]
+        assert roots == pytest.approx([r], abs=1e-12) and xs[-2] < roots[0] < 5.0
+
     def test_brackets_are_neighbouring_samples(self, monkeypatch):
         # x + g(x) + 1 = -x^2 + 4x: kept blocks near the roots 0 and 4, and
         # the derivative changes sign at 2, inside the dropped blocks between.
