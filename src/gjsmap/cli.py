@@ -38,7 +38,7 @@ from .charfun import (
     invertibility_boundary,
 )
 from .encoding import OutputEncoder
-from .errors import GjsError, NoRealFixedPoint, NotQuadratic, UnsupportedDiscriminant
+from .errors import GjsError, NoRealFixedPoint, NotQuadratic, UnsupportedDiscriminant, or_none
 from .gha import (
     OperatorMatrix,
     build_gha,
@@ -83,6 +83,7 @@ from .orbit import (
     OrbitReport,
     cobweb,
     figure_bundle,
+    report_texts,
     report_to_dict,
     write_bundle,
     write_report_csvs,
@@ -249,14 +250,6 @@ def _verify(payload: dict, args, verify, rep) -> int:
     return 0 if report.passed else 2
 
 
-def _or_none(errors, func, *args):
-    """``func(*args)``, or None when it raises one of ``errors``."""
-    try:
-        return func(*args)
-    except errors:
-        return None
-
-
 # Handlers return ``(payload, exit code, files)``.  ``files`` is None or a
 # callable, called only under ``--out``, giving the ``{name: content}`` table
 # of :func:`_write_files`; :func:`_labelled` pairs each matrix with its CSV labels.
@@ -268,17 +261,17 @@ def _labelled(labels, files: dict) -> dict:
 
 def cmd_charfun_analyze(args):
     fn = args.fn
-    points = _or_none(NoRealFixedPoint, fixed_points, fn) or []
+    points = or_none(NoRealFixedPoint, fixed_points, fn) or []
     payload: dict = {
         "fn": charfn_to_dict(fn),
         "degree": fn.degree,
-        "discriminant": _or_none(NotQuadratic, discriminant, fn),
-        "boundary": _or_none(NotQuadratic, invertibility_boundary, fn),
+        "discriminant": or_none(NotQuadratic, discriminant, fn),
+        "boundary": or_none(NotQuadratic, invertibility_boundary, fn),
         "fixed_points": [fp.to_dict() for fp in points],
     }
     if args.x0 is not None:
         payload["x0"] = args.x0
-        region = _or_none((NotQuadratic, UnsupportedDiscriminant), classify_region, fn, args.x0)
+        region = or_none((NotQuadratic, UnsupportedDiscriminant), classify_region, fn, args.x0)
         payload["region"] = region.value if region else None
     return payload, 0, None
 
@@ -474,11 +467,15 @@ def cmd_run(args):
 
 
 def _encode(value) -> str:
-    """The one JSON encoding, for stdout and every JSON file."""
+    """The one JSON encoding, for stdout and every JSON file but the orbit reports'."""
     try:
         return json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise CliError(f"output cannot be encoded as JSON: {exc}") from exc
+        raise _unencodable(exc) from exc
+
+
+def _unencodable(exc: ValueError) -> CliError:
+    return CliError(f"output cannot be encoded as JSON: {exc}")
 
 
 def _write_files(out_dir, files: dict) -> list[str]:
@@ -492,14 +489,19 @@ def _write_files(out_dir, files: dict) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     for name, content in files.items():
-        if isinstance(content, FigureBundle):
-            names += write_bundle(content, out)
-            continue
-        if isinstance(content, OrbitReport):
-            write_report_json(content, out / f"{name}.json")
-            write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv")
-            names += [f"{name}.json", f"{name}_curve.csv", f"{name}_cobweb.csv"]
-            continue
+        try:
+            if isinstance(content, FigureBundle):
+                names += write_bundle(content, out)
+                continue
+            if isinstance(content, OrbitReport):
+                texts = report_texts(content)
+                write_report_json(content, out / f"{name}.json", texts)
+                write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv",
+                                  texts)
+                names += [f"{name}.json", f"{name}_curve.csv", f"{name}_cobweb.csv"]
+                continue
+        except ValueError as exc:  # a report JSON with a non-finite number
+            raise _unencodable(exc) from exc
         if isinstance(content, tuple):
             write_matrix_csv(content[0], out / name, content[1])
         else:

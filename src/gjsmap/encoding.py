@@ -6,19 +6,24 @@ byte.  With an indent the standard library encodes in pure Python, one
 generator step per number.  Payloads here are mostly rectangular nests of
 floats (curve samples, cobweb segments, matrices, the basis), so this encoder
 formats each such nest in one pass: it flattens the nest, formats the leaves
-with ``map(float.__repr__, ...)`` and interleaves a cycled table of the
-separators that fall between leaves.  Every other value is walked in the
+with ``map(float.__repr__, ...)`` and joins them list by list with the
+separators that fall between items.  Every other value is walked in the
 standard library's order.  Anything this walk does not cover (a non-finite
 float, a non-string key, an unknown type, a cycle, no indent, ``sort_keys``
 or ``ensure_ascii=False``) sends the whole value to the standard encoder, so
 its output and its exact error messages are kept.
+
+A caller that has already formatted the leaves of a nest (an orbit report
+formats each distinct number once and repeats its text) passes a
+:class:`FormattedNest`.  The walk joins those strings with the same
+separators; the standard encoder gets the plain nest instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, cycle
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 _SEQUENCES = (list, tuple)
@@ -26,6 +31,15 @@ _SEQUENCES = (list, tuple)
 
 class _Unsupported(Exception):
     """The value needs the standard encoder."""
+
+
+class FormattedNest:
+    """The float nest ``plain`` of ``shape``, with ``leaves`` yielding its leaf texts row-major."""
+
+    __slots__ = ("plain", "shape", "leaves")
+
+    def __init__(self, plain, shape: tuple[int, ...], leaves):
+        self.plain, self.shape, self.leaves = plain, shape, leaves
 
 
 class OutputEncoder(json.JSONEncoder):
@@ -41,6 +55,11 @@ class OutputEncoder(json.JSONEncoder):
         except (_Unsupported, RecursionError, ValueError):  # a cycle; an int too long for str
             return super().encode(o)
         return "".join(out)
+
+    def default(self, o):
+        if type(o) is FormattedNest:
+            return o.plain
+        return super().default(o)
 
 
 class _Walk:
@@ -68,6 +87,8 @@ class _Walk:
             self.sequence(o, level)
         elif isinstance(o, dict):
             self.mapping(o, level)
+        elif type(o) is FormattedNest:
+            self.out.append(self.nest_text(o.shape, o.leaves, level) if o.shape[0] else "[]")
         else:
             raise _Unsupported
 
@@ -132,37 +153,32 @@ class _Walk:
             fmt = int.__repr__
         else:
             return None
-        separators = self.nest_separators(shape, level)
-        parts = list(chain.from_iterable(zip(map(fmt, leaves), cycle(separators))))
-        depth = len(shape)
-        parts[-1] = "".join(
-            "\n" + self.indent * (level + d) + "]" for d in reversed(range(depth))
-        )
-        body = "".join(parts)
-        if fmt is float.__repr__ and "n" in body:
-            raise _Unsupported  # "nan" or "inf", or an indent with an "n" in it
-        return "".join("[\n" + self.indent * (level + d + 1) for d in range(depth)) + body
+        return self.nest_text(shape, map(fmt, leaves), level)
 
-    def nest_separators(self, shape: list[int], level: int) -> list[str]:
-        """What follows each leaf of one outermost item of a nest of ``shape``.
+    def nest_text(self, shape: tuple[int, ...] | list[int], leaves, level: int) -> str:
+        """Text of a non-empty nest of ``shape`` from its leaf strings, in row-major order.
 
-        After a leaf that ends ``r`` inner lists, the separator closes those
-        ``r`` lists, puts the item separator and opens ``r`` new ones.
+        The texts are joined list by list, innermost first: between two items
+        that end ``r`` inner lists the separator closes those ``r`` lists, puts
+        the item separator and opens ``r`` new ones.
         """
-        depth = len(shape)
-        period = math.prod(shape[1:])
-        table = [""] * period
-        stride = 1
+        depth, indent = len(shape), self.indent
+        texts = leaves
         for rolled in range(depth):
-            closes = "".join(
-                "\n" + self.indent * (level + d) + "]"
-                for d in reversed(range(depth - rolled, depth))
+            inner = range(depth - rolled, depth)
+            separator = (
+                "".join("\n" + indent * (level + d) + "]" for d in reversed(inner))
+                + self.item_sep + "\n" + indent * (level + depth - rolled)
+                + "".join("[\n" + indent * (level + d + 1) for d in inner)
             )
-            opens = "".join(
-                "[\n" + self.indent * (level + d + 1) for d in range(depth - rolled, depth)
-            )
-            text = closes + self.item_sep + "\n" + self.indent * (level + depth - rolled) + opens
-            table[stride - 1::stride] = [text] * (period // stride)
-            if rolled + 1 < depth:
-                stride *= shape[depth - 1 - rolled]
-        return table
+            if rolled + 1 < depth:  # one text per list: groups of its length
+                texts = map(separator.join, zip(*[iter(texts)] * shape[depth - 1 - rolled]))
+        body = separator.join(texts)
+        if "n" in body:
+            raise _Unsupported  # "nan" or "inf", or an indent with an "n" in it
+        every = range(depth)
+        return (
+            "".join("[\n" + indent * (level + d + 1) for d in every)
+            + body
+            + "".join("\n" + indent * (level + d) + "]" for d in reversed(every))
+        )

@@ -1,10 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`or_none` to catch them."""
 
 from __future__ import annotations
 
 
 class GjsError(Exception):
     """Base class for every error this package raises on purpose."""
+
+
+def or_none(errors, func, *args):
+    """``func(*args)``, or None when it raises one of ``errors``."""
+    try:
+        return func(*args)
+    except errors:
+        return None
 
 
 class OverflowDiverged(GjsError):

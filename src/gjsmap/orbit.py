@@ -10,15 +10,19 @@ boundary and optional guide lines.
 The iterate sequence runs until the requested step count or the divergence
 bound; leaving the plot window only stops the drawn segments, not the
 recorded orbit.
+
+A report stores the iterates, the number of drawn steps and the flat curve
+samples, and derives the sample pairs, the diagonal and the segments.  Its
+writers build every JSON nest and CSV row from one repr per number
+(:func:`report_texts`), shared by the three files of a report.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -37,12 +41,13 @@ from .charfun import (
     invertibility_boundary,
     iterate,
 )
-from .encoding import OutputEncoder
+from .encoding import FormattedNest, OutputEncoder
 from .errors import (
     NoRealFixedPoint,
     NotQuadratic,
     OverflowDiverged,
     UnsupportedDiscriminant,
+    or_none,
 )
 
 #: Number of curve samples taken across the window.
@@ -69,7 +74,10 @@ class GuideLine:
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Plot-ready data for one orbit of one characteristic function."""
+    """Plot-ready data for one orbit of one characteristic function.
+
+    The segments draw ``drawn`` orbit steps; the curve samples are ``sample_x``, ``sample_fx``.
+    """
 
     fn: CharFn
     x0: float
@@ -78,13 +86,29 @@ class OrbitReport:
     iterates: tuple[float, ...]
     truncated_divergence: bool
     truncated_window: bool
-    fn_samples: tuple[Point, ...]
-    diagonal_samples: tuple[Point, ...]
-    cobweb_segments: tuple[Segment, ...]
+    drawn: int
+    sample_x: tuple[float, ...]
+    sample_fx: tuple[float, ...]
     fixed_points: tuple[FixedPointInfo, ...]
     boundary: Optional[float]
     region_label: Optional[RegionLabel]
     guide_lines: tuple[GuideLine, ...] = ()
+
+    @property
+    def fn_samples(self) -> tuple[Point, ...]:
+        return tuple(zip(self.sample_x, self.sample_fx))
+
+    @property
+    def diagonal_samples(self) -> tuple[Point, ...]:
+        return tuple(zip(self.sample_x, self.sample_x))
+
+    @property
+    def cobweb_segments(self) -> tuple[Segment, ...]:
+        """Step ``k`` draws ``(x_k, x_k) -> (x_k, x_k+1)``, then ``-> (x_k+1, x_k+1)``."""
+        it = self.iterates
+        return tuple(chain.from_iterable(
+            (((a, a), (a, b)), ((a, b), (b, b))) for a, b in zip(it, it[1:self.drawn + 1])
+        ))
 
 
 def cobweb(
@@ -108,14 +132,8 @@ def cobweb(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    try:
-        fps = tuple(fixed_points(fn))
-    except (NoRealFixedPoint, ValueError):
-        fps = ()
-    try:
-        boundary = invertibility_boundary(fn)
-    except NotQuadratic:
-        boundary = None
+    fps = tuple(or_none((NoRealFixedPoint, ValueError), fixed_points, fn) or ())
+    boundary = or_none(NotQuadratic, invertibility_boundary, fn)
     if window is None:
         extra = () if boundary is None else (boundary,)
         window = _window_from_landmarks((x0, *(fp.location for fp in fps), *extra))
@@ -129,30 +147,17 @@ def cobweb(
         orbit = exc.iterates
         truncated_divergence = True
 
-    segments: list[Segment] = []
-    truncated_window = False
-    prev_y = orbit[0]
-    for k in range(len(orbit) - 1):
-        x, y = orbit[k], orbit[k + 1]
-        if not (lo <= x <= hi):
-            truncated_window = True
-            break
-        segments.append(((x, prev_y), (x, y)))
-        segments.append(((x, y), (y, y)))
-        prev_y = y
-        if not (lo <= y <= hi):
-            truncated_window = True
-            break
+    # the segments draw every step up to the first iterate outside the window;
+    # a lone start value draws nothing, so no window cuts it
+    outside = next((k for k, x in enumerate(orbit) if not lo <= x <= hi), len(orbit))
+    truncated_window = outside < len(orbit) and len(orbit) > 1
+    drawn = min(outside, len(orbit) - 1)
 
-    xs = np.linspace(lo, hi, samples)
-    ys = _horner(fn.coefficients, xs)
-    fn_samples = tuple((float(x), float(y)) for x, y in zip(xs, ys))
-    diagonal = tuple((float(x), float(x)) for x in xs)
-
-    try:
-        region = classify_region(fn, x0)
-    except (NotQuadratic, UnsupportedDiscriminant):
-        region = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(lo, hi, samples)
+        ys = _horner(fn.coefficients, xs)
+    if not np.isfinite(ys).all():  # a non-finite x gives a non-finite fn(x)
+        raise ValueError(f"the curve samples on the window [{lo!r}, {hi!r}] are not finite")
 
     return OrbitReport(
         fn=fn,
@@ -162,12 +167,12 @@ def cobweb(
         iterates=tuple(orbit),
         truncated_divergence=truncated_divergence,
         truncated_window=truncated_window,
-        fn_samples=fn_samples,
-        diagonal_samples=diagonal,
-        cobweb_segments=tuple(segments),
+        drawn=drawn,
+        sample_x=tuple(xs.tolist()),
+        sample_fx=tuple(ys.tolist()),
         fixed_points=fps,
         boundary=boundary,
-        region_label=region,
+        region_label=or_none((NotQuadratic, UnsupportedDiscriminant), classify_region, fn, x0),
         guide_lines=tuple(guide_lines),
     )
 
@@ -224,50 +229,29 @@ def figure_bundle(
     from -0.15 and 0.15.
     """
     name = FigureName(name.lower() if isinstance(name, str) else name)
+
+    def trace(fn, x0, landmarks, n=steps, guides=()):
+        window = _window_from_landmarks(landmarks)
+        return cobweb(fn, x0, n, window, bound=bound, guide_lines=guides)
+
     if name is FigureName.FIG1:
-        window = _window_from_landmarks((0.5, 0.7, 0.56, 0.85))
-        return FigureBundle(
-            name.value,
-            (
-                ("a", cobweb(_FIG1_FN, 0.56, steps, window, bound=bound)),
-                ("b", cobweb(_FIG1_FN, 0.85, steps, window, bound=bound)),
-            ),
-        )
-    if name is FigureName.FIG2:
-        window = _window_from_landmarks((1.0, 1.5, -0.05))
-        return FigureBundle(
-            name.value,
-            (("b", cobweb(_FIG2_GN, -0.05, steps, window, bound=bound)),),
-        )
-    if name is FigureName.FIG3:
+        landmarks = (0.5, 0.7, 0.56, 0.85)
+        series = (("a", trace(_FIG1_FN, 0.56, landmarks)), ("b", trace(_FIG1_FN, 0.85, landmarks)))
+    elif name is FigureName.FIG2:
+        series = (("b", trace(_FIG2_GN, -0.05, (1.0, 1.5, -0.05))),)
+    elif name is FigureName.FIG3:
         alpha_j = 0.33479
         cut_value = -alpha_j - 1.0
-        window = _window_from_landmarks((1.0, 1.5, alpha_j, cut_value))
         guide = GuideLine("vertical", cut_value, "cut line: -alpha_j - 1")
-        return FigureBundle(
-            name.value,
-            (
-                (
-                    "a",
-                    cobweb(
-                        _FIG2_GN, alpha_j, 2, window, bound=bound, guide_lines=(guide,)
-                    ),
-                ),
-            ),
-        )
-    window_f = _window_from_landmarks((-1.0, -1.5, -0.15))
-    window_g = _window_from_landmarks((1.0, 1.5, 0.15))
-    return FigureBundle(
-        name.value,
-        (
-            ("oscillator", cobweb(_FIG4_FN, -0.15, steps, window_f, bound=bound)),
-            ("weight", cobweb(_FIG2_GN, 0.15, steps, window_g, bound=bound)),
-        ),
-    )
+        series = (("a", trace(_FIG2_GN, alpha_j, (1.0, 1.5, alpha_j, cut_value), 2, (guide,))),)
+    else:
+        series = (("oscillator", trace(_FIG4_FN, -0.15, (-1.0, -1.5, -0.15))),
+                  ("weight", trace(_FIG2_GN, 0.15, (1.0, 1.5, 0.15))))
+    return FigureBundle(name.value, series)
 
 
 def report_to_dict(report: OrbitReport) -> dict:
-    """The report as JSON-ready values; the sample and segment nests are its own tuples."""
+    """The report as JSON-ready values; the sample and segment nests are plain tuples."""
     return {
         "fn": charfn_to_dict(report.fn),
         "x0": report.x0,
@@ -286,25 +270,44 @@ def report_to_dict(report: OrbitReport) -> dict:
     }
 
 
-def write_report_json(report: OrbitReport, path) -> None:
-    payload = json.dumps(report_to_dict(report), cls=OutputEncoder, indent=2, allow_nan=False)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+def report_texts(report: OrbitReport) -> list[list[str]]:
+    """The reprs of the sample abscissae, the sample values and the iterates, for the writers."""
+    values = (report.sample_x, report.sample_fx, report.iterates)
+    return [list(map(float.__repr__, v)) for v in values]
 
 
-def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
-    """CSV pair: curve/diagonal samples and cobweb segments."""
-    with open(curve_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "fn", "diagonal"])
-        # zip draws from its arguments in order: x and fn from one stream, then diagonal
-        curve = map(repr, chain.from_iterable(report.fn_samples))
-        diagonal = map(repr, islice(chain.from_iterable(report.diagonal_samples), 1, None, 2))
-        writer.writerows(zip(curve, curve, diagonal))
-    with open(cobweb_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x1", "y1", "x2", "y2"])
-        ends = map(repr, chain.from_iterable(chain.from_iterable(report.cobweb_segments)))
-        writer.writerows(zip(ends, ends, ends, ends))
+def write_report_json(report: OrbitReport, path, texts=None) -> None:
+    """The report as indented JSON; ``texts`` is :func:`report_texts`, made here if None."""
+    x, fx, it = texts or report_texts(report)
+    segments = chain.from_iterable(
+        (a, a, a, b, a, b, b, b) for a, b in zip(it, it[1 : report.drawn + 1])
+    )
+    payload = report_to_dict(report)
+    for key, shape, leaves in (
+        ("iterates", (len(it),), it),
+        ("fn_samples", (len(x), 2), chain.from_iterable(zip(x, fx))),
+        ("diagonal_samples", (len(x), 2), chain.from_iterable(zip(x, x))),
+        ("cobweb_segments", (2 * report.drawn, 2, 2), segments),
+    ):
+        payload[key] = FormattedNest(payload[key], shape, leaves)
+    text = json.dumps(payload, cls=OutputEncoder, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def write_report_csvs(report: OrbitReport, curve_path, cobweb_path, texts=None) -> None:
+    """CSV pair: curve/diagonal samples and cobweb segments; ``texts`` as for the JSON.
+
+    A float's repr never needs CSV quoting, so each row is its fields joined by commas.
+    """
+    x, fx, it = texts or report_texts(report)
+    for path, header, rows in (
+        (curve_path, ("x", "fn", "diagonal"), zip(x, fx, x)),
+        (cobweb_path, ("x1", "y1", "x2", "y2"), chain.from_iterable(
+            ((a, a, a, b), (a, b, b, b)) for a, b in zip(it, it[1 : report.drawn + 1])
+        )),
+    ):
+        text = "\n".join(map(",".join, chain((header,), rows, ((),))))
+        Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def write_bundle(bundle: FigureBundle, out_dir) -> list[str]:
@@ -314,9 +317,8 @@ def write_bundle(bundle: FigureBundle, out_dir) -> list[str]:
     created = []
     for series, report in bundle.reports:
         stem = f"{bundle.name}_{series}"
-        write_report_json(report, out / f"{stem}.json")
-        write_report_csvs(
-            report, out / f"{stem}_curve.csv", out / f"{stem}_cobweb.csv"
-        )
+        texts = report_texts(report)
+        write_report_json(report, out / f"{stem}.json", texts)
+        write_report_csvs(report, out / f"{stem}_curve.csv", out / f"{stem}_cobweb.csv", texts)
         created.extend([f"{stem}.json", f"{stem}_curve.csv", f"{stem}_cobweb.csv"])
     return created

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -22,8 +25,9 @@ from gjsmap import (
     functional_G,
     gauss_factorial,
     invertibility_region,
+    report_to_dict,
 )
-from gjsmap.charfun import _bisect
+from gjsmap.charfun import _bisect, _horner
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.
@@ -334,3 +338,52 @@ def full_grid_closure_roots(gn: CharFn, d: int, kind: str, window: float, step: 
     center = hi_r if math.isfinite(hi_r) else lo_r if math.isfinite(lo_r) else 0.0
     return full_grid_scan_roots(func, dfunc, center - window, center + window, step,
                                 residual_tol)
+
+
+# Orbit reports as cobweb built them and the writers wrote them before a report
+# stored flat samples and each number was formatted once per file: the segment
+# loop, one float() per sample, the standard library's JSON encoding and
+# csv.writer rows.
+
+
+def reference_cobweb_parts(fn: CharFn, orbit: list[float], window: tuple[float, float],
+                           samples: int) -> tuple:
+    """``(fn_samples, diagonal_samples, cobweb_segments, truncated_window)`` of one orbit."""
+    lo, hi = window
+    segments = []
+    truncated_window = False
+    prev_y = orbit[0]
+    for k in range(len(orbit) - 1):
+        x, y = orbit[k], orbit[k + 1]
+        if not (lo <= x <= hi):
+            truncated_window = True
+            break
+        segments.append(((x, prev_y), (x, y)))
+        segments.append(((x, y), (y, y)))
+        prev_y = y
+        if not (lo <= y <= hi):
+            truncated_window = True
+            break
+    xs = np.linspace(lo, hi, samples)
+    ys = _horner(fn.coefficients, xs)
+    fn_samples = tuple((float(x), float(y)) for x, y in zip(xs, ys))
+    diagonal = tuple((float(x), float(x)) for x in xs)
+    return fn_samples, diagonal, tuple(segments), truncated_window
+
+
+def reference_report_json(report) -> str:
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+
+
+def reference_report_csvs(report) -> tuple[str, str]:
+    """Text of the curve CSV and of the cobweb CSV."""
+    curve, cobweb = io.StringIO(), io.StringIO()
+    writer = csv.writer(curve, lineterminator="\n")
+    writer.writerow(["x", "fn", "diagonal"])
+    for (x, y), (_, d) in zip(report.fn_samples, report.diagonal_samples):
+        writer.writerow([repr(x), repr(y), repr(d)])
+    writer = csv.writer(cobweb, lineterminator="\n")
+    writer.writerow(["x1", "y1", "x2", "y2"])
+    for (x1, y1), (x2, y2) in report.cobweb_segments:
+        writer.writerow([repr(x1), repr(y1), repr(x2), repr(y2)])
+    return curve.getvalue(), cobweb.getvalue()

@@ -406,6 +406,12 @@ PERIODIC = ["gsl2", "periodic", "--gn", GN_FIG2, "--d", "1"]
 COBWEB = ["orbit", "cobweb", "--fn", FN_FIG1, "--steps", "5"]
 SHELL = ["jsmap", "verify", "--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alphaj", "1",
          "--j", "1"]
+WIDE_COBWEB = [*COBWEB, "--x0", "0.56", "--window=-1e200,1e200"]
+SAMPLES_ERROR = "ValueError: the curve samples on the window [-1e+200, 1e+200] are not finite"
+INF_COBWEB = ["orbit", "cobweb", "--fn", '{"coefficients":[0,0,1],"orientation":"oscillator"}',
+              "--x0", "2", "--steps", "20"]
+INF_ERROR = ("output cannot be encoded as JSON: "
+             "Out of range float values are not JSON compliant: inf")
 NAN_TOL_JOB = {"jobs": [{"name": "nan-tol", "command": "gha build",
                          "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3,
                                     "verify": True, "tol": "nan"}}]}
@@ -467,6 +473,13 @@ BAD_INPUTS = {
                                       "too large for numpy"),
     "window-size at 2**63 blocks": ([*CUT, "--window-size", "1.8889465931478582e+18"], None, None,
                                     "too large for numpy"),
+    # fn overflows on most of the curve samples; the orbit itself stays finite
+    "cobweb samples overflow": (WIDE_COBWEB, None, None, SAMPLES_ERROR),
+    "cobweb samples overflow with --out": ([*WIDE_COBWEB, "--out", "o"], None, None,
+                                           SAMPLES_ERROR),
+    # the kept partial orbit ends in inf
+    "cobweb report with inf": (INF_COBWEB, "1e300", None, INF_ERROR),
+    "cobweb report with inf with --out": ([*INF_COBWEB, "--out", "o"], "1e300", None, INF_ERROR),
 }
 
 
@@ -540,6 +553,43 @@ def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
         assert job["status"] == "error"
         assert job["error"].startswith("ValueError: ") and named in job["error"]
     assert small["status"] == "ok"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, bound, message, params, job_error", [
+    # a batch job cannot pass "-1e200,..." as a value, so its window starts at 0.4
+    (WIDE_COBWEB, None, SAMPLES_ERROR,
+     {"fn": json.loads(FN_FIG1), "x0": 0.56, "steps": 5, "window": "0.4,1e200"},
+     "ValueError: the curve samples on the window [0.4, 1e+200] are not finite"),
+    (INF_COBWEB, "1e300", INF_ERROR,
+     {"fn": {"coefficients": [0, 0, 1], "orientation": "oscillator"}, "x0": 2, "steps": 20},
+     "CliError: " + INF_ERROR),
+])
+def test_unwritable_report_is_one_error_with_or_without_out(argv, bound, message, params,
+                                                            job_error, capsys, monkeypatch,
+                                                            tmp_path):
+    monkeypatch.chdir(tmp_path)
+    if bound is None:
+        monkeypatch.delenv("GJS_DIVERGENCE_BOUND", raising=False)
+    else:
+        monkeypatch.setenv("GJS_DIVERGENCE_BOUND", bound)
+    for extra in ([], ["--out", "o"]):
+        code, payload, err = run_cli(capsys, *argv, *extra)
+        assert (code, payload) == (1, None)
+        assert json.loads(err) == {"error": message}
+    assert not list(tmp_path.glob("o/*"))
+    jobs = [{"name": "output", "command": "orbit cobweb", "params": params, "output": "p.json"},
+            {"name": "out", "command": "orbit cobweb", "params": {**params, "out": "b"}},
+            {"name": "small", "command": "orbit cobweb",
+             "params": {"fn": json.loads(FN_FIG1), "x0": 0.56, "steps": 2}}]
+    (tmp_path / "jobs.json").write_text(json.dumps({"jobs": jobs}))
+    code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
+    assert (code, err) == (1, "")
+    output, out, small = payload["jobs"]
+    for job in (output, out):
+        assert (job["status"], job["error"]) == ("error", job_error)
+    assert small["status"] == "ok"
+    assert not (tmp_path / "p.json").exists() and not list(tmp_path.glob("b/*"))
 
 
 class TestLabelsOnlyAtExport:
