@@ -191,6 +191,12 @@ def derivative_at(fn: CharFn, x):
 def iterate(fn: CharFn, x0: float, m: int, bound: float = DIVERGENCE_BOUND) -> list[float]:
     """The orbit ``[x0, fn(x0), ..., fn^(m)(x0)]`` (length ``m + 1``).
 
+    Each step is :func:`_horner` inlined: the same operations in the same
+    order over every coefficient, trailing zeros included, so the orbit is
+    bit for bit that of repeated :func:`evaluate` calls.  Each iterate is
+    checked as it is made, by two comparisons against the bound capped at the
+    largest finite float, which is ``abs(x) <= bound and math.isfinite(x)``.
+
     Raises
     ------
     OverflowDiverged
@@ -199,17 +205,24 @@ def iterate(fn: CharFn, x0: float, m: int, bound: float = DIVERGENCE_BOUND) -> l
     """
     if m < 0:
         raise ValueError("iteration count must be non-negative")
-    xs = [float(x0)]
-    if not (abs(xs[0]) <= bound and math.isfinite(xs[0])):
-        raise OverflowDiverged(
-            f"start value {xs[0]!r} already exceeds the bound {bound!r}", xs
-        )
-    for step in range(m):
-        xs.append(evaluate(fn, xs[-1]))
-        if not (abs(xs[-1]) <= bound and math.isfinite(xs[-1])):
-            raise OverflowDiverged(
-                f"iterate {step + 1} = {xs[-1]!r} exceeds the bound {bound!r}", xs
-            )
+    x = float(x0)
+    xs = [x]
+    if not (abs(x) <= bound and math.isfinite(x)):
+        raise OverflowDiverged(f"start value {x!r} already exceeds the bound {bound!r}", xs)
+    if m == 0:
+        return xs
+    lead, rest, append = fn.coefficients[-1], fn.coefficients[-2::-1], xs.append
+    # The start check passed, so 0 <= bound; capped at the largest float, inf and NaN fail.
+    hi = bound if bound < math.inf else math.nextafter(math.inf, 0.0)
+    lo = -hi
+    for step in range(1, m + 1):
+        acc = lead
+        for c in rest:
+            acc = acc * x + c
+        x = acc
+        append(x)
+        if not lo <= x <= hi:
+            raise OverflowDiverged(f"iterate {step} = {x!r} exceeds the bound {bound!r}", xs)
     return xs
 
 

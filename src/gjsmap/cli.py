@@ -400,10 +400,8 @@ def _job_argv(job: dict) -> list[str]:
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
-        elif isinstance(value, dict):
-            argv.extend([flag, json.dumps(value)])
-        else:
-            argv.extend([flag, str(value)])
+        else:  # one "flag=value" item, so a value that starts with "-" is not read as an option
+            argv.append(f"{flag}={json.dumps(value) if isinstance(value, dict) else value}")
     return argv
 
 
@@ -449,6 +447,8 @@ def cmd_run(args):
             if output is not None:
                 path = Path(output)
                 _write_files(path.parent, {path.name: payload})
+            else:  # a payload the run's stdout cannot hold fails this job, not the run
+                _encode(payload)
         except (CliError, GjsError, ValueError, OSError, MemoryError) as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"

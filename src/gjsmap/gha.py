@@ -68,7 +68,9 @@ def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
     Each entry has one term: ``x.values * y.values``, after ``k`` zeros or before ``-k``.
     """
     k = y.offset
-    return np.pad(x.values * y.values, (max(k, 0), max(-k, 0)))
+    out = np.zeros(x.values.size + abs(k))
+    out[max(k, 0) : out.size + min(k, 0)] = x.values * y.values
+    return out
 
 
 def write_matrix_csv(matrix: OperatorMatrix, path, labels: tuple[str, tuple[str, ...]]) -> None:

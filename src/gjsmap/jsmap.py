@@ -53,7 +53,6 @@ from .gha import (
     _gauss_denominator,
     _gauss_from_orbit,
     build_gha,
-    gauss_factorial,
     gauss_numbers,
     gha_to_dict,
 )
@@ -445,7 +444,8 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
 
     Applies the raising operators ``n2`` times on the second mode and ``n1``
     times on the first, then divides by ``M0**(n1+n2) sqrt([n1]_f!) sqrt([n2]_f!)``,
-    whose two square roots keep the norm finite wherever the entry is.
+    whose two square roots keep the norm finite wherever the entry is.  The
+    Gauss numbers come from the ladder's own eigenvalues, so nothing is iterated.
     Only available on a full grid, which contains the vacuum.
 
     Raises
@@ -456,15 +456,15 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     if not isinstance(space.mode, FullGrid):
         raise OutOfBasis("state vectors need a full-grid basis")
     index = space.index_of(n1, n2)
-    lad, dim = space.gha.ladder, space.mode.dim
-    m0 = lad[0] if dim > 1 else 0.0
-    fn, alpha0 = space.gha.fn, space.gha.alpha0
-    amplitude = math.prod(lad[:n1], start=math.prod(lad[:n2]))
+    gha, dim = space.gha, space.mode.dim
+    m0 = gha.ladder[0] if dim > 1 else 0.0
+    gauss = _gauss_from_orbit(gha.eigenvalues, _gauss_denominator(gha.fn, gha.alpha0)).tolist()
+    amplitude = math.prod(gha.ladder[:n1], start=math.prod(gha.ladder[:n2]))
     try:
         norm = (
             (m0 ** (n1 + n2))
-            * math.sqrt(gauss_factorial(fn, alpha0, n1))
-            * math.sqrt(gauss_factorial(fn, alpha0, n2))
+            * math.sqrt(math.prod(gauss[1 : n1 + 1], start=1.0))
+            * math.sqrt(math.prod(gauss[1 : n2 + 1], start=1.0))
         )
     except OverflowError:
         norm = math.inf

@@ -27,7 +27,8 @@ from gjsmap import (
     invertibility_region,
     report_to_dict,
 )
-from gjsmap.charfun import _bisect, _horner
+from gjsmap.charfun import DIVERGENCE_BOUND, _bisect, _horner
+from gjsmap.errors import OverflowDiverged
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.
@@ -137,6 +138,28 @@ def gauss_number_fraction(coeffs_frac, alpha0: Fraction, m: int) -> Fraction:
         xs.append(poly(xs[-1]))
     denom = poly(alpha0) - alpha0
     return (xs[m] - alpha0) / denom
+
+
+def reference_iterate(fn: CharFn, x0: float, m: int, bound: float = DIVERGENCE_BOUND) -> list[float]:
+    """The orbit as ``charfun.iterate`` built it before its step was inlined.
+
+    One :func:`evaluate` call per step, each iterate checked with
+    ``math.isfinite``; the same message and partial orbit on divergence.
+    """
+    if m < 0:
+        raise ValueError("iteration count must be non-negative")
+    xs = [float(x0)]
+    if not (abs(xs[0]) <= bound and math.isfinite(xs[0])):
+        raise OverflowDiverged(
+            f"start value {xs[0]!r} already exceeds the bound {bound!r}", xs
+        )
+    for step in range(m):
+        xs.append(evaluate(fn, xs[-1]))
+        if not (abs(xs[-1]) <= bound and math.isfinite(xs[-1])):
+            raise OverflowDiverged(
+                f"iterate {step + 1} = {xs[-1]!r} exceeds the bound {bound!r}", xs
+            )
+    return xs
 
 
 # Dense references: every operator as a full matrix and every identity as a

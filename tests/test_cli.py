@@ -557,7 +557,7 @@ def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, bound, message, params, job_error", [
-    # a batch job cannot pass "-1e200,..." as a value, so its window starts at 0.4
+    # the batch job's window starts at 0.4, so its error names another window
     (WIDE_COBWEB, None, SAMPLES_ERROR,
      {"fn": json.loads(FN_FIG1), "x0": 0.56, "steps": 5, "window": "0.4,1e200"},
      "ValueError: the curve samples on the window [0.4, 1e+200] are not finite"),
@@ -590,6 +590,39 @@ def test_unwritable_report_is_one_error_with_or_without_out(argv, bound, message
         assert (job["status"], job["error"]) == ("error", job_error)
     assert small["status"] == "ok"
     assert not (tmp_path / "p.json").exists() and not list(tmp_path.glob("b/*"))
+
+
+def test_job_string_param_may_start_with_a_dash(capsys, tmp_path):
+    _, direct, _ = run_cli(capsys, *COBWEB, "--x0", "0.56", "--window=-1,1")
+    params = {"fn": json.loads(FN_FIG1), "steps": 5, "x0": 0.56, "window": "-1,1"}
+    assert _job_argv({"command": "orbit cobweb", "params": params})[-1] == "--window=-1,1"
+    (tmp_path / "jobs.json").write_text(json.dumps(
+        {"jobs": [{"name": "neg", "command": "orbit cobweb", "params": params}]}))
+    code, payload, err = run_cli(capsys, "run", "--config", str(tmp_path / "jobs.json"))
+    assert (code, err) == (0, "")
+    (job,) = payload["jobs"]
+    assert (job["status"], job["payload"]) == ("ok", direct)
+    assert direct["report"]["window"] == [-1.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unencodable_payload_fails_its_job_not_the_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GJS_DIVERGENCE_BOUND", "1e300")
+    analyze = ["charfun", "analyze", "--fn", FN_FIG1, "--x0", "0.56"]
+    _, direct, _ = run_cli(capsys, *analyze)
+    jobs = [{"name": "inf", "command": "orbit cobweb",
+             "params": {"fn": {"coefficients": [0, 0, 1], "orientation": "oscillator"},
+                        "x0": 2, "steps": 20}},
+            {"name": "good", "command": "charfun analyze",
+             "params": {"fn": json.loads(FN_FIG1), "x0": 0.56}}]
+    (tmp_path / "jobs.json").write_text(json.dumps({"jobs": jobs}))
+    code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
+    assert (code, err) == (1, "")
+    inf, good = payload["jobs"]
+    assert inf == {"name": "inf", "command": "orbit cobweb", "status": "error",
+                   "error": "CliError: " + INF_ERROR}
+    assert (good["status"], good["payload"]) == ("ok", direct)
 
 
 class TestLabelsOnlyAtExport:
