@@ -104,6 +104,14 @@ class _HelpRequested(CliError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        import re  # argparse has loaded it already
+
+        super().__init__(*args, **kwargs)
+        # argparse takes only "-1" and "-1.5" for negative numbers, so it would
+        # read "-1e-05", "-1/2", "-1,1", "-inf" or "-nan" as an option.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
+
     def error(self, message):
         raise CliError(message)
 

@@ -24,7 +24,9 @@ twice the residual tolerance therefore holds no zero sample, no sign change
 and no tangent candidate that would pass the residual test; skipping it
 leaves the roots bit for bit as the full grid gives them.  Most of the
 default window is such blocks, where ``g^(d)`` has run off towards infinity.
-The kept blocks are the rows of one sample array, scanned in a single pass.
+The same test then runs on the ``SUB``-pair boxes of each kept block, by the
+same argument per box, and only the boxes it keeps are sampled: they are the
+rows of one sample array, scanned in a single pass.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ from .errors import (
 )
 from .gha import OperatorMatrix, ResidualReport, _clamped, _diag_product, _relation_residuals
 
-#: Sample pairs per block of the closure scan; see :func:`_scan_roots`.
+#: Sample pairs per block and per box of the closure scan's two pruning
+#: levels; see :func:`_scan_roots`.
 BLOCK = 4096
+SUB = 64
 
 #: Default residual accepted when a caller supplies the closure value
 #: directly (loose enough for a 5-digit root); solver-recomputed roots are
@@ -335,9 +339,11 @@ def _scan_roots(
     lie above ``t`` or below ``-t``, with ``t = 2 residual_tol max(1, |x|)``
     over the box, holds no zero sample, no sign change and no tangent
     candidate that could pass the residual test, so skipping it changes no
-    root; a block with a NaN bound is kept.  The kept blocks are the rows of
-    one sample array, so no neighbour pair spans a gap; a short last row
-    repeats ``hi``, and a zero sample two rows share is deduplicated.
+    root; a block with a NaN bound is kept.  The same test then splits each
+    kept block into boxes of ``SUB`` pairs and drops a box for the same
+    reason, per box.  The kept boxes are the rows of one sample array, so no
+    neighbour pair spans a gap; a short last row repeats ``hi``, and a zero
+    sample or a bracket two rows share is deduplicated.
     """
     if not math.isfinite((hi - lo) / step):
         raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} has no finite size")
@@ -347,20 +353,26 @@ def _scan_roots(
         raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} is too large for numpy")
     h = (hi - lo) / (n - 1)
     starts = np.arange(0, n - 1, BLOCK, dtype=float)
-    ends = np.minimum(starts + BLOCK, n - 1)
-    box_lo = starts * h + lo
-    box_hi = ends * h + lo
-    # The last sample is hi itself, which rounding may place on either side
-    # of (n - 1) * h + lo.
-    box_lo[-1] = min(box_lo[-1], hi)
-    box_hi[-1] = max(box_hi[-1], hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, f_hi = enclosure(box_lo, box_hi)
-        t = 2.0 * residual_tol * np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
-        keep = ~((f_lo > t) | (f_hi < -t))
-    if not keep.any():
-        return []
-    index = np.minimum(starts[keep, None] + np.arange(BLOCK + 1), n - 1)
+    for size in (BLOCK, min(SUB, BLOCK)):
+        if size < BLOCK:
+            starts = (starts[:, None] + np.arange(0, BLOCK, size)).ravel()
+            starts = starts[starts < n - 1]
+        ends = np.minimum(starts + size, n - 1)
+        box_lo = starts * h + lo
+        box_hi = ends * h + lo
+        # The last sample is hi itself, which rounding may place on either
+        # side of (n - 1) * h + lo.
+        if ends[-1] == n - 1:
+            box_lo[-1] = min(box_lo[-1], hi)
+            box_hi[-1] = max(box_hi[-1], hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_lo, f_hi = enclosure(box_lo, box_hi)
+            t = 2.0 * residual_tol * np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
+            keep = ~((f_lo > t) | (f_hi < -t))
+        if not keep.any():
+            return []
+        starts = starts[keep]
+    index = np.minimum(starts[:, None] + np.arange(size + 1), n - 1)
     xs = index * h + lo
     xs[index == n - 1] = hi
     with np.errstate(over="ignore", invalid="ignore"):
@@ -380,7 +392,7 @@ def _scan_roots(
     dflips = dfinite[:, :-1] & dfinite[:, 1:] & (np.signbit(dys[:, :-1]) != np.signbit(dys[:, 1:]))
     for f, fs, pairs in ((func, ys, flips), (dfunc, dys, dflips)):
         # Row-major pair numbers: np.nonzero of a 2-D mask is far slower.
-        for i, j in zip(*np.divmod(np.flatnonzero(pairs), BLOCK)):
+        for i, j in zip(*np.divmod(np.flatnonzero(pairs), size)):
             u, v = float(xs[i, j]), float(xs[i, j + 1])
             roots.append(_bisect(f, u, v, float(fs[i, j]), float(fs[i, j + 1])))
     roots = [r for r in roots if abs(func(r)) <= residual_tol * max(1.0, abs(r))]

@@ -605,6 +605,45 @@ def test_job_string_param_may_start_with_a_dash(capsys, tmp_path):
     assert direct["report"]["window"] == [-1.0, 1.0]
 
 
+#: ``(argv, option, value)`` with a value that argparse's own negative-number
+#: pattern (``-1``, ``-1.5``) misses, and what the call must give instead.
+NEGATIVE_VALUES = {
+    "alpha0 in exponent form": (["gha", "build", "--fn", BOSON, "--dim", "3"], "--alpha0",
+                                "-1e-05", lambda payload: payload["rep"]["alpha0"] == -1e-05),
+    "x0 in exponent form": (["charfun", "analyze", "--fn", FN_FIG1], "--x0", "-2e-3",
+                            lambda payload: payload["x0"] == -2e-3),
+    "window from a negative end": ([*COBWEB, "--x0", "0.56"], "--window", "-1,1",
+                                   lambda payload: payload["report"]["window"] == [-1.0, 1.0]),
+}
+NEGATIVE_ERRORS = {
+    "negative rational j": (["jsmap", "build", "--fn", BOSON, "--alpha0", "0", "--gn", SL2,
+                             "--alphaj", "2"], "--j", "-1/2",
+                            "argument --j: j must be a non-negative half-integer"),
+    "x0 -inf": (["charfun", "analyze", "--fn", FN_FIG1], "--x0", "-inf",
+                "argument --x0: '-inf' is not a finite number"),
+    "x0 -nan": (["charfun", "analyze", "--fn", FN_FIG1], "--x0", "-nan",
+                "argument --x0: '-nan' is not a finite number"),
+    "x0 -Infinity": (["charfun", "analyze", "--fn", FN_FIG1], "--x0", "-Infinity",
+                     "argument --x0: '-Infinity' is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_VALUES))
+def test_negative_value_after_a_space_is_a_value(capsys, case):
+    argv, option, value, check = NEGATIVE_VALUES[case]
+    code, payload, err = run_cli(capsys, *argv, option, value)
+    assert (code, err) == (0, "") and check(payload)
+    assert run_cli(capsys, *argv, f"{option}={value}") == (code, payload, err)
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_ERRORS))
+def test_negative_value_after_a_space_is_judged_by_its_type(capsys, case):
+    argv, option, value, error = NEGATIVE_ERRORS[case]
+    code, payload, err = run_cli(capsys, *argv, option, value)
+    assert (code, payload, json.loads(err)) == (1, None, {"error": error})
+    assert run_cli(capsys, *argv, f"{option}={value}") == (code, payload, err)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unencodable_payload_fails_its_job_not_the_run(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)

@@ -377,10 +377,11 @@ class TestBlockScan:
         window=st.floats(5.0, 20.0),
         step=st.floats(8e-4, 1.2e-3),
         block=st.sampled_from([1, 3, 64, gsl2.BLOCK]),
+        sub=st.sampled_from([1, 2, 8, 64]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_full_grid_scan(self, coeffs, d, window, step, block):
-        with mock.patch.object(gsl2, "BLOCK", block):
+    def test_matches_full_grid_scan(self, coeffs, d, window, step, block, sub):
+        with mock.patch.object(gsl2, "BLOCK", block), mock.patch.object(gsl2, "SUB", sub):
             assert_full_grid_roots(CharFn(coeffs, Orientation.WEIGHT), d, window, step)
 
     @pytest.mark.parametrize("d", range(1, 6))
@@ -429,6 +430,42 @@ class TestBlockScan:
         assert rows.shape[1] == 9 and np.count_nonzero(rows == r) == 2
         assert roots == [r]
 
+    def test_zero_sample_two_kept_boxes_of_one_block_share(self, monkeypatch):
+        # Sample 4808 closes box 600 and opens box 601, both inside block 75.
+        monkeypatch.setattr(gsl2, "BLOCK", 64)
+        monkeypatch.setattr(gsl2, "SUB", 8)
+        assert 4808 // 64 == 75 and 4808 % 64 == 8
+        r = float(np.linspace(-5.0, 5.0, 10001)[4808])
+        roots, rows = self.scan_periodic_line(r, 1e-3)
+        assert rows.shape[1] == 9 and np.count_nonzero(rows == r) == 2
+        (first, second), _ = np.nonzero(rows == r)
+        assert second == first + 1 and rows[first, -1] == rows[second, 0] == r
+        assert roots == [r]
+
+    @pytest.mark.parametrize("side", [-0.25, 0.25])
+    def test_sign_change_at_a_shared_box_edge(self, monkeypatch, side):
+        # g(x) - x = x - r changes sign between sample 4808, which boxes 600
+        # and 601 of block 75 share, and its left or right neighbour.
+        monkeypatch.setattr(gsl2, "BLOCK", 64)
+        monkeypatch.setattr(gsl2, "SUB", 8)
+        xs = np.linspace(-5.0, 5.0, 10001)
+        r = xs[4808] + side * (xs[4809] - xs[4808])
+        gn = CharFn((-r, 2.0), Orientation.WEIGHT)
+        ys = xs + -r
+        flips = np.flatnonzero(np.signbit(ys[:-1]) != np.signbit(ys[1:]))
+        assert flips.tolist() == [4808 if side > 0 else 4807]
+        assert periodic_condition_solve(gn, 1, window=5.0, step=1e-3) == pytest.approx([r])
+        assert_full_grid_roots(gn, 1, 5.0, 1e-3)
+
+    def test_default_scan_samples_rows_of_one_box(self):
+        # A 4096-pair block is kept, then sampled only in its 64-pair boxes
+        # near the root: rows of SUB + 1 samples, far fewer than a block's.
+        r = float(np.linspace(-5.0, 5.0, 10001)[4800])
+        roots, rows = self.scan_periodic_line(r, 1e-3)
+        assert (gsl2.BLOCK, gsl2.SUB) == (4096, 64)
+        assert rows.shape[1] == 65 and rows.size < gsl2.BLOCK
+        assert roots == [r]
+
     def test_sign_change_in_a_short_last_block(self, monkeypatch):
         # 9987 sample pairs: the last block holds 3 and repeats hi to fill its
         # row.  9987 h - 5 rounds below 5, so the scan must set hi itself.
@@ -439,6 +476,14 @@ class TestBlockScan:
         roots, rows = self.scan_periodic_line(r, 1.0014e-3)
         assert rows[-1].tolist() == [*xs[-4:-1], 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]
         assert roots == pytest.approx([r], abs=1e-12) and xs[-2] < roots[0] < 5.0
+
+    def test_zero_at_hi_past_the_rounded_last_sample(self):
+        # 9987 h - 5 rounds below 5 = hi, where 2x - 10 vanishes: at zero
+        # residual tolerance only a last box that reaches hi itself is kept.
+        assert 9987.0 * (10.0 / 9987) + -5.0 < 5.0
+        gn = CharFn((-11.0, 1.0), Orientation.WEIGHT)
+        func, dfunc, enclosure = gsl2._closure_functions(gn, 1, RepKind.FINITE_CUT)
+        assert gsl2._scan_roots(func, dfunc, enclosure, -5.0, 5.0, 1.0014e-3, 0.0) == [5.0]
 
     def test_brackets_are_neighbouring_samples(self, monkeypatch):
         # x + g(x) + 1 = -x^2 + 4x: kept blocks near the roots 0 and 4, and
@@ -487,6 +532,28 @@ class TestBlockScan:
         monkeypatch.setattr(gsl2, "_horner", lambda c, x: calls.append(len(c)) or charfun._horner(c, x))
         dfunc(0.3)
         assert calls == [2, 3, 2, 3, 2, 3, 2]  # g' four times, g three times
+
+
+class TestClosureScanDefects:
+    """Two d = 1 cuts the grid scan gets wrong; a certified isolator must not."""
+
+    @pytest.mark.xfail(strict=True, reason="the tangent-root heuristic adds the derivative zero")
+    def test_close_root_pair_has_no_middle_root(self):
+        # x + g(x) + 1 = -(x - a)(x - b); the derivative zero between the
+        # roots has residual (gap / 2)^2 ~ 6e-10, inside the 1e-9 test.
+        a, b = -2.0, -2.0 + 5e-5
+        gn = CharFn((-a * b - 1.0, a + b - 1.0, -1.0), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert sorted(sols.included + sols.excluded) == pytest.approx([a, b], abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="two sign changes inside one grid interval cancel")
+    def test_close_simple_roots_are_all_reported(self):
+        # x + g(x) + 1 = x (x - 5e-5) (x - 5): the roots 0 and 5e-5 share one
+        # grid interval, so the scan sees no sign change there.
+        e = 5e-5
+        gn = CharFn((-1.0, 5.0 * e - 1.0, -(5.0 + e), 1.0), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert sorted(sols.included + sols.excluded) == pytest.approx([0.0, e, 5.0], abs=1e-9)
 
 
 def assert_in_box(value: float, lo: float, hi: float) -> None:
