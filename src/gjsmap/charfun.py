@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -123,7 +124,10 @@ class CharFn:
     orientation: Orientation
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        try:
+            coeffs = tuple(float(c) for c in self.coefficients)
+        except OverflowError as exc:
+            raise ValueError(f"coefficient too large for a float: {exc}") from exc
         orientation = (
             self.orientation
             if isinstance(self.orientation, Orientation)
@@ -451,13 +455,9 @@ def reflection_pair(fn: CharFn) -> CharFn:
 
 
 def is_reflection_pair(fn: CharFn, gn: CharFn) -> bool:
-    """Whether ``gn`` is exactly the reflection partner of ``fn``."""
-    n = max(len(fn.coefficients), len(gn.coefficients))
-    fc = list(fn.coefficients) + [0.0] * (n - len(fn.coefficients))
-    gc = list(gn.coefficients) + [0.0] * (n - len(gn.coefficients))
-    return all(
-        g == (-f if i % 2 == 0 else f) for i, (f, g) in enumerate(zip(fc, gc))
-    )
+    """Whether ``gn`` has exactly the coefficients of ``reflection_pair(fn)``, padded with zeros."""
+    want = reflection_pair(fn).coefficients
+    return all(w == g for w, g in zip_longest(want, gn.coefficients, fillvalue=0.0))
 
 
 def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: float) -> float:

@@ -9,8 +9,8 @@ variable ``GJS_DIVERGENCE_BOUND`` overrides the default iterate bound of 1e12.
 
 A batch mode (``run --config jobs.json``) executes a list of jobs, each the
 equivalent of one subcommand invocation with parameters given as JSON values;
-all jobs are validated (including disjointness of their output paths) before
-any of them runs.
+all jobs are validated (no output path repeats or lies inside a declared
+``--out`` directory) before any of them runs.
 """
 
 from __future__ import annotations
@@ -185,11 +185,14 @@ def _perturb_arg(text: str):
     try:
         target, index_s, amount_s = text.split(":")
         indices = tuple(int(p) for p in index_s.split(","))
-        return target.lower(), indices, float(amount_s)
+        amount = float(amount_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad perturbation {text!r}, want 'target:index[,index]:amount'"
         ) from exc
+    if not math.isfinite(amount):
+        raise argparse.ArgumentTypeError(f"perturbation amount {amount_s!r} is not a finite number")
+    return target.lower(), indices, amount
 
 
 def _bound() -> float:
@@ -424,6 +427,7 @@ def cmd_run(args):
     parser = build_parser()
     parsed = []
     declared_outputs: list[str] = []
+    out_dirs: dict[Path, str] = {}  # absolute --out directory -> the job that declares it
     for pos, job in enumerate(jobs):
         if not isinstance(job, dict) or "command" not in job:
             raise CliError(f"job {pos} must be an object with a 'command'")
@@ -441,9 +445,16 @@ def cmd_run(args):
         for declared in (job.get("output"), params.get("out")):
             if declared is not None:
                 declared_outputs.append(os.path.abspath(str(declared)))
+        if params.get("out") is not None:
+            out_dirs[Path(os.path.abspath(str(params["out"])))] = name
         parsed.append((name, job, ns))
     if len(declared_outputs) != len(set(declared_outputs)):
         raise CliError("two jobs declare the same output path")
+    for declared in declared_outputs:  # by path components, so "d.json" is not inside "d"
+        for parent in Path(declared).parents:
+            if parent in out_dirs:
+                owner = out_dirs[parent]
+                raise CliError(f"{declared!r} lies inside the --out directory of job {owner!r}")
     statuses = []
     any_error = False
     any_failure = False

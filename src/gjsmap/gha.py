@@ -206,20 +206,19 @@ def casimir_gha(rep: GhaRep) -> OperatorMatrix:
     return OperatorMatrix(c, 0)
 
 
-def _gauss_denominator(fn: CharFn, alpha0: float) -> float:
-    """``f(alpha0) - alpha0``; :class:`FixedPointVacuum` if it is (numerically) zero."""
-    denom = evaluate(fn, alpha0) - alpha0
+def _gauss(fn: CharFn, x0: float, orbit) -> tuple[float, np.ndarray]:
+    """``(fn(x0) - x0, Gauss numbers)`` of the orbit ``x0, fn(x0), ...``.
+
+    ``[m] = (x_m - x_0) / (fn(x0) - x0)`` and ``[0] = 0``; raises
+    :class:`FixedPointVacuum` if ``fn(x0) - x0`` is (numerically) zero.
+    """
+    denom = evaluate(fn, x0) - x0
     if abs(denom) <= GAUSS_DENOMINATOR_TOL:
         raise FixedPointVacuum(f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined")
-    return denom
-
-
-def _gauss_from_orbit(orbit, denom: float) -> np.ndarray:
-    """Gauss numbers ``[0], [1], ...`` of the orbit ``x0, f(x0), ...``: ``(x_m - x_0) / denom``."""
     with np.errstate(over="ignore"):
         out = np.subtract(orbit, orbit[0]) / denom
     out[0] = 0.0
-    return out
+    return denom, out
 
 
 def gauss_numbers(
@@ -237,8 +236,7 @@ def gauss_numbers(
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    denom = _gauss_denominator(fn, alpha0)
-    return _gauss_from_orbit(iterate(fn, alpha0, m_max, bound=bound), denom).tolist()
+    return _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=bound))[1].tolist()
 
 
 def gauss_factorial(

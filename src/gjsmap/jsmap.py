@@ -50,10 +50,8 @@ from .gha import (
     OperatorMatrix,
     ResidualReport,
     _clamped,
-    _gauss_denominator,
-    _gauss_from_orbit,
+    _gauss,
     build_gha,
-    gauss_numbers,
     gha_to_dict,
 )
 from .gsl2 import (
@@ -137,23 +135,34 @@ def two_oscillator_space(
     return TwoOscillatorSpace(rep, n1, n2, mode)
 
 
+def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float, steps: int) -> tuple:
+    """``(g orbit of alpha_j over steps steps, Q2, its Gauss numbers, functional_G)``."""
+    orbit = np.array(iterate(gn, alpha_j, steps, bound=math.inf))
+    orbit.setflags(write=False)
+    q2, gg = _gauss(gn, alpha_j, orbit)
+    return orbit, q2, gg, alpha_j + q2 * gg[space.n2]
+
+
+def _radicand(q, alpha_j):
+    """``-q (2 alpha_j + 1 + q)`` for ``q = Q2 [n]_g``: the square of a ladder weight."""
+    return -q * (2.0 * alpha_j + 1.0 + q)
+
+
 def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
     """Diagonal of ``S_z``: entry ``alpha_j + Q2 [n2]_g`` at state ``(n1, n2)``.
 
     ``Q2 = g(alpha_j) - alpha_j``; the Gauss-number index reduces to ``n2``
-    on every shell because the shell spin enters as ``(n1 + n2) / 2``.
+    on every shell because the shell spin enters as ``(n1 + n2) / 2``.  The
+    orbit runs only to ``[max n2]_g``; a fixed point ``alpha_j`` of ``gn`` is
+    a :class:`FixedPointVacuum`.
     """
-    max_n2 = int(space.n2.max())
-    gg = gauss_numbers(gn, alpha_j, max_n2, bound=math.inf) if max_n2 else [0.0]
-    return alpha_j + (evaluate(gn, alpha_j) - alpha_j) * np.array(gg)[space.n2]
+    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[3]
 
 
-def functional_F(
-    space: TwoOscillatorSpace, fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float
-) -> np.ndarray:
+def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
     """Diagonal of the dressing of the hopping term ``A1+ A2``.
 
-    Entry at ``(n1, n2)``:
+    Entry at ``(n1, n2)``, with ``f`` and ``alpha0`` those of ``space.gha``:
 
         sqrt(-Q2 [n2+1]_g (2 alpha_j + 1 + Q2 [n2+1]_g))
         ------------------------------------------------
@@ -172,30 +181,25 @@ def functional_F(
         entry is observable; the ``(gn, alpha_j)`` pair does not admit a real
         representation on this basis.
     """
-    if fn.coefficients != space.gha.fn.coefficients or alpha0 != space.gha.alpha0:
-        raise ValueError("fn and alpha0 must match the oscillator behind the space")
-    m0_sq = _gauss_denominator(fn, alpha0)
-    q2 = evaluate(gn, alpha_j) - alpha_j
-    gg = gauss_numbers(gn, alpha_j, int(space.n2.max()) + 1, bound=math.inf)
-    return _f_diag(space, m0_sq, np.array(gg), q2, alpha_j)
+    _, q2, gg, _ = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    return _f_diag(space, q2, gg, alpha_j)[1]
 
 
-def _f_diag(space: TwoOscillatorSpace, m0_sq, gg, q2, alpha_j) -> np.ndarray:
-    """:func:`functional_F` from ``M0^2`` and the ``g`` Gauss numbers ``gg``."""
+def _f_diag(space: TwoOscillatorSpace, q2, gg, alpha_j) -> tuple[float, np.ndarray]:
+    """``(M0^2, functional_F)`` from ``Q2`` and the ``g`` Gauss numbers ``gg``."""
+    m0_sq, fg = _gauss(space.gha.fn, space.gha.alpha0, space.gha.eigenvalues)
     obs = np.flatnonzero((space.n1 >= 1) & (space.n2 < space.n2.max()))
     n1, n2 = space.n1[obs], space.n2[obs]
-    fg = _gauss_from_orbit(space.gha.eigenvalues, m0_sq)
     out = np.zeros(space.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = q2 * gg[n2 + 1]
-        radicand = -q * (2.0 * alpha_j + 1.0 + q)
+        radicand = _radicand(q2 * gg[n2 + 1], alpha_j)
         root = np.sqrt(
             _clamped(radicand, lambda i, v: NegativeRadicand((int(n1[i]), int(n2[i])), v))
         )
         den_sq = fg[n2 + 1] * fg[n1]
         keep = (den_sq > 0.0) & np.isfinite(den_sq)
         out[obs[keep]] = root[keep] / (m0_sq * np.sqrt(den_sq[keep]))
-    return out
+    return m0_sq, out
 
 
 @dataclass(frozen=True)
@@ -258,18 +262,14 @@ def build_jsmap(
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
     space = two_oscillator_space(fn, alpha0, mode, bound=bound)
-    q2 = evaluate(gn, alpha_j) - alpha_j
-    if not (q2 < 0.0):
-        raise DescentViolation(1, evaluate(gn, alpha_j))
-    _gauss_denominator(gn, alpha_j)
-    g_orbit = np.array(iterate(gn, alpha_j, int(space.n2.max()) + 1, bound=math.inf))
-    g_orbit.setflags(write=False)
-    gg = _gauss_from_orbit(g_orbit, q2)
-    m0_sq = _gauss_denominator(fn, alpha0)
-    s_z = OperatorMatrix(alpha_j + q2 * gg[space.n2], 0)
+    g_alpha = evaluate(gn, alpha_j)
+    if not (g_alpha - alpha_j < 0.0):
+        raise DescentViolation(1, g_alpha)
+    g_orbit, q2, gg, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    m0_sq, f = _f_diag(space, q2, gg, alpha_j)
+    s_z = OperatorMatrix(g, 0)
     offset, hop = _hop(space)
-    f_rows = _f_diag(space, m0_sq, gg, q2, alpha_j)[max(-offset, 0):][: len(hop)]
-    s_plus = OperatorMatrix(f_rows * hop, offset)
+    s_plus = OperatorMatrix(f[max(-offset, 0):][: len(hop)] * hop, offset)
     s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, s_plus.T, gn), 0)
     return JsMapRep(
         space, gn, float(alpha_j), float(q2), float(m0_sq), s_z, s_plus, s_plus.T, s_sq, g_orbit
@@ -334,8 +334,8 @@ def verify_jsmap_relations(jsrep: JsMapRep, tol: float = 1e-10) -> ResidualRepor
     size = jsrep.dim
     if size < 2:
         raise ValueError("relation residuals need at least 2 states")
-    q = jsrep.q2 * _gauss_from_orbit(jsrep.g_orbit, jsrep.q2)[-1]
-    bottom_sq = -q * (2.0 * jsrep.alpha_j + 1.0 + q)
+    gg = _gauss(jsrep.gn, jsrep.alpha_j, jsrep.g_orbit)[1]
+    bottom_sq = _radicand(jsrep.q2 * gg[-1], jsrep.alpha_j)
     closed = abs(bottom_sq) <= 1e-9 * max(1.0, abs(jsrep.alpha_j) + 1.0)
     residuals = _weight_residuals(
         jsrep.s_z.values, jsrep.s_plus, jsrep.s_minus, jsrep.gn, size if closed else size - 1
@@ -400,38 +400,24 @@ def verify_pairing_identity(
         )
     if alpha_j != -alpha0:
         raise PairingMismatch(f"alpha_j = {alpha_j!r} is not -alpha0 = {-alpha0!r}")
-    fg = gauss_numbers(fn, alpha0, m_max, bound=bound)
-    gg = gauss_numbers(gn, alpha_j, m_max, bound=bound)
-    m0_sq = evaluate(fn, alpha0) - alpha0
-    q2 = evaluate(gn, alpha_j) - alpha_j
-    residuals = []
-    for m in range(m_max + 1):
-        rhs = m0_sq * fg[m]
-        lhs = -q2 * gg[m]
-        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    m0_sq, fg = _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=bound))
+    q2, gg = _gauss(gn, alpha_j, iterate(gn, alpha_j, m_max, bound=bound))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = m0_sq * fg
+        residuals = tuple((np.abs(-q2 * gg - rhs) / np.maximum(1.0, np.abs(rhs))).tolist())
     max_residual = max(residuals)
     passed = max_residual <= tol
     fp_f = fp_g = reflection_residual = None
     if fn.degree == 2 and gn.degree == 2:
         try:
-            pts_f = fixed_points(fn)
-            pts_g = fixed_points(gn)
+            pts_f, pts_g = fixed_points(fn), fixed_points(gn)
         except NoRealFixedPoint:
             pts_f = pts_g = []
         if len(pts_f) == 1 and len(pts_g) == 1:
-            fp_f = pts_f[0].location
-            fp_g = pts_g[0].location
+            fp_f, fp_g = pts_f[0].location, pts_g[0].location
             reflection_residual = abs(fp_g + fp_f)
             passed = passed and reflection_residual <= tol * max(1.0, abs(fp_f))
-    return PairingReport(
-        tuple(residuals),
-        max_residual,
-        fp_f,
-        fp_g,
-        reflection_residual,
-        tol,
-        passed,
-    )
+    return PairingReport(residuals, max_residual, fp_f, fp_g, reflection_residual, tol, passed)
 
 
 def derive_pairing(fn: CharFn, alpha0: float) -> tuple[CharFn, float]:
@@ -458,7 +444,7 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     index = space.index_of(n1, n2)
     gha, dim = space.gha, space.mode.dim
     m0 = gha.ladder[0] if dim > 1 else 0.0
-    gauss = _gauss_from_orbit(gha.eigenvalues, _gauss_denominator(gha.fn, gha.alpha0)).tolist()
+    gauss = _gauss(gha.fn, gha.alpha0, gha.eigenvalues)[1].tolist()
     amplitude = math.prod(gha.ladder[:n1], start=math.prod(gha.ladder[:n2]))
     try:
         norm = (

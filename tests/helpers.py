@@ -21,14 +21,13 @@ from gjsmap import (
     build_gsl2,
     derivative_at,
     evaluate,
-    functional_F,
-    functional_G,
     gauss_factorial,
     invertibility_region,
     report_to_dict,
 )
 from gjsmap.charfun import DIVERGENCE_BOUND, _bisect, _horner
-from gjsmap.errors import OverflowDiverged
+from gjsmap.errors import NegativeRadicand, OverflowDiverged
+from gjsmap.gha import CLAMP_TOL
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.
@@ -234,10 +233,47 @@ def dense_hop(space) -> np.ndarray:
     return hop
 
 
+def reference_functionals(space, gn: CharFn, alpha_j: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, F)`` state by state, from :func:`reference_iterate` orbits.
+
+    The paper's formulas with ``Q2 = g(alpha_j) - alpha_j``,
+    ``M0^2 = f(alpha0) - alpha0`` and ``[m] = (x_m - x_0) / denominator``,
+    in the package's operation order: ``G = alpha_j + Q2 [n2]_g`` and
+    ``F = sqrt(-q (2 alpha_j + 1 + q)) / (M0^2 sqrt([n2+1]_f [n1]_f))`` with
+    ``q = Q2 [n2+1]_g``.  ``F`` is 0 where the row of ``S_+`` is empty and
+    where the squared denominator is not finite and positive; a radicand in
+    ``[-CLAMP_TOL, 0)`` counts as 0.
+    """
+    fn, alpha0 = space.gha.fn, space.gha.alpha0
+    top = int(max(space.n2))
+    g_orbit = reference_iterate(gn, alpha_j, top + 1, bound=math.inf)
+    f_orbit = reference_iterate(fn, alpha0, space.gha.dim - 1)
+    q2 = evaluate(gn, alpha_j) - alpha_j
+    m0_sq = evaluate(fn, alpha0) - alpha0
+
+    def gauss(orbit, denom, m):
+        return (orbit[m] - orbit[0]) / denom if m else 0.0
+
+    g_diag, f_diag = [], []
+    for n1, n2 in space.basis:
+        g_diag.append(alpha_j + q2 * gauss(g_orbit, q2, n2))
+        entry = 0.0
+        if n1 >= 1 and n2 < top:
+            q = q2 * gauss(g_orbit, q2, n2 + 1)
+            radicand = -q * (2.0 * alpha_j + 1.0 + q)
+            if radicand < -CLAMP_TOL:
+                raise NegativeRadicand((n1, n2), radicand)
+            den_sq = gauss(f_orbit, m0_sq, n2 + 1) * gauss(f_orbit, m0_sq, n1)
+            if 0.0 < den_sq < math.inf:
+                entry = math.sqrt(max(radicand, 0.0)) / (m0_sq * math.sqrt(den_sq))
+        f_diag.append(entry)
+    return np.array(g_diag), np.array(f_diag)
+
+
 def dense_jsmap(space, gn: CharFn, alpha_j: float) -> tuple:
     """``(S_z, S_+, S_-, S^2)``; ``F`` scales the hop's rows and its transpose's columns."""
-    s_z = np.diag(functional_G(space, gn, alpha_j))
-    f = functional_F(space, space.gha.fn, space.gha.alpha0, gn, alpha_j)
+    g, f = reference_functionals(space, gn, alpha_j)
+    s_z = np.diag(g)
     hop = dense_hop(space)
     s_plus = f[:, None] * hop
     s_minus = hop.T * f[None, :]

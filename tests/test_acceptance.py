@@ -124,7 +124,7 @@ def test_criterion_4_standard_limit():
     for two_j in (1, 2, 3, 4):
         j = two_j / 2.0
         space = two_oscillator_space(BOSON, 0.0, FixedJ(two_j))
-        f_diag = functional_F(space, BOSON, 0.0, SL2, j)
+        f_diag = functional_F(space, SL2, j)
         g_diag = functional_G(space, SL2, j)
         # F is exactly 1 on every state whose entry is observable; the
         # lowest state (n1 = 0) carries the documented zero placeholder

@@ -51,6 +51,11 @@ class TestCharFn:
         with pytest.raises(ValueError):
             CharFn((0.0, 1.0, 1.0), Orientation.WEIGHT)
 
+    def test_coefficient_too_large_for_a_float_is_a_value_error(self):
+        # float(10**400) raises OverflowError, which no caller of CharFn expects
+        with pytest.raises(ValueError, match="too large for a float"):
+            CharFn((1, 10**400), Orientation.OSCILLATOR)
+
     def test_orientation_accepts_strings(self):
         fn = CharFn((1.0, 1.0), "oscillator")
         assert fn.orientation is Orientation.OSCILLATOR
@@ -318,6 +323,14 @@ class TestReflectionPairing:
         assert gn.orientation is Orientation.WEIGHT
         assert is_reflection_pair(FIG4_FN, gn)
         assert not is_reflection_pair(FIG4_FN, FIG2_GN) or gn == FIG2_GN
+
+    def test_pairing_ignores_trailing_zeros_only(self):
+        boson = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
+        assert is_reflection_pair(boson, CharFn((-1.0, 1.0, 0.0, -0.0), Orientation.WEIGHT))
+        assert is_reflection_pair(CharFn((1.0, 1.0, 0.0), Orientation.OSCILLATOR),
+                                  CharFn((-1.0, 1.0), Orientation.WEIGHT))
+        assert not is_reflection_pair(boson, CharFn((-1.0, 1.0, 0.0, 0.5), Orientation.WEIGHT))
+        assert not is_reflection_pair(boson, CharFn((1.0, 1.0), Orientation.WEIGHT))
 
     @given(
         coeffs=st.lists(

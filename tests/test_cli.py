@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -358,6 +359,46 @@ class TestRunConfig:
         assert "same output path" in json.loads(err)["error"]
         assert not (tmp_path / "same.json").exists()
 
+    def test_output_inside_an_out_directory_rejected_before_running(self, capsys, tmp_path):
+        gha_job = {"name": "a", "command": "gha build",
+                   "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3,
+                              "out": str(tmp_path / "d")}}
+        analyze = {"name": "b", "command": "charfun analyze", "params": {"fn": json.loads(FN_FIG1)}}
+        cases = {
+            # another job's file in the directory: it would overwrite d/gha_H.csv
+            "other job": [gha_job, {**analyze, "output": str(tmp_path / "d" / "gha_H.csv")}],
+            "other job, deeper": [gha_job, {**analyze, "output": str(tmp_path / "d" / "x" / "y")}],
+            "other job's --out": [gha_job, {"name": "c", "command": "orbit figure",
+                                            "params": {"name": "fig1",
+                                                       "out": str(tmp_path / "d" / "f")}}],
+            "own output": [{**gha_job, "output": str(tmp_path / "d" / "gha.json")}],
+        }
+        for case, jobs in cases.items():
+            cfg = tmp_path / "jobs.json"
+            cfg.write_text(json.dumps({"jobs": jobs}))
+            code, payload, err = run_cli(capsys, "run", "--config", str(cfg))
+            assert (code, payload) == (1, None), case
+            error = json.loads(err)["error"]
+            assert "inside the --out directory of job 'a'" in error, case
+            assert not (tmp_path / "d").exists(), case
+
+    def test_sibling_of_an_out_directory_is_allowed(self, capsys, tmp_path):
+        # "d.json" and "dx/..." start with the string "d" but are not inside d/
+        config = {"jobs": [
+            {"name": "a", "command": "gha build", "output": str(tmp_path / "d.json"),
+             "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3,
+                        "out": str(tmp_path / "d")}},
+            {"name": "b", "command": "charfun analyze", "params": {"fn": json.loads(FN_FIG1)},
+             "output": str(tmp_path / "dx" / "analyze.json")},
+        ]}
+        cfg = tmp_path / "jobs.json"
+        cfg.write_text(json.dumps(config))
+        code, payload, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert [j["status"] for j in payload["jobs"]] == ["ok", "ok"]
+        assert (tmp_path / "d" / "gha_H.csv").exists()
+        assert (tmp_path / "dx" / "analyze.json").exists()
+
     def test_invalid_job_fails_fast(self, capsys, tmp_path):
         config = {
             "jobs": [
@@ -419,6 +460,16 @@ HELP_JOB = {"jobs": [{"name": "helper", "command": "gsl2 cut", "params": {"help"
 HELP_PREFIX_JOB = {"jobs": [{"name": "short", "command": "orbit cobweb", "params": {"h": True}}]}
 UNWRITABLE_JOB = {"jobs": [{"command": "gha build", "output": 5,
                              "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 3}}]}
+HUGE_FN = '{"coefficients":[1,1%s],"orientation":"oscillator"}' % ("0" * 400)
+HUGE_FN_JOB = {"jobs": [{"name": "huge", "command": "gha build",
+                         "params": {"fn": json.loads(HUGE_FN), "alpha0": 0, "dim": 3}}]}
+#: Non-finite ``--perturb`` amounts, which once reached numpy and failed as unencodable NaN.
+NON_FINITE_PERTURB = {
+    "perturb amount inf": [*SHELL, "--perturb", "sz:0,0:inf"],
+    "perturb amount inf on a ladder": [*GHA3, "--verify", "--perturb", "ladder:0:inf"],
+    "perturb amount nan": ["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3",
+                           "--kind", "cut", "--verify", "--perturb", "weights:0:nan"],
+}
 
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
 #: names)`` for inputs that must end in a JSON error on stderr and exit code 1.
@@ -454,6 +505,12 @@ BAD_INPUTS = {
          "--perturb", "ladder_sq:0:-5"], None, None, "ladder squares"),
     "perturb off the diagonal": ([*SHELL, "--perturb", "s_sq:0,2:0.01"], None, None,
                                  "(0, 2) is off the diagonal of s_sq"),
+    **{case: (argv, None, None, "is not a finite number")
+       for case, argv in NON_FINITE_PERTURB.items()},
+    "coefficient too large for a float": (["gha", "build", "--fn", HUGE_FN, "--alpha0", "0",
+                                           "--dim", "3"], None, None, "too large for a float"),
+    "batch coefficient too large for a float": (["run", "--config", "jobs.json"], None,
+                                                HUGE_FN_JOB, "too large for a float"),
     "cobweb window inf": ([*COBWEB, "--x0", "0.5", "--window", "0,inf"], None, None, "--window"),
     "cobweb x0 inf": ([*COBWEB, "--x0", "inf"], None, None, "--x0"),
     "analyze x0 nan": (["charfun", "analyze", "--fn", FN_FIG1, "--x0", "nan"], None, None, "--x0"),
@@ -498,6 +555,15 @@ def test_bad_input_is_a_json_error(case, capsys, monkeypatch, tmp_path):
     assert code == 1
     assert payload is None
     assert named in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PERTURB))
+def test_non_finite_perturbation_rejected_without_warnings(case, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run_cli(capsys, *NON_FINITE_PERTURB[case])
+    assert (code, payload) == (1, None)
+    assert "is not a finite number" in json.loads(err)["error"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -30,6 +30,7 @@ from gjsmap import (
 from gjsmap.errors import (
     DescentViolation,
     DimensionMismatch,
+    FixedPointVacuum,
     NegativeRadicand,
     OutOfBasis,
     PairingMismatch,
@@ -49,6 +50,7 @@ from helpers import (
     q_cut_root,
     random_gha_rep,
     random_gsl2_rep,
+    reference_functionals,
     scaled_tol,
     textbook_j0,
     textbook_jplus,
@@ -115,7 +117,7 @@ class TestFunctionals:
     def test_standard_limit_F_is_one(self):
         for two_j in (1, 2, 3, 4):
             space = two_oscillator_space(BOSON, 0.0, FixedJ(two_j))
-            fm = functional_F(space, BOSON, 0.0, SL2, two_j / 2.0)
+            fm = functional_F(space, SL2, two_j / 2.0)
             diag = fm
             # every well-posed entry is exactly 1; the n1 = 0 slot multiplies
             # a vanishing ladder product and is pinned to 0 by convention
@@ -140,7 +142,7 @@ class TestFunctionals:
         root = exact_cut_root()
         for two_j in (1, 2):
             space = two_oscillator_space(FIG4_FN, -root, FixedJ(two_j))
-            fm = functional_F(space, FIG4_FN, -root, FIG2_GN, root)
+            fm = functional_F(space, FIG2_GN, root)
             q2 = FIG2_GN(root) - root
             gg = gauss_numbers(FIG2_GN, root, two_j + 1)
             for m, (n1, n2) in enumerate(space.basis):
@@ -157,12 +159,18 @@ class TestFunctionals:
         root = exact_cut_root()
         with pytest.raises(NegativeRadicand):
             space = two_oscillator_space(FIG4_FN, -root, FullGrid(4))
-            functional_F(space, FIG4_FN, -root, FIG2_GN, root)
+            functional_F(space, FIG2_GN, root)
 
-    def test_fn_mismatch_rejected(self):
-        space = two_oscillator_space(BOSON, 0.0, FixedJ(1))
-        with pytest.raises(ValueError):
-            functional_F(space, FIG4_FN, 0.0, SL2, 0.5)
+    def test_one_state_fixed_point_has_no_gauss_numbers(self):
+        # alpha_j = 1 is the fixed point of FIG2_GN; a one-state shell needs no
+        # g step yet still takes Q2 as a Gauss denominator, as larger shells do
+        space = two_oscillator_space(BOSON, 0.0, FixedJ(0))
+        with pytest.raises(FixedPointVacuum):
+            functional_G(space, FIG2_GN, 1.0)
+        with pytest.raises(FixedPointVacuum):
+            functional_F(space, FIG2_GN, 1.0)
+        with pytest.raises(DescentViolation):
+            build_jsmap(BOSON, 0.0, FIG2_GN, 1.0, FixedJ(0))
 
 
 class TestBuild:
@@ -257,6 +265,9 @@ class TestDenseReference:
             osc, weight = random_gha_rep(rng), random_gsl2_rep(rng)
             gn, alpha_j = weight.gn, weight.alpha_j
             rep = build_jsmap(osc.fn, osc.alpha0, gn, alpha_j, mode)
+            g_ref, f_ref = reference_functionals(rep.space, gn, alpha_j)
+            assert identical(functional_G(rep.space, gn, alpha_j), g_ref)
+            assert identical(functional_F(rep.space, gn, alpha_j), f_ref)
             dense = dense_jsmap(rep.space, gn, alpha_j)
             for got, want in zip((rep.s_z, rep.s_plus, rep.s_minus, rep.s_sq), dense):
                 assert identical(got.entries, want)
