@@ -16,8 +16,10 @@ vertex, weight-like functions open downward and act below it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
@@ -88,23 +90,39 @@ def _horner(coeffs: Sequence[float], x):
     return acc
 
 
-def _horner_interval(coeffs: Sequence[float], lo, hi):
+def _interval_product(a_lo, a_hi, b_lo, b_hi):
+    """Enclosure of the products of ``[a_lo, a_hi]`` and ``[b_lo, b_hi]`` (ndarrays)."""
+    import numpy as np
+
+    p, q, r, s = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
+    return (np.minimum(np.minimum(p, q), np.minimum(r, s)),
+            np.maximum(np.maximum(p, q), np.maximum(r, s)))
+
+
+def _horner_interval(coeffs: Sequence[float], lo, hi, outward: bool = False):
     """Enclosure ``(lo, hi)`` of :func:`_horner` over the boxes ``[lo, hi]`` (ndarrays).
 
     The operations are :func:`_horner`'s in the same order, each product
-    bounded by the least and greatest of its four corner products (R. E.
-    Moore, *Interval Analysis*, 1966).  Rounding to nearest is monotone, so at
-    every point of a box the float :func:`_horner` returns is NaN or lies in
-    the box's enclosure, unless a bound is NaN (a corner product ``0 * inf``).
+    bounded by the least and greatest of its corner products (R. E. Moore,
+    *Interval Analysis*, 1966).  Rounding to nearest is monotone, so at every
+    point of a box the float :func:`_horner` returns is NaN or lies in the
+    box's enclosure, unless a bound is NaN (a corner product ``0 * inf``).
+    ``outward`` moves each bound one float outward after every operation, so
+    the enclosure also holds the exact real value of the polynomial.
     """
     import numpy as np  # only array callers get here; module import stays numpy-free
 
-    acc_lo = acc_hi = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        p, q, r, s = acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi
-        acc_lo = np.minimum(np.minimum(p, q), np.minimum(r, s)) + c
-        acc_hi = np.maximum(np.maximum(p, q), np.maximum(r, s)) + c
-    return acc_lo, acc_hi
+    def widen(lo, hi):
+        return (np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)) if outward else (lo, hi)
+
+    if len(coeffs) == 1:
+        return np.full_like(lo, coeffs[0]), np.full_like(hi, coeffs[0])
+    p, q = coeffs[-1] * lo, coeffs[-1] * hi
+    acc_lo, acc_hi = widen(np.minimum(p, q), np.maximum(p, q))
+    for c in coeffs[-2:0:-1]:
+        acc_lo, acc_hi = widen(acc_lo + c, acc_hi + c)
+        acc_lo, acc_hi = widen(*_interval_product(acc_lo, acc_hi, lo, hi))
+    return widen(acc_lo + coeffs[0], acc_hi + coeffs[0])
 
 
 def _derivative(coeffs: Sequence[float]) -> list[float]:
@@ -261,6 +279,8 @@ def _tangency(c0: float, c1: float, c2: float) -> tuple[float, bool]:
     quadratic then has one (double) root.
     """
     disc = c1 * c1 - 4.0 * c2 * c0
+    if not math.isfinite(disc):
+        raise ValueError(f"the discriminant of {c0!r} + {c1!r} x + {c2!r} x**2 is {disc!r}")
     scale = max(1.0, c1 * c1, abs(4.0 * c2 * c0))
     return disc, abs(disc) <= DOUBLE_ROOT_RTOL * scale
 
@@ -476,49 +496,204 @@ def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: f
     return v if abs(fv) < abs(fu) else u
 
 
-def _cauchy_bound(coeffs: Sequence[float]) -> float:
-    lead = abs(coeffs[-1])
-    if lead == 0.0:
-        return math.inf
-    return 1.0 + max(abs(c) for c in coeffs[:-1]) / lead
+#: Boxes the first level of :func:`isolate_roots` cuts its interval into, and
+#: the children each later level cuts an unresolved box into.
+BOXES = 512
+SPLIT = 16
 
 
-def _poly_roots(coeffs: tuple[float, ...], lo: float, hi: float, tol: float) -> list[float]:
-    bound = _cauchy_bound(coeffs)
-    lo = max(lo, -bound)
-    hi = min(hi, bound)
-    if lo > hi:
-        return []
-    if len(coeffs) == 2:
-        r = -coeffs[0] / coeffs[1]
-        return [r] if lo <= r <= hi else []
-    crit = _poly_roots(tuple(_derivative(coeffs)), lo, hi, tol)
-    roots = []
-    for c in crit:
-        # Even-multiplicity roots do not change sign; they sit on critical
-        # points where the polynomial itself vanishes.
-        if abs(_horner(coeffs, c)) <= tol * max(1.0, abs(c)):
-            roots.append(c)
-    pts = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
-    vals = [_horner(coeffs, p) for p in pts]
-    for i in range(len(pts) - 1):
-        u, v, fu, fv = pts[i], pts[i + 1], vals[i], vals[i + 1]
-        if fu == 0.0:
-            roots.append(u)
-        elif fv != 0.0 and (fu < 0.0) != (fv < 0.0):
-            roots.append(_bisect(lambda x: _horner(coeffs, x), u, v, fu, fv))
-    if vals[-1] == 0.0:
-        roots.append(pts[-1])
-    return _dedup(sorted(roots), 10.0 * tol)
+def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
+    """``(func, exact, dfunc, enclose, curve, point)`` of ``F(x) = g^(d)(x) + sign x + shift``.
+
+    ``g`` is ``coeffs`` without trailing zeros (they change only values that
+    are not finite anyway); ``sign`` is -1, 0 or 1.  ``exact`` is ``func`` in
+    rational arithmetic, ``dfunc`` the chain rule ``g'(x) g'(g(x)) ... + sign``.
+    ``enclose(lo, hi)`` bounds ``F`` and ``F'`` over boxes by their operations
+    in their order, so it holds every float they return there; ``curve`` bounds
+    ``F''`` by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``; ``point(x)`` bounds the
+    exact ``F(x)``.
+    """
+    import numpy as np
+
+    coeffs = _strip_trailing_zeros(coeffs)
+    dcoeffs = _derivative(coeffs)
+    ddcoeffs = _derivative(dcoeffs)
+    fractions = [Fraction(c) for c in coeffs]
+
+    def func(x):
+        y = x
+        for _ in range(d):
+            y = _horner(coeffs, y)
+        return y + sign * x + shift
+
+    def exact(x):
+        y = Fraction(x)
+        for _ in range(d):
+            y = _horner(fractions, y)
+        return y + Fraction(sign * x) + Fraction(shift)
+
+    def dfunc(x):
+        out = _horner(dcoeffs, x)
+        for _ in range(d - 1):
+            x = _horner(coeffs, x)
+            out = out * _horner(dcoeffs, x)
+        return out + sign
+
+    def enclose(lo, hi):
+        y, s = (lo, hi), _horner_interval(dcoeffs, lo, hi)
+        for _ in range(d - 1):
+            y = _horner_interval(coeffs, *y)
+            s = _interval_product(*s, *_horner_interval(dcoeffs, *y))
+        y_lo, y_hi = _horner_interval(coeffs, *y)
+        x_lo, x_hi = (sign * lo, sign * hi) if sign >= 0.0 else (sign * hi, sign * lo)
+        return y_lo + x_lo + shift, y_hi + x_hi + shift, s[0] + sign, s[1] + sign
+
+    def curve(lo, hi):
+        y, s, c = (lo, hi), (np.ones_like(lo),) * 2, (np.zeros_like(lo),) * 2
+        for _ in range(d):
+            t = _horner_interval(dcoeffs, *y)
+            u = _interval_product(*_horner_interval(ddcoeffs, *y), *_interval_product(*s, *s))
+            v = _interval_product(*t, *c)
+            c, s = (u[0] + v[0], u[1] + v[1]), _interval_product(*s, *t)
+            y = _horner_interval(coeffs, *y)
+        return c
+
+    def point(x):
+        y = x, x
+        for _ in range(d):
+            y = _horner_interval(coeffs, *y, outward=True)
+        down, up = -math.inf, math.inf
+        return (np.nextafter(np.nextafter(y[0] + sign * x, down) + shift, down),
+                np.nextafter(np.nextafter(y[1] + sign * x, up) + shift, up))
+
+    return func, exact, dfunc, enclose, curve, point
 
 
-def _dedup(sorted_vals: Sequence[float], radius: float) -> list[float]:
-    out: list[float] = []
-    for x in sorted_vals:
-        if out and abs(x - out[-1]) <= radius:
-            continue
-        out.append(x)
-    return out
+def _mean_value(lo, hi, left, right, s_lo, s_hi, width):
+    """``[lo, hi]`` cut to the mean-value forms from box ends with values ``left``, ``right``."""
+    import numpy as np
+
+    t_lo, t_hi = np.minimum(s_lo * width, 0.0), np.maximum(s_hi * width, 0.0)
+    return (np.fmax(lo, np.fmax(left + t_lo, right - t_hi)),
+            np.fmin(hi, np.fmin(left + t_hi, right - t_lo)))
+
+
+def _sign_change_root(f: Callable[[float], float], u: float, v: float) -> Optional[float]:
+    """A zero of ``f`` at ``u`` or ``v``, or bisected between finite values of opposite sign."""
+    fu, fv = f(u), f(v)
+    if fu == 0.0 or fv == 0.0:
+        return u if fu == 0.0 else v
+    if math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0):
+        return _bisect(f, u, v, fu, fv)
+    return None
+
+
+def isolate_roots(
+    coeffs: Sequence[float], d: int, sign: float, shift: float, lo: float, hi: float, tol: float
+) -> list[float]:
+    """Real roots of ``F(x) = g^(d)(x) + sign x + shift`` on ``[lo, hi]``, sorted.
+
+    Interval subdivision with a monotonicity test (R. E. Moore, *Interval
+    Analysis*, 1966) over ``BOXES`` equal boxes.  With ``t = tol max(1, |x|)``,
+    a level drops each box whose value enclosure, cut to the mean-value forms
+    ``F(e) + F'(X)(X - e)`` from both ends ``e``, misses ``[-2t, 2t]``; it
+    finishes a box whose derivative enclosure excludes 0 and whose end signs
+    are certain: opposite signs hold one root, which :func:`_bisect` refines.
+    Other boxes are cut into ``SPLIT`` children until narrower than ``t`` (or
+    ``SPLIT`` units in the last place), or until ``F`` is monotone and within
+    rounding of 0 at both ends.  Adjacent boxes left over form a cluster with
+    at most one root: an exact sign change between its ends, or else a zero
+    of ``F'``, unless finished boxes without a root (``F`` is monotone on
+    them) join the cluster to a sign change.  Every root meets ``|F| <= t``.
+    ``ValueError`` if ``hi - lo`` is not finite, or if more than
+    ``BOXES * SPLIT`` boxes are left to cut at one level, as when ``F`` stays
+    in the band on a whole stretch, where its roots are not isolated.
+    """
+    import numpy as np
+
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
+    func, exact, dfunc, enclose, curve, point = _composition(coeffs, d, sign, shift)
+    narrow = max(tol, SPLIT * sys.float_info.epsilon)  # a cut must leave distinct floats
+    parent_lo, parent_hi, parts = np.array([lo]), np.array([hi]), BOXES
+    none = np.empty(0)
+    finished, clusters = [(none, none, none > 0.0)], [(none, none)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while parent_lo.size:
+            step = ((parent_hi - parent_lo) / parts)[:, None]
+            ends = parent_lo[:, None] + np.arange(parts + 1) * step
+            ends[:, -1] = parent_hi
+            values = func(ends)
+            box_lo, box_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+            width = box_hi - box_lo
+            f_lo, f_hi, d_lo, d_hi = enclose(box_lo, box_hi)
+            f_lo, f_hi = _mean_value(f_lo, f_hi, values[:, :-1].ravel(), values[:, 1:].ravel(),
+                                     d_lo, d_hi, width)
+            scale = np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
+            band = 2.0 * tol * scale
+            keep = ~((f_lo > band) | (f_hi < -band))
+            # In the band, monotonicity decides: cut F' to its own mean-value forms.
+            flat = np.flatnonzero(keep & (d_lo <= 0.0) & (d_hi >= 0.0) & (f_lo >= -band)
+                                  & (f_hi <= band))
+            if flat.size:
+                u, v = box_lo[flat], box_hi[flat]
+                d_lo[flat], d_hi[flat] = _mean_value(d_lo[flat], d_hi[flat], dfunc(u), dfunc(v),
+                                                     *curve(u, v), width[flat])
+            last = width <= narrow * scale
+            # End signs are needed, and made certain, only where F is monotone.
+            monotone = np.flatnonzero(keep & ((d_lo > 0.0) | (d_hi < 0.0)))
+            if monotone.size:
+                p_lo, p_hi = point(np.concatenate((box_lo[monotone], box_hi[monotone])))
+                above, n = p_lo > 0.0, monotone.size
+                certain = above | (p_hi < 0.0)
+                both = certain[:n] & certain[n:]
+                done = monotone[both]
+                finished.append((box_lo[done], box_hi[done], (above[:n] != above[n:])[both]))
+                keep[done] = False
+                last[monotone[~(certain[:n] | certain[n:])]] = True
+            last &= keep
+            clusters.append((box_lo[last], box_hi[last]))
+            keep &= ~last
+            if np.count_nonzero(keep) > BOXES * SPLIT:
+                raise ValueError(f"more than {BOXES * SPLIT} boxes of [{lo!r}, {hi!r}] are left at "
+                                 f"width {float(width[keep].max())!r}: the roots are not isolated")
+            parent_lo, parent_hi, parts = box_lo[keep], box_hi[keep], SPLIT
+    return _collect_roots(func, exact, dfunc, finished, clusters, tol)
+
+
+def _collect_roots(func, exact, dfunc, finished, clusters, tol: float) -> list[float]:
+    """The roots in the finished boxes and in the clusters of :func:`isolate_roots`."""
+    import numpy as np
+
+    # (lo, hi, whether it holds a sign change, or None for a cluster without one)
+    pieces = [p for lo, hi, c in finished for p in zip(lo.tolist(), hi.tolist(), c.tolist())]
+    roots = [_bisect(func, u, v, func(u), func(v)) for u, v, c in pieces if c]
+    lo, hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
+    breaks = np.flatnonzero(hi[:-1] != lo[1:])
+    runs = zip(lo[np.r_[0, breaks + 1]].tolist(), hi[np.r_[breaks, -1]].tolist()) if lo.size else ()
+    tangents = []
+    for u, v in runs:
+        root = _sign_change_root(exact, u, v)
+        if root is None:
+            tangents.append((u, v, _sign_change_root(dfunc, u, v)))
+        else:
+            roots.append(root)
+        pieces.append((u, v, None if root is None else True))
+    left, right = {v: (u, c) for u, v, c in pieces}, {u: (v, c) for u, v, c in pieces}
+    roots += [root for u, v, root in tangents
+              if root is not None and not (_joined(left, u) or _joined(right, v))]
+    return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
+
+
+def _joined(neighbours: dict, x: float) -> bool:
+    """Whether finished boxes without a root lead from the end ``x`` to a sign change."""
+    seen = set()
+    while x in neighbours and x not in seen:
+        seen.add(x)
+        x, crossing = neighbours[x]
+        if crossing is not False:
+            return crossing is True
+    return False
 
 
 def find_roots(
@@ -528,12 +703,10 @@ def find_roots(
 ) -> list[float]:
     """All real roots of a polynomial inside an interval, sorted ascending.
 
-    Roots are bracketed between consecutive critical points, where the
-    polynomial is monotone, and each bracket is refined by bisection; roots of
-    even multiplicity are picked up at critical points where the polynomial
-    itself vanishes (within ``tol`` relative to ``max(1, |x|)``).  Infinite
-    interval ends are clipped to the Cauchy root bound, outside which no root
-    can live.  Results are deduplicated within ``10 * tol``.
+    The roots :func:`isolate_roots` finds for the polynomial itself (``d = 1``):
+    each meets ``|p(x)| <= tol max(1, |x|)``, and a root of even multiplicity
+    is a zero of the derivative.  Infinite interval ends are clipped to the
+    Cauchy root bound, outside which no root can live.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -543,4 +716,6 @@ def find_roots(
     coeffs = _strip_trailing_zeros([float(c) for c in poly_coefficients])
     if len(coeffs) < 2:
         return []
-    return _poly_roots(tuple(coeffs), lo, hi, tol)
+    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    lo, hi = max(lo, -bound), min(hi, bound)
+    return isolate_roots(coeffs, 1, 0.0, 0.0, lo, hi, tol) if lo <= hi else []

@@ -177,10 +177,6 @@ def _tolerance_arg(text: str) -> float:
     return _finite_arg(text, allow_zero=True)
 
 
-def _grid_arg(text: str) -> float:
-    return _finite_arg(text, allow_zero=False)
-
-
 def _perturb_arg(text: str):
     try:
         target, index_s, amount_s = text.split(":")
@@ -317,15 +313,14 @@ def cmd_gsl2_build(args):
 
 
 def cmd_gsl2_solve(args):
-    """``gsl2 cut`` and ``gsl2 periodic``: one grid scan, two closure equations."""
+    """``gsl2 cut`` and ``gsl2 periodic``: one root isolator, two closure equations."""
     payload = {"gn": charfn_to_dict(args.gn), "d": args.d}
-    grid = {"window": args.window_size, "step": args.step}
     if args.command == "cut":
-        solutions = cut_condition_solve(args.gn, args.d, **grid)
+        solutions = cut_condition_solve(args.gn, args.d, window=args.window_size)
         payload["included"] = list(solutions.included)
         payload["excluded"] = list(solutions.excluded)
     else:
-        payload["roots"] = list(periodic_condition_solve(args.gn, args.d, **grid))
+        payload["roots"] = list(periodic_condition_solve(args.gn, args.d, window=args.window_size))
     return payload, 0, None
 
 
@@ -557,8 +552,7 @@ _SHELL = [_FN, _ALPHA0, _GN, _ALPHAJ, _option(
 _SCAN = [
     _GN,
     _option("--d", type=int, required=True),
-    _option("--window-size", type=_grid_arg, default=100.0),
-    _option("--step", type=_grid_arg, default=1e-4),
+    _option("--window-size", type=lambda text: _finite_arg(text, False), default=100.0),
 ]
 
 

@@ -10,23 +10,11 @@ A representation closes after ``d`` states when the next ladder square
 vanishes, which happens in exactly two ways: the orbit returns to the highest
 weight (``g^(d)(alpha_j) = alpha_j``, periodic) or the closure equation
 ``alpha_j + g^(d)(alpha_j) + 1 = 0`` holds (cut).  Solvers for both equations
-scan a grid of ``2 window / step`` samples around the invertibility boundary
-and refine sign changes by bisection; the iterated ``g`` is composed
-numerically, never expanded symbolically.
-
-The scan evaluates only the grid blocks that can hold a root.  It splits the
-grid into blocks of ``BLOCK`` sample pairs and bounds the closure function
-over each block's box by interval arithmetic: the same Horner operations, in
-the same order, on box ends (``charfun._horner_interval``).  Rounding to
-nearest is monotone, so every float the closure function returns inside a box
-lies within the box's bounds.  A block whose bounds keep away from zero by
-twice the residual tolerance therefore holds no zero sample, no sign change
-and no tangent candidate that would pass the residual test; skipping it
-leaves the roots bit for bit as the full grid gives them.  Most of the
-default window is such blocks, where ``g^(d)`` has run off towards infinity.
-The same test then runs on the ``SUB``-pair boxes of each kept block, by the
-same argument per box, and only the boxes it keeps are sampled: they are the
-rows of one sample array, scanned in a single pass.
+isolate the real roots in a window around the invertibility boundary with
+``charfun.isolate_roots``: interval subdivision drops the boxes whose
+enclosure keeps away from zero, finishes the monotone ones and bisects each
+sign change; the iterated ``g`` is composed numerically, never expanded
+symbolically.
 """
 
 from __future__ import annotations
@@ -34,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -42,14 +29,11 @@ from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
     Orientation,
-    _bisect,
-    _derivative,
-    _horner,
-    _horner_interval,
     charfn_from_dict,
     charfn_to_dict,
     evaluate,
     invertibility_region,
+    isolate_roots,
     iterate,
 )
 from .errors import (
@@ -61,11 +45,6 @@ from .errors import (
     PeriodicResidualTooLarge,
 )
 from .gha import OperatorMatrix, ResidualReport, _clamped, _diag_product, _relation_residuals
-
-#: Sample pairs per block and per box of the closure scan's two pruning
-#: levels; see :func:`_scan_roots`.
-BLOCK = 4096
-SUB = 64
 
 #: Default residual accepted when a caller supplies the closure value
 #: directly (loose enough for a 5-digit root); solver-recomputed roots are
@@ -252,159 +231,6 @@ def verify_gsl2_relations(rep: Gsl2Rep, tol: float = 1e-10) -> ResidualReport:
     return ResidualReport(dict(zip(names, residuals)), tol)
 
 
-def _compose(gn: CharFn, x, d: int):
-    """``g^(d)`` applied elementwise; ``x`` may be a float or an ndarray."""
-    y = x
-    for _ in range(d):
-        y = evaluate(gn, y)
-    return y
-
-
-def _compose_interval(gn: CharFn, lo, hi, d: int):
-    """Enclosure of :func:`_compose` over the boxes ``[lo, hi]`` (ndarrays)."""
-    for _ in range(d):
-        lo, hi = _horner_interval(gn.coefficients, lo, hi)
-    return lo, hi
-
-
-def _closure_functions(gn: CharFn, d: int, kind: RepKind):
-    """``(func, dfunc, enclosure)`` of the closure equation of a finite ``kind``.
-
-    ``func`` is ``x + g^(d)(x) + 1`` (cut) or ``g^(d)(x) - x`` (periodic) and
-    ``dfunc`` its chain-rule derivative, both for a float or an ndarray.
-    ``enclosure(lo, hi)`` bounds ``func`` over the boxes ``[lo, hi]`` by the
-    same operations in the same order (:func:`_compose_interval`).
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    coeffs = gn.coefficients
-    dcoeffs = _derivative(coeffs)
-
-    def slope(x):
-        # g'(x) g'(g(x)) ... g'(g^(d-1)(x)): g itself is needed d - 1 times
-        out = _horner(dcoeffs, x)
-        for _ in range(d - 1):
-            x = _horner(coeffs, x)
-            out = out * _horner(dcoeffs, x)
-        return out
-
-    if kind is RepKind.FINITE_CUT:
-
-        def func(x):
-            return x + _compose(gn, x, d) + 1.0
-
-        def dfunc(x):
-            return 1.0 + slope(x)
-
-        def enclosure(lo, hi):
-            ylo, yhi = _compose_interval(gn, lo, hi, d)
-            return lo + ylo + 1.0, hi + yhi + 1.0
-
-    else:
-
-        def func(x):
-            return _compose(gn, x, d) - x
-
-        def dfunc(x):
-            return slope(x) - 1.0
-
-        def enclosure(lo, hi):
-            ylo, yhi = _compose_interval(gn, lo, hi, d)
-            return ylo - hi, yhi - lo
-
-    return func, dfunc, enclosure
-
-
-def _scan_roots(
-    func: Callable,
-    dfunc: Callable,
-    enclosure: Callable,
-    lo: float,
-    hi: float,
-    step: float,
-    residual_tol: float,
-) -> list[float]:
-    """Roots of a scalar function on ``[lo, hi]`` from a grid scan.
-
-    The grid is ``np.linspace(lo, hi, n)`` with spacing at most ``step``:
-    sample ``i`` is ``i * h + lo`` and the last is ``hi``.  Zero samples are
-    roots; sign changes between finite neighbouring samples are refined by
-    bisection; tangent (no-sign-change) roots are recovered at the zeros of
-    ``dfunc`` where ``|func|`` is small.  Every candidate must meet
-    ``residual_tol`` relative to ``max(1, |x|)``.
-
-    Only some samples are evaluated.  The grid splits into blocks of
-    ``BLOCK`` sample pairs, neighbouring blocks sharing one sample, and
-    ``enclosure`` bounds ``func`` over each block's box.  A block whose bounds
-    lie above ``t`` or below ``-t``, with ``t = 2 residual_tol max(1, |x|)``
-    over the box, holds no zero sample, no sign change and no tangent
-    candidate that could pass the residual test, so skipping it changes no
-    root; a block with a NaN bound is kept.  The same test then splits each
-    kept block into boxes of ``SUB`` pairs and drops a box for the same
-    reason, per box.  The kept boxes are the rows of one sample array, so no
-    neighbour pair spans a gap; a short last row repeats ``hi``, and a zero
-    sample or a bracket two rows share is deduplicated.
-    """
-    if not math.isfinite((hi - lo) / step):
-        raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} has no finite size")
-    n = max(int(math.ceil((hi - lo) / step)) + 1, 2)
-    # One float64 per block start: numpy sizes no array above intp's maximum bytes.
-    if 8 * -(-(n - 1) // BLOCK) > np.iinfo(np.intp).max:
-        raise ValueError(f"the scan of [{lo!r}, {hi!r}] at step {step!r} is too large for numpy")
-    h = (hi - lo) / (n - 1)
-    starts = np.arange(0, n - 1, BLOCK, dtype=float)
-    for size in (BLOCK, min(SUB, BLOCK)):
-        if size < BLOCK:
-            starts = (starts[:, None] + np.arange(0, BLOCK, size)).ravel()
-            starts = starts[starts < n - 1]
-        ends = np.minimum(starts + size, n - 1)
-        box_lo = starts * h + lo
-        box_hi = ends * h + lo
-        # The last sample is hi itself, which rounding may place on either
-        # side of (n - 1) * h + lo.
-        if ends[-1] == n - 1:
-            box_lo[-1] = min(box_lo[-1], hi)
-            box_hi[-1] = max(box_hi[-1], hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_lo, f_hi = enclosure(box_lo, box_hi)
-            t = 2.0 * residual_tol * np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
-            keep = ~((f_lo > t) | (f_hi < -t))
-        if not keep.any():
-            return []
-        starts = starts[keep]
-    index = np.minimum(starts[:, None] + np.arange(size + 1), n - 1)
-    xs = index * h + lo
-    xs[index == n - 1] = hi
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
-        dys = np.broadcast_to(np.asarray(dfunc(xs), dtype=float), xs.shape)
-    roots = xs[ys == 0.0].tolist()
-    finite, dfinite = np.isfinite(ys), np.isfinite(dys)
-    flips = (
-        finite[:, :-1]
-        & finite[:, 1:]
-        & (np.signbit(ys[:, :-1]) != np.signbit(ys[:, 1:]))
-        & (ys[:, :-1] != 0.0)
-        & (ys[:, 1:] != 0.0)
-    )
-    # Tangent roots: bracket the derivative instead; the residual test below
-    # keeps the stationary points where the function itself vanishes.
-    dflips = dfinite[:, :-1] & dfinite[:, 1:] & (np.signbit(dys[:, :-1]) != np.signbit(dys[:, 1:]))
-    for f, fs, pairs in ((func, ys, flips), (dfunc, dys, dflips)):
-        # Row-major pair numbers: np.nonzero of a 2-D mask is far slower.
-        for i, j in zip(*np.divmod(np.flatnonzero(pairs), size)):
-            u, v = float(xs[i, j]), float(xs[i, j + 1])
-            roots.append(_bisect(f, u, v, float(fs[i, j]), float(fs[i, j + 1])))
-    roots = [r for r in roots if abs(func(r)) <= residual_tol * max(1.0, abs(r))]
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if deduped and abs(r - deduped[-1]) <= 10.0 * residual_tol * max(1.0, abs(r)):
-            continue
-        deduped.append(r)
-    return deduped
-
-
 @dataclass(frozen=True)
 class CutSolutions:
     """Roots of the closure equation, split by admissibility.
@@ -419,13 +245,16 @@ class CutSolutions:
     excluded: tuple[float, ...]
 
 
-def _closure_roots(gn: CharFn, d: int, kind: RepKind, window, step, residual_tol):
-    """Closure roots within ``window`` of the region boundary (or 0), flagged in-region."""
-    func, dfunc, enclosure = _closure_functions(gn, d, kind)
+def _closure_roots(gn: CharFn, d: int, kind: RepKind, window, residual_tol):
+    """Roots of ``g^(d)(x) + x + 1`` (cut) or ``g^(d)(x) - x`` within ``window``
+    of the region boundary (or 0), flagged in-region."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    sign, shift = (1.0, 1.0) if kind is RepKind.FINITE_CUT else (-1.0, 0.0)
     lo_r, hi_r = invertibility_region(gn)
     center = hi_r if math.isfinite(hi_r) else lo_r if math.isfinite(lo_r) else 0.0
-    roots = _scan_roots(
-        func, dfunc, enclosure, center - window, center + window, step, residual_tol
+    roots = isolate_roots(
+        gn.coefficients, d, sign, shift, center - window, center + window, residual_tol
     )
     return [(r, lo_r < r < hi_r) for r in roots]
 
@@ -434,7 +263,6 @@ def cut_condition_solve(
     gn: CharFn,
     d: int,
     window: float = 100.0,
-    step: float = 1e-4,
     residual_tol: float = CUT_SOLVE_TOL,
 ) -> CutSolutions:
     """Solve ``alpha + g^(d)(alpha) + 1 = 0`` for ``d``-state cut reps.
@@ -442,7 +270,7 @@ def cut_condition_solve(
     Roots out of region or failing to build a cut representation are excluded.
     """
     included, excluded = [], []
-    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT, window, step, residual_tol):
+    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT, window, residual_tol):
         if inside:
             try:
                 build_gsl2(gn, r, d, RepKind.FINITE_CUT, cut_tol=residual_tol)
@@ -459,7 +287,6 @@ def periodic_condition_solve(
     gn: CharFn,
     d: int,
     window: float = 100.0,
-    step: float = 1e-4,
     residual_tol: float = CUT_SOLVE_TOL,
 ) -> tuple[float, ...]:
     """Real solutions of ``g^(d)(alpha) = alpha`` inside the invertibility region.
@@ -467,7 +294,7 @@ def periodic_condition_solve(
     ``d = 1`` gives the fixed points (one-state representations); larger ``d``
     gives period-``d`` candidates, with no unitarity claim attached.
     """
-    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC, window, step, residual_tol)
+    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC, window, residual_tol)
     return tuple(r for r, inside in roots if inside)
 
 

@@ -40,6 +40,7 @@ from .errors import (
     DescentViolation,
     DimensionMismatch,
     GjsError,
+    InvalidHighestWeight,
     NegativeRadicand,
     NoRealFixedPoint,
     OutOfBasis,
@@ -262,6 +263,8 @@ def build_jsmap(
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
     space = two_oscillator_space(fn, alpha0, mode, bound=bound)
+    if not math.isfinite(alpha_j):
+        raise InvalidHighestWeight(f"alpha_j = {alpha_j!r} is not finite")
     g_alpha = evaluate(gn, alpha_j)
     if not (g_alpha - alpha_j < 0.0):
         raise DescentViolation(1, g_alpha)

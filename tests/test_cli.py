@@ -471,6 +471,11 @@ NON_FINITE_PERTURB = {
                            "--kind", "cut", "--verify", "--perturb", "weights:0:nan"],
 }
 
+STEP_JOB = {"jobs": [{"name": "stepped", "command": "gsl2 cut",
+                      "params": {"gn": json.loads(GN_FIG2), "d": 1, "step": 1e-3}}]}
+FLAT_GN = '{"coefficients":[0,1],"orientation":"weight"}'
+HUGE_QUADRATIC = '{"coefficients":[1e200,1e200,1e200],"orientation":"oscillator"}'
+
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
 #: names)`` for inputs that must end in a JSON error on stderr and exit code 1.
 BAD_INPUTS = {
@@ -482,9 +487,8 @@ BAD_INPUTS = {
     "cut-tol nan": (["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind",
                      "cut", "--cut-tol", "nan"], None, None, "--cut-tol"),
     "cut-tol negative": ([*SHELL, "--cut-tol=-1e-9"], None, None, "--cut-tol"),
-    "step zero": ([*CUT, "--step", "0"], None, None, "--step"),
-    "step negative": ([*CUT, "--step", "-1"], None, None, "--step"),
-    "step inf": ([*PERIODIC, "--step", "inf"], None, None, "--step"),
+    "step refused": ([*CUT, "--step", "1e-3"], None, None, "unrecognized arguments: --step"),
+    "batch job with step": (["run", "--config", "jobs.json"], None, STEP_JOB, "--step"),
     "window-size zero": ([*PERIODIC, "--window-size", "0"], None, None, "--window-size"),
     "window-size nan": ([*CUT, "--window-size", "nan"], None, None, "--window-size"),
     "bound nan": (GHA3, "nan", None, "GJS_DIVERGENCE_BOUND"),
@@ -514,22 +518,22 @@ BAD_INPUTS = {
     "cobweb window inf": ([*COBWEB, "--x0", "0.5", "--window", "0,inf"], None, None, "--window"),
     "cobweb x0 inf": ([*COBWEB, "--x0", "inf"], None, None, "--x0"),
     "analyze x0 nan": (["charfun", "analyze", "--fn", FN_FIG1, "--x0", "nan"], None, None, "--x0"),
-    # 2e17 grid samples: more bytes than any 57-bit address space, refused at once
-    "step unallocatable": (["gsl2", "cut", "--gn", GN_FIG2, "--d", "2", "--step", "1e-15"], None,
-                           None, "MemoryError"),
-    # (hi - lo) / step overflows to inf, so the grid has no sample count
+    # the window's width 2 * 1e308 overflows to inf
     "window-size overflows the grid": ([*CUT, "--window-size", "1e308"], None, None,
                                        "no finite size"),
-    "step too fine for the grid": ([*PERIODIC, "--step", "5e-324"], None, None, "no finite size"),
-    # More block starts than numpy can size an array for; at exactly 2**63
-    # blocks np.arange returned an empty array instead of raising.
-    "window-size beyond numpy": ([*CUT, "--window-size", "1e20"], None, None,
-                                 "too large for numpy"),
-    "step beyond numpy": ([*CUT, "--step", "1e-300"], None, None, "too large for numpy"),
-    "window-size just beyond numpy": ([*CUT, "--window-size", "1.85e18"], None, None,
-                                      "too large for numpy"),
-    "window-size at 2**63 blocks": ([*CUT, "--window-size", "1.8889465931478582e+18"], None, None,
-                                    "too large for numpy"),
+    # g(x) - x vanishes on the whole window
+    "flat closure function": (["gsl2", "periodic", "--gn", FLAT_GN, "--d", "1"], None, None,
+                              "the roots are not isolated"),
+    "build alphaj nan": (["jsmap", "build", *SHELL[2:9], "nan", "--j", "1"], None, None,
+                         "InvalidHighestWeight: alpha_j = nan is not finite"),
+    "build alphaj inf": (["jsmap", "build", *SHELL[2:9], "inf", "--j", "1"], None, None,
+                         "InvalidHighestWeight: alpha_j = inf is not finite"),
+    "verify alphaj nan": ([*SHELL[:9], "nan", "--j", "1"], None, None,
+                          "InvalidHighestWeight: alpha_j = nan is not finite"),
+    "verify alphaj inf": ([*SHELL[:9], "-inf", "--j", "1"], None, None,
+                          "InvalidHighestWeight: alpha_j = -inf is not finite"),
+    "discriminant overflows": (["charfun", "analyze", "--fn", HUGE_QUADRATIC], None, None,
+                               "the discriminant of 1e+200 + 1e+200 x + 1e+200 x**2 is nan"),
     # fn overflows on most of the curve samples; the orbit itself stays finite
     "cobweb samples overflow": (WIDE_COBWEB, None, None, SAMPLES_ERROR),
     "cobweb samples overflow with --out": ([*WIDE_COBWEB, "--out", "o"], None, None,
@@ -540,8 +544,13 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", [
+    # only the overflowing orbit of this case warns on its way to the error
+    pytest.param(case, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+    if case == "nan residual" else case
+    for case in sorted(BAD_INPUTS)
+])
 def test_bad_input_is_a_json_error(case, capsys, monkeypatch, tmp_path):
     argv, bound, config, named = BAD_INPUTS[case]
     monkeypatch.chdir(tmp_path)
@@ -582,43 +591,32 @@ def test_unencodable_batch_output_is_a_job_error(capsys, monkeypatch, tmp_path):
     assert not (tmp_path / "overflow.json").exists()
 
 
-def test_unallocatable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)
-    config = {"jobs": [
-        {"name": "huge", "command": "gsl2 cut",
-         "params": {"gn": json.loads(GN_FIG2), "d": 2, "step": 1e-15}},
-        {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}},
-    ]}
-    (tmp_path / "jobs.json").write_text(json.dumps(config))
-    code, payload, _ = run_cli(capsys, "run", "--config", "jobs.json")
-    assert code == 1
-    huge, small = payload["jobs"]
-    assert huge["status"] == "error"
-    assert "MemoryError" in huge["error"]
-    assert small["status"] == "ok"
-
-
 def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     config = {"jobs": [
         {"name": "wide", "command": "gsl2 cut",
          "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 1e308}},
-        {"name": "fine", "command": "gsl2 periodic",
-         "params": {"gn": json.loads(GN_FIG2), "d": 1, "step": 5e-324}},
-        {"name": "blocks", "command": "gsl2 cut",
-         "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 1.8889465931478582e+18}},
+        {"name": "flat", "command": "gsl2 periodic",
+         "params": {"gn": json.loads(FLAT_GN), "d": 1}},
         {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}},
     ]}
     (tmp_path / "jobs.json").write_text(json.dumps(config))
     code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
     assert code == 1
     assert err == ""
-    wide, fine, blocks, small = payload["jobs"]
-    for job, named in ((wide, "no finite size"), (fine, "no finite size"),
-                       (blocks, "too large for numpy")):
+    wide, flat, small = payload["jobs"]
+    for job, named in ((wide, "no finite size"), (flat, "the roots are not isolated")):
         assert job["status"] == "error"
         assert job["error"].startswith("ValueError: ") and named in job["error"]
     assert small["status"] == "ok"
+
+
+@pytest.mark.parametrize("window", ["1e20", "1.85e18", "1.8889465931478582e+18"])
+def test_huge_window_size_is_solved(window, capsys):
+    # The first level cuts any finite window into the same number of boxes.
+    code, payload, _ = run_cli(capsys, *CUT, "--window-size", window)
+    assert code == 0
+    assert payload["included"] + payload["excluded"] == pytest.approx([0.0, 4.0], abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

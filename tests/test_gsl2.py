@@ -1,7 +1,7 @@
 import json
 import math
 from dataclasses import replace
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from gjsmap import (
     casimir_gsl2,
     charfun,
     cut_condition_solve,
+    find_roots,
     gauss_numbers,
     gsl2,
     gsl2_from_dict,
@@ -32,14 +33,13 @@ from gjsmap.errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     Q_PARAMETER,
     cut_quartic_roots_oracle,
     dense_gsl2,
-    full_grid_closure_roots,
     identical,
     q_cut_root,
     scaled_tol,
@@ -299,7 +299,7 @@ class TestCutSolve:
 
     def test_standard_limit_spin(self):
         for d in range(1, 6):
-            sols = cut_condition_solve(SL2, d, window=20.0, step=1e-3)
+            sols = cut_condition_solve(SL2, d, window=20.0)
             assert len(sols.included) == 1
             assert sols.included[0] == pytest.approx((d - 1) / 2.0, abs=1e-9)
             assert sols.excluded == ()
@@ -336,7 +336,7 @@ class TestPeriodicSolve:
 
     def test_linear_shift_has_no_periodic_points(self):
         for d in (1, 2, 3):
-            assert periodic_condition_solve(SL2, d, window=20.0, step=1e-3) == ()
+            assert periodic_condition_solve(SL2, d, window=20.0) == ()
 
     def test_period_two_points_match_fixed_points(self):
         # for this tangent quadratic the only period-2 points in the region
@@ -353,191 +353,139 @@ CLOSURE_COEFFS = st.one_of(
 )
 
 
-def hexes(values) -> list[str]:
-    return [float(v).hex() for v in values]
+def exact_closure(coeffs, d: int, sign: int, shift: int, x: float) -> Fraction:
+    """``g^(d)(x) + sign x + shift`` in exact rational arithmetic."""
+    y = Fraction(x)
+    for _ in range(d):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * y + Fraction(c)
+        y = acc
+    return y + sign * Fraction(x) + shift
 
 
-def assert_full_grid_roots(gn: CharFn, d: int, window: float, step: float) -> None:
-    """Both solvers return exactly the roots of the full-grid reference scan."""
-    lo_r, hi_r = invertibility_region(gn)
-    cut = cut_condition_solve(gn, d, window=window, step=step)
-    want = full_grid_closure_roots(gn, d, "cut", window, step)
-    assert hexes(sorted(cut.included + cut.excluded)) == hexes(want)
-    want = full_grid_closure_roots(gn, d, "periodic", window, step)
-    got = periodic_condition_solve(gn, d, window=window, step=step)
-    assert hexes(got) == hexes(r for r in want if lo_r < r < hi_r)
+#: Dyadic roots in [-4, 4], 2**-14 apart at the finest.
+DYADIC_ROOT = st.integers(-(2**16), 2**16).map(lambda k: k / 2**14)
 
 
-class TestBlockScan:
-    """The block-pruned scan against the full-grid scan it replaced."""
+@st.composite
+def dyadic_polynomials(draw):
+    """``(coefficients, roots)`` of ``lead (x - r_1) ... (x - r_n)``, n = 2 or 3, exact in floats.
 
-    @given(
-        coeffs=CLOSURE_COEFFS,
-        d=st.integers(1, 8),
-        window=st.floats(5.0, 20.0),
-        step=st.floats(8e-4, 1.2e-3),
-        block=st.sampled_from([1, 3, 64, gsl2.BLOCK]),
-        sub=st.sampled_from([1, 2, 8, 64]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_full_grid_scan(self, coeffs, d, window, step, block, sub):
-        with mock.patch.object(gsl2, "BLOCK", block), mock.patch.object(gsl2, "SUB", sub):
-            assert_full_grid_roots(CharFn(coeffs, Orientation.WEIGHT), d, window, step)
+    The roots are at least 1/16 apart, except that half the draws put the
+    second root 2**-14 above the first.  Quadratics open downward, so that
+    ``p(x) - x - 1`` is a weight function.
+    """
+    n = draw(st.integers(2, 3))
+    roots = draw(st.lists(DYADIC_ROOT, min_size=n, max_size=n, unique=True))
+    pair = draw(st.booleans())
+    spread = sorted(roots[1:] if pair else roots)
+    assume(all(b - a >= 2**-4 for a, b in zip(spread, spread[1:])))
+    if pair:
+        roots[0] = roots[1] + 2**-14
+        assume(all(abs(r - roots[1]) >= 2**-4 for r in roots[2:]))
+    lead = draw(st.sampled_from([-2.0, -1.0, -0.5] + ([0.5, 1.0, 2.0] if n == 3 else [])))
+    poly = [Fraction(lead)]
+    for r in roots:  # multiply by (x - r), coefficients highest first
+        poly = [a - Fraction(r) * b for a, b in zip(poly + [0], [0] + poly)]
+    coeffs = [float(c) for c in reversed(poly)]
+    assume(all(Fraction(c) == e for c, e in zip(coeffs, reversed(poly))))
+    return coeffs, sorted(roots)
+
+
+class TestIsolator:
+    """``charfun.isolate_roots`` behind both solvers and ``find_roots``."""
+
+    @given(case=dyadic_polynomials())
+    @settings(max_examples=150, deadline=None)
+    def test_known_dyadic_roots_each_reported_once(self, case):
+        coeffs, roots = case
+        assert find_roots(coeffs, (-math.inf, math.inf)) == pytest.approx(roots, abs=1e-9)
+        # x + g(x) + 1 is the polynomial itself
+        gn = CharFn((coeffs[0] - 1.0, coeffs[1] - 1.0, *coeffs[2:]), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert sorted(sols.included + sols.excluded) == pytest.approx(roots, abs=1e-9)
 
     @pytest.mark.parametrize("d", range(1, 6))
-    def test_root_on_a_grid_sample(self, monkeypatch, d):
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        root = cut_condition_solve(SL2, d, window=20.0, step=1e-3).included
+    def test_root_on_a_box_edge(self, d):
+        # x + g^(d)(x) + 1 = 2x - d + 1 vanishes exactly at an end of a first-level box.
+        root = cut_condition_solve(SL2, d, window=16.0).included
         assert root == ((d - 1) / 2.0,)
-        assert root[0] in np.linspace(-20.0, 20.0, 40001)
-        assert_full_grid_roots(SL2, d, 20.0, 1e-3)
+        assert ((d - 1) / 2.0 + 16.0) / (32.0 / charfun.BOXES) % 1.0 == 0.0
 
     @pytest.mark.parametrize("side", [-0.25, 0.25])
-    def test_sign_change_at_a_shared_block_edge(self, monkeypatch, side):
-        # g(x) - x = x - r changes sign between sample 4800, which blocks
-        # 599 and 600 share, and its left or right neighbour.
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        xs = np.linspace(-5.0, 5.0, 10001)
-        r = xs[4800] + side * (xs[4801] - xs[4800])
+    def test_sign_change_next_to_a_shared_box_edge(self, side):
+        # g(x) - x = x - r changes sign a quarter box from the edge boxes 299 and 300 share.
+        width = 10.0 / charfun.BOXES
+        r = -5.0 + 300 * width + side * width
         gn = CharFn((-r, 2.0), Orientation.WEIGHT)
-        ys = xs + -r
-        flips = np.flatnonzero(np.signbit(ys[:-1]) != np.signbit(ys[1:]))
-        assert flips.tolist() == [4800 if side > 0 else 4799]
-        assert periodic_condition_solve(gn, 1, window=5.0, step=1e-3) == pytest.approx([r])
-        assert_full_grid_roots(gn, 1, 5.0, 1e-3)
+        assert periodic_condition_solve(gn, 1, window=5.0) == pytest.approx([r], abs=1e-15)
 
-    @staticmethod
-    def scan_periodic_line(r: float, step: float) -> tuple[list[float], np.ndarray]:
-        """Roots of ``g(x) - x = x - r`` on [-5, 5], and the sample rows the scan built."""
-        gn = CharFn((-r, 2.0), Orientation.WEIGHT)
-        func, dfunc, enclosure = gsl2._closure_functions(gn, 1, RepKind.FINITE_PERIODIC)
-        rows = []
-
-        def spy(x):
-            if np.ndim(x):
-                rows.append(x)
-            return func(x)
-
-        roots = gsl2._scan_roots(spy, dfunc, enclosure, -5.0, 5.0, step, 1e-9)
-        assert_full_grid_roots(gn, 1, 5.0, step)
-        return roots, rows[0]
-
-    def test_zero_sample_two_kept_blocks_share(self, monkeypatch):
-        # Sample 4800 closes block 599 and opens block 600: both rows hold it.
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        r = float(np.linspace(-5.0, 5.0, 10001)[4800])
-        roots, rows = self.scan_periodic_line(r, 1e-3)
-        assert rows.shape[1] == 9 and np.count_nonzero(rows == r) == 2
-        assert roots == [r]
-
-    def test_zero_sample_two_kept_boxes_of_one_block_share(self, monkeypatch):
-        # Sample 4808 closes box 600 and opens box 601, both inside block 75.
-        monkeypatch.setattr(gsl2, "BLOCK", 64)
-        monkeypatch.setattr(gsl2, "SUB", 8)
-        assert 4808 // 64 == 75 and 4808 % 64 == 8
-        r = float(np.linspace(-5.0, 5.0, 10001)[4808])
-        roots, rows = self.scan_periodic_line(r, 1e-3)
-        assert rows.shape[1] == 9 and np.count_nonzero(rows == r) == 2
-        (first, second), _ = np.nonzero(rows == r)
-        assert second == first + 1 and rows[first, -1] == rows[second, 0] == r
-        assert roots == [r]
-
-    @pytest.mark.parametrize("side", [-0.25, 0.25])
-    def test_sign_change_at_a_shared_box_edge(self, monkeypatch, side):
-        # g(x) - x = x - r changes sign between sample 4808, which boxes 600
-        # and 601 of block 75 share, and its left or right neighbour.
-        monkeypatch.setattr(gsl2, "BLOCK", 64)
-        monkeypatch.setattr(gsl2, "SUB", 8)
-        xs = np.linspace(-5.0, 5.0, 10001)
-        r = xs[4808] + side * (xs[4809] - xs[4808])
-        gn = CharFn((-r, 2.0), Orientation.WEIGHT)
-        ys = xs + -r
-        flips = np.flatnonzero(np.signbit(ys[:-1]) != np.signbit(ys[1:]))
-        assert flips.tolist() == [4808 if side > 0 else 4807]
-        assert periodic_condition_solve(gn, 1, window=5.0, step=1e-3) == pytest.approx([r])
-        assert_full_grid_roots(gn, 1, 5.0, 1e-3)
-
-    def test_default_scan_samples_rows_of_one_box(self):
-        # A 4096-pair block is kept, then sampled only in its 64-pair boxes
-        # near the root: rows of SUB + 1 samples, far fewer than a block's.
-        r = float(np.linspace(-5.0, 5.0, 10001)[4800])
-        roots, rows = self.scan_periodic_line(r, 1e-3)
-        assert (gsl2.BLOCK, gsl2.SUB) == (4096, 64)
-        assert rows.shape[1] == 65 and rows.size < gsl2.BLOCK
-        assert roots == [r]
-
-    def test_sign_change_in_a_short_last_block(self, monkeypatch):
-        # 9987 sample pairs: the last block holds 3 and repeats hi to fill its
-        # row.  9987 h - 5 rounds below 5, so the scan must set hi itself.
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        assert 9987.0 * (10.0 / 9987) + -5.0 < 5.0
-        xs = np.linspace(-5.0, 5.0, 9988)
-        r = 0.5 * (xs[-2] + xs[-1])
-        roots, rows = self.scan_periodic_line(r, 1.0014e-3)
-        assert rows[-1].tolist() == [*xs[-4:-1], 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]
-        assert roots == pytest.approx([r], abs=1e-12) and xs[-2] < roots[0] < 5.0
-
-    def test_zero_at_hi_past_the_rounded_last_sample(self):
-        # 9987 h - 5 rounds below 5 = hi, where 2x - 10 vanishes: at zero
-        # residual tolerance only a last box that reaches hi itself is kept.
-        assert 9987.0 * (10.0 / 9987) + -5.0 < 5.0
+    def test_zero_at_hi(self):
+        # x + g(x) + 1 = 2x - 10 vanishes at hi = 5, even at zero residual tolerance.
         gn = CharFn((-11.0, 1.0), Orientation.WEIGHT)
-        func, dfunc, enclosure = gsl2._closure_functions(gn, 1, RepKind.FINITE_CUT)
-        assert gsl2._scan_roots(func, dfunc, enclosure, -5.0, 5.0, 1.0014e-3, 0.0) == [5.0]
+        assert charfun.isolate_roots(gn.coefficients, 1, 1.0, 1.0, -5.0, 5.0, 0.0) == [5.0]
+        sols = cut_condition_solve(gn, 1, window=5.0)
+        assert sols.included + sols.excluded == (5.0,)
 
-    def test_brackets_are_neighbouring_samples(self, monkeypatch):
-        # x + g(x) + 1 = -x^2 + 4x: kept blocks near the roots 0 and 4, and
-        # the derivative changes sign at 2, inside the dropped blocks between.
-        brackets = []
-        bisect = gsl2._bisect
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        monkeypatch.setattr(
-            gsl2, "_bisect", lambda f, u, v, fu, fv: brackets.append(v - u) or bisect(f, u, v, fu, fv)
-        )
-        sols = cut_condition_solve(FIG2_GN, 1, window=5.0, step=1.1e-3)
-        assert sols.included + sols.excluded == pytest.approx([0.0, 4.0], abs=1e-12)
-        assert brackets and max(brackets) <= 1.1e-3
-        assert_full_grid_roots(FIG2_GN, 1, 5.0, 1.1e-3)
-
-    def test_showcase_tangent_fixed_point(self, monkeypatch):
+    def test_showcase_tangent_fixed_point(self):
         # -x^2 + 3x - 1 touches the diagonal at 1 without crossing it: the
-        # root comes from the derivative's sign change alone.
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        roots = periodic_condition_solve(FIG2_GN, 1, window=20.0, step=1e-4)
-        assert roots == pytest.approx([1.0], abs=1e-9)
-        assert_full_grid_roots(FIG2_GN, 1, 20.0, 1e-4)
+        # root is the zero of the derivative inside a cluster.
+        assert periodic_condition_solve(FIG2_GN, 1, window=20.0) == (1.0,)
+        assert find_roots([-1.0, 2.0, -1.0], (-20.0, 20.0)) == [1.0]
 
-    def test_overflow_inside_the_window(self, monkeypatch):
+    def test_overflow_inside_the_window(self):
         # -x^3 + 3x - 1 padded with a zero: the orbit overflows to +-inf, and
         # one step later the padding's 0 * inf makes it NaN.
-        monkeypatch.setattr(gsl2, "BLOCK", 8)
-        gn = CharFn((-1.0, 3.0, 0.0, -1.0, 0.0), Orientation.WEIGHT)
+        padded = CharFn((-1.0, 3.0, 0.0, -1.0, 0.0), Orientation.WEIGHT)
         xs = np.linspace(-1.0 - 20.0, -1.0 + 20.0, 40001)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = gsl2._compose(gn, xs, 6)
+            values = xs
+            for _ in range(6):
+                values = padded(values)
         assert np.isinf(values).any() and np.isnan(values).any()
-        assert_full_grid_roots(gn, 6, 20.0, 1e-3)
-        assert_full_grid_roots(FIG2_GN, 8, 20.0, 1e-3)
+        cubic = CharFn(padded.coefficients[:4], Orientation.WEIGHT)
+        assert cut_condition_solve(padded, 6, window=20.0) == cut_condition_solve(
+            cubic, 6, window=20.0)
+        assert periodic_condition_solve(padded, 6, window=20.0) == periodic_condition_solve(
+            cubic, 6, window=20.0)
+        # Each d = 8 root of the showcase brackets an exact sign change.
+        sols = cut_condition_solve(FIG2_GN, 8, window=20.0)
+        for r in sols.included + sols.excluded:
+            below, above = (exact_closure(FIG2_GN.coefficients, 8, 1, 1, r + e)
+                            for e in (-1e-9, 1e-9))
+            assert below * above < 0
 
     def test_derivative_coefficients_built_once_per_solve(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(gsl2, "_derivative", lambda c: calls.append(c) or charfun._derivative(c))
-        cut_condition_solve(FIG2_GN, 3, window=20.0, step=1e-3)
-        periodic_condition_solve(FIG2_GN, 2, window=20.0, step=1e-3)
-        assert calls == [FIG2_GN.coefficients] * 2
+        derivative = charfun._derivative
+        monkeypatch.setattr(charfun, "_derivative", lambda c: calls.append(c) or derivative(c))
+        cut_condition_solve(FIG2_GN, 3, window=20.0)
+        periodic_condition_solve(FIG2_GN, 2, window=20.0)
+        assert calls == [list(FIG2_GN.coefficients), [3.0, -2.0]] * 2  # g' and g''
 
     def test_chain_rule_evaluates_g_d_minus_one_times(self, monkeypatch):
-        _, dfunc, _ = gsl2._closure_functions(FIG2_GN, 4, RepKind.FINITE_CUT)
+        _, _, dfunc, _, _, _ = charfun._composition(FIG2_GN.coefficients, 4, 1.0, 1.0)
         calls = []
-        monkeypatch.setattr(gsl2, "_horner", lambda c, x: calls.append(len(c)) or charfun._horner(c, x))
+        horner = charfun._horner
+        monkeypatch.setattr(charfun, "_horner", lambda c, x: calls.append(len(c)) or horner(c, x))
         dfunc(0.3)
         assert calls == [2, 3, 2, 3, 2, 3, 2]  # g' four times, g three times
 
+    def test_flat_closure_function_is_an_error(self):
+        # g(x) = x: g(x) - x vanishes on the whole window.
+        with pytest.raises(ValueError, match="not isolated"):
+            periodic_condition_solve(CharFn((0.0, 1.0), Orientation.WEIGHT), 1)
+
+    @pytest.mark.parametrize("window", [1e20, 1.8889465931478582e18])
+    def test_huge_window_finishes(self, window):
+        sols = cut_condition_solve(FIG2_GN, 1, window=window)
+        assert sols.included + sols.excluded == pytest.approx((0.0, 4.0), abs=1e-12)
+
 
 class TestClosureScanDefects:
-    """Two d = 1 cuts the grid scan gets wrong; a certified isolator must not."""
+    """Two d = 1 cuts the retired grid scan got wrong."""
 
-    @pytest.mark.xfail(strict=True, reason="the tangent-root heuristic adds the derivative zero")
     def test_close_root_pair_has_no_middle_root(self):
         # x + g(x) + 1 = -(x - a)(x - b); the derivative zero between the
         # roots has residual (gap / 2)^2 ~ 6e-10, inside the 1e-9 test.
@@ -546,10 +494,9 @@ class TestClosureScanDefects:
         sols = cut_condition_solve(gn, 1)
         assert sorted(sols.included + sols.excluded) == pytest.approx([a, b], abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="two sign changes inside one grid interval cancel")
     def test_close_simple_roots_are_all_reported(self):
-        # x + g(x) + 1 = x (x - 5e-5) (x - 5): the roots 0 and 5e-5 share one
-        # grid interval, so the scan sees no sign change there.
+        # x + g(x) + 1 = x (x - 5e-5) (x - 5): the roots 0 and 5e-5 shared
+        # one interval of the old grid, which saw no sign change there.
         e = 5e-5
         gn = CharFn((-1.0, 5.0 * e - 1.0, -(5.0 + e), 1.0), Orientation.WEIGHT)
         sols = cut_condition_solve(gn, 1)
@@ -559,6 +506,10 @@ class TestClosureScanDefects:
 def assert_in_box(value: float, lo: float, hi: float) -> None:
     """``value`` lies in ``[lo, hi]``, or it or a bound is NaN."""
     assert math.isnan(value) or math.isnan(lo) or math.isnan(hi) or lo <= value <= hi
+
+
+#: ``(sign, shift)`` of the cut function ``g^(d)(x) + x + 1`` and of the periodic one ``g^(d)(x) - x``.
+CLOSURE_LINES = ((1.0, 1.0), (-1.0, 0.0))
 
 
 class TestEnclosure:
@@ -578,17 +529,41 @@ class TestEnclosure:
         points = data.draw(st.lists(st.floats(lo, hi), max_size=8)) + [lo, hi]
         box = np.array([lo]), np.array([hi])
         with np.errstate(over="ignore", invalid="ignore"):
-            ylo, yhi = (float(b[0]) for b in gsl2._compose_interval(gn, *box, d))
             closures = []
-            for kind in (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC):
-                func, _, enclosure = gsl2._closure_functions(gn, d, kind)
-                closures.append((func, *(float(b[0]) for b in enclosure(*box))))
+            for sign, shift in CLOSURE_LINES:
+                func, _, dfunc, enclose, _, _ = charfun._composition(coeffs, d, sign, shift)
+                bounds = [float(b[0]) for b in enclose(*box)]
+                closures.append((func, dfunc, bounds))
             for x in points:
-                assert_in_box(gsl2._compose(gn, x, d), ylo, yhi)
-                assert_in_box(float(gsl2._compose(gn, np.array([x]), d)[0]), ylo, yhi)
-                for func, flo, fhi in closures:
+                # g^(d) composed of evaluate calls, trailing zeros included
+                y = x
+                for _ in range(d):
+                    y = gn(y)
+                for (func, dfunc, (flo, fhi, dlo, dhi)), (sign, shift) in zip(closures,
+                                                                            CLOSURE_LINES):
+                    assert_in_box(y + sign * x + shift, flo, fhi)
                     assert_in_box(func(x), flo, fhi)
                     assert_in_box(float(func(np.array([x]))[0]), flo, fhi)
+                    assert_in_box(dfunc(x), dlo, dhi)
+
+    @given(coeffs=CLOSURE_COEFFS, d=st.integers(1, 4),
+           xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
+                       min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_certain_point_sign_is_exact(self, coeffs, d, xs):
+        # Outward rounding: wherever the point enclosure excludes 0, its sign
+        # is the sign of the exact value, dyadic zeros included.
+        for sign, shift in CLOSURE_LINES:
+            func, _, _, _, _, point = charfun._composition(coeffs, d, sign, shift)
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_lo, p_hi = point(np.array(xs))
+            for x, lo, hi in zip(xs, p_lo.tolist(), p_hi.tolist()):
+                exact = exact_closure(coeffs, d, int(sign), int(shift), x)
+                assert lo <= func(x) <= hi or not math.isfinite(func(x))
+                if lo > 0.0:
+                    assert exact > 0
+                elif hi < 0.0:
+                    assert exact < 0
 
 
 class TestSerialization:
