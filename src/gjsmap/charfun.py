@@ -506,31 +506,25 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
     """``(func, exact, dfunc, enclose, curve, point)`` of ``F(x) = g^(d)(x) + sign x + shift``.
 
     ``g`` is ``coeffs`` without trailing zeros (they change only values that
-    are not finite anyway); ``sign`` is -1, 0 or 1.  ``exact`` is ``func`` in
-    rational arithmetic, ``dfunc`` the chain rule ``g'(x) g'(g(x)) ... + sign``.
-    ``enclose(lo, hi)`` bounds ``F`` and ``F'`` over boxes by their operations
-    in their order, so it holds every float they return there; ``curve`` bounds
-    ``F''`` by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``; ``point(x)`` bounds the
-    exact ``F(x)``.
+    are not finite anyway); ``sign`` is -1, 0 or 1.  ``dfunc`` is the chain
+    rule ``g'(x) g'(g(x)) ... + sign``.  ``enclose(lo, hi)`` bounds ``F`` and
+    ``F'`` over boxes by their operations in their order, so it holds every
+    float they return there; ``curve`` bounds ``F''`` by ``(h o g)'' = h''(g)
+    g'^2 + h'(g) g''``; ``point(x)`` bounds the exact ``F(x)`` at floats, and
+    ``exact(x)`` is ``func(x)`` where that bound excludes 0, else ``F(x)`` in
+    rational arithmetic, so its sign is exact.
     """
     import numpy as np
 
     coeffs = _strip_trailing_zeros(coeffs)
     dcoeffs = _derivative(coeffs)
     ddcoeffs = _derivative(dcoeffs)
-    fractions = [Fraction(c) for c in coeffs]
 
     def func(x):
         y = x
         for _ in range(d):
             y = _horner(coeffs, y)
         return y + sign * x + shift
-
-    def exact(x):
-        y = Fraction(x)
-        for _ in range(d):
-            y = _horner(fractions, y)
-        return y + Fraction(sign * x) + Fraction(shift)
 
     def dfunc(x):
         out = _horner(dcoeffs, x)
@@ -566,6 +560,15 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
         return (np.nextafter(np.nextafter(y[0] + sign * x, down) + shift, down),
                 np.nextafter(np.nextafter(y[1] + sign * x, up) + shift, up))
 
+    def exact(x):
+        lo, hi = point(np.array([x]))
+        if lo[0] > 0.0 or hi[0] < 0.0:
+            return func(x)
+        y = Fraction(x)
+        for _ in range(d):
+            y = _horner([Fraction(c) for c in coeffs], y)
+        return y + Fraction(sign * x) + Fraction(shift)
+
     return func, exact, dfunc, enclose, curve, point
 
 
@@ -583,7 +586,7 @@ def _sign_change_root(f: Callable[[float], float], u: float, v: float) -> Option
     fu, fv = f(u), f(v)
     if fu == 0.0 or fv == 0.0:
         return u if fu == 0.0 else v
-    if math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0):
+    if abs(fu) < math.inf and abs(fv) < math.inf and (fu < 0.0) != (fv < 0.0):  # floats or exact
         return _bisect(f, u, v, fu, fv)
     return None
 
@@ -594,20 +597,18 @@ def isolate_roots(
     """Real roots of ``F(x) = g^(d)(x) + sign x + shift`` on ``[lo, hi]``, sorted.
 
     Interval subdivision with a monotonicity test (R. E. Moore, *Interval
-    Analysis*, 1966) over ``BOXES`` equal boxes.  With ``t = tol max(1, |x|)``,
+    Analysis*, 1966) from ``BOXES`` equal boxes.  With ``t = tol max(1, |x|)``,
     a level drops each box whose value enclosure, cut to the mean-value forms
-    ``F(e) + F'(X)(X - e)`` from both ends ``e``, misses ``[-2t, 2t]``; it
-    finishes a box whose derivative enclosure excludes 0 and whose end signs
-    are certain: opposite signs hold one root, which :func:`_bisect` refines.
-    Other boxes are cut into ``SPLIT`` children until narrower than ``t`` (or
-    ``SPLIT`` units in the last place), or until ``F`` is monotone and within
-    rounding of 0 at both ends.  Adjacent boxes left over form a cluster with
-    at most one root: an exact sign change between its ends, or else a zero
-    of ``F'``, unless finished boxes without a root (``F`` is monotone on
-    them) join the cluster to a sign change.  Every root meets ``|F| <= t``.
-    ``ValueError`` if ``hi - lo`` is not finite, or if more than
-    ``BOXES * SPLIT`` boxes are left to cut at one level, as when ``F`` stays
-    in the band on a whole stretch, where its roots are not isolated.
+    ``F(e) + F'(X)(X - e)`` from both ends ``e``, misses ``[-2t, 2t]``, and
+    finishes each box whose derivative enclosure excludes 0 and whose end
+    signs are certain: opposite signs hold one root, which :func:`_bisect`
+    refines.  It cuts the others into ``SPLIT`` until narrower than ``t`` (or
+    ``SPLIT`` ulps), or monotone and within rounding of 0 at both ends; those
+    form clusters of adjacent boxes with at most one root: an exact sign
+    change, or else a zero of ``F'`` unless finished boxes without a root join
+    the cluster to a sign change.  Every root meets ``|F| <= t``.  A
+    ``ValueError`` names a ``hi - lo`` that is not finite, or a level with
+    more than ``BOXES * SPLIT`` boxes left, where ``F`` stays in the band.
     """
     import numpy as np
 
@@ -616,8 +617,7 @@ def isolate_roots(
     func, exact, dfunc, enclose, curve, point = _composition(coeffs, d, sign, shift)
     narrow = max(tol, SPLIT * sys.float_info.epsilon)  # a cut must leave distinct floats
     parent_lo, parent_hi, parts = np.array([lo]), np.array([hi]), BOXES
-    none = np.empty(0)
-    finished, clusters = [(none, none, none > 0.0)], [(none, none)]
+    finished, clusters = [(np.empty(0), np.empty(0), np.empty(0, bool))], [(np.empty(0),) * 2]
     with np.errstate(over="ignore", invalid="ignore"):
         while parent_lo.size:
             step = ((parent_hi - parent_lo) / parts)[:, None]
