@@ -15,11 +15,11 @@ vertex, weight-like functions open downward and act below it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
@@ -99,7 +99,7 @@ def _interval_product(a_lo, a_hi, b_lo, b_hi):
             np.maximum(np.maximum(p, q), np.maximum(r, s)))
 
 
-def _horner_interval(coeffs: Sequence[float], lo, hi, outward: bool = False):
+def _horner_interval(coeffs: Sequence[float], lo, hi):
     """Enclosure ``(lo, hi)`` of :func:`_horner` over the boxes ``[lo, hi]`` (ndarrays).
 
     The operations are :func:`_horner`'s in the same order, each product
@@ -107,22 +107,16 @@ def _horner_interval(coeffs: Sequence[float], lo, hi, outward: bool = False):
     *Interval Analysis*, 1966).  Rounding to nearest is monotone, so at every
     point of a box the float :func:`_horner` returns is NaN or lies in the
     box's enclosure, unless a bound is NaN (a corner product ``0 * inf``).
-    ``outward`` moves each bound one float outward after every operation, so
-    the enclosure also holds the exact real value of the polynomial.
     """
     import numpy as np  # only array callers get here; module import stays numpy-free
-
-    def widen(lo, hi):
-        return (np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)) if outward else (lo, hi)
 
     if len(coeffs) == 1:
         return np.full_like(lo, coeffs[0]), np.full_like(hi, coeffs[0])
     p, q = coeffs[-1] * lo, coeffs[-1] * hi
-    acc_lo, acc_hi = widen(np.minimum(p, q), np.maximum(p, q))
+    acc_lo, acc_hi = np.minimum(p, q), np.maximum(p, q)
     for c in coeffs[-2:0:-1]:
-        acc_lo, acc_hi = widen(acc_lo + c, acc_hi + c)
-        acc_lo, acc_hi = widen(*_interval_product(acc_lo, acc_hi, lo, hi))
-    return widen(acc_lo + coeffs[0], acc_hi + coeffs[0])
+        acc_lo, acc_hi = _interval_product(acc_lo + c, acc_hi + c, lo, hi)
+    return acc_lo + coeffs[0], acc_hi + coeffs[0]
 
 
 def _derivative(coeffs: Sequence[float]) -> list[float]:
@@ -503,28 +497,50 @@ SPLIT = 16
 
 
 def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
-    """``(func, exact, dfunc, enclose, curve, point)`` of ``F(x) = g^(d)(x) + sign x + shift``.
+    """``(func, exact, dfunc, enclose, slope, curve)`` of ``F = g^(d)(x) + sign x + shift``.
 
     ``g`` is ``coeffs`` without trailing zeros (they change only values that
-    are not finite anyway); ``sign`` is -1, 0 or 1.  ``dfunc`` is the chain
-    rule ``g'(x) g'(g(x)) ... + sign``.  ``enclose(lo, hi)`` bounds ``F`` and
-    ``F'`` over boxes by their operations in their order, so it holds every
-    float they return there; ``curve`` bounds ``F''`` by ``(h o g)'' = h''(g)
-    g'^2 + h'(g) g''``; ``point(x)`` bounds the exact ``F(x)`` at floats, and
-    ``exact(x)`` is ``func(x)`` where that bound excludes 0, else ``F(x)`` in
-    rational arithmetic, so its sign is exact.
+    are not finite anyway); ``sign`` is -1, 0 or 1 and ``shift`` an integer.
+    ``exact(x)`` is ``F(x)`` in integers over powers of two, rounded to a
+    float once, so its sign is exact; ``dfunc`` is the chain rule
+    ``g'(x) g'(g(x)) ... + sign``.  ``enclose(lo, hi)`` bounds ``F`` over boxes,
+    with the bounds of the iterates from which ``slope`` bounds ``F'``, by the
+    operations of ``func`` and ``dfunc`` in their order, so they hold every
+    float those return there; ``curve`` bounds ``F''`` by
+    ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
     """
     import numpy as np
 
     coeffs = _strip_trailing_zeros(coeffs)
     dcoeffs = _derivative(coeffs)
     ddcoeffs = _derivative(dcoeffs)
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    top = max(den.bit_length() for _, den in ratios) - 1
+    ints = [num << (top + 1 - den.bit_length()) for num, den in ratios]
 
     def func(x):
         y = x
-        for _ in range(d):
-            y = _horner(coeffs, y)
+        for _ in range(d):  # _horner, inlined: this is what bisection evaluates
+            acc = lead
+            for c in rest:
+                acc = acc * y + c
+            y = acc
         return y + sign * x + shift
+
+    def exact(x):
+        num, den = x.as_integer_ratio()
+        y, e = num, den.bit_length() - 1  # y / 2**e
+        for _ in range(d):
+            acc, a = ints[-1], top
+            for c in ints[-2::-1]:
+                acc, a = acc * y + (c << (a + e - top)), a + e
+            y, e = acc, a
+        y += (int(sign) * num << (e + 1 - den.bit_length())) + (int(shift) << e)
+        try:
+            return y / (1 << e)
+        except OverflowError:
+            return math.inf if y > 0 else -math.inf
 
     def dfunc(x):
         out = _horner(dcoeffs, x)
@@ -534,13 +550,17 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
         return out + sign
 
     def enclose(lo, hi):
-        y, s = (lo, hi), _horner_interval(dcoeffs, lo, hi)
-        for _ in range(d - 1):
-            y = _horner_interval(coeffs, *y)
-            s = _interval_product(*s, *_horner_interval(dcoeffs, *y))
-        y_lo, y_hi = _horner_interval(coeffs, *y)
+        ys = [(lo, hi)]
+        for _ in range(d):
+            ys.append(_horner_interval(coeffs, *ys[-1]))
         x_lo, x_hi = (sign * lo, sign * hi) if sign >= 0.0 else (sign * hi, sign * lo)
-        return y_lo + x_lo + shift, y_hi + x_hi + shift, s[0] + sign, s[1] + sign
+        return ys[-1][0] + x_lo + shift, ys[-1][1] + x_hi + shift, ys
+
+    def slope(ys):
+        s = _horner_interval(dcoeffs, *ys[0])
+        for y in ys[1:-1]:
+            s = _interval_product(*s, *_horner_interval(dcoeffs, *y))
+        return s[0] + sign, s[1] + sign
 
     def curve(lo, hi):
         y, s, c = (lo, hi), (np.ones_like(lo),) * 2, (np.zeros_like(lo),) * 2
@@ -552,24 +572,7 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             y = _horner_interval(coeffs, *y)
         return c
 
-    def point(x):
-        y = x, x
-        for _ in range(d):
-            y = _horner_interval(coeffs, *y, outward=True)
-        down, up = -math.inf, math.inf
-        return (np.nextafter(np.nextafter(y[0] + sign * x, down) + shift, down),
-                np.nextafter(np.nextafter(y[1] + sign * x, up) + shift, up))
-
-    def exact(x):
-        lo, hi = point(np.array([x]))
-        if lo[0] > 0.0 or hi[0] < 0.0:
-            return func(x)
-        y = Fraction(x)
-        for _ in range(d):
-            y = _horner([Fraction(c) for c in coeffs], y)
-        return y + Fraction(sign * x) + Fraction(shift)
-
-    return func, exact, dfunc, enclose, curve, point
+    return func, functools.lru_cache(maxsize=None)(exact), dfunc, enclose, slope, curve
 
 
 def _mean_value(lo, hi, left, right, s_lo, s_hi, width):
@@ -597,67 +600,68 @@ def isolate_roots(
     """Real roots of ``F(x) = g^(d)(x) + sign x + shift`` on ``[lo, hi]``, sorted.
 
     Interval subdivision with a monotonicity test (R. E. Moore, *Interval
-    Analysis*, 1966) from ``BOXES`` equal boxes.  With ``t = tol max(1, |x|)``,
-    a level drops each box whose value enclosure, cut to the mean-value forms
-    ``F(e) + F'(X)(X - e)`` from both ends ``e``, misses ``[-2t, 2t]``, and
+    Analysis*, 1966).  With ``t = tol max(1, |x|)``, the first level keeps
+    those of ``BOXES`` equal boxes whose Horner enclosure meets ``[-2t, 2t]``.
+    Each later level cuts the boxes kept into ``SPLIT`` or more children,
+    about ``BOXES`` in all, drops the same way once the enclosure is cut to
+    the mean-value forms ``F(e) + F'(X)(X - e)`` from both ends ``e``, and
     finishes each box whose derivative enclosure excludes 0 and whose end
-    signs are certain: opposite signs hold one root, which :func:`_bisect`
-    refines.  It cuts the others into ``SPLIT`` until narrower than ``t`` (or
-    ``SPLIT`` ulps), or monotone and within rounding of 0 at both ends; those
-    form clusters of adjacent boxes with at most one root: an exact sign
-    change, or else a zero of ``F'`` unless finished boxes without a root join
-    the cluster to a sign change.  Every root meets ``|F| <= t``.  A
-    ``ValueError`` names a ``hi - lo`` that is not finite, or a level with
-    more than ``BOXES * SPLIT`` boxes left, where ``F`` stays in the band.
+    values lie outside the band: opposite signs hold one root, which
+    :func:`_bisect` refines.  Other monotone boxes, boxes narrower than ``t``
+    (or ``SPLIT`` ulps) and boxes in the band with a convex or concave ``F``
+    form clusters.  A run of adjacent ones gives the exact sign changes on
+    either side of the zero of ``F'`` in it, or else that zero: a sign change
+    next to a run is never in a finished box, whose ends lie outside the
+    band.  Every root meets ``|F| <= t``.  A ``ValueError`` names a
+    ``hi - lo`` that is not finite, or a level with more than
+    ``BOXES * SPLIT`` boxes left, where ``F`` stays in the band on a stretch.
     """
     import numpy as np
 
     if not math.isfinite(hi - lo):
         raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
-    func, exact, dfunc, enclose, curve, point = _composition(coeffs, d, sign, shift)
+    func, exact, dfunc, enclose, slope, curve = _composition(coeffs, d, sign, shift)
     narrow = max(tol, SPLIT * sys.float_info.epsilon)  # a cut must leave distinct floats
-    parent_lo, parent_hi, parts = np.array([lo]), np.array([hi]), BOXES
     finished, clusters = [(np.empty(0), np.empty(0), np.empty(0, bool))], [(np.empty(0),) * 2]
+    parent_lo, parent_hi, first = np.array([lo]), np.array([hi]), True
     with np.errstate(over="ignore", invalid="ignore"):
         while parent_lo.size:
+            parts = BOXES if first else max(SPLIT, BOXES // parent_lo.size)
             step = ((parent_hi - parent_lo) / parts)[:, None]
             ends = parent_lo[:, None] + np.arange(parts + 1) * step
             ends[:, -1] = parent_hi
-            values = func(ends)
             box_lo, box_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-            width = box_hi - box_lo
-            f_lo, f_hi, d_lo, d_hi = enclose(box_lo, box_hi)
-            f_lo, f_hi = _mean_value(f_lo, f_hi, values[:, :-1].ravel(), values[:, 1:].ravel(),
-                                     d_lo, d_hi, width)
             scale = np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
             band = 2.0 * tol * scale
+            f_lo, f_hi, iterates = enclose(box_lo, box_hi)
             keep = ~((f_lo > band) | (f_hi < -band))
-            # In the band, monotonicity decides: cut F' to its own mean-value forms.
+            if first or not keep.any():  # first-level boxes are too wide to be monotone
+                parent_lo, parent_hi, first = box_lo[keep], box_hi[keep], False
+                continue
+            values = func(ends)
+            f_left, f_right = values[:, :-1].ravel(), values[:, 1:].ravel()
+            width = box_hi - box_lo
+            d_lo, d_hi = slope(iterates)
+            f_lo, f_hi = _mean_value(f_lo, f_hi, f_left, f_right, d_lo, d_hi, width)
+            keep = ~((f_lo > band) | (f_hi < -band))
             flat = np.flatnonzero(keep & (d_lo <= 0.0) & (d_hi >= 0.0) & (f_lo >= -band)
                                   & (f_hi <= band))
-            if flat.size:
-                u, v = box_lo[flat], box_hi[flat]
-                d_lo[flat], d_hi[flat] = _mean_value(d_lo[flat], d_hi[flat], dfunc(u), dfunc(v),
-                                                     *curve(u, v), width[flat])
             last = width <= narrow * scale
-            # End signs are needed, and made certain, only where F is monotone.
-            monotone = np.flatnonzero(keep & ((d_lo > 0.0) | (d_hi < 0.0)))
-            if monotone.size:
-                p_lo, p_hi = point(np.concatenate((box_lo[monotone], box_hi[monotone])))
-                above, n = p_lo > 0.0, monotone.size
-                certain = above | (p_hi < 0.0)
-                both = certain[:n] & certain[n:]
-                done = monotone[both]
-                finished.append((box_lo[done], box_hi[done], (above[:n] != above[n:])[both]))
-                keep[done] = False
-                last[monotone[~(certain[:n] | certain[n:])]] = True
-            last &= keep
+            if flat.size:  # in the band, a convex or concave F leaves F' one zero at most
+                c_lo, c_hi = curve(box_lo[flat], box_hi[flat])
+                last[flat[(c_lo > 0.0) | (c_hi < 0.0)]] = True
+            # Outside the band an end value's sign is far beyond rounding.
+            monotone = keep & ((d_lo > 0.0) | (d_hi < 0.0))
+            done = monotone & (np.abs(f_left) > band) & (np.abs(f_right) > band)
+            crossing = (f_left < 0.0) != (f_right < 0.0)
+            finished.append((box_lo[done], box_hi[done], crossing[done]))
+            last = (last | monotone) & keep & ~done
             clusters.append((box_lo[last], box_hi[last]))
-            keep &= ~last
+            keep &= ~(done | last)
             if np.count_nonzero(keep) > BOXES * SPLIT:
                 raise ValueError(f"more than {BOXES * SPLIT} boxes of [{lo!r}, {hi!r}] are left at "
                                  f"width {float(width[keep].max())!r}: the roots are not isolated")
-            parent_lo, parent_hi, parts = box_lo[keep], box_hi[keep], SPLIT
+            parent_lo, parent_hi = box_lo[keep], box_hi[keep]
     return _collect_roots(func, exact, dfunc, finished, clusters, tol)
 
 
@@ -665,35 +669,22 @@ def _collect_roots(func, exact, dfunc, finished, clusters, tol: float) -> list[f
     """The roots in the finished boxes and in the clusters of :func:`isolate_roots`."""
     import numpy as np
 
-    # (lo, hi, whether it holds a sign change, or None for a cluster without one)
-    pieces = [p for lo, hi, c in finished for p in zip(lo.tolist(), hi.tolist(), c.tolist())]
-    roots = [_bisect(func, u, v, func(u), func(v)) for u, v, c in pieces if c]
+    fin_lo, fin_hi, crossing = (np.concatenate(a) for a in zip(*finished))
+    roots = [_bisect(func, u, v, func(u), func(v))
+             for u, v in zip(fin_lo[crossing].tolist(), fin_hi[crossing].tolist())]
+    def value(x):  # outside the band the float sign is certain
+        y = func(x)
+        return y if abs(y) > 2.0 * tol * max(1.0, abs(x)) else exact(x)
+
     lo, hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
-    breaks = np.flatnonzero(hi[:-1] != lo[1:])
-    runs = zip(lo[np.r_[0, breaks + 1]].tolist(), hi[np.r_[breaks, -1]].tolist()) if lo.size else ()
-    tangents = []
-    for u, v in runs:
-        root = _sign_change_root(exact, u, v)
-        if root is None:
-            tangents.append((u, v, _sign_change_root(dfunc, u, v)))
-        else:
-            roots.append(root)
-        pieces.append((u, v, None if root is None else True))
-    left, right = {v: (u, c) for u, v, c in pieces}, {u: (v, c) for u, v, c in pieces}
-    roots += [root for u, v, root in tangents
-              if root is not None and not (_joined(left, u) or _joined(right, v))]
+    breaks = np.flatnonzero(hi[:-1] != lo[1:]).tolist()
+    starts, stops = [0] + [b + 1 for b in breaks], breaks + [-1]
+    for u, v in zip(lo[starts].tolist(), hi[stops].tolist()) if lo.size else ():
+        c = _sign_change_root(dfunc, u, v)
+        halves = ((u, v),) if c is None else ((u, c), (c, v))
+        found = {_sign_change_root(value, a, b) for a, b in halves} - {None}
+        roots += found or ([] if c is None else [c])
     return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
-
-
-def _joined(neighbours: dict, x: float) -> bool:
-    """Whether finished boxes without a root lead from the end ``x`` to a sign change."""
-    seen = set()
-    while x in neighbours and x not in seen:
-        seen.add(x)
-        x, crossing = neighbours[x]
-        if crossing is not False:
-            return crossing is True
-    return False
 
 
 def find_roots(

@@ -531,8 +531,9 @@ class TestEnclosure:
         with np.errstate(over="ignore", invalid="ignore"):
             closures = []
             for sign, shift in CLOSURE_LINES:
-                func, _, dfunc, enclose, _, _ = charfun._composition(coeffs, d, sign, shift)
-                bounds = [float(b[0]) for b in enclose(*box)]
+                func, _, dfunc, enclose, slope, _ = charfun._composition(coeffs, d, sign, shift)
+                f_lo, f_hi, iterates = enclose(*box)
+                bounds = [float(b[0]) for b in (f_lo, f_hi, *slope(iterates))]
                 closures.append((func, dfunc, bounds))
             for x in points:
                 # g^(d) composed of evaluate calls, trailing zeros included
@@ -550,20 +551,13 @@ class TestEnclosure:
            xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
                        min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
-    def test_certain_point_sign_is_exact(self, coeffs, d, xs):
-        # Outward rounding: wherever the point enclosure excludes 0, its sign
-        # is the sign of the exact value, dyadic zeros included.
+    def test_exact_value_is_the_rounded_rational_value(self, coeffs, d, xs):
+        # Integer arithmetic over powers of two: the sign is exact (dyadic
+        # zeros included) and the value is the rational value rounded once.
         for sign, shift in CLOSURE_LINES:
-            func, _, _, _, _, point = charfun._composition(coeffs, d, sign, shift)
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_lo, p_hi = point(np.array(xs))
-            for x, lo, hi in zip(xs, p_lo.tolist(), p_hi.tolist()):
-                exact = exact_closure(coeffs, d, int(sign), int(shift), x)
-                assert lo <= func(x) <= hi or not math.isfinite(func(x))
-                if lo > 0.0:
-                    assert exact > 0
-                elif hi < 0.0:
-                    assert exact < 0
+            _, exact, _, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+            for x in xs:
+                assert exact(x) == float(exact_closure(coeffs, d, int(sign), int(shift), x))
 
 
 class TestSerialization:
