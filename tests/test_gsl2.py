@@ -472,16 +472,6 @@ class TestIsolator:
         dfunc(0.3)
         assert calls == [2, 3, 2, 3, 2, 3, 2]  # g' four times, g three times
 
-    def test_flat_closure_function_is_an_error(self):
-        # g(x) = x: g(x) - x vanishes on the whole window.
-        with pytest.raises(ValueError, match="not isolated"):
-            periodic_condition_solve(CharFn((0.0, 1.0), Orientation.WEIGHT), 1)
-
-    @pytest.mark.parametrize("window", [1e20, 1.8889465931478582e18])
-    def test_huge_window_finishes(self, window):
-        sols = cut_condition_solve(FIG2_GN, 1, window=window)
-        assert sols.included + sols.excluded == pytest.approx((0.0, 4.0), abs=1e-12)
-
 
 class TestClosureScanDefects:
     """Two d = 1 cuts the retired grid scan got wrong."""
