@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
@@ -575,21 +574,12 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
     return func, functools.lru_cache(maxsize=None)(exact), dfunc, enclose, slope, curve
 
 
-def _mean_value(lo, hi, left, right, s_lo, s_hi, width):
-    """``[lo, hi]`` cut to the mean-value forms from box ends with values ``left``, ``right``."""
-    import numpy as np
-
-    t_lo, t_hi = np.minimum(s_lo * width, 0.0), np.maximum(s_hi * width, 0.0)
-    return (np.fmax(lo, np.fmax(left + t_lo, right - t_hi)),
-            np.fmin(hi, np.fmin(left + t_hi, right - t_lo)))
-
-
 def _sign_change_root(f: Callable[[float], float], u: float, v: float) -> Optional[float]:
     """A zero of ``f`` at ``u`` or ``v``, or bisected between finite values of opposite sign."""
     fu, fv = f(u), f(v)
     if fu == 0.0 or fv == 0.0:
         return u if fu == 0.0 else v
-    if abs(fu) < math.inf and abs(fv) < math.inf and (fu < 0.0) != (fv < 0.0):  # floats or exact
+    if math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0):
         return _bisect(f, u, v, fu, fv)
     return None
 
@@ -621,7 +611,7 @@ def isolate_roots(
     if not math.isfinite(hi - lo):
         raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
     func, exact, dfunc, enclose, slope, curve = _composition(coeffs, d, sign, shift)
-    narrow = max(tol, SPLIT * sys.float_info.epsilon)  # a cut must leave distinct floats
+    narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
     finished, clusters = [(np.empty(0), np.empty(0), np.empty(0, bool))], [(np.empty(0),) * 2]
     parent_lo, parent_hi, first = np.array([lo]), np.array([hi]), True
     with np.errstate(over="ignore", invalid="ignore"):
@@ -642,7 +632,10 @@ def isolate_roots(
             f_left, f_right = values[:, :-1].ravel(), values[:, 1:].ravel()
             width = box_hi - box_lo
             d_lo, d_hi = slope(iterates)
-            f_lo, f_hi = _mean_value(f_lo, f_hi, f_left, f_right, d_lo, d_hi, width)
+            # Cut the enclosure to the mean-value forms F(e) + F'(X)(X - e) from both ends.
+            t_lo, t_hi = np.minimum(d_lo * width, 0.0), np.maximum(d_hi * width, 0.0)
+            f_lo = np.fmax(f_lo, np.fmax(f_left + t_lo, f_right - t_hi))
+            f_hi = np.fmin(f_hi, np.fmin(f_left + t_hi, f_right - t_lo))
             keep = ~((f_lo > band) | (f_hi < -band))
             flat = np.flatnonzero(keep & (d_lo <= 0.0) & (d_hi >= 0.0) & (f_lo >= -band)
                                   & (f_hi <= band))
@@ -672,6 +665,7 @@ def _collect_roots(func, exact, dfunc, finished, clusters, tol: float) -> list[f
     fin_lo, fin_hi, crossing = (np.concatenate(a) for a in zip(*finished))
     roots = [_bisect(func, u, v, func(u), func(v))
              for u, v in zip(fin_lo[crossing].tolist(), fin_hi[crossing].tolist())]
+
     def value(x):  # outside the band the float sign is certain
         y = func(x)
         return y if abs(y) > 2.0 * tol * max(1.0, abs(x)) else exact(x)

@@ -434,6 +434,15 @@ class TestIsolator:
         assert periodic_condition_solve(FIG2_GN, 1, window=20.0) == (1.0,)
         assert find_roots([-1.0, 2.0, -1.0], (-20.0, 20.0)) == [1.0]
 
+    @pytest.mark.parametrize("gap, count", [(1e-10, 1), (1e-8, 0)])
+    def test_near_tangency_is_a_root_within_the_tolerance(self, gap, count):
+        # x + g(x) + 1 = -(x - 1/3)^2 - gap stays below zero; its top counts
+        # as a root only while it is within the 1e-9 residual tolerance.
+        a = 1.0 / 3.0
+        gn = CharFn((-a * a - gap - 1.0, 2.0 * a - 1.0, -1.0), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert sorted(sols.included + sols.excluded) == pytest.approx([a] * count, abs=1e-8)
+
     def test_overflow_inside_the_window(self):
         # -x^3 + 3x - 1 padded with a zero: the orbit overflows to +-inf, and
         # one step later the padding's 0 * inf makes it NaN.
