@@ -500,13 +500,14 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
 
     ``g`` is ``coeffs`` without trailing zeros (they change only values that
     are not finite anyway); ``sign`` is -1, 0 or 1 and ``shift`` an integer.
-    ``exact(x)`` is ``F(x)`` in integers over powers of two, rounded to a
-    float once, so its sign is exact; ``dfunc`` is the chain rule
-    ``g'(x) g'(g(x)) ... + sign``.  ``enclose(lo, hi)`` bounds ``F`` over boxes,
-    with the bounds of the iterates from which ``slope`` bounds ``F'``, by the
-    operations of ``func`` and ``dfunc`` in their order, so they hold every
-    float those return there; ``curve`` bounds ``F''`` by
-    ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
+    ``exact(x)`` is ``F(x)`` in integers over powers of two rounded once, so
+    its sign is exact, up to degree ``BOXES * SPLIT``; ``dfunc`` is the chain
+    rule ``g'(x) g'(g(x)) ... + sign``.  ``enclose(lo, hi)`` bounds ``F``
+    over boxes, with the iterate bounds from which ``slope`` bounds ``F'``,
+    by the operations of ``func`` and ``dfunc`` in their order, so they hold
+    every float those return there (``tight`` cuts each iterate to its
+    mean-value form, which bounds the exact iterate); ``curve`` bounds ``F''``
+    by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
     """
     import numpy as np
 
@@ -548,10 +549,16 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             out = out * _horner(dcoeffs, x)
         return out + sign
 
-    def enclose(lo, hi):
+    def enclose(lo, hi, tight=False):
         ys = [(lo, hi)]
         for _ in range(d):
-            ys.append(_horner_interval(coeffs, *ys[-1]))
+            y_lo, y_hi = y = ys[-1]
+            ys.append(_horner_interval(coeffs, *y))
+            if tight:  # cut to the mean-value form g(m) + g'(Y)(Y - m), m the midpoint
+                m = 0.5 * (y_lo + y_hi)
+                t = _interval_product(*_horner_interval(dcoeffs, *y), y_lo - m, y_hi - m)
+                gm = _horner(coeffs, m)
+                ys[-1] = np.fmax(ys[-1][0], gm + t[0]), np.fmin(ys[-1][1], gm + t[1])
         x_lo, x_hi = (sign * lo, sign * hi) if sign >= 0.0 else (sign * hi, sign * lo)
         return ys[-1][0] + x_lo + shift, ys[-1][1] + x_hi + shift, ys
 
@@ -571,6 +578,8 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             y = _horner_interval(coeffs, *y)
         return c
 
+    if d * math.log2(len(coeffs) - 1) > math.log2(BOXES * SPLIT):
+        exact = func  # past degree BOXES * SPLIT an exact value costs 20 ms and more
     return func, functools.lru_cache(maxsize=None)(exact), dfunc, enclose, slope, curve
 
 
@@ -602,9 +611,10 @@ def isolate_roots(
     form clusters.  A run of adjacent ones gives the exact sign changes on
     either side of the zero of ``F'`` in it, or else that zero: a sign change
     next to a run is never in a finished box, whose ends lie outside the
-    band.  Every root meets ``|F| <= t``.  A ``ValueError`` names a
-    ``hi - lo`` that is not finite, or a level with more than
-    ``BOXES * SPLIT`` boxes left, where ``F`` stays in the band on a stretch.
+    band.  Every root meets ``|F| <= t``.  A level that leaves more than
+    ``BOXES * SPLIT`` boxes is redone with each iterate bound cut to its
+    mean-value form; a ``ValueError`` names a ``hi - lo`` that is not finite,
+    or a level that still does, where ``F`` stays in the band on a stretch.
     """
     import numpy as np
 
@@ -613,7 +623,7 @@ def isolate_roots(
     func, exact, dfunc, enclose, slope, curve = _composition(coeffs, d, sign, shift)
     narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
     finished, clusters = [(np.empty(0), np.empty(0), np.empty(0, bool))], [(np.empty(0),) * 2]
-    parent_lo, parent_hi, first = np.array([lo]), np.array([hi]), True
+    parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
     with np.errstate(over="ignore", invalid="ignore"):
         while parent_lo.size:
             parts = BOXES if first else max(SPLIT, BOXES // parent_lo.size)
@@ -623,7 +633,7 @@ def isolate_roots(
             box_lo, box_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
             scale = np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
             band = 2.0 * tol * scale
-            f_lo, f_hi, iterates = enclose(box_lo, box_hi)
+            f_lo, f_hi, iterates = enclose(box_lo, box_hi, tight)
             keep = ~((f_lo > band) | (f_hi < -band))
             if first or not keep.any():  # first-level boxes are too wide to be monotone
                 parent_lo, parent_hi, first = box_lo[keep], box_hi[keep], False
@@ -651,6 +661,10 @@ def isolate_roots(
             last = (last | monotone) & keep & ~done
             clusters.append((box_lo[last], box_hi[last]))
             keep &= ~(done | last)
+            if np.count_nonzero(keep) > BOXES * SPLIT and not tight:
+                tight = True  # Horner loses a factor per composition: redo, cut tighter
+                del finished[-1], clusters[-1]
+                continue
             if np.count_nonzero(keep) > BOXES * SPLIT:
                 raise ValueError(f"more than {BOXES * SPLIT} boxes of [{lo!r}, {hi!r}] are left at "
                                  f"width {float(width[keep].max())!r}: the roots are not isolated")

@@ -465,6 +465,13 @@ class TestIsolator:
                             for e in (-1e-9, 1e-9))
             assert below * above < 0
 
+    def test_deep_composition_matches_the_grid_scan(self):
+        # At d = 16 interval Horner loses so much per composition that the
+        # tangent fixed point is isolated only with mean-value iterate bounds.
+        assert periodic_condition_solve(FIG2_GN, 16) == (1.0,)
+        sols = cut_condition_solve(FIG2_GN, 16)
+        assert (sols.included, sols.excluded) == ((0.9248095957609905,), (2.0767938728888216,))
+
     def test_derivative_coefficients_built_once_per_solve(self, monkeypatch):
         calls = []
         derivative = charfun._derivative
@@ -507,7 +514,8 @@ def assert_in_box(value: float, lo: float, hi: float) -> None:
     assert math.isnan(value) or math.isnan(lo) or math.isnan(hi) or lo <= value <= hi
 
 
-#: ``(sign, shift)`` of the cut function ``g^(d)(x) + x + 1`` and of the periodic one ``g^(d)(x) - x``.
+#: ``(sign, shift)`` of the cut function ``g^(d)(x) + x + 1`` and of the periodic
+#: one ``g^(d)(x) - x``.
 CLOSURE_LINES = ((1.0, 1.0), (-1.0, 0.0))
 
 
