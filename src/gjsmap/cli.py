@@ -552,7 +552,7 @@ _SHELL = [_FN, _ALPHA0, _GN, _ALPHAJ, _option(
 _SCAN = [
     _GN,
     _option("--d", type=int, required=True),
-    _option("--window-size", type=lambda text: _finite_arg(text, False), default=100.0),
+    _option("--window-size", type=lambda text: _finite_arg(text, allow_zero=False), default=100.0),
 ]
 
 
