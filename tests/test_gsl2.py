@@ -16,10 +16,8 @@ from gjsmap import (
     cut_condition_solve,
     find_roots,
     gauss_numbers,
-    gsl2,
     gsl2_from_dict,
     gsl2_to_dict,
-    invertibility_region,
     matrix_J0,
     matrix_Jminus,
     matrix_Jplus,
