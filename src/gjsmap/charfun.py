@@ -496,18 +496,22 @@ SPLIT = 16
 
 
 def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
-    """``(func, exact, dfunc, enclose, slope, curve)`` of ``F = g^(d)(x) + sign x + shift``.
+    """``(func, exact, dfunc, rounding, enclose, slope, curve)`` of ``F = g^(d) + sign x + shift``.
 
     ``g`` is ``coeffs`` without trailing zeros (they change only values that
     are not finite anyway); ``sign`` is -1, 0 or 1 and ``shift`` an integer.
     ``exact(x)`` is ``F(x)`` in integers over powers of two rounded once, so
-    its sign is exact, up to degree ``BOXES * SPLIT``; ``dfunc`` is the chain
-    rule ``g'(x) g'(g(x)) ... + sign``.  ``enclose(lo, hi)`` bounds ``F``
-    over boxes, with the iterate bounds from which ``slope`` bounds ``F'``,
-    by the operations of ``func`` and ``dfunc`` in their order, so they hold
-    every float those return there (``tight`` cuts each iterate to its
-    mean-value form, which bounds the exact iterate); ``curve`` bounds ``F''``
-    by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
+    its sign is exact, and ``exact(x, slope=True)`` is ``F'(x)`` so, up to
+    degree ``BOXES * SPLIT``; ``dfunc`` is the chain rule
+    ``g'(x) g'(g(x)) ... + sign``.  ``rounding(x)`` bounds, to first order,
+    the rounding in ``func(x)`` (Higham's Horner bound, carried along the
+    chain rule), and ``rounding(x, slope=True)`` that in ``dfunc(x)``.
+    ``enclose(lo, hi)`` bounds ``F`` over boxes, with the iterate bounds from
+    which ``slope`` bounds ``F'``, by the operations of ``func`` and
+    ``dfunc`` in their order, so they hold every float those return there
+    (``tight`` cuts each iterate to its mean-value form, which bounds the
+    exact iterate); ``curve`` bounds ``F''`` by
+    ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
     """
     import numpy as np
 
@@ -517,7 +521,11 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
     lead, rest = coeffs[-1], coeffs[-2::-1]
     ratios = [c.as_integer_ratio() for c in coeffs]
     top = max(den.bit_length() for _, den in ratios) - 1
-    ints = [num << (top + 1 - den.bit_length()) for num, den in ratios]
+    ints = [num << (top + 1 - den.bit_length()) for num, den in ratios]  # coeffs * 2**top
+    dints = [i * c for i, c in enumerate(ints)][1:] or [0]
+    magnitudes, dmagnitudes = [abs(c) for c in coeffs], [abs(c) for c in dcoeffs]
+    gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
+    tiny = 2.0 * len(coeffs) * 2.0**-1074  # what underflow may add to a Horner value
 
     def func(x):
         y = x
@@ -528,15 +536,27 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             y = acc
         return y + sign * x + shift
 
-    def exact(x):
+    def horner_int(cs, y, e):  # sum cs[i] (y / 2**e)**i / 2**top as acc / 2**a
+        acc, a = cs[-1], top
+        for c in cs[-2::-1]:
+            acc, a = acc * y + (c << (a + e - top)), a + e
+        return acc, a
+
+    def exact(x, slope=False):
         num, den = x.as_integer_ratio()
         y, e = num, den.bit_length() - 1  # y / 2**e
-        for _ in range(d):
-            acc, a = ints[-1], top
-            for c in ints[-2::-1]:
-                acc, a = acc * y + (c << (a + e - top)), a + e
-            y, e = acc, a
-        y += (int(sign) * num << (e + 1 - den.bit_length())) + (int(shift) << e)
+        s, f = 1, 0  # the chain-rule product s / 2**f
+        for i in range(d):
+            if slope:
+                t, a = horner_int(dints, y, e)
+                s, f = s * t, f + a
+                if i == d - 1:
+                    break
+            y, e = horner_int(ints, y, e)
+        if slope:
+            y, e = s + (int(sign) << f), f
+        else:
+            y += (int(sign) * num << (e + 1 - den.bit_length())) + (int(shift) << e)
         try:
             return y / (1 << e)
         except OverflowError:
@@ -548,6 +568,19 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             x = _horner(coeffs, x)
             out = out * _horner(dcoeffs, x)
         return out + sign
+
+    def rounding(x, slope=False):
+        y, err, p, perr = x, 0.0, 1.0, 0.0  # g^(k)(x), its rounding; the product of g' so far
+        for _ in range(d):
+            t = _horner(dcoeffs, y)
+            if slope:  # t is off by its own rounding and by g'' times that of y
+                t_err = gamma * _horner(dmagnitudes, abs(y)) + abs(_horner(ddcoeffs, y)) * err
+                p, perr = p * t, abs(t) * perr + abs(p) * (t_err + tiny)
+            err = abs(t) * err + gamma * _horner(magnitudes, abs(y)) + tiny
+            y = _horner(coeffs, y)
+        if slope:
+            return perr + gamma * (abs(p) + 1.0) + tiny
+        return err + gamma * (abs(y) + abs(x) + abs(shift)) + tiny
 
     def enclose(lo, hi, tight=False):
         ys = [(lo, hi)]
@@ -578,9 +611,11 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             y = _horner_interval(coeffs, *y)
         return c
 
-    if d * math.log2(len(coeffs) - 1) > math.log2(BOXES * SPLIT):
-        exact = func  # past degree BOXES * SPLIT an exact value costs 20 ms and more
-    return func, functools.lru_cache(maxsize=None)(exact), dfunc, enclose, slope, curve
+    if d * math.log2(len(coeffs) - 1 or 1) > math.log2(BOXES * SPLIT):
+        def exact(x, slope=False):  # past degree BOXES * SPLIT an exact value costs 20 ms and more
+            return dfunc(x) if slope else func(x)
+    return (func, functools.lru_cache(maxsize=None)(exact), dfunc, rounding, enclose, slope,
+            curve)
 
 
 def _sign_change_root(f: Callable[[float], float], u: float, v: float) -> Optional[float]:
@@ -591,6 +626,17 @@ def _sign_change_root(f: Callable[[float], float], u: float, v: float) -> Option
     if math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0):
         return _bisect(f, u, v, fu, fv)
     return None
+
+
+def _runs(lo, hi):
+    """Index arrays of the first and the last box of each run of adjacent boxes.
+
+    ``lo`` and ``hi`` hold the ends of disjoint boxes, in ascending order.
+    """
+    import numpy as np
+
+    breaks = np.flatnonzero(hi[:-1] != lo[1:])
+    return np.r_[0, breaks + 1], np.r_[breaks, lo.size - 1]
 
 
 def isolate_roots(
@@ -608,19 +654,24 @@ def isolate_roots(
     values lie outside the band: opposite signs hold one root, which
     :func:`_bisect` refines.  Other monotone boxes, boxes narrower than ``t``
     (or ``SPLIT`` ulps) and boxes in the band with a convex or concave ``F``
-    form clusters.  A run of adjacent ones gives the exact sign changes on
-    either side of the zero of ``F'`` in it, or else that zero: a sign change
-    next to a run is never in a finished box, whose ends lie outside the
-    band.  Every root meets ``|F| <= t``.  A level that leaves more than
-    ``BOXES * SPLIT`` boxes is redone with each iterate bound cut to its
-    mean-value form; a ``ValueError`` names a ``hi - lo`` that is not finite,
-    or a level that still does, where ``F`` stays in the band on a stretch.
+    form clusters, on each of which ``F'`` has one zero at most;
+    :func:`_run_roots` finds the roots of each run of adjacent ones.  A
+    sign change next to a run is never in a finished box, whose ends lie
+    outside the band.  Every root meets ``|F| <= t``.  A level that leaves
+    more than ``BOXES * SPLIT`` boxes is redone with each iterate bound cut
+    to its mean-value form; if it still does, each stretch of boxes on
+    which ``F`` stays in the band (a root of high multiplicity) becomes one
+    cluster.  A ``ValueError`` names a ``hi - lo`` that is not finite, more
+    boxes left than that, or an ``F`` that vanishes on ``[lo, hi]``.
     """
     import numpy as np
 
     if not math.isfinite(hi - lo):
         raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
-    func, exact, dfunc, enclose, slope, curve = _composition(coeffs, d, sign, shift)
+    func, exact, dfunc, rounding, enclose, slope, curve = _composition(coeffs, d, sign, shift)
+    if len(_strip_trailing_zeros(coeffs)) <= 2 and lo < hi and exact(lo) == 0.0 == exact(hi):
+        # F is linear or constant here, so two zeros make it vanish everywhere
+        raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are not isolated")
     narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
     finished, clusters = [(np.empty(0), np.empty(0), np.empty(0, bool))], [(np.empty(0),) * 2]
     parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
@@ -647,8 +698,8 @@ def isolate_roots(
             f_lo = np.fmax(f_lo, np.fmax(f_left + t_lo, f_right - t_hi))
             f_hi = np.fmin(f_hi, np.fmin(f_left + t_hi, f_right - t_lo))
             keep = ~((f_lo > band) | (f_hi < -band))
-            flat = np.flatnonzero(keep & (d_lo <= 0.0) & (d_hi >= 0.0) & (f_lo >= -band)
-                                  & (f_hi <= band))
+            inside = keep & (f_lo >= -band) & (f_hi <= band)
+            flat = np.flatnonzero(inside & (d_lo <= 0.0) & (d_hi >= 0.0))
             last = width <= narrow * scale
             if flat.size:  # in the band, a convex or concave F leaves F' one zero at most
                 c_lo, c_hi = curve(box_lo[flat], box_hi[flat])
@@ -666,13 +717,18 @@ def isolate_roots(
                 del finished[-1], clusters[-1]
                 continue
             if np.count_nonzero(keep) > BOXES * SPLIT:
+                stretch = np.flatnonzero(keep & inside)
+                starts, stops = _runs(box_lo[stretch], box_hi[stretch])
+                clusters.append((box_lo[stretch[starts]], box_hi[stretch[stops]]))
+                keep[stretch] = False
+            if np.count_nonzero(keep) > BOXES * SPLIT:
                 raise ValueError(f"more than {BOXES * SPLIT} boxes of [{lo!r}, {hi!r}] are left at "
                                  f"width {float(width[keep].max())!r}: the roots are not isolated")
             parent_lo, parent_hi = box_lo[keep], box_hi[keep]
-    return _collect_roots(func, exact, dfunc, finished, clusters, tol)
+    return _collect_roots(func, exact, dfunc, rounding, finished, clusters, tol)
 
 
-def _collect_roots(func, exact, dfunc, finished, clusters, tol: float) -> list[float]:
+def _collect_roots(func, exact, dfunc, rounding, finished, clusters, tol: float) -> list[float]:
     """The roots in the finished boxes and in the clusters of :func:`isolate_roots`."""
     import numpy as np
 
@@ -684,15 +740,55 @@ def _collect_roots(func, exact, dfunc, finished, clusters, tol: float) -> list[f
         y = func(x)
         return y if abs(y) > 2.0 * tol * max(1.0, abs(x)) else exact(x)
 
-    lo, hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
-    breaks = np.flatnonzero(hi[:-1] != lo[1:]).tolist()
-    starts, stops = [0] + [b + 1 for b in breaks], breaks + [-1]
-    for u, v in zip(lo[starts].tolist(), hi[stops].tolist()) if lo.size else ():
-        c = _sign_change_root(dfunc, u, v)
-        halves = ((u, v),) if c is None else ((u, c), (c, v))
-        found = {_sign_change_root(value, a, b) for a, b in halves} - {None}
-        roots += found or ([] if c is None else [c])
+    def slope_value(x):  # outside its rounding the float sign of F' is certain
+        s = dfunc(x)
+        return s if abs(s) > rounding(x, slope=True) else exact(x, slope=True)
+
+    c_lo, c_hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
+    for start, stop in zip(*_runs(c_lo, c_hi)) if c_lo.size else ():
+        edges = np.r_[c_lo[start:stop + 1], c_hi[stop]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.broadcast_to(dfunc(edges), edges.shape)  # one float for a linear g
+            certain = np.broadcast_to(np.abs(s) > rounding(edges, slope=True), edges.shape)
+        slopes = {x: v if sure else exact(x, slope=True)
+                  for x, v, sure in zip(edges.tolist(), s.tolist(), certain.tolist())}
+        roots += _run_roots(list(slopes), lambda x: slopes[x] if x in slopes else slope_value(x),
+                            value, exact, rounding)
     return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
+
+
+def _run_roots(edges: list[float], slope_value, value, exact, rounding) -> list[float]:
+    """The roots on a run of adjacent cluster boxes with these ``edges``.
+
+    ``F'`` has one zero at most in each box, so the sign changes of ``F'``
+    at the edges give every critical point, and ``F`` is monotone between
+    neighbouring ones: each exact sign change of ``F`` there is a root.
+    Where ``F`` vanishes at a critical point to within its rounding (a
+    double root, whose rounded coefficients may have split it in two), the
+    sign changes next to it are that one root, reported at the critical
+    point of least ``|F|`` among those in a row.  Another critical point is
+    a root when no sign change is next to it (a near tangency; the caller
+    keeps it if ``|F|`` is within the tolerance).
+    """
+    crit = {_sign_change_root(slope_value, a, b) for a, b in zip(edges, edges[1:])} - {None}
+    points = sorted({edges[0], edges[-1], *crit})
+    found = [_sign_change_root(value, a, b) for a, b in zip(points, points[1:])] + [None]
+    tangent = [p in crit and abs(exact(p)) <= rounding(p) for p in points] + [False]
+    roots, group = [], []
+    for i, p in enumerate(points):
+        if tangent[i]:
+            group.append((abs(exact(p)), p))
+            continue
+        if group:
+            roots.append(min(group)[1])
+            group = []
+        if p in crit and found[i] is None and (i == 0 or found[i - 1] is None):
+            roots.append(p)
+        if found[i] is not None and not tangent[i + 1]:
+            roots.append(found[i])
+    if group:
+        roots.append(min(group)[1])
+    return roots
 
 
 def find_roots(

@@ -381,3 +381,20 @@ class TestFindRoots:
         # roots at -2, -1, 0, 1, 2: x^5 - 5x^3 + 4x
         roots = find_roots([0.0, 4.0, 0.0, -5.0, 0.0, 1.0], (-3.0, 3.0), 1e-12)
         assert roots == pytest.approx([-2.0, -1.0, 0.0, 1.0, 2.0], abs=1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_root_of_high_multiplicity(self, tol):
+        # (x - 1)^4 and (x - 1)^5 stay inside the tolerance on a stretch ~1e-3 wide.
+        assert find_roots([1.0, -4.0, 6.0, -4.0, 1.0], (-4.0, 4.0), tol) == [1.0]
+        assert find_roots([-1.0, 5.0, -10.0, 10.0, -5.0, 1.0], (-4.0, 4.0), tol) == [1.0]
+
+    def test_three_roots_between_two_derivative_zeros(self):
+        # 1e-6 x - x^3 stays below 2e-9 on [-1.5e-3, 1.5e-3], which holds its
+        # three roots and both zeros of the derivative (+-5.8e-4).
+        roots = find_roots([0.0, 1e-6, 0.0, -1.0], (-1.0, 1.0))
+        assert roots == pytest.approx([-1e-3, 0.0, 1e-3], abs=1e-12)
+
+    def test_quintic_region_ends_at_its_quadruple_critical_point(self):
+        # g = -(x - 1)^5, so g' = -5 (x - 1)^4 vanishes only at 1
+        fn = CharFn((1.0, -5.0, 10.0, -10.0, 5.0, -1.0), Orientation.WEIGHT)
+        assert invertibility_region(fn) == (-math.inf, 1.0)

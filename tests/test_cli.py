@@ -611,6 +611,16 @@ def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
     assert small["status"] == "ok"
 
 
+@pytest.mark.parametrize("kind, key, want", [("cut", "excluded", [2.2671683045421247]),
+                                             ("periodic", "roots", [0.2451223337533072])])
+def test_region_at_a_root_of_multiplicity_four(kind, key, want, capsys):
+    # g = -(x - 1)^5: the region (-inf, 1) ends where g' = -5 (x - 1)^4 vanishes.
+    quintic = '{"coefficients":[1,-5,10,-10,5,-1],"orientation":"weight"}'
+    code, payload, _ = run_cli(capsys, "gsl2", kind, "--gn", quintic, "--d", "1")
+    assert code == 0
+    assert payload[key] == pytest.approx(want, abs=1e-12)
+
+
 @pytest.mark.parametrize("window", ["1e20", "1.85e18", "1.8889465931478582e+18"])
 def test_huge_window_size_is_solved(window, capsys):
     # The first level cuts any finite window into the same number of boxes.

@@ -362,6 +362,21 @@ def exact_closure(coeffs, d: int, sign: int, shift: int, x: float) -> Fraction:
     return y + sign * Fraction(x) + shift
 
 
+def exact_closure_slope(coeffs, d: int, sign: int, x: float) -> Fraction:
+    """The derivative ``g'(x) g'(g(x)) ... + sign`` of :func:`exact_closure`, exactly."""
+    y, out = Fraction(x), Fraction(1)
+    for _ in range(d):
+        acc = Fraction(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = acc * y + i * Fraction(coeffs[i])
+        out *= acc
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * y + Fraction(c)
+        y = acc
+    return out + sign
+
+
 #: Dyadic roots in [-4, 4], 2**-14 apart at the finest.
 DYADIC_ROOT = st.integers(-(2**16), 2**16).map(lambda k: k / 2**14)
 
@@ -432,6 +447,30 @@ class TestIsolator:
         assert periodic_condition_solve(FIG2_GN, 1, window=20.0) == (1.0,)
         assert find_roots([-1.0, 2.0, -1.0], (-20.0, 20.0)) == [1.0]
 
+    @given(a=st.floats(-3.0, 3.0), lead=st.floats(-2.0, -0.2))
+    @settings(max_examples=100, deadline=None)
+    def test_tangent_cut_is_one_root(self, a, lead):
+        # x + g(x) + 1 = lead (x - a)^2 with rounded coefficients: often two
+        # real roots ~1e-8 apart, split by the rounding, still one root.
+        gn = CharFn((lead * a * a - 1.0, -2.0 * lead * a - 1.0, lead), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert sols.included + sols.excluded == pytest.approx([a], abs=1e-8)
+
+    def test_three_roots_between_two_derivative_zeros(self):
+        # x + g(x) + 1 = 1e-6 x - x^3: the stretch within the band holds three
+        # roots and both zeros of the derivative.
+        gn = CharFn((-1.0, -0.999999, 0.0, -1.0), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert sorted(sols.included + sols.excluded) == pytest.approx([-1e-3, 0.0, 1e-3],
+                                                                      abs=1e-12)
+
+    def test_root_of_multiplicity_five(self):
+        # g = -(x - 1)^5: the region ends at 1, a root of multiplicity four of
+        # g'; x + g(x) + 1 has one root, past the region.
+        gn = CharFn((1.0, -5.0, 10.0, -10.0, 5.0, -1.0), Orientation.WEIGHT)
+        sols = cut_condition_solve(gn, 1)
+        assert (sols.included, sols.excluded) == ((), pytest.approx((2.2671683045421247,)))
+
     @pytest.mark.parametrize("gap, count", [(1e-10, 1), (1e-8, 0)])
     def test_near_tangency_is_a_root_within_the_tolerance(self, gap, count):
         # x + g(x) + 1 = -(x - 1/3)^2 - gap stays below zero; its top counts
@@ -479,7 +518,7 @@ class TestIsolator:
         assert calls == [list(FIG2_GN.coefficients), [3.0, -2.0]] * 2  # g' and g''
 
     def test_chain_rule_evaluates_g_d_minus_one_times(self, monkeypatch):
-        _, _, dfunc, _, _, _ = charfun._composition(FIG2_GN.coefficients, 4, 1.0, 1.0)
+        _, _, dfunc, _, _, _, _ = charfun._composition(FIG2_GN.coefficients, 4, 1.0, 1.0)
         calls = []
         horner = charfun._horner
         monkeypatch.setattr(charfun, "_horner", lambda c, x: calls.append(len(c)) or horner(c, x))
@@ -536,7 +575,7 @@ class TestEnclosure:
         with np.errstate(over="ignore", invalid="ignore"):
             closures = []
             for sign, shift in CLOSURE_LINES:
-                func, _, dfunc, enclose, slope, _ = charfun._composition(coeffs, d, sign, shift)
+                func, _, dfunc, _, enclose, slope, _ = charfun._composition(coeffs, d, sign, shift)
                 f_lo, f_hi, iterates = enclose(*box)
                 bounds = [float(b[0]) for b in (f_lo, f_hi, *slope(iterates))]
                 closures.append((func, dfunc, bounds))
@@ -560,9 +599,28 @@ class TestEnclosure:
         # Integer arithmetic over powers of two: the sign is exact (dyadic
         # zeros included) and the value is the rational value rounded once.
         for sign, shift in CLOSURE_LINES:
-            _, exact, _, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+            _, exact, _, _, _, _, _ = charfun._composition(coeffs, d, sign, shift)
             for x in xs:
                 assert exact(x) == float(exact_closure(coeffs, d, int(sign), int(shift), x))
+                assert exact(x, slope=True) == float(exact_closure_slope(coeffs, d, int(sign), x))
+
+    @given(coeffs=CLOSURE_COEFFS, d=st.integers(1, 4),
+           xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
+                       min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_rounding_bounds_the_float_error(self, coeffs, d, xs):
+        # So wherever a float value is farther from 0 than its rounding, its sign is exact.
+        for sign, shift in CLOSURE_LINES:
+            func, _, dfunc, rounding, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+            for x in xs:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pairs = ((func(x), rounding(x), exact_closure(coeffs, d, int(sign),
+                                                                  int(shift), x)),
+                             (dfunc(x), rounding(x, slope=True),
+                              exact_closure_slope(coeffs, d, int(sign), x)))
+                for value, bound, want in pairs:
+                    if math.isfinite(value) and math.isfinite(bound):
+                        assert abs(Fraction(value) - want) <= Fraction(bound)
 
 
 class TestSerialization:
