@@ -618,14 +618,26 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
             curve)
 
 
-def _sign_change_root(f: Callable[[float], float], u: float, v: float) -> Optional[float]:
-    """A zero of ``f`` at ``u`` or ``v``, or bisected between finite values of opposite sign."""
+def _sign_change_root(
+    f: Callable[[float], float], u: float, v: float, rough: Optional[Callable] = None
+) -> Optional[float]:
+    """A zero of ``f`` at ``u`` or ``v``, or bisected between finite values of opposite sign.
+
+    With ``rough``, a cheaper stand-in for ``f``, the bisection runs on
+    ``rough`` and its result stands if ``f`` changes sign between it and the
+    next float on one side; otherwise it runs again on ``f``.
+    """
     fu, fv = f(u), f(v)
     if fu == 0.0 or fv == 0.0:
         return u if fu == 0.0 else v
-    if math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0):
-        return _bisect(f, u, v, fu, fv)
-    return None
+    if not (math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0)):
+        return None
+    if rough is not None:
+        c = _bisect(rough, u, v, fu, fv)
+        n = math.nextafter(c, v if (f(c) < 0.0) == (fu < 0.0) else u)
+        if f(c) == 0.0 or f(n) == 0.0 or (f(n) < 0.0) != (f(c) < 0.0):
+            return c if abs(f(c)) <= abs(f(n)) else n
+    return _bisect(f, u, v, fu, fv)
 
 
 def _runs(lo, hi):
@@ -636,7 +648,7 @@ def _runs(lo, hi):
     import numpy as np
 
     breaks = np.flatnonzero(hi[:-1] != lo[1:])
-    return np.r_[0, breaks + 1], np.r_[breaks, lo.size - 1]
+    return np.append(0, breaks + 1), np.append(breaks, lo.size - 1)
 
 
 def isolate_roots(
@@ -746,18 +758,20 @@ def _collect_roots(func, exact, dfunc, rounding, finished, clusters, tol: float)
 
     c_lo, c_hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
     for start, stop in zip(*_runs(c_lo, c_hi)) if c_lo.size else ():
-        edges = np.r_[c_lo[start:stop + 1], c_hi[stop]]
+        edges = np.append(c_lo[start:stop + 1], c_hi[stop])
         with np.errstate(over="ignore", invalid="ignore"):
             s = np.broadcast_to(dfunc(edges), edges.shape)  # one float for a linear g
             certain = np.broadcast_to(np.abs(s) > rounding(edges, slope=True), edges.shape)
         slopes = {x: v if sure else exact(x, slope=True)
                   for x, v, sure in zip(edges.tolist(), s.tolist(), certain.tolist())}
         roots += _run_roots(list(slopes), lambda x: slopes[x] if x in slopes else slope_value(x),
-                            value, exact, rounding)
+                            value, func, dfunc, exact, rounding)
     return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
 
 
-def _run_roots(edges: list[float], slope_value, value, exact, rounding) -> list[float]:
+def _run_roots(
+    edges: list[float], slope_value, value, func, dfunc, exact, rounding
+) -> list[float]:
     """The roots on a run of adjacent cluster boxes with these ``edges``.
 
     ``F'`` has one zero at most in each box, so the sign changes of ``F'``
@@ -770,9 +784,10 @@ def _run_roots(edges: list[float], slope_value, value, exact, rounding) -> list[
     a root when no sign change is next to it (a near tangency; the caller
     keeps it if ``|F|`` is within the tolerance).
     """
-    crit = {_sign_change_root(slope_value, a, b) for a, b in zip(edges, edges[1:])} - {None}
+    crit = {_sign_change_root(slope_value, a, b, dfunc) for a, b in zip(edges, edges[1:])}
+    crit.discard(None)
     points = sorted({edges[0], edges[-1], *crit})
-    found = [_sign_change_root(value, a, b) for a, b in zip(points, points[1:])] + [None]
+    found = [_sign_change_root(value, a, b, func) for a, b in zip(points, points[1:])] + [None]
     tangent = [p in crit and abs(exact(p)) <= rounding(p) for p in points] + [False]
     roots, group = [], []
     for i, p in enumerate(points):
