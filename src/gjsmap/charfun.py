@@ -634,9 +634,11 @@ def _sign_change_root(
         return None
     if rough is not None:
         c = _bisect(rough, u, v, fu, fv)
-        n = math.nextafter(c, v if (f(c) < 0.0) == (fu < 0.0) else u)
-        if f(c) == 0.0 or f(n) == 0.0 or (f(n) < 0.0) != (f(c) < 0.0):
-            return c if abs(f(c)) <= abs(f(n)) else n
+        fc = f(c)
+        n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
+        fn = f(n)
+        if fc == 0.0 or fn == 0.0 or (fn < 0.0) != (fc < 0.0):
+            return c if abs(fc) <= abs(fn) else n
     return _bisect(f, u, v, fu, fv)
 
 
