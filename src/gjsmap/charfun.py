@@ -624,8 +624,9 @@ def _sign_change_root(
     """A zero of ``f`` at ``u`` or ``v``, or bisected between finite values of opposite sign.
 
     With ``rough``, a cheaper stand-in for ``f``, the bisection runs on
-    ``rough`` and its result stands if ``f`` changes sign between it and the
-    next float on one side; otherwise it runs again on ``f``.
+    ``rough`` and its result stands, as the float where ``rough`` changes
+    sign, if ``f`` changes sign between it and the next float on one side
+    (a zero of ``f`` there is the result); otherwise it runs again on ``f``.
     """
     fu, fv = f(u), f(v)
     if fu == 0.0 or fv == 0.0:
@@ -638,7 +639,7 @@ def _sign_change_root(
         n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
         fn = f(n)
         if fc == 0.0 or fn == 0.0 or (fn < 0.0) != (fc < 0.0):
-            return c if abs(fc) <= abs(fn) else n
+            return n if fn == 0.0 and fc != 0.0 else c
     return _bisect(f, u, v, fu, fv)
 
 
