@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
@@ -31,6 +32,9 @@ from .errors import (
 
 #: Default magnitude bound beyond which an orbit counts as diverged.
 DIVERGENCE_BOUND = 1e12
+
+#: A float's bits, and the same 8 bytes as a signed integer, for :func:`_midway`.
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
 
 #: |discriminant| below this (times a coefficient scale) counts as zero.
 DOUBLE_ROOT_RTOL = 1e-9
@@ -116,6 +120,13 @@ def _horner_interval(coeffs: Sequence[float], lo, hi):
     for c in coeffs[-2:0:-1]:
         acc_lo, acc_hi = _interval_product(acc_lo + c, acc_hi + c, lo, hi)
     return acc_lo + coeffs[0], acc_hi + coeffs[0]
+
+
+def _dyadic(coeffs: Sequence[float]) -> tuple[list[int], int]:
+    """Integers ``n_k`` and ``top`` with ``coeffs[k] == n_k / 2**top`` exactly."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    top = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (top + 1 - den.bit_length()) for num, den in ratios], top
 
 
 def _derivative(coeffs: Sequence[float]) -> list[float]:
@@ -473,10 +484,30 @@ def is_reflection_pair(fn: CharFn, gn: CharFn) -> bool:
     return all(w == g for w, g in zip_longest(want, gn.coefficients, fillvalue=0.0))
 
 
+def _midway(u: float, v: float) -> float:
+    """The float halfway from ``u`` to ``v`` in the order of the floats.
+
+    The bits of ``|x|`` read as an integer, negated for a negative ``x``,
+    give the place of ``x`` in that order, and a place gives its float back.
+    """
+    k = sum(-n if x < 0.0 else n for x in (u, v) for n in _I64.unpack(_F64.pack(abs(x)))) // 2
+    m = _F64.unpack(_I64.pack(abs(k)))[0]
+    return -m if k < 0 else m
+
+
 def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: float) -> float:
-    """Refine a sign-change bracket down to float resolution."""
-    for _ in range(200):
-        m = 0.5 * (u + v)
+    """Refine a sign-change bracket down to float resolution.
+
+    Within a factor of two a bracket is halved by value: ``v - u`` is exact
+    there, so ``u + (v - u) / 2`` is ``(u + v) / 2`` rounded once.  Any other
+    is halved in the order of the floats.  Each halving leaves at most two
+    thirds of the floats inside, mostly half, so any bracket takes about 64.
+    """
+    while True:
+        if 0.0 < u and v <= 2.0 * u or v < 0.0 and u >= 2.0 * v:
+            m = u + 0.5 * (v - u)
+        else:
+            m = _midway(u, v)
         if not (u < m < v):
             break
         fm = func(m)
@@ -519,9 +550,7 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
     dcoeffs = _derivative(coeffs)
     ddcoeffs = _derivative(dcoeffs)
     lead, rest = coeffs[-1], coeffs[-2::-1]
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    top = max(den.bit_length() for _, den in ratios) - 1
-    ints = [num << (top + 1 - den.bit_length()) for num, den in ratios]  # coeffs * 2**top
+    ints, top = _dyadic(coeffs)
     dints = [i * c for i, c in enumerate(ints)][1:] or [0]
     magnitudes, dmagnitudes = [abs(c) for c in coeffs], [abs(c) for c in dcoeffs]
     gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
@@ -767,15 +796,15 @@ def _collect_roots(func, exact, dfunc, rounding, finished, clusters, tol: float)
             certain = np.broadcast_to(np.abs(s) > rounding(edges, slope=True), edges.shape)
         slopes = {x: v if sure else exact(x, slope=True)
                   for x, v, sure in zip(edges.tolist(), s.tolist(), certain.tolist())}
-        roots += _run_roots(list(slopes), lambda x: slopes[x] if x in slopes else slope_value(x),
+        roots += _run_roots(slopes, lambda x: slopes[x] if x in slopes else slope_value(x),
                             value, func, dfunc, exact, rounding)
     return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
 
 
 def _run_roots(
-    edges: list[float], slope_value, value, func, dfunc, exact, rounding
+    slopes: dict, slope_value, value, func, dfunc, exact, rounding
 ) -> list[float]:
-    """The roots on a run of adjacent cluster boxes with these ``edges``.
+    """The roots on a run of adjacent cluster boxes, ``slopes`` the sign of ``F'`` at each edge.
 
     ``F'`` has one zero at most in each box, so the sign changes of ``F'``
     at the edges give every critical point, and ``F`` is monotone between
@@ -787,7 +816,10 @@ def _run_roots(
     a root when no sign change is next to it (a near tangency; the caller
     keeps it if ``|F|`` is within the tolerance).
     """
-    crit = {_sign_change_root(slope_value, a, b, dfunc) for a, b in zip(edges, edges[1:])}
+    edges, signs = list(slopes), list(slopes.values())
+    crit = {_sign_change_root(slope_value, a, b, dfunc)
+            for a, b, sa, sb in zip(edges, edges[1:], signs, signs[1:])
+            if sa == 0.0 or sb == 0.0 or (sa < 0.0) != (sb < 0.0)}
     crit.discard(None)
     points = sorted({edges[0], edges[-1], *crit})
     found = [_sign_change_root(value, a, b, func) for a, b in zip(points, points[1:])] + [None]
@@ -809,6 +841,45 @@ def _run_roots(
     return roots
 
 
+def root_bound(coeffs: Sequence[float], d: int = 1, sign: float = 0.0, shift: float = 0.0) -> float:
+    """A radius ``R`` past which ``F(x) = g^(d)(x) + sign x + shift`` has no root.
+
+    ``g`` is ``coeffs`` without trailing zeros; ``sign`` and ``shift`` are -1,
+    0 or 1.  For ``d = 1`` or a linear ``g`` (whose composition is linear),
+    ``R`` is the Cauchy bound ``1 + max |c_k| / |c_m|`` of F's coefficients:
+    for ``|x| >= R``, ``|F(x)| >= |c_m| |x|^m - max |c_k| (1 + ... + |x|^(m-1)) > 0``.
+    Otherwise it is the escape radius ``max(1, (|a_0| + ... + |a_(n-1)| + 3) / |a_n|)``
+    (J. Milnor, *Dynamics in One Complex Variable*, 2006): for ``|x| >= R``,
+    ``|g(x)| >= 3 |x|^(n-1) >= 2 |x| + 1``, so ``|g^(d)(x)| >= 4 |x| + 3`` and
+    ``|F(x)| >= 3 |x| + 2 > |x|``.  ``R`` is the exact bound rounded up to a
+    float, ``inf`` past the float range; a constant ``F`` gives 1.
+    """
+    ints, top = _dyadic(_strip_trailing_zeros(coeffs))
+    if d > 1 and len(ints) > 2:
+        q = abs(ints[-1])
+        p = max(q, sum(abs(c) for c in ints[:-1]) + (3 << top))
+    else:  # F's coefficients are f / 2**e
+        f, e = ints + [0] * (2 - len(ints)), top
+        if d > 1:  # g = b + a x composes to g^(d)(x) = y + s x
+            (b, a), y, s = f, 0, 1
+            for k in range(d):
+                y, s = a * y + (b << (top * k)), a * s
+            f, e = [y, s], top * d
+        f[0] += int(shift) << e
+        f[1] += int(sign) << e
+        f = _strip_trailing_zeros(f)
+        if len(f) == 1:
+            return 1.0
+        q = abs(f[-1])
+        p = q + max(abs(c) for c in f[:-1])
+    try:
+        r = p / q  # rounded to nearest
+    except OverflowError:
+        return math.inf
+    num, den = r.as_integer_ratio()
+    return r if num * q >= p * den else math.nextafter(r, math.inf)
+
+
 def find_roots(
     poly_coefficients: Sequence[float],
     interval: tuple[float, float],
@@ -818,8 +889,8 @@ def find_roots(
 
     The roots :func:`isolate_roots` finds for the polynomial itself (``d = 1``):
     each meets ``|p(x)| <= tol max(1, |x|)``, and a root of even multiplicity
-    is a zero of the derivative.  Infinite interval ends are clipped to the
-    Cauchy root bound, outside which no root can live.
+    is a zero of the derivative.  The interval is clipped to the Cauchy
+    bound :func:`root_bound`, outside which no root can live.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -829,6 +900,6 @@ def find_roots(
     coeffs = _strip_trailing_zeros([float(c) for c in poly_coefficients])
     if len(coeffs) < 2:
         return []
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    bound = root_bound(coeffs)
     lo, hi = max(lo, -bound), min(hi, bound)
     return isolate_roots(coeffs, 1, 0.0, 0.0, lo, hi, tol) if lo <= hi else []

@@ -165,16 +165,11 @@ def _real_arg(text: str) -> float:
     return value
 
 
-def _finite_arg(text: str, allow_zero: bool) -> float:
-    value = _float_arg(text)
-    if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
-        want = "non-negative" if allow_zero else "positive"
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite {want} number")
-    return value
-
-
 def _tolerance_arg(text: str) -> float:
-    return _finite_arg(text, allow_zero=True)
+    value = _float_arg(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite non-negative number")
+    return value
 
 
 def _perturb_arg(text: str):
@@ -316,11 +311,11 @@ def cmd_gsl2_solve(args):
     """``gsl2 cut`` and ``gsl2 periodic``: one root isolator, two closure equations."""
     payload = {"gn": charfn_to_dict(args.gn), "d": args.d}
     if args.command == "cut":
-        solutions = cut_condition_solve(args.gn, args.d, window=args.window_size)
+        solutions = cut_condition_solve(args.gn, args.d)
         payload["included"] = list(solutions.included)
         payload["excluded"] = list(solutions.excluded)
     else:
-        payload["roots"] = list(periodic_condition_solve(args.gn, args.d, window=args.window_size))
+        payload["roots"] = list(periodic_condition_solve(args.gn, args.d))
     return payload, 0, None
 
 
@@ -549,11 +544,7 @@ _KINDS = [k.value for k in RepKind]
 _SHELL = [_FN, _ALPHA0, _GN, _ALPHAJ, _option(
     "--j", type=_two_j_arg, default=None, help="shell spin, e.g. 1/2"
 )]
-_SCAN = [
-    _GN,
-    _option("--d", type=int, required=True),
-    _option("--window-size", type=lambda text: _finite_arg(text, allow_zero=False), default=100.0),
-]
+_SCAN = [_GN, _option("--d", type=int, required=True)]
 
 
 def _perturb_option(example: str) -> tuple[str, dict]:

@@ -10,16 +10,15 @@ A representation closes after ``d`` states when the next ladder square
 vanishes, which happens in exactly two ways: the orbit returns to the highest
 weight (``g^(d)(alpha_j) = alpha_j``, periodic) or the closure equation
 ``alpha_j + g^(d)(alpha_j) + 1 = 0`` holds (cut).  Solvers for both equations
-isolate the real roots in a window around the invertibility boundary with
-``charfun.isolate_roots``: interval subdivision drops the boxes whose
-enclosure keeps away from zero, finishes the monotone ones and bisects each
-sign change; the iterated ``g`` is composed numerically, never expanded
-symbolically.
+find every real root with ``charfun.isolate_roots`` within the radius
+``charfun.root_bound`` derives from ``g`` (no closure root lies past it):
+interval subdivision drops the boxes whose enclosure keeps away from zero,
+finishes the monotone ones and bisects each sign change; the iterated ``g``
+is composed numerically, never expanded symbolically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +34,7 @@ from .charfun import (
     invertibility_region,
     isolate_roots,
     iterate,
+    root_bound,
 )
 from .errors import (
     CutResidualTooLarge,
@@ -245,32 +245,28 @@ class CutSolutions:
     excluded: tuple[float, ...]
 
 
-def _closure_roots(gn: CharFn, d: int, kind: RepKind, window, residual_tol):
-    """Roots of ``g^(d)(x) + x + 1`` (cut) or ``g^(d)(x) - x`` within ``window``
-    of the region boundary (or 0), flagged in-region."""
+def _closure_roots(gn: CharFn, d: int, kind: RepKind, residual_tol):
+    """Roots of ``g^(d)(x) + x + 1`` (cut) or ``g^(d)(x) - x`` (periodic), flagged in-region.
+
+    All lie within ``R = root_bound(...)``; ``[-R, 1.3 R]`` keeps a root at 0
+    off the first-level box edges, where it would take the slower cluster path.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     sign, shift = (1.0, 1.0) if kind is RepKind.FINITE_CUT else (-1.0, 0.0)
     lo_r, hi_r = invertibility_region(gn)
-    center = hi_r if math.isfinite(hi_r) else lo_r if math.isfinite(lo_r) else 0.0
-    roots = isolate_roots(
-        gn.coefficients, d, sign, shift, center - window, center + window, residual_tol
-    )
+    radius = root_bound(gn.coefficients, d, sign, shift)
+    roots = isolate_roots(gn.coefficients, d, sign, shift, -radius, 1.3 * radius, residual_tol)
     return [(r, lo_r < r < hi_r) for r in roots]
 
 
-def cut_condition_solve(
-    gn: CharFn,
-    d: int,
-    window: float = 100.0,
-    residual_tol: float = CUT_SOLVE_TOL,
-) -> CutSolutions:
+def cut_condition_solve(gn: CharFn, d: int, residual_tol: float = CUT_SOLVE_TOL) -> CutSolutions:
     """Solve ``alpha + g^(d)(alpha) + 1 = 0`` for ``d``-state cut reps.
 
     Roots out of region or failing to build a cut representation are excluded.
     """
     included, excluded = [], []
-    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT, window, residual_tol):
+    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT, residual_tol):
         if inside:
             try:
                 build_gsl2(gn, r, d, RepKind.FINITE_CUT, cut_tol=residual_tol)
@@ -283,18 +279,13 @@ def cut_condition_solve(
     return CutSolutions(tuple(included), tuple(excluded))
 
 
-def periodic_condition_solve(
-    gn: CharFn,
-    d: int,
-    window: float = 100.0,
-    residual_tol: float = CUT_SOLVE_TOL,
-) -> tuple[float, ...]:
+def periodic_condition_solve(gn: CharFn, d: int, residual_tol: float = CUT_SOLVE_TOL) -> tuple[float, ...]:
     """Real solutions of ``g^(d)(alpha) = alpha`` inside the invertibility region.
 
     ``d = 1`` gives the fixed points (one-state representations); larger ``d``
     gives period-``d`` candidates, with no unitarity claim attached.
     """
-    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC, window, residual_tol)
+    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC, residual_tol)
     return tuple(r for r, inside in roots if inside)
 
 

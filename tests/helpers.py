@@ -32,6 +32,32 @@ from gjsmap.gha import CLAMP_TOL
 CUT_QUARTIC_ASCENDING = (-4.0, 16.0, -14.0, 6.0, -1.0)
 
 
+def exact_closure(coeffs, d: int, sign: int, shift: int, x: float) -> Fraction:
+    """``g^(d)(x) + sign x + shift`` in exact rational arithmetic."""
+    y = Fraction(x)
+    for _ in range(d):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * y + Fraction(c)
+        y = acc
+    return y + sign * Fraction(x) + shift
+
+
+def exact_closure_slope(coeffs, d: int, sign: int, x: float) -> Fraction:
+    """The derivative ``g'(x) g'(g(x)) ... + sign`` of :func:`exact_closure`, exactly."""
+    y, out = Fraction(x), Fraction(1)
+    for _ in range(d):
+        acc = Fraction(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = acc * y + i * Fraction(coeffs[i])
+        out *= acc
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * y + Fraction(c)
+        y = acc
+    return out + sign
+
+
 def cut_quartic_roots_oracle() -> list[float]:
     """Real roots of the two-state closure quartic via companion eigenvalues."""
     roots = np.roots([-1.0, 6.0, -14.0, 16.0, -4.0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gjsmap import (
     CharFn,
+    charfun,
     OneSidedBehavior,
     Orientation,
     RegionLabel,
@@ -179,6 +180,11 @@ class TestFixedPoints:
         fn = CharFn((0.0, 0.0, 0.0, 1.0), Orientation.OSCILLATOR)
         locs = [fp.location for fp in fixed_points(fn)]
         assert locs == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
+
+    def test_cubic_with_a_root_at_its_cauchy_bound(self):
+        # fn(x) - x = 1e-20 x^3 + x^2 + 0.5, whose real root is about -1e20
+        (fp,) = fixed_points(CharFn((0.5, 1.0, 1.0, 1e-20), Orientation.OSCILLATOR))
+        assert fp.location == pytest.approx(-1e20, rel=1e-15)
 
     def test_cubic_tangency_diverges_both_sides(self):
         # f(x) = x + (x - 1)^3 crosses the diagonal transversally with slope 1
@@ -393,6 +399,40 @@ class TestFindRoots:
         # three roots and both zeros of the derivative (+-5.8e-4).
         roots = find_roots([0.0, 1e-6, 0.0, -1.0], (-1.0, 1.0))
         assert roots == pytest.approx([-1e-3, 0.0, 1e-3], abs=1e-12)
+
+    def test_wide_bracket_is_bisected_to_its_root(self):
+        # 2x - 1e-100 x^2 on its Cauchy interval, about [-2e100, 2e100]: 0 lies
+        # some 1,400 value halvings below the bracket's width.
+        assert find_roots([0.0, 2.0, -1e-100], (-math.inf, math.inf)) == [0.0, 2e100]
+        # -x^2 + 2x on [0.5 - 1e150, 0.5 + 1e150]
+        roots = charfun.isolate_roots((-1.0, 1.0, -1.0), 1, 1.0, 1.0, 0.5 - 1e150, 0.5 + 1e150,
+                                      1e-9)
+        assert roots == [0.0, 2.0]
+
+    def test_bisection_halves_by_value_within_a_factor_of_two(self):
+        # so an ordinary bracket costs what plain bisection costs; a wider one
+        # is halved in the order of the floats, about 64 times at most.
+        def points(u, v, root):
+            seen = []
+            charfun._bisect(lambda x: seen.append(x) or x - root, u, v, u - root, v - root)
+            return seen
+
+        u, v, plain = 1.0, 1.75, []
+        while u < 0.5 * (u + v) < v:
+            m = 0.5 * (u + v)
+            plain.append(m)
+            u, v = (m, v) if m < 1.3 else (u, m)
+        assert points(1.0, 1.75, 1.3) == plain
+        for u, v, root in ((-1e300, 1.1e300, 0.0), (-1e300, 1.1e300, 0.3), (1e-300, 1e300, 7.0),
+                           (-3.0, 5.0, 1e-200)):
+            seen = points(u, v, root)
+            assert seen[-1] == root and len(seen) <= 66
+
+    def test_cauchy_bound_is_rounded_up(self):
+        # 1 + 2e20 rounds down to 2e20, the root of 2x - 1e-20 x^2.
+        assert find_roots([0.0, 2.0, -1e-20], (-math.inf, math.inf)) == pytest.approx(
+            [0.0, 2e20], abs=1e-300, rel=1e-15)
+        assert charfun.root_bound([0.0, 2.0, -1e-20]) == math.nextafter(2e20, math.inf)
 
     def test_quintic_region_ends_at_its_quadruple_critical_point(self):
         # g = -(x - 1)^5, so g' = -5 (x - 1)^4 vanishes only at 1

@@ -474,6 +474,7 @@ NON_FINITE_PERTURB = {
 STEP_JOB = {"jobs": [{"name": "stepped", "command": "gsl2 cut",
                       "params": {"gn": json.loads(GN_FIG2), "d": 1, "step": 1e-3}}]}
 FLAT_GN = '{"coefficients":[0,1],"orientation":"weight"}'
+TINY_LEAD_GN = '{"coefficients":[-1,3,-%s],"orientation":"weight"}'
 HUGE_QUADRATIC = '{"coefficients":[1e200,1e200,1e200],"orientation":"oscillator"}'
 
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
@@ -489,8 +490,8 @@ BAD_INPUTS = {
     "cut-tol negative": ([*SHELL, "--cut-tol=-1e-9"], None, None, "--cut-tol"),
     "step refused": ([*CUT, "--step", "1e-3"], None, None, "unrecognized arguments: --step"),
     "batch job with step": (["run", "--config", "jobs.json"], None, STEP_JOB, "--step"),
-    "window-size zero": ([*PERIODIC, "--window-size", "0"], None, None, "--window-size"),
-    "window-size nan": ([*CUT, "--window-size", "nan"], None, None, "--window-size"),
+    "window-size refused": ([*CUT, "--window-size", "5"], None, None,
+                            "unrecognized arguments: --window-size"),
     "bound nan": (GHA3, "nan", None, "GJS_DIVERGENCE_BOUND"),
     "bound negative": (GHA3, "-1", None, "GJS_DIVERGENCE_BOUND"),
     "bound zero": (GHA3, "0", None, "GJS_DIVERGENCE_BOUND"),
@@ -518,10 +519,10 @@ BAD_INPUTS = {
     "cobweb window inf": ([*COBWEB, "--x0", "0.5", "--window", "0,inf"], None, None, "--window"),
     "cobweb x0 inf": ([*COBWEB, "--x0", "inf"], None, None, "--x0"),
     "analyze x0 nan": (["charfun", "analyze", "--fn", FN_FIG1, "--x0", "nan"], None, None, "--x0"),
-    # the window's width 2 * 1e308 overflows to inf
-    "window-size overflows the grid": ([*CUT, "--window-size", "1e308"], None, None,
-                                       "no finite size"),
-    # g(x) - x vanishes on the whole window
+    # the escape radius 7e308 of g = -1e-308 x^2 + 3x - 1 is past the float range
+    "root bound overflows": (["gsl2", "cut", "--gn", TINY_LEAD_GN % "1e-308", "--d", "2"], None,
+                             None, "the interval [-inf, inf] has no finite size"),
+    # g(x) - x vanishes everywhere
     "flat closure function": (["gsl2", "periodic", "--gn", FLAT_GN, "--d", "1"], None, None,
                               "the roots are not isolated"),
     "build alphaj nan": (["jsmap", "build", *SHELL[2:9], "nan", "--j", "1"], None, None,
@@ -593,21 +594,23 @@ def test_unencodable_batch_output_is_a_job_error(capsys, monkeypatch, tmp_path):
 
 def test_unscannable_batch_job_is_a_job_error(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    config = {"jobs": [
-        {"name": "wide", "command": "gsl2 cut",
-         "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 1e308}},
-        {"name": "flat", "command": "gsl2 periodic",
-         "params": {"gn": json.loads(FLAT_GN), "d": 1}},
-        {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}},
-    ]}
-    (tmp_path / "jobs.json").write_text(json.dumps(config))
+    small = {"name": "small", "command": "gsl2 cut", "params": {"gn": json.loads(GN_FIG2), "d": 1}}
+    sized = {"name": "sized", "command": "gsl2 cut",
+             "params": {"gn": json.loads(GN_FIG2), "d": 1, "window_size": 5}}
+    (tmp_path / "jobs.json").write_text(json.dumps({"jobs": [small, sized]}))
+    code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
+    # --window-size is gone: the job is refused before any job runs
+    assert (code, payload) == (1, None)
+    assert "'sized'" in json.loads(err)["error"] and "--window-size" in json.loads(err)["error"]
+    flat = {"name": "flat", "command": "gsl2 periodic",
+            "params": {"gn": json.loads(FLAT_GN), "d": 1}}
+    (tmp_path / "jobs.json").write_text(json.dumps({"jobs": [flat, small]}))
     code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
     assert code == 1
     assert err == ""
-    wide, flat, small = payload["jobs"]
-    for job, named in ((wide, "no finite size"), (flat, "the roots are not isolated")):
-        assert job["status"] == "error"
-        assert job["error"].startswith("ValueError: ") and named in job["error"]
+    flat, small = payload["jobs"]
+    assert flat["status"] == "error"
+    assert flat["error"].startswith("ValueError: ") and "the roots are not isolated" in flat["error"]
     assert small["status"] == "ok"
 
 
@@ -621,12 +624,14 @@ def test_region_at_a_root_of_multiplicity_four(kind, key, want, capsys):
     assert payload[key] == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("window", ["1e20", "1.85e18", "1.8889465931478582e+18"])
-def test_huge_window_size_is_solved(window, capsys):
-    # The first level cuts any finite window into the same number of boxes.
-    code, payload, _ = run_cli(capsys, *CUT, "--window-size", window)
+def test_huge_root_bound_is_solved(capsys):
+    # x + g(x) + 1 = 2x - 1e-20 x^2: its Cauchy bound, about 2e20, holds both roots,
+    # and the first level cuts that interval into the same number of boxes as any other.
+    gn = '{"coefficients":[-1,1,-1e-20],"orientation":"weight"}'
+    code, payload, _ = run_cli(capsys, "gsl2", "cut", "--gn", gn, "--d", "1")
     assert code == 0
-    assert payload["included"] + payload["excluded"] == pytest.approx([0.0, 4.0], abs=1e-12)
+    assert payload["included"] == pytest.approx([0.0], abs=1e-9)
+    assert payload["excluded"] == pytest.approx([2e20], rel=1e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from gjsmap import (
     CharFn,
@@ -31,6 +33,7 @@ from gjsmap.errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
+from gjsmap.gsl2 import CUT_SOLVE_TOL, _closure_roots
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +41,8 @@ from helpers import (
     Q_PARAMETER,
     cut_quartic_roots_oracle,
     dense_gsl2,
+    exact_closure,
+    exact_closure_slope,
     identical,
     q_cut_root,
     scaled_tol,
@@ -297,7 +302,7 @@ class TestCutSolve:
 
     def test_standard_limit_spin(self):
         for d in range(1, 6):
-            sols = cut_condition_solve(SL2, d, window=20.0)
+            sols = cut_condition_solve(SL2, d)
             assert len(sols.included) == 1
             assert sols.included[0] == pytest.approx((d - 1) / 2.0, abs=1e-9)
             assert sols.excluded == ()
@@ -334,7 +339,7 @@ class TestPeriodicSolve:
 
     def test_linear_shift_has_no_periodic_points(self):
         for d in (1, 2, 3):
-            assert periodic_condition_solve(SL2, d, window=20.0) == ()
+            assert periodic_condition_solve(SL2, d) == ()
 
     def test_period_two_points_match_fixed_points(self):
         # for this tangent quadratic the only period-2 points in the region
@@ -349,32 +354,6 @@ CLOSURE_COEFFS = st.one_of(
     st.tuples(*[st.floats(-2.0, 2.0)] * 3, st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)),
     st.tuples(st.floats(-2.0, 1.0), st.floats(0.5, 4.0), st.floats(-2.0, -0.2), st.just(0.0)),
 )
-
-
-def exact_closure(coeffs, d: int, sign: int, shift: int, x: float) -> Fraction:
-    """``g^(d)(x) + sign x + shift`` in exact rational arithmetic."""
-    y = Fraction(x)
-    for _ in range(d):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * y + Fraction(c)
-        y = acc
-    return y + sign * Fraction(x) + shift
-
-
-def exact_closure_slope(coeffs, d: int, sign: int, x: float) -> Fraction:
-    """The derivative ``g'(x) g'(g(x)) ... + sign`` of :func:`exact_closure`, exactly."""
-    y, out = Fraction(x), Fraction(1)
-    for _ in range(d):
-        acc = Fraction(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = acc * y + i * Fraction(coeffs[i])
-        out *= acc
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * y + Fraction(c)
-        y = acc
-    return out + sign
 
 
 #: Dyadic roots in [-4, 4], 2**-14 apart at the finest.
@@ -422,8 +401,8 @@ class TestIsolator:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_root_on_a_box_edge(self, d):
         # x + g^(d)(x) + 1 = 2x - d + 1 vanishes exactly at an end of a first-level box.
-        root = cut_condition_solve(SL2, d, window=16.0).included
-        assert root == ((d - 1) / 2.0,)
+        roots = charfun.isolate_roots(SL2.coefficients, d, 1.0, 1.0, -16.0, 16.0, 1e-9)
+        assert roots == [(d - 1) / 2.0]
         assert ((d - 1) / 2.0 + 16.0) / (32.0 / charfun.BOXES) % 1.0 == 0.0
 
     @pytest.mark.parametrize("side", [-0.25, 0.25])
@@ -431,20 +410,20 @@ class TestIsolator:
         # g(x) - x = x - r changes sign a quarter box from the edge boxes 299 and 300 share.
         width = 10.0 / charfun.BOXES
         r = -5.0 + 300 * width + side * width
-        gn = CharFn((-r, 2.0), Orientation.WEIGHT)
-        assert periodic_condition_solve(gn, 1, window=5.0) == pytest.approx([r], abs=1e-15)
+        roots = charfun.isolate_roots((-r, 2.0), 1, -1.0, 0.0, -5.0, 5.0, 1e-9)
+        assert roots == pytest.approx([r], abs=1e-15)
 
     def test_zero_at_hi(self):
         # x + g(x) + 1 = 2x - 10 vanishes at hi = 5, even at zero residual tolerance.
         gn = CharFn((-11.0, 1.0), Orientation.WEIGHT)
         assert charfun.isolate_roots(gn.coefficients, 1, 1.0, 1.0, -5.0, 5.0, 0.0) == [5.0]
-        sols = cut_condition_solve(gn, 1, window=5.0)
+        sols = cut_condition_solve(gn, 1)
         assert sols.included + sols.excluded == (5.0,)
 
     def test_showcase_tangent_fixed_point(self):
         # -x^2 + 3x - 1 touches the diagonal at 1 without crossing it: the
         # root is the zero of the derivative inside a cluster.
-        assert periodic_condition_solve(FIG2_GN, 1, window=20.0) == (1.0,)
+        assert periodic_condition_solve(FIG2_GN, 1) == (1.0,)
         assert find_roots([-1.0, 2.0, -1.0], (-20.0, 20.0)) == [1.0]
 
     @given(a=st.floats(-3.0, 3.0), lead=st.floats(-2.0, -0.2))
@@ -483,20 +462,20 @@ class TestIsolator:
     def test_overflow_inside_the_window(self):
         # -x^3 + 3x - 1 padded with a zero: the orbit overflows to +-inf, and
         # one step later the padding's 0 * inf makes it NaN.
+        # At d = 7 it does so inside [-7, 9.1], the interval of the escape radius 7.
         padded = CharFn((-1.0, 3.0, 0.0, -1.0, 0.0), Orientation.WEIGHT)
-        xs = np.linspace(-1.0 - 20.0, -1.0 + 20.0, 40001)
+        assert charfun.root_bound(padded.coefficients, 7, 1.0, 1.0) == 7.0
+        xs = np.linspace(-7.0, 1.3 * 7.0, 40001)
         with np.errstate(over="ignore", invalid="ignore"):
             values = xs
-            for _ in range(6):
+            for _ in range(7):
                 values = padded(values)
         assert np.isinf(values).any() and np.isnan(values).any()
         cubic = CharFn(padded.coefficients[:4], Orientation.WEIGHT)
-        assert cut_condition_solve(padded, 6, window=20.0) == cut_condition_solve(
-            cubic, 6, window=20.0)
-        assert periodic_condition_solve(padded, 6, window=20.0) == periodic_condition_solve(
-            cubic, 6, window=20.0)
+        assert cut_condition_solve(padded, 7) == cut_condition_solve(cubic, 7)
+        assert periodic_condition_solve(padded, 7) == periodic_condition_solve(cubic, 7)
         # Each d = 8 root of the showcase brackets an exact sign change.
-        sols = cut_condition_solve(FIG2_GN, 8, window=20.0)
+        sols = cut_condition_solve(FIG2_GN, 8)
         for r in sols.included + sols.excluded:
             below, above = (exact_closure(FIG2_GN.coefficients, 8, 1, 1, r + e)
                             for e in (-1e-9, 1e-9))
@@ -513,8 +492,8 @@ class TestIsolator:
         calls = []
         derivative = charfun._derivative
         monkeypatch.setattr(charfun, "_derivative", lambda c: calls.append(c) or derivative(c))
-        cut_condition_solve(FIG2_GN, 3, window=20.0)
-        periodic_condition_solve(FIG2_GN, 2, window=20.0)
+        cut_condition_solve(FIG2_GN, 3)
+        periodic_condition_solve(FIG2_GN, 2)
         assert calls == [list(FIG2_GN.coefficients), [3.0, -2.0]] * 2  # g' and g''
 
     def test_chain_rule_evaluates_g_d_minus_one_times(self, monkeypatch):
@@ -621,6 +600,77 @@ class TestEnclosure:
                 for value, bound, want in pairs:
                     if math.isfinite(value) and math.isfinite(bound):
                         assert abs(Fraction(value) - want) <= Fraction(bound)
+
+
+#: g of degree 1 to 4, its leading coefficient down to 1e-6 in magnitude.
+BOUND_COEFFS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *[st.floats(-3.0, 3.0)] * n,
+    st.tuples(st.floats(-6.0, 0.5), st.sampled_from([-1.0, 1.0])).map(lambda t: t[1] * 10 ** t[0]),
+))
+
+
+class TestDerivedInterval:
+    """The closure solvers search the interval ``charfun.root_bound`` derives from ``g``."""
+
+    def test_standard_spin_two_hundred(self):
+        # x + g^(401)(x) + 1 = 2x - 400 for g = x - 1, far outside the old fixed window.
+        sols = cut_condition_solve(SL2, 401)
+        assert (sols.included, sols.excluded) == ((200.0,), ())
+
+    def test_in_region_root_far_from_the_vertex(self):
+        # x + g(x) + 1 = 2x - 0.001 x^2; the vertex is at 500, the root 0 in the region.
+        sols = cut_condition_solve(CharFn((-1.0, 1.0, -0.001), Orientation.WEIGHT), 1)
+        assert sols.included == pytest.approx([0.0], abs=1e-9)
+        assert sols.excluded == (2000.0,)
+
+    def test_fixed_point_far_from_the_vertex(self):
+        # g(x) - x = -0.01 x^2 + 2x - 1; the vertex is at 150.
+        gn = CharFn((-1.0, 3.0, -0.01), Orientation.WEIGHT)
+        assert periodic_condition_solve(gn, 1) == (0.5012562893380046,)
+
+    @given(coeffs=BOUND_COEFFS, d=st.integers(1, 4), line=st.sampled_from(CLOSURE_LINES))
+    @settings(max_examples=150, deadline=None)
+    def test_no_root_past_the_bound(self, coeffs, d, line):
+        # Past the escape radius |F(x)| > |x|; past a Cauchy bound (d = 1 or
+        # a linear g) F(x) != 0 only, so F keeps one sign on each side.
+        sign, shift = line
+        exact = functools.partial(exact_closure, coeffs, d, int(sign), int(shift))
+        assume(len(coeffs) > 2 or exact(0.0) != 0 or exact(1.0) != 0)  # F = 0 is refused
+        radius = charfun.root_bound(coeffs, d, sign, shift)
+        escape = d > 1 and len(coeffs) > 2
+        for side in (-1.0, 1.0):
+            xs = [side * radius * t for t in (1.0, 1.5, 8.0, 1e3)]
+            values = [exact(x) for x in xs]
+            assert all(v > 0 for v in values) or all(v < 0 for v in values)
+            if escape:
+                assert all(abs(v) > abs(x) for v, x in zip(values, xs))
+
+    @given(coeffs=BOUND_COEFFS, d=st.integers(1, 2), line=st.sampled_from(CLOSURE_LINES))
+    @settings(max_examples=150, deadline=None)
+    def test_every_real_root_is_reported(self, coeffs, d, line):
+        # Each real root of the expanded polynomial is near a reported root
+        # if the exact F changes sign within 1e-6 of it (relative), and its
+        # float residual can meet the 1e-9 test: a root where one ulp moves
+        # F by more is dropped by that test.
+        sign, shift = line
+        exact = functools.partial(exact_closure, coeffs, d, int(sign), int(shift))
+        assume(len(coeffs) > 2 or exact(0.0) != 0 or exact(1.0) != 0)  # F = 0 is refused
+        kind = RepKind.FINITE_CUT if sign > 0.0 else RepKind.FINITE_PERIODIC
+        gn = CharFn(coeffs, Orientation.WEIGHT if coeffs[-1] < 0.0 else Orientation.OSCILLATOR)
+        reported = [r for r, _ in _closure_roots(gn, d, kind, CUT_SOLVE_TOL)]
+        _, _, dfunc, rounding, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+        poly = Polynomial([0.0, 1.0])
+        for _ in range(d):
+            poly = Polynomial(coeffs)(poly)
+        for z in (poly + Polynomial([shift, sign])).roots():
+            x, h = float(z.real), 1e-6 * max(1.0, abs(z.real))
+            if abs(z.imag) > h or exact(x - h) * exact(x + h) >= 0:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                slack = abs(dfunc(x)) * math.ulp(x) + rounding(x)
+            if not slack <= 0.1 * CUT_SOLVE_TOL * max(1.0, abs(x)):
+                continue
+            assert any(abs(r - x) <= 2.0 * h for r in reported), (x, reported)
 
 
 class TestSerialization:
