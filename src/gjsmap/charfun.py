@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
@@ -33,8 +32,8 @@ from .errors import (
 #: Default magnitude bound beyond which an orbit counts as diverged.
 DIVERGENCE_BOUND = 1e12
 
-#: A float's bits, and the same 8 bytes as a signed integer, for :func:`_midway`.
-_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+#: The least positive float.
+_TINY = math.ulp(0.0)
 
 #: |discriminant| below this (times a coefficient scale) counts as zero.
 DOUBLE_ROOT_RTOL = 1e-9
@@ -484,30 +483,24 @@ def is_reflection_pair(fn: CharFn, gn: CharFn) -> bool:
     return all(w == g for w, g in zip_longest(want, gn.coefficients, fillvalue=0.0))
 
 
-def _midway(u: float, v: float) -> float:
-    """The float halfway from ``u`` to ``v`` in the order of the floats.
-
-    The bits of ``|x|`` read as an integer, negated for a negative ``x``,
-    give the place of ``x`` in that order, and a place gives its float back.
-    """
-    k = sum(-n if x < 0.0 else n for x in (u, v) for n in _I64.unpack(_F64.pack(abs(x)))) // 2
-    m = _F64.unpack(_I64.pack(abs(k)))[0]
-    return -m if k < 0 else m
-
-
 def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: float) -> float:
     """Refine a sign-change bracket down to float resolution.
 
-    Within a factor of two a bracket is halved by value: ``v - u`` is exact
-    there, so ``u + (v - u) / 2`` is ``(u + v) / 2`` rounded once.  Any other
-    is halved in the order of the floats.  Each halving leaves at most two
-    thirds of the floats inside, mostly half, so any bracket takes about 64.
+    A bracket about 0 is split at 0.  One of one sign is split at its
+    geometric mean while its ends lie more than a factor of two apart, which
+    halves its span of binades (at most 2,098), so 12 such splits end that;
+    then at ``u + (v - u) / 2``, which is ``(u + v) / 2`` rounded once, since
+    ``v - u`` is exact there.  That halves the at most 2**53 floats inside,
+    so any bracket takes about 65 splits at most.
     """
     while True:
         if 0.0 < u and v <= 2.0 * u or v < 0.0 and u >= 2.0 * v:
             m = u + 0.5 * (v - u)
-        else:
-            m = _midway(u, v)
+        elif u < 0.0 < v:
+            m = 0.0
+        else:  # 0 at an end stands for the least positive float
+            m = math.sqrt(max(abs(u), _TINY)) * math.sqrt(max(abs(v), _TINY))
+            m = m if u + v > 0.0 else -m
         if not (u < m < v):
             break
         fm = func(m)

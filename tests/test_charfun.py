@@ -411,7 +411,7 @@ class TestFindRoots:
 
     def test_bisection_halves_by_value_within_a_factor_of_two(self):
         # so an ordinary bracket costs what plain bisection costs; a wider one
-        # is halved in the order of the floats, about 64 times at most.
+        # is split at 0 and at geometric means first, about 65 splits at most.
         def points(u, v, root):
             seen = []
             charfun._bisect(lambda x: seen.append(x) or x - root, u, v, u - root, v - root)
@@ -426,7 +426,7 @@ class TestFindRoots:
         for u, v, root in ((-1e300, 1.1e300, 0.0), (-1e300, 1.1e300, 0.3), (1e-300, 1e300, 7.0),
                            (-3.0, 5.0, 1e-200)):
             seen = points(u, v, root)
-            assert seen[-1] == root and len(seen) <= 66
+            assert seen[-1] == root and len(seen) <= 65
 
     def test_cauchy_bound_is_rounded_up(self):
         # 1 + 2e20 rounds down to 2e20, the root of 2x - 1e-20 x^2.
