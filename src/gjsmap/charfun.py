@@ -499,8 +499,7 @@ def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: f
         elif u < 0.0 < v:
             m = 0.0
         else:  # 0 at an end stands for the least positive float
-            m = math.sqrt(max(abs(u), _TINY)) * math.sqrt(max(abs(v), _TINY))
-            m = m if u + v > 0.0 else -m
+            m = math.copysign(math.sqrt(max(abs(u), _TINY)) * math.sqrt(max(abs(v), _TINY)), u + v)
         if not (u < m < v):
             break
         fm = func(m)
@@ -797,7 +796,7 @@ def _collect_roots(func, exact, dfunc, rounding, finished, clusters, tol: float)
 def _run_roots(
     slopes: dict, slope_value, value, func, dfunc, exact, rounding
 ) -> list[float]:
-    """The roots on a run of adjacent cluster boxes, ``slopes`` the sign of ``F'`` at each edge.
+    """The roots on a run of adjacent cluster boxes; ``slopes`` has ``F'``'s sign at each edge.
 
     ``F'`` has one zero at most in each box, so the sign changes of ``F'``
     at the edges give every critical point, and ``F`` is monotone between
