@@ -443,7 +443,6 @@ class TestRunConfig:
 
 GHA3 = ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "3"]
 CUT = ["gsl2", "cut", "--gn", GN_FIG2, "--d", "1"]
-PERIODIC = ["gsl2", "periodic", "--gn", GN_FIG2, "--d", "1"]
 COBWEB = ["orbit", "cobweb", "--fn", FN_FIG1, "--steps", "5"]
 SHELL = ["jsmap", "verify", "--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alphaj", "1",
          "--j", "1"]
@@ -474,7 +473,7 @@ NON_FINITE_PERTURB = {
 STEP_JOB = {"jobs": [{"name": "stepped", "command": "gsl2 cut",
                       "params": {"gn": json.loads(GN_FIG2), "d": 1, "step": 1e-3}}]}
 FLAT_GN = '{"coefficients":[0,1],"orientation":"weight"}'
-TINY_LEAD_GN = '{"coefficients":[-1,3,-%s],"orientation":"weight"}'
+TINY_LEAD_GN = '{"coefficients":[-1,3,-1e-308],"orientation":"weight"}'
 HUGE_QUADRATIC = '{"coefficients":[1e200,1e200,1e200],"orientation":"oscillator"}'
 
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
@@ -520,8 +519,8 @@ BAD_INPUTS = {
     "cobweb x0 inf": ([*COBWEB, "--x0", "inf"], None, None, "--x0"),
     "analyze x0 nan": (["charfun", "analyze", "--fn", FN_FIG1, "--x0", "nan"], None, None, "--x0"),
     # the escape radius 7e308 of g = -1e-308 x^2 + 3x - 1 is past the float range
-    "root bound overflows": (["gsl2", "cut", "--gn", TINY_LEAD_GN % "1e-308", "--d", "2"], None,
-                             None, "the interval [-inf, inf] has no finite size"),
+    "root bound overflows": (["gsl2", "cut", "--gn", TINY_LEAD_GN, "--d", "2"], None, None,
+                             "the interval [-inf, inf] has no finite size"),
     # g(x) - x vanishes everywhere
     "flat closure function": (["gsl2", "periodic", "--gn", FLAT_GN, "--d", "1"], None, None,
                               "the roots are not isolated"),
