@@ -22,10 +22,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .charfun import (
     DIVERGENCE_BOUND,
@@ -127,6 +124,8 @@ def _charfn_arg(text: str) -> CharFn:
 
 
 def _two_j_arg(text: str) -> int:
+    from fractions import Fraction
+
     try:
         if "/" in text:
             num, den = text.split("/")
@@ -217,6 +216,8 @@ def _perturbed(rep, args):
     Sequences take one non-negative index; matrices take ``row,col`` with
     numpy's indexing rules, on the one diagonal the matrix stores.
     """
+    import numpy as np
+
     if args.perturb is None:
         return rep
     target, indices, amount = args.perturb

@@ -10,12 +10,9 @@ numbers that normalize repeated applications of the raising operator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-
-import numpy as np
 
 from .charfun import (
     DIVERGENCE_BOUND,
@@ -45,6 +42,8 @@ class OperatorMatrix:
     offset: int
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -52,6 +51,8 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The dense matrix, built on each access; read-only."""
+        import numpy as np
+
         arr = np.diag(self.values, self.offset)
         arr.setflags(write=False)
         return arr
@@ -67,6 +68,8 @@ def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
 
     Each entry has one term: ``x.values * y.values``, after ``k`` zeros or before ``-k``.
     """
+    import numpy as np
+
     k = y.offset
     out = np.zeros(x.values.size + abs(k))
     out[max(k, 0) : out.size + min(k, 0)] = x.values * y.values
@@ -75,6 +78,8 @@ def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
 
 def write_matrix_csv(matrix: OperatorMatrix, path, labels: tuple[str, tuple[str, ...]]) -> None:
     """Row-major CSV dump; ``labels`` is ``(basis description, state labels)``."""
+    import csv
+
     basis, states = labels
     entries = matrix.entries
     if len(states) != len(entries):
@@ -130,6 +135,8 @@ def _clamped(values: np.ndarray, error) -> np.ndarray:
 
     The first entry below ``-CLAMP_TOL`` raises ``error(index, value)``.
     """
+    import numpy as np
+
     below = np.flatnonzero(values < -CLAMP_TOL)
     if below.size:
         raise error(int(below[0]), float(values[below[0]]))
@@ -150,6 +157,8 @@ def build_gha(
         the truncation is not unitarizable.  Values merely grazing zero are
         clamped to an exact zero rung.
     """
+    import numpy as np
+
     if fn.orientation is not Orientation.OSCILLATOR:
         raise ValueError("oscillator-side algebra needs an oscillator-like function")
     if dim < 1:
@@ -191,6 +200,8 @@ def matrix_A(rep: GhaRep) -> OperatorMatrix:
 
 def matrix_N(rep: GhaRep) -> OperatorMatrix:
     """Number operator: diagonal ``0..dim-1``."""
+    import numpy as np
+
     return OperatorMatrix(np.arange(rep.dim, dtype=float), 0)
 
 
@@ -212,6 +223,8 @@ def _gauss(fn: CharFn, x0: float, orbit) -> tuple[float, np.ndarray]:
     ``[m] = (x_m - x_0) / (fn(x0) - x0)`` and ``[0] = 0``; raises
     :class:`FixedPointVacuum` if ``fn(x0) - x0`` is (numerically) zero.
     """
+    import numpy as np
+
     denom = evaluate(fn, x0) - x0
     if abs(denom) <= GAUSS_DENOMINATOR_TOL:
         raise FixedPointVacuum(f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined")
@@ -255,6 +268,8 @@ def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tup
     ``(J0, J+, J-)``.  ``l_op`` and ``r_op`` are both taken as given, so a
     stored operator that drifted from the other's transpose still shows up.
     """
+    import numpy as np
+
     lv, rv = l_op.values, r_op.values
     r_right = (d[1:] * rv - rv * c_d[:-1])[:ncols]
     r_left = (lv * d[1:] - c_d[:-1] * lv)[: ncols - 1]

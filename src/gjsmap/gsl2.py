@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
@@ -105,6 +103,8 @@ def build_gsl2(
     CutResidualTooLarge / PeriodicResidualTooLarge
         Closure defect above ``cut_tol`` for the finite kinds.
     """
+    import numpy as np
+
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("weight-side algebra needs a weight-like function")
     if dim < 1:
@@ -172,6 +172,8 @@ def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
 
     Column 0 is identically zero: the highest weight state is annihilated.
     """
+    import numpy as np
+
     ladder_sq = np.asarray(rep.ladder_sq, dtype=float)
     if np.any(ladder_sq < 0.0):
         raise ValueError("ladder squares must be non-negative")

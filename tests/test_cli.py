@@ -874,3 +874,31 @@ class TestDeterminismAndEnv:
         )
         assert result.returncode == 0
         assert b"charfun" in result.stdout
+
+
+#: Fresh-process paths that must finish without importing numpy.
+NUMPY_FREE = {
+    "import": "import gjsmap",
+    "parser": "import gjsmap.cli\ngjsmap.cli.build_parser()",
+    "help": "from gjsmap import cli\nassert cli.main(['--help']) == 0",
+    "bad-input": "from gjsmap import cli\nassert cli.main(['gha', 'build', '--dim', 'x']) == 1",
+    "linear-analyze": (
+        "from gjsmap import cli\n"
+        f"assert cli.main(['charfun', 'analyze', '--fn', {BOSON!r}, '--x0', '0.3']) == 0"
+    ),
+}
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("source", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+    def test_path_loads_no_numpy(self, source):
+        script = f"{source}\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+    def test_numeric_command_imports_numpy_on_first_use(self):
+        argv = [sys.executable, "-m", "gjsmap.cli", "gha", "build", "--fn", BOSON,
+                "--alpha0", "0", "--dim", "6", "--verify"]
+        result = subprocess.run(argv, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+        assert json.loads(result.stdout)["verification"]["passed"] is True
