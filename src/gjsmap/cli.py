@@ -11,6 +11,11 @@ A batch mode (``run --config jobs.json``) executes a list of jobs, each the
 equivalent of one subcommand invocation with parameters given as JSON values;
 all jobs are validated (no output path repeats or lies inside a declared
 ``--out`` directory) before any of them runs.
+
+A well-formed request (the command, then its exact option strings, each at
+most once) is parsed in one pass over that command's options.  Help,
+abbreviations, repeats and every error go through argparse, so its help texts
+and error messages are the only ones.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ from .orbit import (
     OrbitReport,
     cobweb,
     figure_bundle,
+    formatted_report,
     report_texts,
-    report_to_dict,
     write_bundle,
     write_report_csvs,
     write_report_json,
@@ -101,6 +106,11 @@ class _HelpRequested(CliError):
 
 
 class _Parser(argparse.ArgumentParser):
+    #: ``argv[:2]``, or ``argv[:1]`` for ``run``, to that command's parser and
+    #: its value options and switches by option string.  :func:`build_parser`
+    #: fills it on the root parser; every other parser has none.
+    _commands: dict = {}
+
     def __init__(self, *args, **kwargs):
         import re  # argparse has loaded it already
 
@@ -114,6 +124,71 @@ class _Parser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if namespace is None and self._commands:
+            parsed = self._parse_well_formed(args)
+            if parsed is not None:
+                return parsed, []
+        return super().parse_known_args(args, namespace)
+
+    def _parse_well_formed(self, argv) -> argparse.Namespace | None:
+        """The namespace argparse gives ``argv``, in one pass; None unless it is well formed.
+
+        Well formed is a command followed by its exact option strings, each at
+        most once: switches, ``--flag=value``, and ``--flag value`` where a
+        value that starts with "-" is a number.  Every required option is
+        given, and every value passes its type and lies in its choices.
+        argparse rescans the items once per parser level (root, group,
+        command); this walks them once.  Anything else (help, abbreviations,
+        repeats, stray items, "--" and every error) is left to argparse, so
+        its texts stay the only ones.
+        """
+        path = tuple(argv[:2])
+        if path not in self._commands:
+            path = path[:1]
+            if path not in self._commands:
+                return None
+        command, options = self._commands[path]
+        given: dict = {}
+        items = iter(argv[len(path):])
+        for item in items:
+            action = options.get(item)
+            if action is not None and action.nargs == 0:
+                value = action.const
+            else:
+                if action is None:  # "--flag=value", taken verbatim
+                    flag, _, text = item.partition("=")
+                    action = options.get(flag)
+                    if action is None or action.nargs == 0:
+                        return None
+                else:  # "--flag value"; no value left reads as "-", which is declined
+                    text = next(items, "-")
+                    if text.startswith("-") and not self._negative_number_matcher.match(text):
+                        return None
+                try:
+                    value = text if action.type is None else action.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            if action in given:
+                return None
+            given[action] = value
+        values = {"group": path[0]}
+        if len(path) > 1:
+            values["command"] = path[1]
+        for action in command._actions:
+            if action in given:
+                values[action.dest] = given[action]
+            elif action.required:
+                return None
+            elif action.default is not argparse.SUPPRESS:  # all but help
+                values[action.dest] = action.default
+        for dest, value in command._defaults.items():
+            values.setdefault(dest, value)
+        return argparse.Namespace(**values)
 
 
 def _charfn_arg(text: str) -> CharFn:
@@ -392,7 +467,7 @@ def cmd_orbit_figure(args):
 
 def cmd_orbit_cobweb(args):
     report = cobweb(args.fn, args.x0, args.steps, args.window, bound=_bound())
-    return {"report": report_to_dict(report)}, 0, lambda: {"cobweb": report}
+    return {"report": formatted_report(report)}, 0, lambda: {"cobweb": report}
 
 
 def _job_argv(job: dict) -> list[str]:
@@ -629,12 +704,18 @@ def build_parser() -> _Parser:
         name: sub.add_parser(name, help=text).add_subparsers(dest="command")
         for name, text in _GROUPS.items()
     }
+    parser._commands = {}
     for path, (text, handler, options) in _COMMANDS.items():
         parent = groups[path[0]] if len(path) > 1 else sub
         command = parent.add_parser(path[-1], help=text)
         for flag, kwargs in options:
             command.add_argument(flag, **kwargs)
         command.set_defaults(handler=handler)
+        parser._commands[path] = (command, {
+            flag: action for action in command._actions for flag in action.option_strings
+            if isinstance(action, argparse._StoreConstAction)
+            or (type(action) is argparse._StoreAction and action.nargs is None)
+        })
     return parser
 
 

@@ -276,8 +276,13 @@ def report_texts(report: OrbitReport) -> list[list[str]]:
     return [list(map(float.__repr__, v)) for v in values]
 
 
-def write_report_json(report: OrbitReport, path, texts=None) -> None:
-    """The report as indented JSON; ``texts`` is :func:`report_texts`, made here if None."""
+def formatted_report(report: OrbitReport, texts=None) -> dict:
+    """:func:`report_to_dict` with each number nest a :class:`FormattedNest` of ``texts``.
+
+    ``texts`` is :func:`report_texts`, made here if None, so each distinct
+    number is formatted once.  The leaves are tuples, so the dict can be
+    encoded more than once.
+    """
     x, fx, it = texts or report_texts(report)
     segments = chain.from_iterable(
         (a, a, a, b, a, b, b, b) for a, b in zip(it, it[1 : report.drawn + 1])
@@ -289,8 +294,14 @@ def write_report_json(report: OrbitReport, path, texts=None) -> None:
         ("diagonal_samples", (len(x), 2), chain.from_iterable(zip(x, x))),
         ("cobweb_segments", (2 * report.drawn, 2, 2), segments),
     ):
-        payload[key] = FormattedNest(payload[key], shape, leaves)
-    text = json.dumps(payload, cls=OutputEncoder, indent=2, allow_nan=False)
+        payload[key] = FormattedNest(payload[key], shape, tuple(leaves))
+    return payload
+
+
+def write_report_json(report: OrbitReport, path, texts=None) -> None:
+    """The report as indented JSON; ``texts`` as for :func:`formatted_report`."""
+    text = json.dumps(formatted_report(report, texts), cls=OutputEncoder, indent=2,
+                      allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,9 +6,13 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjsmap import cli, gha, gsl2, jsmap
 from gjsmap.cli import CliError, _HelpRequested, _job_argv, build_parser, main
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import _reference as golden_reference
 
 FN_FIG1 = '{"coefficients":[1.225,-2.5,2.5],"orientation":"oscillator"}'
 FN_FIG4 = '{"coefficients":[1,3,1],"orientation":"oscillator"}'
@@ -822,6 +827,121 @@ class TestParserReuse:
         assert [type(o).__name__ for o in outcomes] == [
             "Namespace", "str", "Namespace", "str", "Namespace"
         ]
+
+
+def _argparse_outcome(argv):
+    """What plain argparse makes of ``argv`` on the shared root parser, as comparable text."""
+    try:
+        namespace, extras = argparse.ArgumentParser.parse_known_args(build_parser(), list(argv))
+    except CliError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(namespace), extras
+
+
+#: Valid value texts for each option type.
+_TYPED_VALUES = {
+    cli._charfn_arg: st.sampled_from([BOSON, SL2, FN_FIG1, FN_FIG4, GN_FIG2]),
+    float: st.floats().map(repr),
+    int: st.integers(-3, 40).map(str),
+    cli._two_j_arg: st.sampled_from(["0", "1/2", "1", "3/2", "7"]),
+    cli._tolerance_arg: st.floats(0.0, 1.0).map(repr),
+    cli._real_arg: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    cli._window_arg: st.sampled_from(["0.4,1.2", "-1,1", "-1e-3,2e-3"]),
+    cli._perturb_arg: st.sampled_from(["ladder:0:0.01", "splus:0,1:-0.5", "weights:1:-1e-05"]),
+    None: st.sampled_from(["out/d", "jobs.json", "", "-1,1", "a=b"]),
+}
+#: Values that some option type refuses, and items that are no value at all.
+_BAD_VALUES = ["{oops", "[]", "1/3", "-1/2", "0,inf", "ladder:0", "sz:0:nan", "-1e-10", "bogus"]
+_ODD_ITEMS = ["-h", "--help", "--", "stray", "--unknown", "--unknown=1", "-x", "-inf", "="]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one of ``cli._COMMANDS``: well formed, or messed up in a few places.
+
+    Options come in any order and in both value forms.  A messy argv may
+    leave out a required option, repeat or abbreviate one, give a bad value
+    or none, give a switch ``=x``, or hold an odd item anywhere, before the
+    command included.
+    """
+    path = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[path][2]
+    messy = draw(st.booleans())
+
+    def mess() -> bool:
+        return messy and draw(st.integers(0, 4)) == 0
+
+    chosen = [opt for opt in options if opt[1].get("required") or draw(st.booleans())]
+    chosen = [opt for opt in chosen if not mess()]
+    if mess():
+        chosen.append(draw(st.sampled_from(options)))
+    argv = list(path)
+    for flag, kwargs in draw(st.permutations(chosen)):
+        if len(flag) > 3 and mess():
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        if kwargs.get("action") == "store_true":
+            argv.append(flag + "=x" if mess() else flag)
+            continue
+        if "choices" in kwargs:
+            value = draw(st.sampled_from(kwargs["choices"]))
+        else:
+            value = draw(_TYPED_VALUES[kwargs.get("type")])
+        if mess():
+            value = draw(st.sampled_from(_BAD_VALUES + _ODD_ITEMS))
+        forms = [[flag, value], [f"{flag}={value}"]]
+        argv += [flag] if mess() else draw(st.sampled_from(forms))
+    if mess():
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD_ITEMS)))
+    return argv
+
+
+class TestOnePassParse:
+    """A well-formed argv is parsed in one pass; argparse parses the rest and writes every text."""
+
+    @given(_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_declines_or_equals_argparse(self, argv):
+        parsed = build_parser()._parse_well_formed(argv)
+        if parsed is not None:  # reprs compare NaN values equal
+            assert (repr(parsed), []) == _argparse_outcome(argv)
+
+    def test_equals_argparse_on_every_listed_argv(self):
+        argvs = [argv for argv, _, _ in GOLDEN_CASES.values()]
+        argvs += [argv for argv, *_ in BAD_INPUTS.values()] + list(NON_FINITE_PERTURB.values())
+        for argv, option, value, _ in [*NEGATIVE_VALUES.values(), *NEGATIVE_ERRORS.values()]:
+            argvs += [[*argv, option, value], [*argv, f"{option}={value}"]]
+        for argv in argvs:
+            parsed = build_parser()._parse_well_formed(argv)
+            if parsed is not None:
+                assert (repr(parsed), []) == _argparse_outcome(argv), argv
+
+    @staticmethod
+    def _golden_requests():
+        """Golden requests that exit 0 with a result, and the jobs of batch runs not exiting 1."""
+        reference = golden_reference()
+        argvs = [argv for name, (argv, _, _) in GOLDEN_CASES.items()
+                 if reference[name]["exit"] == 0 and len(argv) > 1 and "--help" not in argv]
+        argvs += [_job_argv(job) for name, (_, _, config) in GOLDEN_CASES.items()
+                  if config is not None and reference[name]["exit"] != 1 for job in config["jobs"]]
+        return argvs
+
+    def test_well_formed_requests_take_the_one_pass(self, monkeypatch):
+        calls = []
+        plain = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return plain(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        requests = self._golden_requests()
+        assert len(requests) > 30
+        for argv in requests:
+            assert hasattr(build_parser().parse_args(argv), "handler")
+        assert calls == []
+        # the count sees a fall-through: an abbreviation goes to all three parsers
+        build_parser().parse_args(["charfun", "analyze", "--fn", BOSON, "--x", "0.5"])
+        assert calls == ["gjsmap", "gjsmap charfun", "gjsmap charfun analyze"]
 
 
 class TestDeterminismAndEnv:
