@@ -640,27 +640,26 @@ def _composition(coeffs: Sequence[float], d: int, sign: float, shift: float):
 
 
 def _sign_change_root(
-    f: Callable[[float], float], u: float, v: float, rough: Optional[Callable] = None
+    f: Callable[[float], float], u: float, v: float, rough: Callable[[float], float]
 ) -> Optional[float]:
     """A zero of ``f`` at ``u`` or ``v``, or bisected between finite values of opposite sign.
 
-    With ``rough``, a cheaper stand-in for ``f``, the bisection runs on
-    ``rough`` and its result stands, as the float where ``rough`` changes
-    sign, if ``f`` changes sign between it and the next float on one side
-    (a zero of ``f`` there is the result); otherwise it runs again on ``f``.
+    The bisection runs on ``rough``, a cheaper stand-in for ``f``, and its
+    result stands, as the float where ``rough`` changes sign, if ``f``
+    changes sign between it and the next float on one side (a zero of ``f``
+    there is the result); otherwise it runs again on ``f``.
     """
     fu, fv = f(u), f(v)
     if fu == 0.0 or fv == 0.0:
         return u if fu == 0.0 else v
     if not (math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0)):
         return None
-    if rough is not None:
-        c = _bisect(rough, u, v, fu, fv)
-        fc = f(c)
-        n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
-        fn = f(n)
-        if fc == 0.0 or fn == 0.0 or (fn < 0.0) != (fc < 0.0):
-            return n if fn == 0.0 and fc != 0.0 else c
+    c = _bisect(rough, u, v, fu, fv)
+    fc = f(c)
+    n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
+    fn = f(n)
+    if fc == 0.0 or fn == 0.0 or (fn < 0.0) != (fc < 0.0):
+        return n if fn == 0.0 and fc != 0.0 else c
     return _bisect(f, u, v, fu, fv)
 
 
@@ -709,7 +708,7 @@ def isolate_roots(
         # F is linear or constant here, so two zeros make it vanish everywhere
         raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are not isolated")
     narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
-    finished, clusters = [(np.empty(0), np.empty(0), np.empty(0, bool))], [(np.empty(0),) * 2]
+    finished, clusters = [(np.empty(0),) * 2], [(np.empty(0),) * 2]
     parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
     with np.errstate(over="ignore", invalid="ignore"):
         while parent_lo.size:
@@ -743,8 +742,8 @@ def isolate_roots(
             # Outside the band an end value's sign is far beyond rounding.
             monotone = keep & ((d_lo > 0.0) | (d_hi < 0.0))
             done = monotone & (np.abs(f_left) > band) & (np.abs(f_right) > band)
-            crossing = (f_left < 0.0) != (f_right < 0.0)
-            finished.append((box_lo[done], box_hi[done], crossing[done]))
+            crossing = done & ((f_left < 0.0) != (f_right < 0.0))
+            finished.append((box_lo[crossing], box_hi[crossing]))
             last = (last | monotone) & keep & ~done
             clusters.append((box_lo[last], box_hi[last]))
             keep &= ~(done | last)
@@ -768,9 +767,8 @@ def _collect_roots(func, exact, dfunc, rounding, finished, clusters, tol: float)
     """The roots in the finished boxes and in the clusters of :func:`isolate_roots`."""
     import numpy as np
 
-    fin_lo, fin_hi, crossing = (np.concatenate(a) for a in zip(*finished))
-    roots = [_bisect(func, u, v, func(u), func(v))
-             for u, v in zip(fin_lo[crossing].tolist(), fin_hi[crossing].tolist())]
+    fin_lo, fin_hi = (np.concatenate(a).tolist() for a in zip(*finished))
+    roots = [_bisect(func, u, v, func(u), func(v)) for u, v in zip(fin_lo, fin_hi)]
 
     def value(x):  # outside the band the float sign is certain
         y = func(x)

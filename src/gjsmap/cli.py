@@ -86,7 +86,6 @@ from .orbit import (
     cobweb,
     figure_bundle,
     formatted_report,
-    report_texts,
     write_bundle,
     write_report_csvs,
     write_report_json,
@@ -579,10 +578,8 @@ def _write_files(out_dir, files: dict) -> list[str]:
                 names += write_bundle(content, out)
                 continue
             if isinstance(content, OrbitReport):
-                texts = report_texts(content)
-                write_report_json(content, out / f"{name}.json", texts)
-                write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv",
-                                  texts)
+                write_report_json(content, out / f"{name}.json")
+                write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv")
                 names += [f"{name}.json", f"{name}_curve.csv", f"{name}_cobweb.csv"]
                 continue
         except ValueError as exc:  # a report JSON with a non-finite number

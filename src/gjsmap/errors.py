@@ -23,6 +23,8 @@ class OverflowDiverged(GjsError):
     offending value included, is attached as ``iterates``.
     """
 
+    # Every raiser passes ``iterates``; the default serves copy and pickle,
+    # which call the class with the message alone and then restore the orbit.
     def __init__(self, message: str, iterates=None):
         super().__init__(message)
         self.iterates = list(iterates) if iterates is not None else []

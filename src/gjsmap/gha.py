@@ -234,9 +234,7 @@ def _gauss(fn: CharFn, x0: float, orbit) -> tuple[float, np.ndarray]:
     return denom, out
 
 
-def gauss_numbers(
-    fn: CharFn, alpha0: float, m_max: int, bound: float = math.inf
-) -> list[float]:
+def gauss_numbers(fn: CharFn, alpha0: float, m_max: int) -> list[float]:
     """Generalized Gauss numbers ``[0], [1], ..., [m_max]`` in one pass.
 
     ``[m] = (f^(m)(a0) - a0) / (f(a0) - a0)``: ``f(x) = x + 1`` gives back the
@@ -249,14 +247,12 @@ def gauss_numbers(
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    return _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=bound))[1].tolist()
+    return _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=math.inf))[1].tolist()
 
 
-def gauss_factorial(
-    fn: CharFn, alpha0: float, m: int, bound: float = math.inf
-) -> float:
+def gauss_factorial(fn: CharFn, alpha0: float, m: int) -> float:
     """``[m]! = [m][m-1]...[1]``, with the empty product ``[0]! = 1``."""
-    return math.prod(gauss_numbers(fn, alpha0, m, bound=bound)[1:], start=1.0)
+    return math.prod(gauss_numbers(fn, alpha0, m)[1:], start=1.0)
 
 
 def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tuple:

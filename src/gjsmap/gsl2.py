@@ -247,7 +247,7 @@ class CutSolutions:
     excluded: tuple[float, ...]
 
 
-def _closure_roots(gn: CharFn, d: int, kind: RepKind, residual_tol):
+def _closure_roots(gn: CharFn, d: int, kind: RepKind):
     """Roots of ``g^(d)(x) + x + 1`` (cut) or ``g^(d)(x) - x`` (periodic), flagged in-region.
 
     All lie within ``R = root_bound(...)``; ``[-R, 1.3 R]`` keeps a root at 0
@@ -258,20 +258,21 @@ def _closure_roots(gn: CharFn, d: int, kind: RepKind, residual_tol):
     sign, shift = (1.0, 1.0) if kind is RepKind.FINITE_CUT else (-1.0, 0.0)
     lo_r, hi_r = invertibility_region(gn)
     radius = root_bound(gn.coefficients, d, sign, shift)
-    roots = isolate_roots(gn.coefficients, d, sign, shift, -radius, 1.3 * radius, residual_tol)
+    roots = isolate_roots(gn.coefficients, d, sign, shift, -radius, 1.3 * radius, CUT_SOLVE_TOL)
     return [(r, lo_r < r < hi_r) for r in roots]
 
 
-def cut_condition_solve(gn: CharFn, d: int, residual_tol: float = CUT_SOLVE_TOL) -> CutSolutions:
+def cut_condition_solve(gn: CharFn, d: int) -> CutSolutions:
     """Solve ``alpha + g^(d)(alpha) + 1 = 0`` for ``d``-state cut reps.
 
-    Roots out of region or failing to build a cut representation are excluded.
+    Roots out of region or failing to build a cut representation, with its
+    closure residual held to ``CUT_SOLVE_TOL``, are excluded.
     """
     included, excluded = [], []
-    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT, residual_tol):
+    for r, inside in _closure_roots(gn, d, RepKind.FINITE_CUT):
         if inside:
             try:
-                build_gsl2(gn, r, d, RepKind.FINITE_CUT, cut_tol=residual_tol)
+                build_gsl2(gn, r, d, RepKind.FINITE_CUT, cut_tol=CUT_SOLVE_TOL)
             except (GjsError, ValueError):
                 excluded.append(r)
             else:
@@ -281,13 +282,13 @@ def cut_condition_solve(gn: CharFn, d: int, residual_tol: float = CUT_SOLVE_TOL)
     return CutSolutions(tuple(included), tuple(excluded))
 
 
-def periodic_condition_solve(gn: CharFn, d: int, residual_tol: float = CUT_SOLVE_TOL) -> tuple[float, ...]:
+def periodic_condition_solve(gn: CharFn, d: int) -> tuple[float, ...]:
     """Real solutions of ``g^(d)(alpha) = alpha`` inside the invertibility region.
 
     ``d = 1`` gives the fixed points (one-state representations); larger ``d``
     gives period-``d`` candidates, with no unitarity claim attached.
     """
-    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC, residual_tol)
+    roots = _closure_roots(gn, d, RepKind.FINITE_PERIODIC)
     return tuple(r for r, inside in roots if inside)
 
 

@@ -392,7 +392,6 @@ def verify_pairing_identity(
     alpha_j: float,
     m_max: int,
     tol: float = 1e-10,
-    bound: float = math.inf,
 ) -> PairingReport:
     """Verify the Gauss-number identity of a reflection-paired ``(fn, gn)``.
 
@@ -413,8 +412,8 @@ def verify_pairing_identity(
         )
     if alpha_j != -alpha0:
         raise PairingMismatch(f"alpha_j = {alpha_j!r} is not -alpha0 = {-alpha0!r}")
-    m0_sq, fg = _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=bound))
-    q2, gg = _gauss(gn, alpha_j, iterate(gn, alpha_j, m_max, bound=bound))
+    m0_sq, fg = _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=math.inf))
+    q2, gg = _gauss(gn, alpha_j, iterate(gn, alpha_j, m_max, bound=math.inf))
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = m0_sq * fg
         residuals = tuple((np.abs(-q2 * gg - rhs) / np.maximum(1.0, np.abs(rhs))).tolist())

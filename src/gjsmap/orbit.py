@@ -13,8 +13,9 @@ recorded orbit.
 
 A report stores the iterates, the number of drawn steps and the flat curve
 samples, and derives the sample pairs, the diagonal and the segments.  Its
-writers build every JSON nest and CSV row from one repr per number
-(:func:`report_texts`), shared by the three files of a report.
+writers build every JSON nest and CSV row from one repr per number, which
+the report makes on first use (:attr:`OrbitReport.texts`) and keeps, so the
+stdout payload and the three files of a report share them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -107,6 +109,12 @@ class OrbitReport:
         return tuple(chain.from_iterable(
             (((a, a), (a, b)), ((a, b), (b, b))) for a, b in zip(it, it[1:self.drawn + 1])
         ))
+
+    @cached_property
+    def texts(self) -> tuple[list[str], list[str], list[str]]:
+        """The reprs of ``sample_x``, ``sample_fx`` and ``iterates``, made once for the writers."""
+        values = (self.sample_x, self.sample_fx, self.iterates)
+        return tuple(list(map(float.__repr__, v)) for v in values)
 
 
 def cobweb(
@@ -216,9 +224,7 @@ _FIG2_GN = CharFn((-1.0, 3.0, -1.0), Orientation.WEIGHT)
 _FIG4_FN = CharFn((1.0, 3.0, 1.0), Orientation.OSCILLATOR)
 
 
-def figure_bundle(
-    name, steps: int = 200, bound: float = DIVERGENCE_BOUND
-) -> FigureBundle:
+def figure_bundle(name, bound: float = DIVERGENCE_BOUND) -> FigureBundle:
     """Orbit reports with the stock parameters of the four study figures.
 
     fig1: tangent oscillator quadratic, one orbit creeping up to the fixed
@@ -226,11 +232,11 @@ def figure_bundle(
     quadratic, an orbit escaping to minus infinity.  fig3: the two-state
     closure orbit from 0.33479 landing on the cut line after two steps.
     fig4: a reflection-paired oscillator/weight couple with mirrored orbits
-    from -0.15 and 0.15.
+    from -0.15 and 0.15.  Every orbit but fig3's runs 200 steps.
     """
     name = FigureName(name.lower() if isinstance(name, str) else name)
 
-    def trace(fn, x0, landmarks, n=steps, guides=()):
+    def trace(fn, x0, landmarks, n=200, guides=()):
         window = _window_from_landmarks(landmarks)
         return cobweb(fn, x0, n, window, bound=bound, guide_lines=guides)
 
@@ -270,20 +276,12 @@ def report_to_dict(report: OrbitReport) -> dict:
     }
 
 
-def report_texts(report: OrbitReport) -> list[list[str]]:
-    """The reprs of the sample abscissae, the sample values and the iterates, for the writers."""
-    values = (report.sample_x, report.sample_fx, report.iterates)
-    return [list(map(float.__repr__, v)) for v in values]
+def formatted_report(report: OrbitReport) -> dict:
+    """:func:`report_to_dict` with each number nest a :class:`FormattedNest` of the report's texts.
 
-
-def formatted_report(report: OrbitReport, texts=None) -> dict:
-    """:func:`report_to_dict` with each number nest a :class:`FormattedNest` of ``texts``.
-
-    ``texts`` is :func:`report_texts`, made here if None, so each distinct
-    number is formatted once.  The leaves are tuples, so the dict can be
-    encoded more than once.
+    The leaves are tuples, so the dict can be encoded more than once.
     """
-    x, fx, it = texts or report_texts(report)
+    x, fx, it = report.texts
     segments = chain.from_iterable(
         (a, a, a, b, a, b, b, b) for a, b in zip(it, it[1 : report.drawn + 1])
     )
@@ -298,19 +296,18 @@ def formatted_report(report: OrbitReport, texts=None) -> dict:
     return payload
 
 
-def write_report_json(report: OrbitReport, path, texts=None) -> None:
-    """The report as indented JSON; ``texts`` as for :func:`formatted_report`."""
-    text = json.dumps(formatted_report(report, texts), cls=OutputEncoder, indent=2,
-                      allow_nan=False)
+def write_report_json(report: OrbitReport, path) -> None:
+    """The report as indented JSON, from :func:`formatted_report`."""
+    text = json.dumps(formatted_report(report), cls=OutputEncoder, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def write_report_csvs(report: OrbitReport, curve_path, cobweb_path, texts=None) -> None:
-    """CSV pair: curve/diagonal samples and cobweb segments; ``texts`` as for the JSON.
+def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
+    """CSV pair: curve/diagonal samples and cobweb segments, from the report's texts.
 
     A float's repr never needs CSV quoting, so each row is its fields joined by commas.
     """
-    x, fx, it = texts or report_texts(report)
+    x, fx, it = report.texts
     for path, header, rows in (
         (curve_path, ("x", "fn", "diagonal"), zip(x, fx, x)),
         (cobweb_path, ("x1", "y1", "x2", "y2"), chain.from_iterable(
@@ -328,8 +325,7 @@ def write_bundle(bundle: FigureBundle, out_dir) -> list[str]:
     created = []
     for series, report in bundle.reports:
         stem = f"{bundle.name}_{series}"
-        texts = report_texts(report)
-        write_report_json(report, out / f"{stem}.json", texts)
-        write_report_csvs(report, out / f"{stem}_curve.csv", out / f"{stem}_cobweb.csv", texts)
+        write_report_json(report, out / f"{stem}.json")
+        write_report_csvs(report, out / f"{stem}_curve.csv", out / f"{stem}_cobweb.csv")
         created.extend([f"{stem}.json", f"{stem}_curve.csv", f"{stem}_cobweb.csv"])
     return created

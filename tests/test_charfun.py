@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -111,6 +113,8 @@ class TestIterate:
         assert orbit[0] == 0.85
         assert abs(orbit[-1]) > 1e6
         assert all(abs(x) <= 1e6 for x in orbit[:-1])
+        for copied in (copy.copy(err.value), pickle.loads(pickle.dumps(err.value))):
+            assert (str(copied), copied.iterates) == (str(err.value), orbit)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

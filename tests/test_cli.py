@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from gjsmap import cli, gha, gsl2, jsmap
 from gjsmap.cli import CliError, _HelpRequested, _job_argv, build_parser, main
+from gjsmap.orbit import OrbitReport
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _reference as golden_reference
 
@@ -794,6 +799,39 @@ class TestLabelsOnlyAtExport:
         assert sum(f.endswith(".csv") for f in payload["files"]) >= 4
 
 
+class TestReportTextsOnce:
+    """An orbit report formats its numbers once per request, stdout and ``--out`` files together."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The reports whose texts were made, once per making."""
+        reports = []
+        original = OrbitReport.texts.func
+
+        def counted(report):
+            reports.append(report)
+            return original(report)
+
+        texts = functools.cached_property(counted)
+        texts.__set_name__(OrbitReport, "texts")
+        monkeypatch.setattr(OrbitReport, "texts", texts)
+        return reports
+
+    def test_cobweb_with_out(self, made, capsys, tmp_path):
+        code, payload, _ = run_cli(capsys, *COBWEB, "--x0", "0.56", "--out", str(tmp_path))
+        assert code == 0
+        assert len(payload["files"]) == 3
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("name, series", [("fig1", 2), ("fig2", 1), ("fig3", 1), ("fig4", 2)])
+    def test_figure(self, name, series, made, capsys, tmp_path):
+        code, payload, _ = run_cli(capsys, "orbit", "figure", "--name", name, "--out",
+                                   str(tmp_path))
+        assert code == 0
+        assert len(payload["files"]) == 3 * series
+        assert len(made) == len({id(report) for report in made}) == series
+
+
 class TestParserReuse:
     #: Parses in order: a success, a failure, a batch job, help, the success again.
     SEQUENCE = [
@@ -942,6 +980,53 @@ class TestOnePassParse:
         # the count sees a fall-through: an abbreviation goes to all three parsers
         build_parser().parse_args(["charfun", "analyze", "--fn", BOSON, "--x", "0.5"])
         assert calls == ["gjsmap", "gjsmap charfun", "gjsmap charfun analyze"]
+
+
+def _small(argv: list[str]) -> list[str]:
+    """``argv`` with each integer above 8 given to ``--full-grid`` or ``--d`` cut to 8.
+
+    Their sizes cost more than linear time: ``--full-grid 40`` is 1,600 dense states.
+    """
+    argv = list(argv)
+    for i, item in enumerate(argv):
+        flag, eq, value = item.partition("=")
+        if not eq and i + 1 < len(argv):
+            value = argv[i + 1]
+        if (len(flag) > 2 and any(name.startswith(flag) for name in ("--full-grid", "--d"))
+                and value.isdigit() and int(value) > 8):
+            if eq:
+                argv[i] = f"{flag}=8"
+            else:
+                argv[i + 1] = "8"
+    return argv
+
+
+@given(_argvs().map(_small))
+@settings(max_examples=300, deadline=None)
+def test_every_argv_ends_in_a_result_or_a_json_error(argv):
+    """Exit 0 or 2 with one JSON document (or 0 with a help text), or 1 with one JSON error.
+
+    A traceback would be an exception out of ``main``; warnings are errors.
+    """
+    here = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        os.chdir(tmp)  # "--out" and "--config" values are relative paths
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert list(json.loads(err.getvalue())) == ["error"]
+        return
+    assert code in (0, 2)
+    assert err.getvalue() == ""
+    if code == 0 and out.getvalue().startswith("usage: gjsmap"):
+        return
+    json.loads(out.getvalue())
 
 
 class TestDeterminismAndEnv:

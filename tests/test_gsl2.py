@@ -657,7 +657,7 @@ class TestDerivedInterval:
         assume(len(coeffs) > 2 or exact(0.0) != 0 or exact(1.0) != 0)  # F = 0 is refused
         kind = RepKind.FINITE_CUT if sign > 0.0 else RepKind.FINITE_PERIODIC
         gn = CharFn(coeffs, Orientation.WEIGHT if coeffs[-1] < 0.0 else Orientation.OSCILLATOR)
-        reported = [r for r, _ in _closure_roots(gn, d, kind, CUT_SOLVE_TOL)]
+        reported = [r for r, _ in _closure_roots(gn, d, kind)]
         _, _, dfunc, rounding, _, _, _ = charfun._composition(coeffs, d, sign, shift)
         poly = Polynomial([0.0, 1.0])
         for _ in range(d):
