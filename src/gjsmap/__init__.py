@@ -69,7 +69,6 @@ from .gha import (
     casimir_gha,
     gauss_factorial,
     gauss_numbers,
-    gha_from_dict,
     gha_to_dict,
     matrix_A,
     matrix_Adag,
@@ -85,7 +84,6 @@ from .gsl2 import (
     build_gsl2,
     casimir_gsl2,
     cut_condition_solve,
-    gsl2_from_dict,
     gsl2_to_dict,
     matrix_J0,
     matrix_Jminus,

@@ -409,7 +409,10 @@ def invertibility_region(fn: CharFn) -> tuple[float, float]:
         if fn.orientation is Orientation.OSCILLATOR:
             return (vertex, math.inf)
         return (-math.inf, vertex)
-    crit = find_roots(_derivative(stripped), (-math.inf, math.inf), 1e-12)
+    slope = _derivative(stripped)
+    if not all(map(math.isfinite, slope)):
+        raise ValueError(f"the derivative {slope!r} of fn overflows, so its region is unknown")
+    crit = find_roots(slope, (-math.inf, math.inf), 1e-12)
     if not crit:
         return (-math.inf, math.inf)
     if fn.orientation is Orientation.OSCILLATOR:

@@ -43,6 +43,7 @@ from .encoding import OutputEncoder
 from .errors import GjsError, NoRealFixedPoint, NotQuadratic, UnsupportedDiscriminant, or_none
 from .gha import (
     OperatorMatrix,
+    _readonly,
     build_gha,
     casimir_gha,
     gha_csv_labels,
@@ -120,6 +121,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse before Python 3.13 strips the "--" of "--flag=--" and passes [] on as the value
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
@@ -314,7 +323,7 @@ def _perturbed(rep, args):
         position = min(row, col)
     entries = np.array(value.values if is_matrix else value)
     entries[position] += amount
-    changed = replace(value, values=entries) if is_matrix else tuple(entries.tolist())
+    changed = replace(value, values=entries) if is_matrix else _readonly(entries)
     return replace(rep, **{fields[target]: changed})
 
 

@@ -18,7 +18,6 @@ from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
     Orientation,
-    charfn_from_dict,
     charfn_to_dict,
     evaluate,
     invertibility_region,
@@ -34,28 +33,35 @@ CLAMP_TOL = 1e-12
 GAUSS_DENOMINATOR_TOL = 1e-14
 
 
+def _readonly(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
+
+    A float64 array is frozen in place, not copied: pass a fresh one, or
+    one nobody writes to again.  Anything else is converted once.
+    """
+    import numpy as np
+
+    arr = np.asarray(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """The square matrix ``np.diag(values, offset)``."""
+    """The square matrix ``np.diag(values, offset)``; ``values`` is made :func:`_readonly`."""
 
     values: np.ndarray
     offset: int
 
     def __post_init__(self):
-        import numpy as np
-
-        arr = np.array(self.values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _readonly(self.values))
 
     @property
     def entries(self) -> np.ndarray:
         """The dense matrix, built on each access; read-only."""
         import numpy as np
 
-        arr = np.diag(self.values, self.offset)
-        arr.setflags(write=False)
-        return arr
+        return _readonly(np.diag(self.values, self.offset))
 
     @property
     def T(self) -> "OperatorMatrix":
@@ -120,14 +126,15 @@ class GhaRep:
     """Truncated Fock representation of one generalized Heisenberg algebra.
 
     ``eigenvalues[m]`` is the level-``m`` eigenvalue ``f^(m)(alpha0)`` and
-    ``ladder[m]`` the rung weight ``M_m`` for ``m = 0..dim-2``.
+    ``ladder[m]`` the rung weight ``M_m`` for ``m = 0..dim-2``; both are
+    read-only float64 arrays.
     """
 
     fn: CharFn
     alpha0: float
     dim: int
-    eigenvalues: tuple[float, ...]
-    ladder: tuple[float, ...]
+    eigenvalues: np.ndarray
+    ladder: np.ndarray
 
 
 def _clamped(values: np.ndarray, error) -> np.ndarray:
@@ -168,11 +175,11 @@ def build_gha(
         raise InvalidVacuum(
             f"alpha0 = {alpha0!r} outside the invertibility region ({lo!r}, {hi!r})"
         )
-    eigenvalues = iterate(fn, alpha0, dim - 1, bound=bound)
+    eigenvalues = _readonly(iterate(fn, alpha0, dim - 1, bound=bound))
     with np.errstate(over="ignore"):
-        norm_sq = np.subtract(eigenvalues[1:], eigenvalues[0])
-    ladder = np.sqrt(_clamped(norm_sq, NegativeNormSquared)).tolist()
-    return GhaRep(fn, float(alpha0), int(dim), tuple(eigenvalues), tuple(ladder))
+        norm_sq = eigenvalues[1:] - eigenvalues[0]
+    ladder = _readonly(np.sqrt(_clamped(norm_sq, NegativeNormSquared)))
+    return GhaRep(fn, float(alpha0), int(dim), eigenvalues, ladder)
 
 
 def gha_csv_labels(rep: GhaRep) -> tuple[str, tuple[str, ...]]:
@@ -228,7 +235,7 @@ def _gauss(fn: CharFn, x0: float, orbit) -> tuple[float, np.ndarray]:
     denom = evaluate(fn, x0) - x0
     if abs(denom) <= GAUSS_DENOMINATOR_TOL:
         raise FixedPointVacuum(f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed denom gives inf / inf
         out = np.subtract(orbit, orbit[0]) / denom
     out[0] = 0.0
     return denom, out
@@ -300,19 +307,7 @@ def gha_to_dict(rep: GhaRep) -> dict:
         "fn": charfn_to_dict(rep.fn),
         "alpha0": rep.alpha0,
         "dim": rep.dim,
-        "eigenvalues": list(rep.eigenvalues),
-        "ladder": list(rep.ladder),
+        "eigenvalues": rep.eigenvalues.tolist(),
+        "ladder": rep.ladder.tolist(),
     }
 
-
-def gha_from_dict(data: dict) -> GhaRep:
-    rep = GhaRep(
-        charfn_from_dict(data["fn"]),
-        float(data["alpha0"]),
-        int(data["dim"]),
-        tuple(float(v) for v in data["eigenvalues"]),
-        tuple(float(v) for v in data["ladder"]),
-    )
-    if len(rep.eigenvalues) != rep.dim or len(rep.ladder) != max(rep.dim - 1, 0):
-        raise ValueError("eigenvalue/ladder lengths inconsistent with dim")
-    return rep

@@ -26,7 +26,6 @@ from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
     Orientation,
-    charfn_from_dict,
     charfn_to_dict,
     evaluate,
     invertibility_region,
@@ -42,7 +41,14 @@ from .errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
-from .gha import OperatorMatrix, ResidualReport, _clamped, _diag_product, _relation_residuals
+from .gha import (
+    OperatorMatrix,
+    ResidualReport,
+    _clamped,
+    _diag_product,
+    _readonly,
+    _relation_residuals,
+)
 
 #: Default residual accepted when a caller supplies the closure value
 #: directly (loose enough for a 5-digit root); solver-recomputed roots are
@@ -63,17 +69,18 @@ class Gsl2Rep:
 
     ``weights[m]`` is the eigenvalue of the diagonal generator on state ``m``
     (highest weight first); ``ladder_sq[m]`` the square of the step weight
-    between states ``m`` and ``m + 1``.  ``next_weight`` is the first weight
-    past the truncation, from which ``cut_residual`` (the closure defect
-    ``alpha_j + next_weight + 1``) is computed for any kind.
+    between states ``m`` and ``m + 1``; both are read-only float64 arrays.
+    ``next_weight`` is the first weight past the truncation, from which
+    ``cut_residual`` (the closure defect ``alpha_j + next_weight + 1``) is
+    computed for any kind.
     """
 
     gn: CharFn
     alpha_j: float
     dim: int
     kind: RepKind
-    weights: tuple[float, ...]
-    ladder_sq: tuple[float, ...]
+    weights: np.ndarray
+    ladder_sq: np.ndarray
     next_weight: float
     cut_residual: float
 
@@ -115,23 +122,21 @@ def build_gsl2(
         raise InvalidHighestWeight(
             f"alpha_j = {alpha_j!r} outside the invertibility region ({lo!r}, {hi!r})"
         )
-    orbit = iterate(gn, alpha_j, dim, bound=bound)
-    weights = orbit[:dim]
-    next_weight = orbit[dim]
-    lower = np.array(weights[1:])
+    orbit = _readonly(iterate(gn, alpha_j, dim, bound=bound))
+    weights, lower, next_weight = orbit[:dim], orbit[1:dim], float(orbit[dim])
     ascent = np.flatnonzero(~(alpha_j > lower))
     if ascent.size:
-        raise DescentViolation(int(ascent[0]) + 1, weights[ascent[0] + 1])
+        raise DescentViolation(int(ascent[0]) + 1, float(lower[ascent[0]]))
     with np.errstate(over="ignore", invalid="ignore"):
         value = alpha_j * (alpha_j + 1.0) - lower * (lower + 1.0)
-    ladder_sq = _clamped(value, NegativeLadderSquare).tolist()
+    ladder_sq = _readonly(_clamped(value, NegativeLadderSquare))
     cut_residual = alpha_j + next_weight + 1.0
     if kind is RepKind.FINITE_CUT:
         if abs(cut_residual) > cut_tol:
             raise CutResidualTooLarge(
                 f"|alpha_j + g^({dim})(alpha_j) + 1| = {abs(cut_residual)!r} > {cut_tol!r}"
             )
-        if 0.0 in ladder_sq:
+        if (ladder_sq == 0.0).any():
             raise ValueError(
                 "an interior ladder square vanishes; the cut representation decomposes"
             )
@@ -142,14 +147,7 @@ def build_gsl2(
                 f"|g^({dim})(alpha_j) - alpha_j| = {abs(periodic_residual)!r} > {cut_tol!r}"
             )
     return Gsl2Rep(
-        gn,
-        float(alpha_j),
-        int(dim),
-        kind,
-        tuple(weights),
-        tuple(ladder_sq),
-        float(next_weight),
-        float(cut_residual),
+        gn, float(alpha_j), int(dim), kind, weights, ladder_sq, next_weight, float(cut_residual)
     )
 
 
@@ -174,10 +172,9 @@ def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
     """
     import numpy as np
 
-    ladder_sq = np.asarray(rep.ladder_sq, dtype=float)
-    if np.any(ladder_sq < 0.0):
+    if np.any(rep.ladder_sq < 0.0):
         raise ValueError("ladder squares must be non-negative")
-    return OperatorMatrix(np.sqrt(ladder_sq), 1)
+    return OperatorMatrix(np.sqrt(rep.ladder_sq), 1)
 
 
 def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
@@ -187,10 +184,13 @@ def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
 
 def _weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
     """Diagonal of ``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2``; ``j0`` is diagonal."""
-    gj0 = evaluate(gn, j0)
-    return 0.5 * (
-        _diag_product(jp, jm) + _diag_product(jm, jp) + j0 * (j0 + 1.0) + gj0 * (gj0 + 1.0)
-    )
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        gj0 = evaluate(gn, j0)
+        return 0.5 * (
+            _diag_product(jp, jm) + _diag_product(jm, jp) + j0 * (j0 + 1.0) + gj0 * (gj0 + 1.0)
+        )
 
 
 def _weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple[float, float, float]:
@@ -298,24 +298,9 @@ def gsl2_to_dict(rep: Gsl2Rep) -> dict:
         "alpha_j": rep.alpha_j,
         "dim": rep.dim,
         "kind": rep.kind.value,
-        "weights": list(rep.weights),
-        "ladder_sq": list(rep.ladder_sq),
+        "weights": rep.weights.tolist(),
+        "ladder_sq": rep.ladder_sq.tolist(),
         "next_weight": rep.next_weight,
         "cut_residual": rep.cut_residual,
     }
 
-
-def gsl2_from_dict(data: dict) -> Gsl2Rep:
-    rep = Gsl2Rep(
-        charfn_from_dict(data["gn"]),
-        float(data["alpha_j"]),
-        int(data["dim"]),
-        RepKind(data["kind"]),
-        tuple(float(v) for v in data["weights"]),
-        tuple(float(v) for v in data["ladder_sq"]),
-        float(data["next_weight"]),
-        float(data["cut_residual"]),
-    )
-    if len(rep.weights) != rep.dim or len(rep.ladder_sq) != max(rep.dim - 1, 0):
-        raise ValueError("weight/ladder lengths inconsistent with dim")
-    return rep

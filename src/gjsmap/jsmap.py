@@ -50,6 +50,7 @@ from .gha import (
     ResidualReport,
     _clamped,
     _gauss,
+    _readonly,
     build_gha,
     gha_to_dict,
 )
@@ -138,10 +139,7 @@ def two_oscillator_space(
 
 def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float, steps: int) -> tuple:
     """``(g orbit of alpha_j over steps steps, Q2, its Gauss numbers, functional_G)``."""
-    import numpy as np
-
-    orbit = np.array(iterate(gn, alpha_j, steps, bound=math.inf))
-    orbit.setflags(write=False)
+    orbit = _readonly(iterate(gn, alpha_j, steps, bound=math.inf))
     q2, gg = _gauss(gn, alpha_j, orbit)
     return orbit, q2, gg, alpha_j + q2 * gg[space.n2]
 
@@ -242,9 +240,8 @@ def _hop(space: TwoOscillatorSpace) -> tuple[int, np.ndarray]:
     """
     import numpy as np
 
-    n1, n2, dim = space.n1, space.n2, space.gha.dim
+    n1, n2, dim, lad = space.n1, space.n2, space.gha.dim, space.gha.ladder
     hops = (n2 >= 1) & (n1 + 1 < dim)
-    lad = np.array(space.gha.ladder)
     weights = np.zeros(space.size)
     weights[hops] = lad[n1[hops]] * lad[n2[hops] - 1]
     offset = 1 if isinstance(space.mode, FixedJ) else 1 - dim
@@ -457,9 +454,10 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
         raise OutOfBasis("state vectors need a full-grid basis")
     index = space.index_of(n1, n2)
     gha, dim = space.gha, space.mode.dim
-    m0 = gha.ladder[0] if dim > 1 else 0.0
+    ladder = gha.ladder.tolist()
+    m0 = ladder[0] if dim > 1 else 0.0
     gauss = _gauss(gha.fn, gha.alpha0, gha.eigenvalues)[1].tolist()
-    amplitude = math.prod(gha.ladder[:n1], start=math.prod(gha.ladder[:n2]))
+    amplitude = math.prod(ladder[:n1], start=math.prod(ladder[:n2]))
     try:
         norm = (
             (m0 ** (n1 + n2))

@@ -72,6 +72,16 @@ class GuideLine:
         return {"axis": self.axis, "value": self.value, "label": self.label}
 
 
+def _segment_rows(orbit, drawn: int):
+    """``(x1, y1, x2, y2)`` of each segment that the first ``drawn`` steps of ``orbit`` draw.
+
+    Step ``k`` draws ``(x_k, x_k) -> (x_k, x_k+1)``, then ``-> (x_k+1, x_k+1)``.
+    """
+    for a, b in zip(orbit, orbit[1 : drawn + 1]):
+        yield a, a, a, b
+        yield a, b, b, b
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     """Plot-ready data for one orbit of one characteristic function.
@@ -104,11 +114,9 @@ class OrbitReport:
 
     @property
     def cobweb_segments(self) -> tuple[Segment, ...]:
-        """Step ``k`` draws ``(x_k, x_k) -> (x_k, x_k+1)``, then ``-> (x_k+1, x_k+1)``."""
-        it = self.iterates
-        return tuple(chain.from_iterable(
-            (((a, a), (a, b)), ((a, b), (b, b))) for a, b in zip(it, it[1:self.drawn + 1])
-        ))
+        """The drawn segments, laid out by :func:`_segment_rows`."""
+        rows = _segment_rows(self.iterates, self.drawn)
+        return tuple(((x1, y1), (x2, y2)) for x1, y1, x2, y2 in rows)
 
     @cached_property
     def texts(self) -> tuple[list[str], list[str], list[str]]:
@@ -282,9 +290,7 @@ def formatted_report(report: OrbitReport) -> dict:
     The leaves are tuples, so the dict can be encoded more than once.
     """
     x, fx, it = report.texts
-    segments = chain.from_iterable(
-        (a, a, a, b, a, b, b, b) for a, b in zip(it, it[1 : report.drawn + 1])
-    )
+    segments = chain.from_iterable(_segment_rows(it, report.drawn))
     payload = report_to_dict(report)
     for key, shape, leaves in (
         ("iterates", (len(it),), it),
@@ -310,9 +316,7 @@ def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
     x, fx, it = report.texts
     for path, header, rows in (
         (curve_path, ("x", "fn", "diagonal"), zip(x, fx, x)),
-        (cobweb_path, ("x1", "y1", "x2", "y2"), chain.from_iterable(
-            ((a, a, a, b), (a, b, b, b)) for a, b in zip(it, it[1 : report.drawn + 1])
-        )),
+        (cobweb_path, ("x1", "y1", "x2", "y2"), _segment_rows(it, report.drawn)),
     ):
         text = "\n".join(map(",".join, chain((header,), rows, ((),))))
         Path(path).write_text(text, encoding="utf-8", newline="")

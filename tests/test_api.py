@@ -1,13 +1,48 @@
-"""The settings of the exported API: every defaulted parameter of every function.
+"""The exported API: its names, and every defaulted parameter of every function.
 
-A knob added or removed shows as a one-line diff of ``SETTINGS``.  A setting
-belongs here only when some caller passes a second value or the callee cannot
-work the value out itself; otherwise it is a constant.
+A public name added or removed shows as a one-line diff of ``EXPORTS``, and a
+knob as one of ``SETTINGS``.  A setting belongs here only when some caller
+passes a second value or the callee cannot work the value out itself;
+otherwise it is a constant.
 """
 
 import inspect
 
 import gjsmap
+
+#: ``gjsmap.__all__``, by the module that defines each name; the submodules come last.
+EXPORTS = {
+    # charfun
+    "DIVERGENCE_BOUND", "CharFn", "FixedPointInfo", "OneSidedBehavior", "Orientation",
+    "RegionLabel", "Stability", "charfn_from_dict", "charfn_to_dict", "classify_region",
+    "derivative_at", "discriminant", "evaluate", "find_roots", "fixed_points",
+    "invertibility_boundary", "invertibility_region", "is_reflection_pair", "iterate",
+    "reflection_pair",
+    # errors
+    "CutResidualTooLarge", "DescentViolation", "DimensionMismatch", "FixedPointVacuum",
+    "GjsError", "InvalidHighestWeight", "InvalidVacuum", "NegativeLadderSquare",
+    "NegativeNormSquared", "NegativeRadicand", "NoRealFixedPoint", "NotQuadratic",
+    "OutOfBasis", "OverflowDiverged", "PairingMismatch", "PeriodicResidualTooLarge",
+    "UnsupportedDiscriminant",
+    # gha
+    "GhaRep", "OperatorMatrix", "ResidualReport", "build_gha", "casimir_gha",
+    "gauss_factorial", "gauss_numbers", "gha_to_dict", "matrix_A", "matrix_Adag", "matrix_H",
+    "matrix_N", "verify_gha_relations", "write_matrix_csv",
+    # gsl2
+    "CutSolutions", "Gsl2Rep", "RepKind", "build_gsl2", "casimir_gsl2", "cut_condition_solve",
+    "gsl2_to_dict", "matrix_J0", "matrix_Jminus", "matrix_Jplus", "periodic_condition_solve",
+    "verify_gsl2_relations",
+    # jsmap
+    "FixedJ", "FullGrid", "JsMapRep", "PairingReport", "TwoOscillatorSpace", "build_jsmap",
+    "build_state_vector", "derive_pairing", "functional_F", "functional_G", "jsmap_to_dict",
+    "two_oscillator_space", "verify_jsmap_relations", "verify_map_equals_gsl2",
+    "verify_pairing_identity",
+    # orbit
+    "FigureBundle", "FigureName", "GuideLine", "OrbitReport", "cobweb", "figure_bundle",
+    "report_to_dict", "write_bundle", "write_report_csvs", "write_report_json",
+    # the submodules
+    "charfun", "encoding", "errors", "gha", "gsl2", "jsmap", "orbit",
+}
 
 #: Function name -> its defaulted parameters, in signature order.
 SETTINGS = {
@@ -37,3 +72,7 @@ def test_exported_settings_match_the_table():
             if defaulted:
                 found[name] = defaulted
     assert found == SETTINGS
+
+
+def test_exported_names_match_the_table():
+    assert set(gjsmap.__all__) == EXPORTS

@@ -485,6 +485,11 @@ STEP_JOB = {"jobs": [{"name": "stepped", "command": "gsl2 cut",
 FLAT_GN = '{"coefficients":[0,1],"orientation":"weight"}'
 TINY_LEAD_GN = '{"coefficients":[-1,3,-1e-308],"orientation":"weight"}'
 HUGE_QUADRATIC = '{"coefficients":[1e200,1e200,1e200],"orientation":"oscillator"}'
+STEEP_FN = '{"coefficients":[0,0.5,-1e308,-1e308],"orientation":"oscillator"}'
+STEEP_GN = '{"coefficients":[3,-5e-324,3,1e308],"orientation":"weight"}'
+TINY_GN = '{"coefficients":[-5e-324,-1.0,-5e-324],"orientation":"weight"}'
+SLOW_FN = '{"coefficients":[0.5,1e-300],"orientation":"oscillator"}'
+HUGE_GN = '{"coefficients":[-1e308,2.5,-5e-324,0.0],"orientation":"weight"}'
 
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
 #: names)`` for inputs that must end in a JSON error on stderr and exit code 1.
@@ -551,6 +556,19 @@ BAD_INPUTS = {
     # the kept partial orbit ends in inf
     "cobweb report with inf": (INF_COBWEB, "1e300", None, INF_ERROR),
     "cobweb report with inf with --out": ([*INF_COBWEB, "--out", "o"], "1e300", None, INF_ERROR),
+    # argparse before Python 3.13 gave "--d=--" the value []
+    "option value --": ([*CUT[:4], "--d=--"], None, None, "argument --d: invalid int value: '--'"),
+    # f' = 0.5 - 2e308 x - 3e308 x^2 overflows before its roots bound the region
+    "derivative overflows": (["gha", "build", "--fn", STEEP_FN, "--alpha0", "2", "--dim", "8"],
+                             None, None, "the derivative [0.5, -inf, -inf] of fn overflows"),
+    "closure derivative overflows": (["gsl2", "cut", "--gn", STEEP_GN, "--d", "4"], None, None,
+                                     "the derivative [-5e-324, 6.0, inf] of fn overflows"),
+    # f(alpha0) - alpha0 = 1e308 + 1e308 overflows, so each Gauss number past [0] is inf / inf
+    "gauss denominator overflows": (["jsmap", "pairing", "--fn", TINY_GN, "--alpha0", "-1e308",
+                                     "--mmax", "1"], None, None, "cannot be encoded"),
+    # the S^2 diagonal overflows before the direct representation's orbit does
+    "casimir overflows": (["jsmap", "verify", "--fn", SLOW_FN, "--alpha0", "2", "--gn", HUGE_GN,
+                           "--alphaj", "-0.15", "--j", "0"], None, None, "OverflowDiverged"),
 }
 
 
@@ -876,9 +894,19 @@ def _argparse_outcome(argv):
     return repr(namespace), extras
 
 
-#: Valid value texts for each option type.
+#: Edge coefficients of a drawn characteristic function, and a non-numeric entry now and then.
+_COEFFICIENTS = [0, 1, -1, 2.5, -2.5, 1e308, -1e308, 5e-324, -5e-324, 1e-300, 1e200, "x"]
+#: 1-6 drawn coefficients, and an orientation that may be bogus or missing.
+_DRAWN_FNS = st.builds(
+    lambda coefficients, orientation: json.dumps(
+        {"coefficients": coefficients, **({"orientation": orientation} if orientation else {})}
+    ),
+    st.lists(st.sampled_from(_COEFFICIENTS), min_size=1, max_size=6),
+    st.sampled_from(["oscillator", "weight", "bogus", None]),
+)
+#: Valid value texts for each option type; a drawn function may be refused.
 _TYPED_VALUES = {
-    cli._charfn_arg: st.sampled_from([BOSON, SL2, FN_FIG1, FN_FIG4, GN_FIG2]),
+    cli._charfn_arg: st.sampled_from([BOSON, SL2, FN_FIG1, FN_FIG4, GN_FIG2]) | _DRAWN_FNS,
     float: st.floats().map(repr),
     int: st.integers(-3, 40).map(str),
     cli._two_j_arg: st.sampled_from(["0", "1/2", "1", "3/2", "7"]),

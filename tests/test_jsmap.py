@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from gjsmap import (
     FullGrid,
     Orientation,
     RepKind,
+    build_gha,
     build_gsl2,
     build_jsmap,
     build_state_vector,
@@ -295,6 +297,41 @@ class TestScale:
         tol = scaled_tol(j * (j + 1.0))
         assert verify_map_equals_gsl2(rep, direct, tol=tol).passed
         assert verify_jsmap_relations(rep, tol=tol).passed
+
+
+class TestReadOnlyDiagonals:
+    """Representations hold the read-only float64 arrays their builds make."""
+
+    def test_stored_diagonals_are_read_only_float_arrays(self):
+        gha_rep = build_gha(BOSON, 0.0, 5)
+        gsl2_rep = build_gsl2(SL2, 2.0, 5, RepKind.FINITE_CUT)
+        stored = {
+            "eigenvalues": gha_rep.eigenvalues,
+            "ladder": gha_rep.ladder,
+            "weights": gsl2_rep.weights,
+            "ladder_sq": gsl2_rep.ladder_sq,
+            "space ladder": two_oscillator_space(BOSON, 0.0, FullGrid(3)).gha.ladder,
+            "g_orbit": build_jsmap(BOSON, 0.0, SL2, 1.0, FixedJ(2)).g_orbit,
+        }
+        for name, values in stored.items():
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64, name
+            assert not values.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+    def test_builds_hold_eight_bytes_per_entry(self):
+        dim = 20_001
+        tracemalloc.start()
+        try:
+            oscillator = build_gha(BOSON, 0.0, dim)
+            weight = build_gsl2(SL2, 10_000.0, dim, RepKind.FINITE_CUT)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        diagonals = (oscillator.eigenvalues, oscillator.ladder, weight.weights, weight.ladder_sq)
+        entries = sum(map(len, diagonals))
+        assert entries == 4 * dim - 2
+        assert held <= 1.25 * 8 * entries, held
 
 
 class TestMapEqualsDirect:
