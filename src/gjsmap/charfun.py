@@ -22,6 +22,7 @@ from enum import Enum
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
+from .encoding import _record_data
 from .errors import (
     NoRealFixedPoint,
     NotQuadratic,
@@ -182,10 +183,7 @@ class CharFn:
 
 def charfn_to_dict(fn: CharFn) -> dict:
     """JSON-ready form: ``{"coefficients": [...], "orientation": "..."}``."""
-    return {
-        "coefficients": list(fn.coefficients),
-        "orientation": fn.orientation.value,
-    }
+    return _record_data(fn)
 
 
 def charfn_from_dict(data: dict) -> CharFn:
@@ -265,14 +263,7 @@ class FixedPointInfo:
     one_sided_behavior: Optional[OneSidedBehavior] = None
 
     def to_dict(self) -> dict:
-        return {
-            "location": self.location,
-            "multiplier": self.multiplier,
-            "stability": self.stability.value,
-            "one_sided_behavior": (
-                self.one_sided_behavior.value if self.one_sided_behavior else None
-            ),
-        }
+        return _record_data(self)
 
 
 def _tangency(c0: float, c1: float, c2: float) -> tuple[float, bool]:
@@ -754,7 +745,7 @@ def isolate_roots(
                 tight = True  # Horner loses a factor per composition: redo, cut tighter
                 del finished[-1], clusters[-1]
                 continue
-            if np.count_nonzero(keep) > BOXES * SPLIT:
+            if np.count_nonzero(keep) > BOXES * SPLIT and (keep & inside).any():
                 stretch = np.flatnonzero(keep & inside)
                 starts, stops = _runs(box_lo[stretch], box_hi[stretch])
                 clusters.append((box_lo[stretch[starts]], box_hi[stretch[stops]]))

@@ -378,7 +378,7 @@ def cmd_gha_build(args):
 
 def cmd_gsl2_build(args):
     rep = build_gsl2(
-        args.gn, args.alphaj, args.dim, RepKind(args.kind), cut_tol=args.cut_tol, bound=_bound()
+        args.gn, args.alphaj, args.dim, args.kind, cut_tol=args.cut_tol, bound=_bound()
     )
     payload: dict = {"rep": gsl2_to_dict(rep)}
     code = _verify(payload, args, verify_gsl2_relations, rep)
@@ -435,7 +435,7 @@ def cmd_jsmap_verify(args):
     )
     jsrep = _perturbed(jsrep, args)
     direct = build_gsl2(
-        args.gn, args.alphaj, args.j + 1, RepKind(args.kind), cut_tol=args.cut_tol, bound=_bound()
+        args.gn, args.alphaj, args.j + 1, args.kind, cut_tol=args.cut_tol, bound=_bound()
     )
     map_report = verify_map_equals_gsl2(jsrep, direct, tol=args.tol)
     relation_report = verify_jsmap_relations(jsrep, tol=args.tol)

@@ -17,16 +17,39 @@ A caller that has already formatted the leaves of a nest (an orbit report
 formats each distinct number once and repeats its text) passes a
 :class:`FormattedNest`.  The walk joins those strings with the same
 separators; the standard encoder gets the plain nest instead.
+
+:func:`_record_data` is the one rule that turns a record (a dataclass) into a value.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 _SEQUENCES = (list, tuple)
+
+
+def _record_data(record) -> dict:
+    """``{field: value}`` of a dataclass ``record``, in declaration order.
+
+    An enum gives its value, an array its ``tolist()`` (anything with ``tolist``, so numpy
+    is never imported), a tuple a list, a nested record this rule's dict, the rest itself.
+    """
+    return {field.name: _plain(getattr(record, field.name)) for field in fields(record)}
+
+
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return _record_data(value) if is_dataclass(value) else value
 
 
 class _Unsupported(Exception):

@@ -50,37 +50,42 @@ class InvalidHighestWeight(GjsError):
     """Highest weight lies outside the invertibility region."""
 
 
-class NegativeNormSquared(GjsError):
+class _LocatedError(GjsError):
+    """An offending ``value`` at position ``index``, told by the class's ``template``.
+
+    The two arguments are the exception's ``args``, so copy and pickle rebuild it.
+    """
+
+    template: str
+
+    def __init__(self, index, value: float):
+        super().__init__(index, value)
+        self.index, self.value = index, value
+
+    def __str__(self) -> str:
+        return self.template.format(self.index, self.value)
+
+
+class NegativeNormSquared(_LocatedError):
     """A ladder norm squared is negative: the truncation is not unitarizable."""
 
-    def __init__(self, index: int, value: float):
-        super().__init__(f"norm squared at rung {index} is {value!r} < 0")
-        self.index = index
-        self.value = value
+    template = "norm squared at rung {} is {!r} < 0"
 
 
 class FixedPointVacuum(GjsError):
     """Gauss numbers are undefined when the start value is a fixed point."""
 
 
-class NegativeLadderSquare(GjsError):
+class NegativeLadderSquare(_LocatedError):
     """A weight-ladder square is negative: the representation is not unitary."""
 
-    def __init__(self, index: int, value: float):
-        super().__init__(f"ladder square at step {index} is {value!r} < 0")
-        self.index = index
-        self.value = value
+    template = "ladder square at step {} is {!r} < 0"
 
 
-class DescentViolation(GjsError):
+class DescentViolation(_LocatedError):
     """The descent hypothesis alpha_j > g^(m)(alpha_j) fails."""
 
-    def __init__(self, index: int, value: float):
-        super().__init__(
-            f"iterate {index} equals {value!r}, not below the highest weight"
-        )
-        self.index = index
-        self.value = value
+    template = "iterate {} equals {!r}, not below the highest weight"
 
 
 class CutResidualTooLarge(GjsError):
@@ -91,13 +96,11 @@ class PeriodicResidualTooLarge(GjsError):
     """g^(d)(alpha_j) - alpha_j is too far from zero for a periodic rep."""
 
 
-class NegativeRadicand(GjsError):
-    """The raising-functional radicand is negative at a basis state."""
+class NegativeRadicand(_LocatedError):
+    """The raising-functional radicand is negative at the basis state ``state``."""
 
-    def __init__(self, state, value: float):
-        super().__init__(f"radicand at state {state} is {value!r} < 0")
-        self.state = state
-        self.value = value
+    template = "radicand at state {} is {!r} < 0"
+    state = property(lambda self: self.index)
 
 
 class PairingMismatch(GjsError):

@@ -18,11 +18,11 @@ from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
     Orientation,
-    charfn_to_dict,
     evaluate,
     invertibility_region,
     iterate,
 )
+from .encoding import _record_data
 from .errors import FixedPointVacuum, InvalidVacuum, NegativeNormSquared
 
 #: Norm squares, ladder squares and radicands in [-CLAMP_TOL, 0) are rounding
@@ -291,23 +291,20 @@ def verify_gha_relations(rep: GhaRep, tol: float = 1e-10) -> ResidualReport:
     (``Adag A - H`` versus ``A Adag - f(H)``) is reported on the same interior
     columns.
     """
+    import numpy as np
+
     if rep.dim < 2:
         raise ValueError("relation residuals need dim >= 2")
     h = matrix_H(rep).values
     adag = matrix_Adag(rep)
-    f_h = evaluate(rep.fn, h)
-    r_casimir = casimir_gha(rep).values - (_diag_product(adag.T, adag) - f_h)
-    residuals = _relation_residuals(h, adag.T, adag, f_h, f_h - h, rep.dim - 1, r_casimir)
+    with np.errstate(over="ignore", invalid="ignore"):  # a perturbed entry may overflow to inf
+        f_h = evaluate(rep.fn, h)
+        r_casimir = casimir_gha(rep).values - (_diag_product(adag.T, adag) - f_h)
+        residuals = _relation_residuals(h, adag.T, adag, f_h, f_h - h, rep.dim - 1, r_casimir)
     names = ("h_adag_intertwine", "a_h_intertwine", "commutator", "casimir_forms")
     return ResidualReport(dict(zip(names, residuals)), tol)
 
 
 def gha_to_dict(rep: GhaRep) -> dict:
-    return {
-        "fn": charfn_to_dict(rep.fn),
-        "alpha0": rep.alpha0,
-        "dim": rep.dim,
-        "eigenvalues": rep.eigenvalues.tolist(),
-        "ladder": rep.ladder.tolist(),
-    }
+    return _record_data(rep)
 

@@ -26,13 +26,13 @@ from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
     Orientation,
-    charfn_to_dict,
     evaluate,
     invertibility_region,
     isolate_roots,
     iterate,
     root_bound,
 )
+from .encoding import _record_data
 from .errors import (
     CutResidualTooLarge,
     DescentViolation,
@@ -199,9 +199,12 @@ def _weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple[float, float,
     In order: ``J0 J- = J- g(J0)``, ``J+ J0 = g(J0) J+`` and
     ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``; ``j0`` is the diagonal of ``J0``.
     """
-    gj0 = evaluate(gn, j0)
-    rhs = j0 * (j0 + 1.0) - gj0 * (gj0 + 1.0)
-    return _relation_residuals(j0, jp, jm, gj0, rhs, ncols)
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a perturbed entry may overflow to inf
+        gj0 = evaluate(gn, j0)
+        rhs = j0 * (j0 + 1.0) - gj0 * (gj0 + 1.0)
+        return _relation_residuals(j0, jp, jm, gj0, rhs, ncols)
 
 
 def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
@@ -293,14 +296,5 @@ def periodic_condition_solve(gn: CharFn, d: int) -> tuple[float, ...]:
 
 
 def gsl2_to_dict(rep: Gsl2Rep) -> dict:
-    return {
-        "gn": charfn_to_dict(rep.gn),
-        "alpha_j": rep.alpha_j,
-        "dim": rep.dim,
-        "kind": rep.kind.value,
-        "weights": rep.weights.tolist(),
-        "ladder_sq": rep.ladder_sq.tolist(),
-        "next_weight": rep.next_weight,
-        "cut_residual": rep.cut_residual,
-    }
+    return _record_data(rep)
 

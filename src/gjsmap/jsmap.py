@@ -34,6 +34,7 @@ from .charfun import (
     iterate,
     reflection_pair,
 )
+from .encoding import _record_data
 from .errors import (
     DescentViolation,
     DimensionMismatch,
@@ -310,11 +311,7 @@ def verify_map_equals_gsl2(
             f"shell has {jsrep.space.mode.two_j + 1} states, "
             f"representation has {gsl2rep.dim}"
         )
-    if (
-        jsrep.gn.coefficients != gsl2rep.gn.coefficients
-        or jsrep.gn.orientation is not gsl2rep.gn.orientation
-        or jsrep.alpha_j != gsl2rep.alpha_j
-    ):
+    if jsrep.gn != gsl2rep.gn or jsrep.alpha_j != gsl2rep.alpha_j:
         raise ValueError("the two sides use different gn or alpha_j")
     jp = matrix_Jplus(gsl2rep).values
     pairs = {
@@ -371,15 +368,7 @@ class PairingReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "fixed_point_f": self.fixed_point_f,
-            "fixed_point_g": self.fixed_point_g,
-            "reflection_residual": self.reflection_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return _record_data(self)
 
 
 def verify_pairing_identity(

@@ -41,7 +41,7 @@ from .charfun import (
     invertibility_boundary,
     iterate,
 )
-from .encoding import FormattedNest, OutputEncoder
+from .encoding import FormattedNest, OutputEncoder, _record_data
 from .errors import (
     NoRealFixedPoint,
     NotQuadratic,
@@ -69,7 +69,7 @@ class GuideLine:
     label: str
 
     def to_dict(self) -> dict:
-        return {"axis": self.axis, "value": self.value, "label": self.label}
+        return _record_data(self)
 
 
 def _segment_rows(orbit, drawn: int):

@@ -6,9 +6,15 @@ passes a second value or the callee cannot work the value out itself;
 otherwise it is a constant.
 """
 
+import copy
 import inspect
+import math
+import pickle
+
+import pytest
 
 import gjsmap
+from gjsmap import errors
 
 #: ``gjsmap.__all__``, by the module that defines each name; the submodules come last.
 EXPORTS = {
@@ -76,3 +82,44 @@ def test_exported_settings_match_the_table():
 
 def test_exported_names_match_the_table():
     assert set(gjsmap.__all__) == EXPORTS
+
+
+#: One instance of each class of ``gjsmap.errors``.
+ERRORS = [
+    errors.GjsError("any"),
+    errors.OverflowDiverged("iterate 2 = inf exceeds the bound 1e12", [0.5, 3.0, math.inf]),
+    errors.NoRealFixedPoint("none"),
+    errors.NotQuadratic("degree is 3, need 2"),
+    errors.UnsupportedDiscriminant("nonzero"),
+    errors.InvalidVacuum("outside"),
+    errors.InvalidHighestWeight("outside"),
+    errors.NegativeNormSquared(2, -0.5),
+    errors.FixedPointVacuum("fixed"),
+    errors.NegativeLadderSquare(1, -1e-3),
+    errors.DescentViolation(3, 1.5),
+    errors.CutResidualTooLarge("far"),
+    errors.PeriodicResidualTooLarge("far"),
+    errors.NegativeRadicand((1, 2), -0.25),
+    errors.PairingMismatch("no partner"),
+    errors.DimensionMismatch("3 against 4"),
+    errors.OutOfBasis("(5, 5)"),
+]
+
+
+#: The attributes an error may carry besides its message.
+ATTRIBUTES = ("iterates", "index", "state", "value")
+
+
+def test_the_error_table_holds_every_error_class():
+    public = {cls for name, cls in vars(errors).items()
+              if isinstance(cls, type) and issubclass(cls, errors.GjsError) and name[0] != "_"}
+    assert sorted(type(error).__name__ for error in ERRORS) == sorted(c.__name__ for c in public)
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: type(error).__name__)
+def test_errors_copy_and_pickle(error):
+    attributes = [getattr(error, name, None) for name in ATTRIBUTES]
+    for copied in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+        assert type(copied) is type(error)
+        assert str(copied) == str(error)
+        assert [getattr(copied, name, None) for name in ATTRIBUTES] == attributes

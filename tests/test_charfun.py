@@ -59,6 +59,13 @@ class TestCharFn:
         with pytest.raises(ValueError, match="too large for a float"):
             CharFn((1, 10**400), Orientation.OSCILLATOR)
 
+    @pytest.mark.parametrize(
+        "coefficients", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0, -math.inf)]
+    )
+    def test_rejects_non_finite_coefficients(self, coefficients):
+        with pytest.raises(ValueError, match="must be finite"):
+            CharFn(coefficients, Orientation.OSCILLATOR)
+
     def test_orientation_accepts_strings(self):
         fn = CharFn((1.0, 1.0), "oscillator")
         assert fn.orientation is Orientation.OSCILLATOR
@@ -178,6 +185,15 @@ class TestFixedPoints:
         (fp,) = fixed_points(fn)
         assert fp.location == pytest.approx(2.0, rel=1e-12)
         assert fp.stability is Stability.ATTRACTING
+
+    def test_identity_fixes_every_point(self):
+        with pytest.raises(ValueError, match="every point is a fixed point"):
+            fixed_points(CharFn((0.0, 1.0), Orientation.OSCILLATOR))
+
+    def test_quartic_without_real_fixed_point(self):
+        # fn(x) - x = x^4 + 1
+        with pytest.raises(NoRealFixedPoint, match="no real root"):
+            fixed_points(CharFn((1.0, 1.0, 0.0, 0.0, 1.0), Orientation.OSCILLATOR))
 
     def test_cubic_fixed_points(self):
         # f(x) = x^3: fixed points -1, 0, 1
@@ -431,6 +447,30 @@ class TestFindRoots:
                            (-3.0, 5.0, 1e-200)):
             seen = points(u, v, root)
             assert seen[-1] == root and len(seen) <= 65
+
+    @pytest.mark.parametrize("poly, interval", [
+        ([0.0, 0.0, 1.0], (-1.0, 0.0)),
+        ([1.0, -2.0, 1.0], (-3.0, 1.0)),
+        ([0.0, 0.0, -1.0, 1.0], (-1.0, 0.0)),
+    ])
+    def test_double_root_at_the_right_end(self, poly, interval):
+        # the last critical point of the last cluster is a tangency
+        assert find_roots(poly, interval) == [interval[1]]
+
+    def test_rejects_a_non_positive_tolerance_and_an_empty_interval(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            find_roots([-1.0, 0.0, 1.0], (-2.0, 2.0), 0.0)
+        with pytest.raises(ValueError, match="interval is empty"):
+            find_roots([-1.0, 0.0, 1.0], (2.0, -2.0))
+
+    @pytest.mark.parametrize("coefficients", [[3.0], [3.0, 0.0], [0.0]])
+    def test_constant_has_no_roots(self, coefficients):
+        assert find_roots(coefficients, (-2.0, 2.0)) == []
+
+    @pytest.mark.parametrize("lead, want", [(1.0, math.inf), (-1.0, -math.inf)])
+    def test_exact_value_past_the_float_range_is_infinite(self, lead, want):
+        exact = charfun._composition([0.0, 0.0, lead], 1, 0.0, 0.0)[1]
+        assert exact(1e200) == want
 
     def test_cauchy_bound_is_rounded_up(self):
         # 1 + 2e20 rounds down to 2e20, the root of 2x - 1e-20 x^2.

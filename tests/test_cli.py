@@ -489,6 +489,7 @@ STEEP_FN = '{"coefficients":[0,0.5,-1e308,-1e308],"orientation":"oscillator"}'
 STEEP_GN = '{"coefficients":[3,-5e-324,3,1e308],"orientation":"weight"}'
 TINY_GN = '{"coefficients":[-5e-324,-1.0,-5e-324],"orientation":"weight"}'
 SLOW_FN = '{"coefficients":[0.5,1e-300],"orientation":"oscillator"}'
+LOGISTIC_GN = '{"coefficients":[0,4,-4],"orientation":"weight"}'
 HUGE_GN = '{"coefficients":[-1e308,2.5,-5e-324,0.0],"orientation":"weight"}'
 
 #: ``(argv, GJS_DIVERGENCE_BOUND or None, run config or None, what the error
@@ -569,6 +570,17 @@ BAD_INPUTS = {
     # the S^2 diagonal overflows before the direct representation's orbit does
     "casimir overflows": (["jsmap", "verify", "--fn", SLOW_FN, "--alpha0", "2", "--gn", HUGE_GN,
                            "--alphaj", "-0.15", "--j", "0"], None, None, "OverflowDiverged"),
+    # 2^14 roots of g^(14)(x) - x, more than the isolator's boxes
+    "more roots than boxes": (["gsl2", "periodic", "--gn", LOGISTIC_GN, "--d", "14"], None, None,
+                              "more than 8192 boxes"),
+    # the square of the perturbed entry overflows, so a residual is inf or nan
+    "perturbed ladder square overflows": ([*GHA3, "--verify", "--perturb", "ladder:0:1e200"],
+                                          None, None, "cannot be encoded"),
+    "perturbed weight square overflows": (["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim",
+                                           "3", "--kind", "cut", "--verify", "--perturb",
+                                           "weights:0:1e200"], None, None, "cannot be encoded"),
+    "perturbed s_z square overflows": ([*SHELL, "--perturb", "sz:0,0:1e200"], None, None,
+                                       "cannot be encoded"),
 }
 
 
@@ -904,16 +916,32 @@ _DRAWN_FNS = st.builds(
     st.lists(st.sampled_from(_COEFFICIENTS), min_size=1, max_size=6),
     st.sampled_from(["oscillator", "weight", "bogus", None]),
 )
-#: Valid value texts for each option type; a drawn function may be refused.
+#: Float texts at the edges: signed zeros, the extremes, squares that overflow, NaN and infinities.
+_EDGE_FLOATS = ["0", "-0.0", "1", "-1", "1e155", "-1e155", "1e200", "-1e200", "1e308", "-1e308",
+                "5e-324", "nan", "inf", "-inf"]
+#: ``--perturb`` texts by command group: a fixed one, or one of the group's targets at a few
+#: indices by an edge amount.
+_PERTURBATIONS = {
+    group: st.sampled_from(["ladder:0:0.01", "splus:0,1:-0.5", "weights:1:-1e-05"]) | st.builds(
+        "{}:{}:{}".format,
+        st.sampled_from(sorted(targets)),
+        st.sampled_from(["0", "1", "2", "0,0", "0,1", "1,0", "-1,-1"]),
+        st.sampled_from(_EDGE_FLOATS),
+    )
+    for group, targets in cli._PERTURB_FIELDS.items()
+}
+#: Texts for each option type, valid or at an edge; a drawn function may be refused.
 _TYPED_VALUES = {
     cli._charfn_arg: st.sampled_from([BOSON, SL2, FN_FIG1, FN_FIG4, GN_FIG2]) | _DRAWN_FNS,
     float: st.floats().map(repr),
-    int: st.integers(-3, 40).map(str),
-    cli._two_j_arg: st.sampled_from(["0", "1/2", "1", "3/2", "7"]),
-    cli._tolerance_arg: st.floats(0.0, 1.0).map(repr),
+    int: st.sampled_from(["-1", "0"]) | st.integers(-3, 40).map(str),
+    cli._two_j_arg: st.sampled_from(["0", "1/2", "1", "3/2", "7", "-0", "0/0", "1/0", "1e2",
+                                     "3/2/1"]),
+    cli._tolerance_arg: st.sampled_from(["0", "-0.0", "5e-324", "1e308"])
+    | st.floats(0.0, 1.0).map(repr),
     cli._real_arg: st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    cli._window_arg: st.sampled_from(["0.4,1.2", "-1,1", "-1e-3,2e-3"]),
-    cli._perturb_arg: st.sampled_from(["ladder:0:0.01", "splus:0,1:-0.5", "weights:1:-1e-05"]),
+    cli._window_arg: st.sampled_from(["0.4,1.2", "-1,1", "-1e-3,2e-3"])
+    | st.builds("{},{}".format, st.sampled_from(_EDGE_FLOATS), st.sampled_from(_EDGE_FLOATS)),
     None: st.sampled_from(["out/d", "jobs.json", "", "-1,1", "a=b"]),
 }
 #: Values that some option type refuses, and items that are no value at all.
@@ -950,6 +978,8 @@ def _argvs(draw):
             continue
         if "choices" in kwargs:
             value = draw(st.sampled_from(kwargs["choices"]))
+        elif kwargs.get("type") is cli._perturb_arg:
+            value = draw(_PERTURBATIONS[path[0]])
         else:
             value = draw(_TYPED_VALUES[kwargs.get("type")])
         if mess():
@@ -969,6 +999,19 @@ class TestOnePassParse:
     def test_declines_or_equals_argparse(self, argv):
         parsed = build_parser()._parse_well_formed(argv)
         if parsed is not None:  # reprs compare NaN values equal
+            assert (repr(parsed), []) == _argparse_outcome(argv)
+
+    @pytest.mark.parametrize("argv, declined", [
+        ([*GHA3, "--out=--"], False),  # argparse before Python 3.13 gave the value []
+        (["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind", "bogus"], True),
+        ([*GHA3, "--dim", "4"], True),
+        ([*GHA3, "--verify", "--verify"], True),
+    ])
+    def test_edge_argvs(self, argv, declined):
+        """A value outside the choices and a repeated option are declined; the rest equal argparse."""
+        parsed = build_parser()._parse_well_formed(argv)
+        assert (parsed is None) == declined
+        if parsed is not None:
             assert (repr(parsed), []) == _argparse_outcome(argv)
 
     def test_equals_argparse_on_every_listed_argv(self):
@@ -1029,7 +1072,20 @@ def _small(argv: list[str]) -> list[str]:
     return argv
 
 
-@given(_argvs().map(_small))
+#: A verification of a representation that builds, per ``--perturb`` group; drawn argvs seldom
+#: build one.
+_VERIFIED = {
+    "gha": [*GHA3, "--verify"],
+    "gsl2": ["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind", "cut",
+             "--verify"],
+    "jsmap": SHELL,
+}
+_PERTURBED_VERIFICATIONS = st.sampled_from(sorted(_VERIFIED)).flatmap(
+    lambda group: _PERTURBATIONS[group].map(lambda text: [*_VERIFIED[group], "--perturb", text])
+)
+
+
+@given(_argvs().map(_small) | _PERTURBED_VERIFICATIONS)
 @settings(max_examples=300, deadline=None)
 def test_every_argv_ends_in_a_result_or_a_json_error(argv):
     """Exit 0 or 2 with one JSON document (or 0 with a help text), or 1 with one JSON error.

@@ -2,13 +2,15 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjsmap.encoding import OutputEncoder
+from gjsmap.charfun import CharFn, Orientation
+from gjsmap.encoding import OutputEncoder, _record_data
 
 
 def stdlib(value) -> str:
@@ -122,3 +124,35 @@ def test_circular_reference_raises_the_standard_error():
 def test_unknown_type_raises_the_standard_error():
     with pytest.raises(TypeError, match="not JSON serializable"):
         ours({"matrix": [np.int64(1)]})
+
+
+class _Row(list):
+    """A list subclass, which the nest pass leaves to the general walk."""
+
+
+@pytest.mark.parametrize(
+    "settings", [{"indent": 2}, {"indent": None}, {"indent": 2, "sort_keys": True}]
+)
+def test_settings_and_types_past_the_fast_path(settings):
+    value = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
+    assert (json.dumps(value, cls=OutputEncoder, allow_nan=False, **settings)
+            == json.dumps(value, allow_nan=False, **settings))
+
+
+@dataclass(frozen=True)
+class _Record:
+    name: str
+    kind: Orientation
+    values: np.ndarray
+    pair: tuple
+    fn: CharFn
+    extra: object = None
+
+
+def test_record_data_in_field_order():
+    fn = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
+    data = _record_data(_Record("r", Orientation.WEIGHT, np.arange(3.0), (1.0, 2.0), fn))
+    assert data == {"name": "r", "kind": "weight", "values": [0.0, 1.0, 2.0], "pair": [1.0, 2.0],
+                    "fn": {"coefficients": [1.0, 1.0], "orientation": "oscillator"}, "extra": None}
+    assert list(data) == ["name", "kind", "values", "pair", "fn", "extra"]
+    assert [type(v) for v in data["values"]] == [float] * 3

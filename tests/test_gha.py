@@ -145,6 +145,10 @@ class TestGaussNumbers:
     def test_integers_for_boson(self):
         assert gauss_numbers(BOSON, 0.25, 5)[5] == pytest.approx(5.0, rel=1e-15)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="m_max must be non-negative"):
+            gauss_numbers(BOSON, 0.25, -1)
+
     def test_first_two_values(self):
         assert gauss_numbers(FIG4_FN, -0.15, 0)[0] == 0.0
         assert gauss_numbers(FIG4_FN, -0.15, 1)[1] == 1.0

@@ -66,6 +66,12 @@ class TestBuild:
         assert rep.ladder_sq.tolist() == [2.0, 2.0]
         assert rep.cut_residual == 0.0
 
+    def test_cut_with_a_vanishing_interior_ladder_square_rejected(self):
+        # spin one closes after three states; a loose cut_tol lets a fourth in
+        # (closure defect -1), past the vanishing ladder square 1*2 - (-2)(-1)
+        with pytest.raises(ValueError, match="interior ladder square vanishes"):
+            build_gsl2(SL2, 1.0, 4, RepKind.FINITE_CUT, cut_tol=1.0)
+
     def test_five_digit_root_accepted_loosely(self):
         rep = build_gsl2(FIG2_GN, ROUNDED_ROOT, 2, RepKind.FINITE_CUT)
         assert rep.weights[0] == ROUNDED_ROOT
@@ -255,6 +261,10 @@ class TestRelations:
         report = verify_gsl2_relations(rep, tol=1e-12)
         assert report.passed
 
+    def test_single_state_rejected(self):
+        with pytest.raises(ValueError, match="need dim >= 2"):
+            verify_gsl2_relations(build_gsl2(SL2, 0.0, 1, RepKind.FINITE_CUT))
+
     def test_cut_rep_with_rounded_root(self):
         # the 5-digit root closes the ladder only to ~its cut residual, and
         # that defect lands on the last commutator column
@@ -338,6 +348,12 @@ class TestPeriodicSolve:
     def test_linear_shift_has_no_periodic_points(self):
         for d in (1, 2, 3):
             assert periodic_condition_solve(SL2, d) == ()
+
+    def test_more_roots_than_boxes_is_a_value_error(self):
+        # g = 4x - 4x^2 has 2^14 points of period dividing 14, none of them in
+        # the band of a box left, which once ended in an IndexError
+        with pytest.raises(ValueError, match="more than 8192 boxes"):
+            periodic_condition_solve(CharFn((0.0, 4.0, -4.0), Orientation.WEIGHT), 14)
 
     def test_period_two_points_match_fixed_points(self):
         # for this tangent quadratic the only period-2 points in the region

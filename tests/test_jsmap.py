@@ -81,6 +81,15 @@ class TestSpace:
         space = two_oscillator_space(BOSON, 0.0, FullGrid(2))
         assert space.basis == ((0, 0), (0, 1), (1, 0), (1, 1))
 
+    @pytest.mark.parametrize("mode, error, message", [
+        (FixedJ(-1), ValueError, "two_j must be non-negative"),
+        (FullGrid(0), ValueError, "grid dimension must be >= 1"),
+        (3, TypeError, "unsupported mode 3"),
+    ])
+    def test_bad_mode_rejected(self, mode, error, message):
+        with pytest.raises(error, match=message):
+            two_oscillator_space(BOSON, 0.0, mode)
+
     def test_index_lookup(self):
         space = two_oscillator_space(BOSON, 0.0, FixedJ(2))
         assert space.index_of(1, 1) == 1
@@ -378,6 +387,16 @@ class TestMapEqualsDirect:
         direct = build_gsl2(SL2, 1.5, 3, RepKind.TRUNCATED_INFINITE)
         with pytest.raises(ValueError):
             verify_map_equals_gsl2(rep, direct)
+        direct = build_gsl2(CharFn((-1.0, 0.5), Orientation.WEIGHT), 1.0, 3,
+                            RepKind.TRUNCATED_INFINITE)
+        with pytest.raises(ValueError, match="different gn or alpha_j"):
+            verify_map_equals_gsl2(rep, direct)
+
+    def test_grid_rejected(self):
+        rep = build_jsmap(BOSON, 0.0, SL2, 1.0, FullGrid(2))
+        direct = build_gsl2(SL2, 1.0, 3, RepKind.TRUNCATED_INFINITE)
+        with pytest.raises(DimensionMismatch, match="needs a fixed-j shell"):
+            verify_map_equals_gsl2(rep, direct)
 
 
 class TestRelationsFromMap:
@@ -395,6 +414,14 @@ class TestRelationsFromMap:
     def test_standard_limit(self):
         rep = build_jsmap(BOSON, 0.0, SL2, 2.0, FixedJ(4))
         assert verify_jsmap_relations(rep, tol=1e-12).passed
+
+    @pytest.mark.parametrize("mode, message", [
+        (FullGrid(2), "defined on a fixed-j shell"),
+        (FixedJ(0), "need at least 2 states"),
+    ])
+    def test_grid_and_single_state_rejected(self, mode, message):
+        with pytest.raises(ValueError, match=message):
+            verify_jsmap_relations(build_jsmap(BOSON, 0.0, SL2, 1.0, mode))
 
     def test_relations_use_the_stored_lowering_operator(self):
         rep = build_jsmap(BOSON, 0.0, SL2, 1.0, FixedJ(2))
@@ -434,6 +461,11 @@ class TestPairing:
         assert report.fixed_point_f == pytest.approx(-1.0, abs=1e-12)
         assert report.fixed_point_g == pytest.approx(1.0, abs=1e-12)
         assert report.reflection_residual <= 1e-12
+
+    def test_negative_count_rejected(self):
+        gn, alpha_j = derive_pairing(FIG4_FN, -0.15)
+        with pytest.raises(ValueError, match="m_max must be non-negative"):
+            verify_pairing_identity(FIG4_FN, -0.15, gn, alpha_j, -1)
 
     def test_linear_pairing_gives_integers(self):
         gn, alpha_j = derive_pairing(BOSON, 0.4)

@@ -55,6 +55,11 @@ class TestCobweb:
         assert max(abs(p[1][0]) for p in report.cobweb_segments) < 2.0
         assert max(report.iterates) > 1e6
 
+    @pytest.mark.parametrize("window", [(0.5, 0.5), (1.0, 0.4), (0.4, math.nan)])
+    def test_empty_window_rejected(self, window):
+        with pytest.raises(ValueError, match="non-empty interval"):
+            cobweb(FIG1_FN, 0.56, 5, window)
+
     def test_divergence_to_minus_infinity(self):
         report = cobweb(FIG2_GN, -0.05, 100, (-0.4, 1.9))
         assert report.truncated_divergence
@@ -79,6 +84,10 @@ class TestCobweb:
 
 
 class TestFigureBundles:
+    def test_unknown_series_is_a_key_error(self):
+        with pytest.raises(KeyError, match="c"):
+            figure_bundle("fig1").report("c")
+
     def test_fig1(self):
         bundle = figure_bundle("fig1")
         a = bundle.report("a")
