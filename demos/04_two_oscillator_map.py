@@ -60,9 +60,7 @@ report = verify_map_equals_gsl2(mapped, direct, tol=1e-10)
 print("  max residual:", f"{report.max_residual:.2e}", "passed:", report.passed)
 
 print("\nReflection pairing makes the oscillator and weight Gauss numbers match:")
-gn_pair, alpha_j_pair = derive_pairing(fn, -0.15)
-pair_report = verify_pairing_identity(fn, -0.15, gn_pair, alpha_j_pair, 10,
-                                      tol=1e-10)
+pair_report = verify_pairing_identity(fn, -0.15, 10, tol=1e-10)
 print("  max relative defect over m = 0..10:", pair_report.max_residual)
 print("  fixed points mirror:", pair_report.fixed_point_f,
       "<->", pair_report.fixed_point_g)

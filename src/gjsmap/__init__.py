@@ -38,7 +38,6 @@ from .charfun import (
     fixed_points,
     invertibility_boundary,
     invertibility_region,
-    is_reflection_pair,
     iterate,
     reflection_pair,
 )
@@ -57,7 +56,6 @@ from .errors import (
     NotQuadratic,
     OutOfBasis,
     OverflowDiverged,
-    PairingMismatch,
     PeriodicResidualTooLarge,
     UnsupportedDiscriminant,
 )

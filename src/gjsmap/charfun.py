@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 from .encoding import _record_data
@@ -469,12 +468,6 @@ def reflection_pair(fn: CharFn) -> CharFn:
         else Orientation.OSCILLATOR
     )
     return CharFn(coeffs, flipped)
-
-
-def is_reflection_pair(fn: CharFn, gn: CharFn) -> bool:
-    """Whether ``gn`` has exactly the coefficients of ``reflection_pair(fn)``, padded with zeros."""
-    want = reflection_pair(fn).coefficients
-    return all(w == g for w, g in zip_longest(want, gn.coefficients, fillvalue=0.0))
 
 
 def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: float) -> float:

@@ -450,9 +450,7 @@ def cmd_jsmap_verify(args):
 
 def cmd_jsmap_pairing(args):
     gn, alpha_j = derive_pairing(args.fn, args.alpha0)
-    report = verify_pairing_identity(
-        args.fn, args.alpha0, gn, alpha_j, args.mmax, tol=args.tol
-    )
+    report = verify_pairing_identity(args.fn, args.alpha0, args.mmax, tol=args.tol)
     payload = {
         "fn": charfn_to_dict(args.fn),
         "gn_derived": charfn_to_dict(gn),

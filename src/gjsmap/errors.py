@@ -103,10 +103,6 @@ class NegativeRadicand(_LocatedError):
     state = property(lambda self: self.index)
 
 
-class PairingMismatch(GjsError):
-    """The two characteristic functions are not reflection partners."""
-
-
 class DimensionMismatch(GjsError):
     """Representations being compared act on different-sized bases."""
 

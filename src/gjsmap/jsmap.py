@@ -30,7 +30,6 @@ from .charfun import (
     charfn_to_dict,
     evaluate,
     fixed_points,
-    is_reflection_pair,
     iterate,
     reflection_pair,
 )
@@ -43,7 +42,6 @@ from .errors import (
     NegativeRadicand,
     NoRealFixedPoint,
     OutOfBasis,
-    PairingMismatch,
 )
 from .gha import (
     GhaRep,
@@ -51,7 +49,6 @@ from .gha import (
     ResidualReport,
     _clamped,
     _gauss,
-    _readonly,
     build_gha,
     gha_to_dict,
 )
@@ -139,10 +136,9 @@ def two_oscillator_space(
 
 
 def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float, steps: int) -> tuple:
-    """``(g orbit of alpha_j over steps steps, Q2, its Gauss numbers, functional_G)``."""
-    orbit = _readonly(iterate(gn, alpha_j, steps, bound=math.inf))
-    q2, gg = _gauss(gn, alpha_j, orbit)
-    return orbit, q2, gg, alpha_j + q2 * gg[space.n2]
+    """``(Q2, the Gauss numbers of the g orbit of alpha_j over steps steps, functional_G)``."""
+    q2, gg = _gauss(gn, alpha_j, iterate(gn, alpha_j, steps, bound=math.inf))
+    return q2, gg, alpha_j + q2 * gg[space.n2]
 
 
 def _radicand(q, alpha_j):
@@ -158,7 +154,7 @@ def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
     orbit runs only to ``[max n2]_g``; a fixed point ``alpha_j`` of ``gn`` is
     a :class:`FixedPointVacuum`.
     """
-    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[3]
+    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[2]
 
 
 def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
@@ -183,7 +179,7 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
         entry is observable; the ``(gn, alpha_j)`` pair does not admit a real
         representation on this basis.
     """
-    _, q2, gg, _ = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    q2, gg, _ = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
     return _f_diag(space, q2, gg, alpha_j)[1]
 
 
@@ -213,6 +209,8 @@ class JsMapRep:
     ``q2 = g(alpha_j) - alpha_j`` must be negative for the raising/lowering
     square roots to be real wherever the ladder squares are positive; this is
     the first step of the descent hypothesis and is validated at build time.
+    ``closes`` says whether the ladder square past the shell's last state
+    vanishes, which decides the columns :func:`verify_jsmap_relations` checks.
     """
 
     space: TwoOscillatorSpace
@@ -224,7 +222,7 @@ class JsMapRep:
     s_plus: OperatorMatrix
     s_minus: OperatorMatrix
     s_sq: OperatorMatrix
-    g_orbit: np.ndarray
+    closes: bool
 
     @property
     def dim(self) -> int:
@@ -261,8 +259,8 @@ def build_jsmap(
 
     ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2`` and
     ``S_-`` its transpose.  ``S^2`` is the weight-algebra invariant of
-    :mod:`gsl2` evaluated on the mapped generators.  One ``g`` orbit, kept as
-    ``g_orbit``, serves ``G``, ``F`` and :func:`verify_jsmap_relations`.
+    :mod:`gsl2` evaluated on the mapped generators.  One ``g`` orbit serves
+    ``G``, ``F`` and ``closes``.
     """
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
@@ -272,15 +270,15 @@ def build_jsmap(
     g_alpha = evaluate(gn, alpha_j)
     if not (g_alpha - alpha_j < 0.0):
         raise DescentViolation(1, g_alpha)
-    g_orbit, q2, gg, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    q2, gg, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
     m0_sq, f = _f_diag(space, q2, gg, alpha_j)
     s_z = OperatorMatrix(g, 0)
     offset, hop = _hop(space)
     s_plus = OperatorMatrix(f[max(-offset, 0):][: len(hop)] * hop, offset)
     s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, s_plus.T, gn), 0)
-    return JsMapRep(
-        space, gn, float(alpha_j), float(q2), float(m0_sq), s_z, s_plus, s_plus.T, s_sq, g_orbit
-    )
+    q2, alpha_j = float(q2), float(alpha_j)
+    closes = abs(_radicand(q2 * float(gg[-1]), alpha_j)) <= 1e-9 * max(1.0, abs(alpha_j) + 1.0)
+    return JsMapRep(space, gn, alpha_j, q2, float(m0_sq), s_z, s_plus, s_plus.T, s_sq, closes)
 
 
 def jsmap_csv_labels(rep: JsMapRep) -> tuple[str, tuple[str, ...]]:
@@ -330,20 +328,17 @@ def verify_map_equals_gsl2(
 def verify_jsmap_relations(jsrep: JsMapRep, tol: float = 1e-10) -> ResidualReport:
     """Weight-algebra relation residuals computed from the mapped matrices.
 
-    If the shell closes (the ladder square past the last state vanishes) all
-    columns are checked; otherwise the last column is excluded, exactly as for
-    a truncated direct representation.
+    If the shell closes (``jsrep.closes``) all columns are checked; otherwise
+    the last column is excluded, exactly as for a truncated direct
+    representation.
     """
     if not isinstance(jsrep.space.mode, FixedJ):
         raise ValueError("relation residuals are defined on a fixed-j shell")
     size = jsrep.dim
     if size < 2:
         raise ValueError("relation residuals need at least 2 states")
-    gg = _gauss(jsrep.gn, jsrep.alpha_j, jsrep.g_orbit)[1]
-    bottom_sq = _radicand(jsrep.q2 * gg[-1], jsrep.alpha_j)
-    closed = abs(bottom_sq) <= 1e-9 * max(1.0, abs(jsrep.alpha_j) + 1.0)
     residuals = _weight_residuals(
-        jsrep.s_z.values, jsrep.s_plus, jsrep.s_minus, jsrep.gn, size if closed else size - 1
+        jsrep.s_z.values, jsrep.s_plus, jsrep.s_minus, jsrep.gn, size if jsrep.closes else size - 1
     )
     names = ("sz_sminus_intertwine", "splus_sz_intertwine", "commutator")
     return ResidualReport(dict(zip(names, residuals)), tol)
@@ -372,32 +367,14 @@ class PairingReport:
 
 
 def verify_pairing_identity(
-    fn: CharFn,
-    alpha0: float,
-    gn: CharFn,
-    alpha_j: float,
-    m_max: int,
-    tol: float = 1e-10,
+    fn: CharFn, alpha0: float, m_max: int, tol: float = 1e-10
 ) -> PairingReport:
-    """Verify the Gauss-number identity of a reflection-paired ``(fn, gn)``.
-
-    Raises
-    ------
-    PairingMismatch
-        If ``gn`` is not the exact reflection partner of ``fn`` (even-index
-        coefficients negated, constant included, odd-index kept) or
-        ``alpha_j != -alpha0``.
-    """
+    """Verify the Gauss-number identity of ``fn`` and its :func:`derive_pairing` partner."""
     import numpy as np
 
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    if not is_reflection_pair(fn, gn):
-        raise PairingMismatch(
-            "gn is not the reflection partner of fn (flip even-index coefficients)"
-        )
-    if alpha_j != -alpha0:
-        raise PairingMismatch(f"alpha_j = {alpha_j!r} is not -alpha0 = {-alpha0!r}")
+    gn, alpha_j = derive_pairing(fn, alpha0)
     m0_sq, fg = _gauss(fn, alpha0, iterate(fn, alpha0, m_max, bound=math.inf))
     q2, gg = _gauss(gn, alpha_j, iterate(gn, alpha_j, m_max, bound=math.inf))
     with np.errstate(over="ignore", invalid="ignore"):

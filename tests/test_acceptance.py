@@ -170,8 +170,7 @@ def test_criterion_5_casimir_suites():
 
 
 def test_criterion_6_pairing_identity():
-    gn, alpha_j = derive_pairing(FIG4, -0.15)
-    report = verify_pairing_identity(FIG4, -0.15, gn, alpha_j, 10, tol=1e-10)
+    report = verify_pairing_identity(FIG4, -0.15, 10, tol=1e-10)
     assert report.passed
 
     rng = np.random.default_rng(77)
@@ -197,7 +196,7 @@ def test_criterion_6_pairing_identity():
             continue
         for f_val, g_val in zip(xs, ys):
             assert g_val == pytest.approx(-f_val, rel=1e-12, abs=1e-12)
-        report = verify_pairing_identity(fn, alpha0, gn, alpha_j, 10, tol=1e-10)
+        report = verify_pairing_identity(fn, alpha0, 10, tol=1e-10)
         assert report.passed
         checked += 1
     _verdict(6, "reflection-pairing identity")

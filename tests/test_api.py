@@ -22,14 +22,12 @@ EXPORTS = {
     "DIVERGENCE_BOUND", "CharFn", "FixedPointInfo", "OneSidedBehavior", "Orientation",
     "RegionLabel", "Stability", "charfn_from_dict", "charfn_to_dict", "classify_region",
     "derivative_at", "discriminant", "evaluate", "find_roots", "fixed_points",
-    "invertibility_boundary", "invertibility_region", "is_reflection_pair", "iterate",
-    "reflection_pair",
+    "invertibility_boundary", "invertibility_region", "iterate", "reflection_pair",
     # errors
     "CutResidualTooLarge", "DescentViolation", "DimensionMismatch", "FixedPointVacuum",
     "GjsError", "InvalidHighestWeight", "InvalidVacuum", "NegativeLadderSquare",
     "NegativeNormSquared", "NegativeRadicand", "NoRealFixedPoint", "NotQuadratic",
-    "OutOfBasis", "OverflowDiverged", "PairingMismatch", "PeriodicResidualTooLarge",
-    "UnsupportedDiscriminant",
+    "OutOfBasis", "OverflowDiverged", "PeriodicResidualTooLarge", "UnsupportedDiscriminant",
     # gha
     "GhaRep", "OperatorMatrix", "ResidualReport", "build_gha", "casimir_gha",
     "gauss_factorial", "gauss_numbers", "gha_to_dict", "matrix_A", "matrix_Adag", "matrix_H",
@@ -100,7 +98,6 @@ ERRORS = [
     errors.CutResidualTooLarge("far"),
     errors.PeriodicResidualTooLarge("far"),
     errors.NegativeRadicand((1, 2), -0.25),
-    errors.PairingMismatch("no partner"),
     errors.DimensionMismatch("3 against 4"),
     errors.OutOfBasis("(5, 5)"),
 ]

@@ -24,7 +24,6 @@ from gjsmap import (
     fixed_points,
     invertibility_boundary,
     invertibility_region,
-    is_reflection_pair,
     iterate,
     reflection_pair,
 )
@@ -347,16 +346,6 @@ class TestReflectionPairing:
         gn = reflection_pair(FIG4_FN)
         assert gn.coefficients == (-1.0, 3.0, -1.0)
         assert gn.orientation is Orientation.WEIGHT
-        assert is_reflection_pair(FIG4_FN, gn)
-        assert not is_reflection_pair(FIG4_FN, FIG2_GN) or gn == FIG2_GN
-
-    def test_pairing_ignores_trailing_zeros_only(self):
-        boson = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
-        assert is_reflection_pair(boson, CharFn((-1.0, 1.0, 0.0, -0.0), Orientation.WEIGHT))
-        assert is_reflection_pair(CharFn((1.0, 1.0, 0.0), Orientation.OSCILLATOR),
-                                  CharFn((-1.0, 1.0), Orientation.WEIGHT))
-        assert not is_reflection_pair(boson, CharFn((-1.0, 1.0, 0.0, 0.5), Orientation.WEIGHT))
-        assert not is_reflection_pair(boson, CharFn((1.0, 1.0), Orientation.WEIGHT))
 
     @given(
         coeffs=st.lists(

@@ -35,7 +35,6 @@ from gjsmap.errors import (
     FixedPointVacuum,
     NegativeRadicand,
     OutOfBasis,
-    PairingMismatch,
 )
 from gjsmap import charfun, gha, gsl2, jsmap
 from hypothesis import given, settings
@@ -320,7 +319,6 @@ class TestReadOnlyDiagonals:
             "weights": gsl2_rep.weights,
             "ladder_sq": gsl2_rep.ladder_sq,
             "space ladder": two_oscillator_space(BOSON, 0.0, FullGrid(3)).gha.ladder,
-            "g_orbit": build_jsmap(BOSON, 0.0, SL2, 1.0, FixedJ(2)).g_orbit,
         }
         for name, values in stored.items():
             assert isinstance(values, np.ndarray) and values.dtype == np.float64, name
@@ -432,6 +430,18 @@ class TestRelationsFromMap:
         assert not report.passed
         assert report.residuals["commutator"] > 1e-3
 
+    def test_closes_decides_the_checked_columns(self):
+        root = exact_cut_root()
+        cut = build_jsmap(FIG4_FN, -root, FIG2_GN, root, FixedJ(1))
+        schwinger = build_jsmap(BOSON, 0.0, SL2, 2.0, FixedJ(4))
+        truncated = build_jsmap(BOSON, 0.0, FIG2_GN, 1.2, FixedJ(7))
+        assert cut.closes and schwinger.closes and not truncated.closes
+        # the last column of a truncated shell misses the lowering past its end
+        report = verify_jsmap_relations(replace(truncated, closes=True), tol=1e-10)
+        assert not report.passed
+        assert report.residuals["commutator"] > 0.1
+        assert verify_jsmap_relations(replace(cut, closes=False), tol=1e-10).passed
+
 
 class TestCasimirFromMap:
     def test_constant_on_closed_shells(self):
@@ -456,20 +466,19 @@ class TestPairing:
         gn, alpha_j = derive_pairing(FIG4_FN, -0.15)
         assert gn == FIG2_GN
         assert alpha_j == 0.15
-        report = verify_pairing_identity(FIG4_FN, -0.15, gn, alpha_j, 10, tol=1e-10)
+        report = verify_pairing_identity(FIG4_FN, -0.15, 10, tol=1e-10)
         assert report.passed
         assert report.fixed_point_f == pytest.approx(-1.0, abs=1e-12)
         assert report.fixed_point_g == pytest.approx(1.0, abs=1e-12)
         assert report.reflection_residual <= 1e-12
 
     def test_negative_count_rejected(self):
-        gn, alpha_j = derive_pairing(FIG4_FN, -0.15)
         with pytest.raises(ValueError, match="m_max must be non-negative"):
-            verify_pairing_identity(FIG4_FN, -0.15, gn, alpha_j, -1)
+            verify_pairing_identity(FIG4_FN, -0.15, -1)
 
     def test_linear_pairing_gives_integers(self):
         gn, alpha_j = derive_pairing(BOSON, 0.4)
-        report = verify_pairing_identity(BOSON, 0.4, gn, alpha_j, 12, tol=1e-12)
+        report = verify_pairing_identity(BOSON, 0.4, 12, tol=1e-12)
         assert report.passed
         numbers = gauss_numbers(gn, alpha_j, 6)
         assert numbers == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -501,24 +510,17 @@ class TestPairing:
                 lhs = -q2 * (ys[m] - ys[0]) / q2
                 rhs = m0_sq * (xs[m] - xs[0]) / m0_sq
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-            report = verify_pairing_identity(fn, alpha0, gn, alpha_j, 10, tol=1e-10)
+            report = verify_pairing_identity(fn, alpha0, 10, tol=1e-10)
             assert report.passed
             checked += 1
 
     def test_quadratic_pair_without_real_fixed_points(self):
         fn = CharFn((2.0, 3.0, 1.0), Orientation.OSCILLATOR)
-        gn, alpha_j = derive_pairing(fn, 0.0)
-        report = verify_pairing_identity(fn, 0.0, gn, alpha_j, 5, tol=1e-10)
+        report = verify_pairing_identity(fn, 0.0, 5, tol=1e-10)
         assert report.passed
         assert report.fixed_point_f is None
         assert report.fixed_point_g is None
         assert report.reflection_residual is None
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(PairingMismatch):
-            verify_pairing_identity(FIG4_FN, -0.15, SL2, 0.15, 5)
-        with pytest.raises(PairingMismatch):
-            verify_pairing_identity(FIG4_FN, -0.15, FIG2_GN, 0.2, 5)
 
 
 class TestStateVectors:
