@@ -34,7 +34,6 @@ from .charfun import (
     derivative_at,
     discriminant,
     evaluate,
-    find_roots,
     fixed_points,
     invertibility_boundary,
     invertibility_region,
@@ -118,6 +117,7 @@ from .orbit import (
     write_report_csvs,
     write_report_json,
 )
+from .roots import find_roots
 
 __version__ = "0.1.0"
 

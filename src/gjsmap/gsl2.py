@@ -10,8 +10,8 @@ A representation closes after ``d`` states when the next ladder square
 vanishes, which happens in exactly two ways: the orbit returns to the highest
 weight (``g^(d)(alpha_j) = alpha_j``, periodic) or the closure equation
 ``alpha_j + g^(d)(alpha_j) + 1 = 0`` holds (cut).  Solvers for both equations
-find every real root with ``charfun.isolate_roots`` within the radius
-``charfun.root_bound`` derives from ``g`` (no closure root lies past it):
+find every real root with ``roots.Composition.roots`` within the radius
+``Composition.radius`` derives from ``g`` (no closure root lies past it):
 interval subdivision drops the boxes whose enclosure keeps away from zero,
 finishes the monotone ones and bisects each sign change; the iterated ``g``
 is composed numerically, never expanded symbolically.
@@ -28,9 +28,7 @@ from .charfun import (
     Orientation,
     evaluate,
     invertibility_region,
-    isolate_roots,
     iterate,
-    root_bound,
 )
 from .encoding import _record_data
 from .errors import (
@@ -49,6 +47,7 @@ from .gha import (
     _readonly,
     _relation_residuals,
 )
+from .roots import Composition
 
 #: Default residual accepted when a caller supplies the closure value
 #: directly (loose enough for a 5-digit root); solver-recomputed roots are
@@ -253,16 +252,16 @@ class CutSolutions:
 def _closure_roots(gn: CharFn, d: int, kind: RepKind):
     """Roots of ``g^(d)(x) + x + 1`` (cut) or ``g^(d)(x) - x`` (periodic), flagged in-region.
 
-    All lie within ``R = root_bound(...)``; ``[-R, 1.3 R]`` keeps a root at 0
+    All lie within ``R = Composition.radius()``; ``[-R, 1.3 R]`` keeps a root at 0
     off the first-level box edges, where it would take the slower cluster path.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     sign, shift = (1.0, 1.0) if kind is RepKind.FINITE_CUT else (-1.0, 0.0)
     lo_r, hi_r = invertibility_region(gn)
-    radius = root_bound(gn.coefficients, d, sign, shift)
-    roots = isolate_roots(gn.coefficients, d, sign, shift, -radius, 1.3 * radius, CUT_SOLVE_TOL)
-    return [(r, lo_r < r < hi_r) for r in roots]
+    closure = Composition(gn.coefficients, d, sign, shift)
+    radius = closure.radius()
+    return [(r, lo_r < r < hi_r) for r in closure.roots(-radius, 1.3 * radius, CUT_SOLVE_TOL)]
 
 
 def cut_condition_solve(gn: CharFn, d: int) -> CutSolutions:

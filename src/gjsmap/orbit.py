@@ -34,7 +34,6 @@ from .charfun import (
     FixedPointInfo,
     Orientation,
     RegionLabel,
-    _horner,
     charfn_to_dict,
     classify_region,
     fixed_points,
@@ -49,6 +48,7 @@ from .errors import (
     UnsupportedDiscriminant,
     or_none,
 )
+from .roots import _horner
 
 #: Number of curve samples taken across the window.
 DEFAULT_SAMPLES = 512

@@ -1,0 +1,484 @@
+"""Real roots of ``F(x) = g^(d)(x) + sign x + shift``, isolated by interval subdivision.
+
+Closure conditions, fixed points past degree two and critical points are all
+roots of this form.  :class:`Composition` is one ``F``, with the rounding
+bounds (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, 2002)
+its isolator needs; :func:`find_roots` is the ``d = 1`` case.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from typing import Callable, Optional, Sequence
+
+#: The least positive float.
+_TINY = math.ulp(0.0)
+
+
+def _strip_trailing_zeros(coeffs: Sequence[float]) -> list[float]:
+    out = list(coeffs)
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return out
+
+
+def _horner(coeffs: Sequence[float], x):
+    """Nested (Horner) evaluation; ``x`` may be a float or an ndarray."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _interval_product(a_lo, a_hi, b_lo, b_hi):
+    """Enclosure of the products of ``[a_lo, a_hi]`` and ``[b_lo, b_hi]`` (ndarrays)."""
+    import numpy as np
+
+    p, q, r, s = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
+    return (np.minimum(np.minimum(p, q), np.minimum(r, s)),
+            np.maximum(np.maximum(p, q), np.maximum(r, s)))
+
+
+def _horner_interval(coeffs: Sequence[float], lo, hi):
+    """Enclosure ``(lo, hi)`` of :func:`_horner` over the boxes ``[lo, hi]`` (ndarrays).
+
+    The operations are :func:`_horner`'s in the same order, each product
+    bounded by the least and greatest of its corner products (R. E. Moore,
+    *Interval Analysis*, 1966).  Rounding to nearest is monotone, so at every
+    point of a box the float :func:`_horner` returns is NaN or lies in the
+    box's enclosure, unless a bound is NaN (a corner product ``0 * inf``).
+    """
+    import numpy as np  # only array callers get here; module import stays numpy-free
+
+    if len(coeffs) == 1:
+        return np.full_like(lo, coeffs[0]), np.full_like(hi, coeffs[0])
+    p, q = coeffs[-1] * lo, coeffs[-1] * hi
+    acc_lo, acc_hi = np.minimum(p, q), np.maximum(p, q)
+    for c in coeffs[-2:0:-1]:
+        acc_lo, acc_hi = _interval_product(acc_lo + c, acc_hi + c, lo, hi)
+    return acc_lo + coeffs[0], acc_hi + coeffs[0]
+
+
+def _dyadic(coeffs: Sequence[float]) -> tuple[list[int], int]:
+    """Integers ``n_k`` and ``top`` with ``coeffs[k] == n_k / 2**top`` exactly."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    top = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (top + 1 - den.bit_length()) for num, den in ratios], top
+
+
+def _derivative(coeffs: Sequence[float]) -> list[float]:
+    return [i * c for i, c in enumerate(coeffs)][1:] or [0.0]
+
+
+def _bisect(func: Callable[[float], float], u: float, v: float, fu: float, fv: float) -> float:
+    """Refine a sign-change bracket down to float resolution.
+
+    A bracket about 0 is split at 0.  One of one sign is split at its
+    geometric mean while its ends lie more than a factor of two apart, which
+    halves its span of binades (at most 2,098), so 12 such splits end that;
+    then at ``u + (v - u) / 2``, which is ``(u + v) / 2`` rounded once, since
+    ``v - u`` is exact there.  That halves the at most 2**53 floats inside,
+    so any bracket takes about 65 splits at most.
+    """
+    while True:
+        if 0.0 < u and v <= 2.0 * u or v < 0.0 and u >= 2.0 * v:
+            m = u + 0.5 * (v - u)
+        elif u < 0.0 < v:
+            m = 0.0
+        else:  # 0 at an end stands for the least positive float
+            m = math.copysign(math.sqrt(max(abs(u), _TINY)) * math.sqrt(max(abs(v), _TINY)), u + v)
+        if not (u < m < v):
+            break
+        fm = func(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fu < 0.0):
+            u, fu = m, fm
+        else:
+            v, fv = m, fm
+    return v if abs(fv) < abs(fu) else u
+
+
+#: Boxes the first level of :meth:`Composition.roots` cuts its interval into,
+#: and the children each later level cuts an unresolved box into.
+BOXES = 512
+SPLIT = 16
+
+
+def _sign_change_root(comp: Composition, u, v, tol: float, slope=False) -> Optional[float]:
+    """A zero of ``F`` (``F'`` with ``slope``) at ``u`` or ``v``, or bisected between them.
+
+    The values are ``comp.value`` (``comp.slope_value``), whose signs are
+    certain; between finite ones of opposite sign the bisection runs on the
+    float ``comp.func`` (``comp.dfunc``), a cheaper stand-in.  Its result
+    stands, as the float where the stand-in changes sign, if the value
+    changes sign between it and the next float on one side (a zero of the
+    value there is the result); otherwise it runs again on the value.
+    """
+    f = comp.slope_value if slope else functools.partial(comp.value, tol=tol)
+    fu, fv = f(u), f(v)
+    if fu == 0.0 or fv == 0.0:
+        return u if fu == 0.0 else v
+    if not (math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0)):
+        return None
+    c = _bisect(comp.dfunc if slope else comp.func, u, v, fu, fv)
+    fc = f(c)
+    n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
+    fn = f(n)
+    if fc == 0.0 or fn == 0.0 or (fn < 0.0) != (fc < 0.0):
+        return n if fn == 0.0 and fc != 0.0 else c
+    return _bisect(f, u, v, fu, fv)
+
+
+def _runs(lo, hi):
+    """Index arrays of the first and the last box of each run of adjacent boxes.
+
+    ``lo`` and ``hi`` hold the ends of disjoint boxes, in ascending order.
+    """
+    import numpy as np
+
+    breaks = np.flatnonzero(hi[:-1] != lo[1:])
+    return np.append(0, breaks + 1), np.append(breaks, lo.size - 1)
+
+
+class Composition:
+    """``F(x) = g^(d)(x) + sign x + shift``, evaluated, enclosed and solved.
+
+    ``g`` is ``coeffs`` without trailing zeros (they change only values that
+    are not finite anyway); ``sign`` is -1, 0 or 1 and ``shift`` an integer.
+    ``exact(x)`` is ``F(x)`` in integers over powers of two rounded once, so
+    its sign is exact, and ``exact(x, slope=True)`` is ``F'(x)`` so, up to
+    degree ``BOXES * SPLIT``; each instance caches its exact values.
+    ``dfunc`` is the chain rule ``g'(x) g'(g(x)) ... + sign``.
+    ``rounding(x)`` bounds, to first order, the rounding in ``func(x)``
+    (Higham's Horner bound, carried along the chain rule), and
+    ``rounding(x, slope=True)`` that in ``dfunc(x)``.  ``enclose(lo, hi)``
+    bounds ``F`` over boxes, with the iterate bounds from which ``slope``
+    bounds ``F'``, by the operations of ``func`` and ``dfunc`` in their order,
+    so they hold every float those return there (``tight`` cuts each iterate
+    to its mean-value form, which bounds the exact iterate); ``curve`` bounds
+    ``F''`` by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
+    """
+
+    def __init__(self, coeffs: Sequence[float], d: int, sign: float, shift: float):
+        self.coeffs = coeffs = _strip_trailing_zeros(coeffs)
+        self.d, self.sign, self.shift = d, sign, shift
+        self.dcoeffs = _derivative(coeffs)
+        self.ddcoeffs = _derivative(self.dcoeffs)
+        self._lead, self._rest = coeffs[-1], coeffs[-2::-1]
+        self._ints, self._top = _dyadic(coeffs)
+        self._dints = [i * c for i, c in enumerate(self._ints)][1:] or [0]
+        self._mags, self._dmags = [abs(c) for c in coeffs], [abs(c) for c in self.dcoeffs]
+        self._gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
+        self._tiny = 2.0 * len(coeffs) * 2.0**-1074  # what underflow may add to a Horner value
+        self._float_only = d * math.log2(len(coeffs) - 1 or 1) > math.log2(BOXES * SPLIT)
+        self._slopes = {}  # F'(x) with a certain sign, by x
+        self.exact = functools.lru_cache(maxsize=None)(self.exact)
+
+    def func(self, x):
+        lead, rest, y = self._lead, self._rest, x
+        for _ in range(self.d):  # _horner, inlined: this is what bisection evaluates
+            acc = lead
+            for c in rest:
+                acc = acc * y + c
+            y = acc
+        return y + self.sign * x + self.shift
+
+    def _horner_int(self, cs, y, e):  # sum cs[i] (y / 2**e)**i / 2**top as acc / 2**a
+        acc, a, top = cs[-1], self._top, self._top
+        for c in cs[-2::-1]:
+            acc, a = acc * y + (c << (a + e - top)), a + e
+        return acc, a
+
+    def exact(self, x, slope=False):
+        if self._float_only:  # past degree BOXES * SPLIT an exact value costs 20 ms and more
+            return self.dfunc(x) if slope else self.func(x)
+        num, den = x.as_integer_ratio()
+        y, e = num, den.bit_length() - 1  # y / 2**e
+        s, f = 1, 0  # the chain-rule product s / 2**f
+        for i in range(self.d):
+            if slope:
+                t, a = self._horner_int(self._dints, y, e)
+                s, f = s * t, f + a
+                if i == self.d - 1:
+                    break
+            y, e = self._horner_int(self._ints, y, e)
+        if slope:
+            y, e = s + (int(self.sign) << f), f
+        else:
+            y += (int(self.sign) * num << (e + 1 - den.bit_length())) + (int(self.shift) << e)
+        try:
+            return y / (1 << e)
+        except OverflowError:
+            return math.inf if y > 0 else -math.inf
+
+    def dfunc(self, x):
+        out = _horner(self.dcoeffs, x)
+        for _ in range(self.d - 1):
+            x = _horner(self.coeffs, x)
+            out = out * _horner(self.dcoeffs, x)
+        return out + self.sign
+
+    def rounding(self, x, slope=False):
+        gamma, tiny = self._gamma, self._tiny
+        y, err, p, perr = x, 0.0, 1.0, 0.0  # g^(k)(x), its rounding; the product of g' so far
+        for _ in range(self.d):
+            t = _horner(self.dcoeffs, y)
+            if slope:  # t is off by its own rounding and by g'' times that of y
+                t_err = gamma * _horner(self._dmags, abs(y)) + abs(_horner(self.ddcoeffs, y)) * err
+                p, perr = p * t, abs(t) * perr + abs(p) * (t_err + tiny)
+            err = abs(t) * err + gamma * _horner(self._mags, abs(y)) + tiny
+            y = _horner(self.coeffs, y)
+        if slope:
+            return perr + gamma * (abs(p) + 1.0) + tiny
+        return err + gamma * (abs(y) + abs(x) + abs(self.shift)) + tiny
+
+    def value(self, x, tol):
+        """``F(x)``, exact where the float lies within ``2 tol max(1, |x|)`` of 0."""
+        y = self.func(x)
+        return y if abs(y) > 2.0 * tol * max(1.0, abs(x)) else self.exact(x)
+
+    def slope_value(self, x):
+        """``F'(x)``, exact where the float lies within its rounding of 0."""
+        if x in self._slopes:
+            return self._slopes[x]
+        s = self.dfunc(x)
+        return s if abs(s) > self.rounding(x, slope=True) else self.exact(x, slope=True)
+
+    def enclose(self, lo, hi, tight=False):
+        import numpy as np
+
+        coeffs, sign = self.coeffs, self.sign
+        ys = [(lo, hi)]
+        for _ in range(self.d):
+            y_lo, y_hi = y = ys[-1]
+            ys.append(_horner_interval(coeffs, *y))
+            if tight:  # cut to the mean-value form g(m) + g'(Y)(Y - m), m the midpoint
+                m = 0.5 * (y_lo + y_hi)
+                t = _interval_product(*_horner_interval(self.dcoeffs, *y), y_lo - m, y_hi - m)
+                gm = _horner(coeffs, m)
+                ys[-1] = np.fmax(ys[-1][0], gm + t[0]), np.fmin(ys[-1][1], gm + t[1])
+        x_lo, x_hi = (sign * lo, sign * hi) if sign >= 0.0 else (sign * hi, sign * lo)
+        return ys[-1][0] + x_lo + self.shift, ys[-1][1] + x_hi + self.shift, ys
+
+    def slope(self, ys):
+        s = _horner_interval(self.dcoeffs, *ys[0])
+        for y in ys[1:-1]:
+            s = _interval_product(*s, *_horner_interval(self.dcoeffs, *y))
+        return s[0] + self.sign, s[1] + self.sign
+
+    def curve(self, lo, hi):
+        import numpy as np
+
+        y, s, c = (lo, hi), (np.ones_like(lo),) * 2, (np.zeros_like(lo),) * 2
+        for _ in range(self.d):
+            t = _horner_interval(self.dcoeffs, *y)
+            u = _interval_product(*_horner_interval(self.ddcoeffs, *y), *_interval_product(*s, *s))
+            v = _interval_product(*t, *c)
+            c, s = (u[0] + v[0], u[1] + v[1]), _interval_product(*s, *t)
+            y = _horner_interval(self.coeffs, *y)
+        return c
+
+    def radius(self) -> float:
+        """A radius ``R`` past which ``F`` has no root.
+
+        ``sign`` and ``shift`` are -1, 0 or 1.  For ``d = 1`` or a linear ``g`` (whose
+        composition is linear), ``R`` is the Cauchy bound ``1 + max |c_k| / |c_m|`` of F's
+        coefficients: for ``|x| >= R``,
+        ``|F(x)| >= |c_m| |x|^m - max |c_k| (1 + ... + |x|^(m-1)) > 0``.  Otherwise it is the
+        escape radius ``max(1, (|a_0| + ... + |a_(n-1)| + 3) / |a_n|)`` (J. Milnor, *Dynamics
+        in One Complex Variable*, 2006): for ``|x| >= R``, ``|g(x)| >= 3 |x|^(n-1) >= 2 |x| + 1``,
+        so ``|g^(d)(x)| >= 4 |x| + 3`` and ``|F(x)| >= 3 |x| + 2 > |x|``.  ``R`` is the exact
+        bound rounded up to a float, ``inf`` past the float range; a constant ``F`` gives 1.
+        """
+        ints, top, d = self._ints, self._top, self.d
+        if d > 1 and len(ints) > 2:
+            q = abs(ints[-1])
+            p = max(q, sum(abs(c) for c in ints[:-1]) + (3 << top))
+        else:  # F's coefficients are f / 2**e
+            f, e = ints + [0] * (2 - len(ints)), top
+            if d > 1:  # g = b + a x composes to g^(d)(x) = y + s x
+                (b, a), y, s = f, 0, 1
+                for k in range(d):
+                    y, s = a * y + (b << (top * k)), a * s
+                f, e = [y, s], top * d
+            f[0] += int(self.shift) << e
+            f[1] += int(self.sign) << e
+            f = _strip_trailing_zeros(f)
+            if len(f) == 1:
+                return 1.0
+            q = abs(f[-1])
+            p = q + max(abs(c) for c in f[:-1])
+        try:
+            r = p / q  # rounded to nearest
+        except OverflowError:
+            return math.inf
+        num, den = r.as_integer_ratio()
+        return r if num * q >= p * den else math.nextafter(r, math.inf)
+
+    def roots(self, lo: float, hi: float, tol: float) -> list[float]:
+        """Real roots of ``F`` on ``[lo, hi]``, sorted.
+
+        Interval subdivision with a monotonicity test (R. E. Moore, *Interval
+        Analysis*, 1966).  With ``t = tol max(1, |x|)``, the first level keeps
+        those of ``BOXES`` equal boxes whose Horner enclosure meets ``[-2t, 2t]``.
+        Each later level cuts the boxes kept into ``SPLIT`` or more children,
+        about ``BOXES`` in all, drops the same way once the enclosure is cut to
+        the mean-value forms ``F(e) + F'(X)(X - e)`` from both ends ``e``, and
+        finishes each box whose derivative enclosure excludes 0 and whose end
+        values lie outside the band: opposite signs hold one root, which
+        :func:`_bisect` refines.  Other monotone boxes, boxes narrower than ``t``
+        (or ``SPLIT`` ulps) and boxes in the band with a convex or concave ``F``
+        form clusters, on each of which ``F'`` has one zero at most;
+        :meth:`_collect` finds the roots of each run of adjacent ones.  A
+        sign change next to a run is never in a finished box, whose ends lie
+        outside the band.  Every root meets ``|F| <= t``.  A level that leaves
+        more than ``BOXES * SPLIT`` boxes is redone with each iterate bound cut
+        to its mean-value form; if it still does, each stretch of boxes on
+        which ``F`` stays in the band (a root of high multiplicity) becomes one
+        cluster.  A ``ValueError`` names a ``hi - lo`` that is not finite, more
+        boxes left than that, or an ``F`` that vanishes on ``[lo, hi]``.
+        """
+        import numpy as np
+
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
+        if len(self.coeffs) <= 2 and lo < hi and self.exact(lo) == 0.0 == self.exact(hi):
+            # F is linear or constant here, so two zeros make it vanish everywhere
+            raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are not "
+                             "isolated")
+        narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
+        finished, clusters = [(np.empty(0),) * 2], [(np.empty(0),) * 2]
+        parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
+        with np.errstate(over="ignore", invalid="ignore"):
+            while parent_lo.size:
+                parts = BOXES if first else max(SPLIT, BOXES // parent_lo.size)
+                step = ((parent_hi - parent_lo) / parts)[:, None]
+                ends = parent_lo[:, None] + np.arange(parts + 1) * step
+                ends[:, -1] = parent_hi
+                box_lo, box_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+                scale = np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
+                band = 2.0 * tol * scale
+                f_lo, f_hi, iterates = self.enclose(box_lo, box_hi, tight)
+                keep = ~((f_lo > band) | (f_hi < -band))
+                if first or not keep.any():  # first-level boxes are too wide to be monotone
+                    parent_lo, parent_hi, first = box_lo[keep], box_hi[keep], False
+                    continue
+                values = self.func(ends)
+                f_left, f_right = values[:, :-1].ravel(), values[:, 1:].ravel()
+                width = box_hi - box_lo
+                d_lo, d_hi = self.slope(iterates)
+                # Cut the enclosure to the mean-value forms F(e) + F'(X)(X - e) from both ends.
+                t_lo, t_hi = np.minimum(d_lo * width, 0.0), np.maximum(d_hi * width, 0.0)
+                f_lo = np.fmax(f_lo, np.fmax(f_left + t_lo, f_right - t_hi))
+                f_hi = np.fmin(f_hi, np.fmin(f_left + t_hi, f_right - t_lo))
+                keep = ~((f_lo > band) | (f_hi < -band))
+                inside = keep & (f_lo >= -band) & (f_hi <= band)
+                flat = np.flatnonzero(inside & (d_lo <= 0.0) & (d_hi >= 0.0))
+                last = width <= narrow * scale
+                if flat.size:  # in the band, a convex or concave F leaves F' one zero at most
+                    c_lo, c_hi = self.curve(box_lo[flat], box_hi[flat])
+                    last[flat[(c_lo > 0.0) | (c_hi < 0.0)]] = True
+                # Outside the band an end value's sign is far beyond rounding.
+                monotone = keep & ((d_lo > 0.0) | (d_hi < 0.0))
+                done = monotone & (np.abs(f_left) > band) & (np.abs(f_right) > band)
+                crossing = done & ((f_left < 0.0) != (f_right < 0.0))
+                finished.append((box_lo[crossing], box_hi[crossing]))
+                last = (last | monotone) & keep & ~done
+                clusters.append((box_lo[last], box_hi[last]))
+                keep &= ~(done | last)
+                if np.count_nonzero(keep) > BOXES * SPLIT and not tight:
+                    tight = True  # Horner loses a factor per composition: redo, cut tighter
+                    del finished[-1], clusters[-1]
+                    continue
+                if np.count_nonzero(keep) > BOXES * SPLIT and (keep & inside).any():
+                    stretch = np.flatnonzero(keep & inside)
+                    starts, stops = _runs(box_lo[stretch], box_hi[stretch])
+                    clusters.append((box_lo[stretch[starts]], box_hi[stretch[stops]]))
+                    keep[stretch] = False
+                if np.count_nonzero(keep) > BOXES * SPLIT:
+                    raise ValueError(f"more than {BOXES * SPLIT} boxes of [{lo!r}, {hi!r}] are "
+                                     f"left at width {float(width[keep].max())!r}: the roots are "
+                                     "not isolated")
+                parent_lo, parent_hi = box_lo[keep], box_hi[keep]
+        return self._collect(finished, clusters, tol)
+
+    def _collect(self, finished, clusters, tol: float) -> list[float]:
+        """The roots in the finished boxes and in the clusters of :meth:`roots`.
+
+        On a run of adjacent cluster boxes ``F'`` has one zero at most in
+        each box, so the sign changes of ``F'`` at the edges give every
+        critical point, and ``F`` is monotone between neighbouring ones: each
+        exact sign change of ``F`` there is a root.  Where ``F`` vanishes at a
+        critical point to within its rounding (a double root, whose rounded
+        coefficients may have split it in two), the sign changes next to it
+        are that one root, reported at the critical point of least ``|F|``
+        among those in a row.  Another critical point is a root when no sign
+        change is next to it (a near tangency, kept if ``|F|`` is within the
+        tolerance).
+        """
+        import numpy as np
+
+        func, exact = self.func, self.exact
+        fin_lo, fin_hi = (np.concatenate(a).tolist() for a in zip(*finished))
+        roots = [_bisect(func, u, v, func(u), func(v)) for u, v in zip(fin_lo, fin_hi)]
+        c_lo, c_hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
+        for start, stop in zip(*_runs(c_lo, c_hi)) if c_lo.size else ():
+            edges = np.append(c_lo[start:stop + 1], c_hi[stop])
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.broadcast_to(self.dfunc(edges), edges.shape)  # one float for a linear g
+                certain = np.abs(s) > self.rounding(edges, slope=True)
+            edges = edges.tolist()
+            signs = [v if sure else exact(x, slope=True)
+                     for x, v, sure in zip(edges, s.tolist(), certain.tolist())]
+            self._slopes.update(zip(edges, signs))
+            crit = {_sign_change_root(self, a, b, tol, slope=True)
+                    for a, b, sa, sb in zip(edges, edges[1:], signs, signs[1:])
+                    if sa == 0.0 or sb == 0.0 or (sa < 0.0) != (sb < 0.0)}
+            crit.discard(None)
+            points = sorted({edges[0], edges[-1], *crit})
+            found = [_sign_change_root(self, a, b, tol) for a, b in zip(points, points[1:])]
+            found.append(None)
+            tangent = [p in crit and abs(exact(p)) <= self.rounding(p) for p in points] + [False]
+            group = []
+            for i, p in enumerate(points):
+                if tangent[i]:
+                    group.append((abs(exact(p)), p))
+                    continue
+                if group:
+                    roots.append(min(group)[1])
+                    group = []
+                if p in crit and found[i] is None and (i == 0 or found[i - 1] is None):
+                    roots.append(p)
+                if found[i] is not None and not tangent[i + 1]:
+                    roots.append(found[i])
+            if group:
+                roots.append(min(group)[1])
+        return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
+
+
+def find_roots(
+    poly_coefficients: Sequence[float],
+    interval: tuple[float, float],
+    tol: float = 1e-12,
+) -> list[float]:
+    """All real roots of a polynomial inside an interval, sorted ascending.
+
+    The roots :meth:`Composition.roots` finds for the polynomial itself
+    (``d = 1``): each meets ``|p(x)| <= tol max(1, |x|)``, and a root of even
+    multiplicity is a zero of the derivative.  The interval is clipped to the
+    Cauchy bound :meth:`Composition.radius`, outside which no root can live.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo <= hi:
+        raise ValueError("interval is empty")
+    coeffs = _strip_trailing_zeros([float(c) for c in poly_coefficients])
+    if len(coeffs) < 2:
+        return []
+    poly = Composition(coeffs, 1, 0.0, 0.0)
+    bound = poly.radius()
+    lo, hi = max(lo, -bound), min(hi, bound)
+    return poly.roots(lo, hi, tol) if lo <= hi else []

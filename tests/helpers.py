@@ -23,9 +23,10 @@ from gjsmap import (
     gauss_factorial,
     report_to_dict,
 )
-from gjsmap.charfun import DIVERGENCE_BOUND, _horner
+from gjsmap.charfun import DIVERGENCE_BOUND
 from gjsmap.errors import NegativeRadicand, OverflowDiverged
 from gjsmap.gha import CLAMP_TOL
+from gjsmap.roots import _horner
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.

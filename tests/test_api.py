@@ -21,8 +21,8 @@ EXPORTS = {
     # charfun
     "DIVERGENCE_BOUND", "CharFn", "FixedPointInfo", "OneSidedBehavior", "Orientation",
     "RegionLabel", "Stability", "charfn_from_dict", "charfn_to_dict", "classify_region",
-    "derivative_at", "discriminant", "evaluate", "find_roots", "fixed_points",
-    "invertibility_boundary", "invertibility_region", "iterate", "reflection_pair",
+    "derivative_at", "discriminant", "evaluate", "fixed_points", "invertibility_boundary",
+    "invertibility_region", "iterate", "reflection_pair",
     # errors
     "CutResidualTooLarge", "DescentViolation", "DimensionMismatch", "FixedPointVacuum",
     "GjsError", "InvalidHighestWeight", "InvalidVacuum", "NegativeLadderSquare",
@@ -44,8 +44,10 @@ EXPORTS = {
     # orbit
     "FigureBundle", "FigureName", "GuideLine", "OrbitReport", "cobweb", "figure_bundle",
     "report_to_dict", "write_bundle", "write_report_csvs", "write_report_json",
+    # roots
+    "find_roots",
     # the submodules
-    "charfun", "encoding", "errors", "gha", "gsl2", "jsmap", "orbit",
+    "charfun", "encoding", "errors", "gha", "gsl2", "jsmap", "orbit", "roots",
 }
 
 #: Function name -> its defaulted parameters, in signature order.

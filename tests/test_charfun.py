@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gjsmap import (
     CharFn,
-    charfun,
     OneSidedBehavior,
     Orientation,
     RegionLabel,
@@ -20,7 +19,6 @@ from gjsmap import (
     classify_region,
     discriminant,
     evaluate,
-    find_roots,
     fixed_points,
     invertibility_boundary,
     invertibility_region,
@@ -33,6 +31,7 @@ from gjsmap.errors import (
     OverflowDiverged,
     UnsupportedDiscriminant,
 )
+from gjsmap.roots import Composition, _bisect, find_roots
 from helpers import CUT_QUARTIC_ASCENDING, cut_quartic_roots_oracle, tangent_oscillator
 
 FIG1_FN = CharFn((1.225, -2.5, 2.5), Orientation.OSCILLATOR)
@@ -414,8 +413,7 @@ class TestFindRoots:
         # some 1,400 value halvings below the bracket's width.
         assert find_roots([0.0, 2.0, -1e-100], (-math.inf, math.inf)) == [0.0, 2e100]
         # -x^2 + 2x on [0.5 - 1e150, 0.5 + 1e150]
-        roots = charfun.isolate_roots((-1.0, 1.0, -1.0), 1, 1.0, 1.0, 0.5 - 1e150, 0.5 + 1e150,
-                                      1e-9)
+        roots = Composition((-1.0, 1.0, -1.0), 1, 1.0, 1.0).roots(0.5 - 1e150, 0.5 + 1e150, 1e-9)
         assert roots == [0.0, 2.0]
 
     def test_bisection_halves_by_value_within_a_factor_of_two(self):
@@ -423,7 +421,7 @@ class TestFindRoots:
         # is split at 0 and at geometric means first, about 65 splits at most.
         def points(u, v, root):
             seen = []
-            charfun._bisect(lambda x: seen.append(x) or x - root, u, v, u - root, v - root)
+            _bisect(lambda x: seen.append(x) or x - root, u, v, u - root, v - root)
             return seen
 
         u, v, plain = 1.0, 1.75, []
@@ -447,10 +445,14 @@ class TestFindRoots:
         assert find_roots(poly, interval) == [interval[1]]
 
     def test_rejects_a_non_positive_tolerance_and_an_empty_interval(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            find_roots([-1.0, 0.0, 1.0], (-2.0, 2.0), 0.0)
-        with pytest.raises(ValueError, match="interval is empty"):
-            find_roots([-1.0, 0.0, 1.0], (2.0, -2.0))
+        # NaN fails every comparison, so it is neither a tolerance nor an interval end.
+        for tol, interval, message in ((0.0, (-2.0, 2.0), "tol must be positive"),
+                                       (math.nan, (-2.0, 2.0), "tol must be positive"),
+                                       (1e-12, (2.0, -2.0), "interval is empty"),
+                                       (1e-12, (math.nan, 2.0), "interval is empty"),
+                                       (1e-12, (-2.0, math.nan), "interval is empty")):
+            with pytest.raises(ValueError, match=message):
+                find_roots([-1.0, 0.0, 1.0], interval, tol)
 
     @pytest.mark.parametrize("coefficients", [[3.0], [3.0, 0.0], [0.0]])
     def test_constant_has_no_roots(self, coefficients):
@@ -458,14 +460,15 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("lead, want", [(1.0, math.inf), (-1.0, -math.inf)])
     def test_exact_value_past_the_float_range_is_infinite(self, lead, want):
-        exact = charfun._composition([0.0, 0.0, lead], 1, 0.0, 0.0)[1]
+        exact = Composition([0.0, 0.0, lead], 1, 0.0, 0.0).exact
         assert exact(1e200) == want
 
     def test_cauchy_bound_is_rounded_up(self):
         # 1 + 2e20 rounds down to 2e20, the root of 2x - 1e-20 x^2.
         assert find_roots([0.0, 2.0, -1e-20], (-math.inf, math.inf)) == pytest.approx(
             [0.0, 2e20], abs=1e-300, rel=1e-15)
-        assert charfun.root_bound([0.0, 2.0, -1e-20]) == math.nextafter(2e20, math.inf)
+        radius = Composition([0.0, 2.0, -1e-20], 1, 0.0, 0.0).radius()
+        assert radius == math.nextafter(2e20, math.inf)
 
     def test_quintic_region_ends_at_its_quadruple_critical_point(self):
         # g = -(x - 1)^5, so g' = -5 (x - 1)^4 vanishes only at 1

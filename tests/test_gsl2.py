@@ -1,6 +1,10 @@
 import functools
+import gc
+import hashlib
 import json
 import math
+import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,9 +18,7 @@ from gjsmap import (
     RepKind,
     build_gsl2,
     casimir_gsl2,
-    charfun,
     cut_condition_solve,
-    find_roots,
     gauss_numbers,
     gsl2_to_dict,
     matrix_J0,
@@ -33,6 +35,7 @@ from gjsmap.errors import (
     PeriodicResidualTooLarge,
 )
 from gjsmap.gsl2 import CUT_SOLVE_TOL, _closure_roots
+from gjsmap.roots import BOXES, Composition, _derivative, _horner, find_roots
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -399,8 +402,32 @@ def dyadic_polynomials(draw):
     return coeffs, sorted(roots)
 
 
+def root_mix():
+    """The roots of 1,004 solves, one list each.
+
+    Cut and periodic solves at d = 1, 2, 3, 4 and 8 over 80 weight quadratics
+    drawn as the closure-scan benchmark draws them, both at d = 16 and 32 for
+    the showcase, and 200 ``find_roots`` calls on polynomials of degree 1 to 6.
+    """
+    rng = random.Random(26)
+    quadratics = [(-rng.uniform(0.25, 1.5), rng.uniform(1.5, 3.5), -rng.uniform(0.5, 1.5))
+                  for _ in range(80)]
+    solves = [(CharFn(q, Orientation.WEIGHT), (1, 2, 3, 4, 8)) for q in quadratics]
+    for gn, ds in solves + [(FIG2_GN, (16, 32))]:
+        for d in ds:
+            for kind in (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC):
+                yield [r for r, _ in _closure_roots(gn, d, kind)]
+    for _ in range(200):
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 7))]
+        yield find_roots(coeffs, (-math.inf, math.inf))
+
+
+#: sha256 of the ``float.hex`` texts of the roots of ``root_mix``, one line per solve.
+ROOT_MIX_DIGEST = "d58a43d813fd7b72e5bf5361628a1d3fce905a415c10c142a61482720a5c48ad"
+
+
 class TestIsolator:
-    """``charfun.isolate_roots`` behind both solvers and ``find_roots``."""
+    """``Composition.roots`` behind both solvers and ``find_roots``."""
 
     @given(case=dyadic_polynomials())
     @settings(max_examples=150, deadline=None)
@@ -415,22 +442,22 @@ class TestIsolator:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_root_on_a_box_edge(self, d):
         # x + g^(d)(x) + 1 = 2x - d + 1 vanishes exactly at an end of a first-level box.
-        roots = charfun.isolate_roots(SL2.coefficients, d, 1.0, 1.0, -16.0, 16.0, 1e-9)
+        roots = Composition(SL2.coefficients, d, 1.0, 1.0).roots(-16.0, 16.0, 1e-9)
         assert roots == [(d - 1) / 2.0]
-        assert ((d - 1) / 2.0 + 16.0) / (32.0 / charfun.BOXES) % 1.0 == 0.0
+        assert ((d - 1) / 2.0 + 16.0) / (32.0 / BOXES) % 1.0 == 0.0
 
     @pytest.mark.parametrize("side", [-0.25, 0.25])
     def test_sign_change_next_to_a_shared_box_edge(self, side):
         # g(x) - x = x - r changes sign a quarter box from the edge boxes 299 and 300 share.
-        width = 10.0 / charfun.BOXES
+        width = 10.0 / BOXES
         r = -5.0 + 300 * width + side * width
-        roots = charfun.isolate_roots((-r, 2.0), 1, -1.0, 0.0, -5.0, 5.0, 1e-9)
+        roots = Composition((-r, 2.0), 1, -1.0, 0.0).roots(-5.0, 5.0, 1e-9)
         assert roots == pytest.approx([r], abs=1e-15)
 
     def test_zero_at_hi(self):
         # x + g(x) + 1 = 2x - 10 vanishes at hi = 5, even at zero residual tolerance.
         gn = CharFn((-11.0, 1.0), Orientation.WEIGHT)
-        assert charfun.isolate_roots(gn.coefficients, 1, 1.0, 1.0, -5.0, 5.0, 0.0) == [5.0]
+        assert Composition(gn.coefficients, 1, 1.0, 1.0).roots(-5.0, 5.0, 0.0) == [5.0]
         sols = cut_condition_solve(gn, 1)
         assert sols.included + sols.excluded == (5.0,)
 
@@ -478,7 +505,7 @@ class TestIsolator:
         # one step later the padding's 0 * inf makes it NaN.
         # At d = 7 it does so inside [-7, 9.1], the interval of the escape radius 7.
         padded = CharFn((-1.0, 3.0, 0.0, -1.0, 0.0), Orientation.WEIGHT)
-        assert charfun.root_bound(padded.coefficients, 7, 1.0, 1.0) == 7.0
+        assert Composition(padded.coefficients, 7, 1.0, 1.0).radius() == 7.0
         xs = np.linspace(-7.0, 1.3 * 7.0, 40001)
         with np.errstate(over="ignore", invalid="ignore"):
             values = xs
@@ -504,19 +531,36 @@ class TestIsolator:
 
     def test_derivative_coefficients_built_once_per_solve(self, monkeypatch):
         calls = []
-        derivative = charfun._derivative
-        monkeypatch.setattr(charfun, "_derivative", lambda c: calls.append(c) or derivative(c))
+        monkeypatch.setattr("gjsmap.roots._derivative",
+                            lambda c: calls.append(c) or _derivative(c))
         cut_condition_solve(FIG2_GN, 3)
         periodic_condition_solve(FIG2_GN, 2)
         assert calls == [list(FIG2_GN.coefficients), [3.0, -2.0]] * 2  # g' and g''
 
     def test_chain_rule_evaluates_g_d_minus_one_times(self, monkeypatch):
-        _, _, dfunc, _, _, _, _ = charfun._composition(FIG2_GN.coefficients, 4, 1.0, 1.0)
+        closure = Composition(FIG2_GN.coefficients, 4, 1.0, 1.0)
         calls = []
-        horner = charfun._horner
-        monkeypatch.setattr(charfun, "_horner", lambda c, x: calls.append(len(c)) or horner(c, x))
-        dfunc(0.3)
+        monkeypatch.setattr("gjsmap.roots._horner",
+                            lambda c, x: calls.append(len(c)) or _horner(c, x))
+        closure.dfunc(0.3)
         assert calls == [2, 3, 2, 3, 2, 3, 2]  # g' four times, g three times
+
+    def test_every_root_of_the_mix_keeps_its_bits(self):
+        # A root that moves by one ulp moves the digest; it moves only on
+        # purpose, in a commit of its own.
+        rows = [" ".join(map(float.hex, roots)) for roots in root_mix()]
+        assert (len(rows), sum(len(row.split()) for row in rows)) == (1004, 1118)
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == ROOT_MIX_DIGEST
+
+    def test_composition_is_freed_after_its_roots(self):
+        # The exact-value cache belongs to the instance, so it does not keep it alive.
+        closure = Composition(FIG2_GN.coefficients, 1, -1.0, 0.0)
+        assert closure.roots(-5.0, 5.0, CUT_SOLVE_TOL) == [1.0]
+        assert closure.exact.cache_info().currsize > 0  # the tangency is decided exactly
+        freed = weakref.ref(closure)
+        del closure
+        gc.collect()
+        assert freed() is None
 
 
 class TestClosureScanDefects:
@@ -568,10 +612,10 @@ class TestEnclosure:
         with np.errstate(over="ignore", invalid="ignore"):
             closures = []
             for sign, shift in CLOSURE_LINES:
-                func, _, dfunc, _, enclose, slope, _ = charfun._composition(coeffs, d, sign, shift)
-                f_lo, f_hi, iterates = enclose(*box)
-                bounds = [float(b[0]) for b in (f_lo, f_hi, *slope(iterates))]
-                closures.append((func, dfunc, bounds))
+                closure = Composition(coeffs, d, sign, shift)
+                f_lo, f_hi, iterates = closure.enclose(*box)
+                bounds = [float(b[0]) for b in (f_lo, f_hi, *closure.slope(iterates))]
+                closures.append((closure.func, closure.dfunc, bounds))
             for x in points:
                 # g^(d) composed of evaluate calls, trailing zeros included
                 y = x
@@ -592,7 +636,7 @@ class TestEnclosure:
         # Integer arithmetic over powers of two: the sign is exact (dyadic
         # zeros included) and the value is the rational value rounded once.
         for sign, shift in CLOSURE_LINES:
-            _, exact, _, _, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+            exact = Composition(coeffs, d, sign, shift).exact
             for x in xs:
                 assert exact(x) == float(exact_closure(coeffs, d, int(sign), int(shift), x))
                 assert exact(x, slope=True) == float(exact_closure_slope(coeffs, d, int(sign), x))
@@ -604,12 +648,12 @@ class TestEnclosure:
     def test_rounding_bounds_the_float_error(self, coeffs, d, xs):
         # So wherever a float value is farther from 0 than its rounding, its sign is exact.
         for sign, shift in CLOSURE_LINES:
-            func, _, dfunc, rounding, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+            closure = Composition(coeffs, d, sign, shift)
             for x in xs:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    pairs = ((func(x), rounding(x), exact_closure(coeffs, d, int(sign),
-                                                                  int(shift), x)),
-                             (dfunc(x), rounding(x, slope=True),
+                    pairs = ((closure.func(x), closure.rounding(x),
+                              exact_closure(coeffs, d, int(sign), int(shift), x)),
+                             (closure.dfunc(x), closure.rounding(x, slope=True),
                               exact_closure_slope(coeffs, d, int(sign), x)))
                 for value, bound, want in pairs:
                     if math.isfinite(value) and math.isfinite(bound):
@@ -624,7 +668,7 @@ BOUND_COEFFS = st.integers(1, 4).flatmap(lambda n: st.tuples(
 
 
 class TestDerivedInterval:
-    """The closure solvers search the interval ``charfun.root_bound`` derives from ``g``."""
+    """The closure solvers search the interval ``Composition.radius`` derives from ``g``."""
 
     def test_standard_spin_two_hundred(self):
         # x + g^(401)(x) + 1 = 2x - 400 for g = x - 1, far outside the old fixed window.
@@ -650,7 +694,7 @@ class TestDerivedInterval:
         sign, shift = line
         exact = functools.partial(exact_closure, coeffs, d, int(sign), int(shift))
         assume(len(coeffs) > 2 or exact(0.0) != 0 or exact(1.0) != 0)  # F = 0 is refused
-        radius = charfun.root_bound(coeffs, d, sign, shift)
+        radius = Composition(coeffs, d, sign, shift).radius()
         escape = d > 1 and len(coeffs) > 2
         for side in (-1.0, 1.0):
             xs = [side * radius * t for t in (1.0, 1.5, 8.0, 1e3)]
@@ -672,7 +716,7 @@ class TestDerivedInterval:
         kind = RepKind.FINITE_CUT if sign > 0.0 else RepKind.FINITE_PERIODIC
         gn = CharFn(coeffs, Orientation.WEIGHT if coeffs[-1] < 0.0 else Orientation.OSCILLATOR)
         reported = [r for r, _ in _closure_roots(gn, d, kind)]
-        _, _, dfunc, rounding, _, _, _ = charfun._composition(coeffs, d, sign, shift)
+        closure = Composition(coeffs, d, sign, shift)
         poly = Polynomial([0.0, 1.0])
         for _ in range(d):
             poly = Polynomial(coeffs)(poly)
@@ -681,7 +725,7 @@ class TestDerivedInterval:
             if abs(z.imag) > h or exact(x - h) * exact(x + h) >= 0:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
-                slack = abs(dfunc(x)) * math.ulp(x) + rounding(x)
+                slack = abs(closure.dfunc(x)) * math.ulp(x) + closure.rounding(x)
             if not slack <= 0.1 * CUT_SOLVE_TOL * max(1.0, abs(x)):
                 continue
             assert any(abs(r - x) <= 2.0 * h for r in reported), (x, reported)

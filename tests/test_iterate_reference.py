@@ -1,6 +1,6 @@
 """The inlined ``iterate`` and the pad-free ``_diag_product`` against their old forms.
 
-``iterate`` evaluates each step as :func:`charfun._horner` inlined and checks
+``iterate`` evaluates each step as :func:`roots._horner` inlined and checks
 the bound without a call; ``reference_iterate`` in ``helpers`` is the loop it
 replaced.  Both must give the same orbit by ``float.hex``, or the same
 exception with the same message and the same partial orbit.
