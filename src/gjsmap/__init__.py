@@ -11,13 +11,10 @@ and realizes the weight algebra on two independent copies of the oscillator
 through diagonal dressing functionals (a generalized two-boson construction
 that reduces to the classic one for ``f = x + 1``, ``g = x - 1``).
 
-Everything is float64 and verified at machine precision by residual reports;
-see the ``demos/`` scripts and the CLI (``gjsmap --help``) for tours.
-
-No module of the package imports numpy at module level: each function that
-uses arrays runs ``import numpy as np`` itself.  So ``import gjsmap``, the
-CLI's parser, ``--help`` and argument errors load no numpy, and a command
-pays numpy's import on its first array operation.
+Everything is float64.  Residual reports check the relations among the
+computed diagonals at machine precision; they do not bound the rounding of
+the orbit those diagonals come from.  See the ``demos/`` scripts and the CLI
+(``gjsmap --help``) for tours.
 """
 
 from .charfun import (

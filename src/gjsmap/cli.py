@@ -29,6 +29,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from ._np import np
 from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
@@ -299,8 +300,6 @@ def _perturbed(rep, args):
     Sequences take one non-negative index; matrices take ``row,col`` with
     numpy's indexing rules, on the one diagonal the matrix stores.
     """
-    import numpy as np
-
     if args.perturb is None:
         return rep
     target, indices, amount = args.perturb

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import islice
 
+from ._np import np
 from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
@@ -39,8 +40,6 @@ def _readonly(values) -> np.ndarray:
     A float64 array is frozen in place, not copied: pass a fresh one, or
     one nobody writes to again.  Anything else is converted once.
     """
-    import numpy as np
-
     arr = np.asarray(values, dtype=float)
     arr.setflags(write=False)
     return arr
@@ -59,8 +58,6 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The dense matrix, built on each access; read-only."""
-        import numpy as np
-
         return _readonly(np.diag(self.values, self.offset))
 
     @property
@@ -74,8 +71,6 @@ def _diag_product(x: OperatorMatrix, y: OperatorMatrix) -> np.ndarray:
 
     Each entry has one term: ``x.values * y.values``, after ``k`` zeros or before ``-k``.
     """
-    import numpy as np
-
     k = y.offset
     out = np.zeros(x.values.size + abs(k))
     out[max(k, 0) : out.size + min(k, 0)] = x.values * y.values
@@ -142,8 +137,6 @@ def _clamped(values: np.ndarray, error) -> np.ndarray:
 
     The first entry below ``-CLAMP_TOL`` raises ``error(index, value)``.
     """
-    import numpy as np
-
     below = np.flatnonzero(values < -CLAMP_TOL)
     if below.size:
         raise error(int(below[0]), float(values[below[0]]))
@@ -164,8 +157,6 @@ def build_gha(
         the truncation is not unitarizable.  Values merely grazing zero are
         clamped to an exact zero rung.
     """
-    import numpy as np
-
     if fn.orientation is not Orientation.OSCILLATOR:
         raise ValueError("oscillator-side algebra needs an oscillator-like function")
     if dim < 1:
@@ -207,8 +198,6 @@ def matrix_A(rep: GhaRep) -> OperatorMatrix:
 
 def matrix_N(rep: GhaRep) -> OperatorMatrix:
     """Number operator: diagonal ``0..dim-1``."""
-    import numpy as np
-
     return OperatorMatrix(np.arange(rep.dim, dtype=float), 0)
 
 
@@ -230,8 +219,6 @@ def _gauss(fn: CharFn, x0: float, orbit) -> tuple[float, np.ndarray]:
     ``[m] = (x_m - x_0) / (fn(x0) - x0)`` and ``[0] = 0``; raises
     :class:`FixedPointVacuum` if ``fn(x0) - x0`` is (numerically) zero.
     """
-    import numpy as np
-
     denom = evaluate(fn, x0) - x0
     if abs(denom) <= GAUSS_DENOMINATOR_TOL:
         raise FixedPointVacuum(f"f(alpha0) - alpha0 = {denom!r}; Gauss numbers undefined")
@@ -271,8 +258,6 @@ def _relation_residuals(d, l_op, r_op, c_d, comm_rhs, ncols: int, *extra) -> tup
     ``(J0, J+, J-)``.  ``l_op`` and ``r_op`` are both taken as given, so a
     stored operator that drifted from the other's transpose still shows up.
     """
-    import numpy as np
-
     lv, rv = l_op.values, r_op.values
     r_right = (d[1:] * rv - rv * c_d[:-1])[:ncols]
     r_left = (lv * d[1:] - c_d[:-1] * lv)[: ncols - 1]
@@ -291,8 +276,6 @@ def verify_gha_relations(rep: GhaRep, tol: float = 1e-10) -> ResidualReport:
     (``Adag A - H`` versus ``A Adag - f(H)``) is reported on the same interior
     columns.
     """
-    import numpy as np
-
     if rep.dim < 2:
         raise ValueError("relation residuals need dim >= 2")
     h = matrix_H(rep).values

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ._np import np
 from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
@@ -109,8 +110,6 @@ def build_gsl2(
     CutResidualTooLarge / PeriodicResidualTooLarge
         Closure defect above ``cut_tol`` for the finite kinds.
     """
-    import numpy as np
-
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("weight-side algebra needs a weight-like function")
     if dim < 1:
@@ -169,8 +168,6 @@ def matrix_Jplus(rep: Gsl2Rep) -> OperatorMatrix:
 
     Column 0 is identically zero: the highest weight state is annihilated.
     """
-    import numpy as np
-
     if np.any(rep.ladder_sq < 0.0):
         raise ValueError("ladder squares must be non-negative")
     return OperatorMatrix(np.sqrt(rep.ladder_sq), 1)
@@ -183,8 +180,6 @@ def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
 
 def _weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
     """Diagonal of ``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2``; ``j0`` is diagonal."""
-    import numpy as np
-
     with np.errstate(over="ignore"):
         gj0 = evaluate(gn, j0)
         return 0.5 * (
@@ -198,8 +193,6 @@ def _weight_residuals(j0, jp, jm, gn: CharFn, ncols: int) -> tuple[float, float,
     In order: ``J0 J- = J- g(J0)``, ``J+ J0 = g(J0) J+`` and
     ``[J+, J-] = J0(J0+1) - g(J0)(g(J0)+1)``; ``j0`` is the diagonal of ``J0``.
     """
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):  # a perturbed entry may overflow to inf
         gj0 = evaluate(gn, j0)
         rhs = j0 * (j0 + 1.0) - gj0 * (gj0 + 1.0)

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from ._np import np
 from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
@@ -115,8 +116,6 @@ def two_oscillator_space(
     fn: CharFn, alpha0: float, mode: Mode, bound: float = DIVERGENCE_BOUND
 ) -> TwoOscillatorSpace:
     """Build the occupation basis and the oscillator ladder behind it."""
-    import numpy as np
-
     if isinstance(mode, FixedJ):
         if mode.two_j < 0:
             raise ValueError("two_j must be non-negative")
@@ -185,8 +184,6 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
 
 def _f_diag(space: TwoOscillatorSpace, q2, gg, alpha_j) -> tuple[float, np.ndarray]:
     """``(M0^2, functional_F)`` from ``Q2`` and the ``g`` Gauss numbers ``gg``."""
-    import numpy as np
-
     m0_sq, fg = _gauss(space.gha.fn, space.gha.alpha0, space.gha.eigenvalues)
     obs = np.flatnonzero((space.n1 >= 1) & (space.n2 < space.n2.max()))
     n1, n2 = space.n1[obs], space.n2[obs]
@@ -237,8 +234,6 @@ def _hop(space: TwoOscillatorSpace) -> tuple[int, np.ndarray]:
     one state before the source on a shell and ``dim - 1`` states after it
     on a grid.
     """
-    import numpy as np
-
     n1, n2, dim, lad = space.n1, space.n2, space.gha.dim, space.gha.ladder
     hops = (n2 >= 1) & (n1 + 1 < dim)
     weights = np.zeros(space.size)
@@ -300,8 +295,6 @@ def verify_map_equals_gsl2(
     Compares ``(S_z, S_+, S_-, S^2)`` with ``(J_0, J_+, J_-, C)`` built from
     the same weight function and highest weight on a shell of matching size.
     """
-    import numpy as np
-
     if not isinstance(jsrep.space.mode, FixedJ):
         raise DimensionMismatch("comparison needs a fixed-j shell")
     if jsrep.space.mode.two_j + 1 != gsl2rep.dim:
@@ -370,8 +363,6 @@ def verify_pairing_identity(
     fn: CharFn, alpha0: float, m_max: int, tol: float = 1e-10
 ) -> PairingReport:
     """Verify the Gauss-number identity of ``fn`` and its :func:`derive_pairing` partner."""
-    import numpy as np
-
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     gn, alpha_j = derive_pairing(fn, alpha0)
@@ -414,8 +405,6 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
     GjsError
         If the raised amplitude or the norm is not a finite positive float.
     """
-    import numpy as np
-
     if not isinstance(space.mode, FullGrid):
         raise OutOfBasis("state vectors need a full-grid basis")
     index = space.index_of(n1, n2)
@@ -440,8 +429,6 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
 
 
 def jsmap_to_dict(rep: JsMapRep) -> dict:
-    import numpy as np
-
     mode = rep.space.mode
     mode_dict = (
         {"kind": "fixed_j", "two_j": mode.two_j}

@@ -28,6 +28,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
+from ._np import np
 from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
@@ -144,8 +145,6 @@ def cobweb(
     bound (``truncated_divergence``).  The default window pads the span of
     ``x0``, the fixed points and the invertibility boundary.
     """
-    import numpy as np
-
     if steps < 1:
         raise ValueError("steps must be >= 1")
     fps = tuple(or_none((NoRealFixedPoint, ValueError), fixed_points, fn) or ())

@@ -12,6 +12,8 @@ import functools
 import math
 from typing import Callable, Optional, Sequence
 
+from ._np import np
+
 #: The least positive float.
 _TINY = math.ulp(0.0)
 
@@ -33,8 +35,6 @@ def _horner(coeffs: Sequence[float], x):
 
 def _interval_product(a_lo, a_hi, b_lo, b_hi):
     """Enclosure of the products of ``[a_lo, a_hi]`` and ``[b_lo, b_hi]`` (ndarrays)."""
-    import numpy as np
-
     p, q, r, s = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
     return (np.minimum(np.minimum(p, q), np.minimum(r, s)),
             np.maximum(np.maximum(p, q), np.maximum(r, s)))
@@ -49,8 +49,6 @@ def _horner_interval(coeffs: Sequence[float], lo, hi):
     point of a box the float :func:`_horner` returns is NaN or lies in the
     box's enclosure, unless a bound is NaN (a corner product ``0 * inf``).
     """
-    import numpy as np  # only array callers get here; module import stays numpy-free
-
     if len(coeffs) == 1:
         return np.full_like(lo, coeffs[0]), np.full_like(hi, coeffs[0])
     p, q = coeffs[-1] * lo, coeffs[-1] * hi
@@ -136,8 +134,6 @@ def _runs(lo, hi):
 
     ``lo`` and ``hi`` hold the ends of disjoint boxes, in ascending order.
     """
-    import numpy as np
-
     breaks = np.flatnonzero(hi[:-1] != lo[1:])
     return np.append(0, breaks + 1), np.append(breaks, lo.size - 1)
 
@@ -247,8 +243,6 @@ class Composition:
         return s if abs(s) > self.rounding(x, slope=True) else self.exact(x, slope=True)
 
     def enclose(self, lo, hi, tight=False):
-        import numpy as np
-
         coeffs, sign = self.coeffs, self.sign
         ys = [(lo, hi)]
         for _ in range(self.d):
@@ -269,8 +263,6 @@ class Composition:
         return s[0] + self.sign, s[1] + self.sign
 
     def curve(self, lo, hi):
-        import numpy as np
-
         y, s, c = (lo, hi), (np.ones_like(lo),) * 2, (np.zeros_like(lo),) * 2
         for _ in range(self.d):
             t = _horner_interval(self.dcoeffs, *y)
@@ -340,8 +332,6 @@ class Composition:
         cluster.  A ``ValueError`` names a ``hi - lo`` that is not finite, more
         boxes left than that, or an ``F`` that vanishes on ``[lo, hi]``.
         """
-        import numpy as np
-
         if not math.isfinite(hi - lo):
             raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
         if len(self.coeffs) <= 2 and lo < hi and self.exact(lo) == 0.0 == self.exact(hi):
@@ -418,8 +408,6 @@ class Composition:
         change is next to it (a near tangency, kept if ``|F|`` is within the
         tolerance).
         """
-        import numpy as np
-
         func, exact = self.func, self.exact
         fin_lo, fin_hi = (np.concatenate(a).tolist() for a in zip(*finished))
         roots = [_bisect(func, u, v, func(u), func(v)) for u, v in zip(fin_lo, fin_hi)]
@@ -470,8 +458,8 @@ def find_roots(
     multiplicity is a zero of the derivative.  The interval is clipped to the
     Cauchy bound :meth:`Composition.radius`, outside which no root can live.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     lo, hi = float(interval[0]), float(interval[1])
     if not lo <= hi:
         raise ValueError("interval is empty")

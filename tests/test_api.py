@@ -1,4 +1,4 @@
-"""The exported API: its names, and every defaulted parameter of every function.
+"""The exported API: its names, its annotations, and every defaulted parameter of every function.
 
 A public name added or removed shows as a one-line diff of ``EXPORTS``, and a
 knob as one of ``SETTINGS``.  A setting belongs here only when some caller
@@ -6,10 +6,14 @@ passes a second value or the callee cannot work the value out itself;
 otherwise it is a constant.
 """
 
+import ast
 import copy
+import dataclasses
 import inspect
 import math
 import pickle
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,35 @@ def test_exported_settings_match_the_table():
 
 def test_exported_names_match_the_table():
     assert set(gjsmap.__all__) == EXPORTS
+
+
+def test_exported_annotations_resolve():
+    unresolved = {}
+    for name in gjsmap.__all__:
+        obj = getattr(gjsmap, name)
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as error:
+                unresolved[name] = str(error)
+    assert unresolved == {}
+
+
+def test_only_the_np_module_imports_numpy():
+    # Every other module reads numpy through ``gjsmap._np.np``, so ``import gjsmap`` stays
+    # numpy-free by one rule in one place.
+    importers = set()
+    for path in Path(gjsmap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"_np.py"}
 
 
 #: One instance of each class of ``gjsmap.errors``.

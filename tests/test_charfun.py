@@ -448,6 +448,7 @@ class TestFindRoots:
         # NaN fails every comparison, so it is neither a tolerance nor an interval end.
         for tol, interval, message in ((0.0, (-2.0, 2.0), "tol must be positive"),
                                        (math.nan, (-2.0, 2.0), "tol must be positive"),
+                                       (math.inf, (-2.0, 2.0), "tol must be positive and finite"),
                                        (1e-12, (2.0, -2.0), "interval is empty"),
                                        (1e-12, (math.nan, 2.0), "interval is empty"),
                                        (1e-12, (-2.0, math.nan), "interval is empty")):
