@@ -426,6 +426,30 @@ def root_mix():
 ROOT_MIX_DIGEST = "d58a43d813fd7b72e5bf5361628a1d3fce905a415c10c142a61482720a5c48ad"
 
 
+def wide_mix():
+    """The roots of 150 closures over wide-scale polynomials, one list each.
+
+    Degree 1 to 6 with coefficients ``U(-1, 1) * 10**U(-3, 6)``, d from
+    ``{1, 1, 2, 3, 4}``, cut, periodic or plain ``(sign, shift)`` and three
+    tolerances, each solved on ``[-R, 1.3 R]``.  Unlike ``root_mix``, these
+    draws reach the cluster path of :meth:`Composition._collect` often.
+    """
+    rng = random.Random(28)
+    for _ in range(150):
+        coeffs = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-3.0, 6.0)
+                  for _ in range(rng.randint(2, 7))]
+        d = rng.choice((1, 1, 2, 3, 4))
+        sign, shift = rng.choice(((0.0, 0.0), (1.0, 1.0), (-1.0, 0.0)))
+        tol = rng.choice((1e-12, 1e-9, 1e-6))
+        closure = Composition(coeffs, d, sign, shift)
+        radius = closure.radius()
+        yield closure.roots(-radius, 1.3 * radius, tol)
+
+
+#: sha256 of the ``float.hex`` texts of the roots of ``wide_mix``, one line per solve.
+WIDE_MIX_DIGEST = "ec6e68edf1113d70e1f02d2772af4bba54f9b1db97fdf13dc9bf1eb3c7ce1f75"
+
+
 class TestIsolator:
     """``Composition.roots`` behind both solvers and ``find_roots``."""
 
@@ -551,6 +575,17 @@ class TestIsolator:
         rows = [" ".join(map(float.hex, roots)) for roots in root_mix()]
         assert (len(rows), sum(len(row.split()) for row in rows)) == (1004, 1118)
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == ROOT_MIX_DIGEST
+
+    def test_every_root_of_the_wide_mix_keeps_its_bits(self, monkeypatch):
+        # The cluster path, which root_mix seldom takes, is pinned the same way.
+        calls = []
+        value = Composition.value
+        monkeypatch.setattr(Composition, "value",
+                            lambda self, x, tol: calls.append(x) or value(self, x, tol))
+        rows = [" ".join(map(float.hex, roots)) for roots in wide_mix()]
+        assert (len(rows), sum(len(row.split()) for row in rows)) == (150, 271)
+        assert len(calls) > 1000  # the cluster path ran
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == WIDE_MIX_DIGEST
 
     def test_composition_is_freed_after_its_roots(self):
         # The exact-value cache belongs to the instance, so it does not keep it alive.
