@@ -128,14 +128,16 @@ def charfn_to_dict(fn: CharFn) -> dict:
 
 
 def charfn_from_dict(data: dict) -> CharFn:
+    """The :class:`CharFn` of decoded JSON; ``coefficients`` must be a list of numbers."""
     try:
         coefficients = data["coefficients"]
         orientation = data["orientation"]
     except (TypeError, KeyError) as exc:
-        raise ValueError(
-            "characteristic function needs 'coefficients' and 'orientation'"
-        ) from exc
-    return CharFn(tuple(coefficients), Orientation(orientation))
+        raise ValueError("characteristic function needs 'coefficients' and 'orientation'") from exc
+    if not (isinstance(coefficients, list) and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coefficients)):
+        raise ValueError("'coefficients' must be a list of numbers")
+    return CharFn(coefficients, orientation)
 
 
 def evaluate(fn: CharFn, x):
@@ -203,8 +205,7 @@ class FixedPointInfo:
     stability: Stability
     one_sided_behavior: Optional[OneSidedBehavior] = None
 
-    def to_dict(self) -> dict:
-        return _record_data(self)
+    to_dict = _record_data
 
 
 def _tangency(c0: float, c1: float, c2: float) -> tuple[float, bool]:

@@ -527,8 +527,6 @@ def cmd_run(args):
                 owner = out_dirs[parent]
                 raise CliError(f"{declared!r} lies inside the --out directory of job {owner!r}")
     statuses = []
-    any_error = False
-    any_failure = False
     for name, job, ns in parsed:
         entry: dict = {"name": name, "command": job["command"]}
         output = job.get("output")
@@ -542,18 +540,16 @@ def cmd_run(args):
         except (CliError, GjsError, ValueError, OSError, MemoryError) as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
-            any_error = True
         else:
             entry["status"] = "ok" if code == 0 else "verification_failed"
             entry["exit_code"] = code
-            any_failure = any_failure or code == 2
             if output is not None:
                 entry["output"] = str(output)
             else:
                 entry["payload"] = payload
         statuses.append(entry)
-    overall = 1 if any_error else (2 if any_failure else 0)
-    return {"jobs": statuses}, overall, None
+    codes = {entry.get("exit_code", 1) for entry in statuses}  # an error has no exit code
+    return {"jobs": statuses}, 1 if 1 in codes else max(codes, default=0), None
 
 
 def _encode(value) -> str:

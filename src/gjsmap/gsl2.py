@@ -63,6 +63,14 @@ class RepKind(Enum):
     TRUNCATED_INFINITE = "truncated"
 
 
+#: Each finite kind's closure equation ``g^(d)(x) + sign x + shift = 0`` as
+#: ``(sign, shift)``, with the error a defect above ``cut_tol`` raises and its text.
+_CLOSURE = {
+    RepKind.FINITE_CUT: (1.0, 1.0, CutResidualTooLarge, "|alpha_j + g^({})(alpha_j) + 1|"),
+    RepKind.FINITE_PERIODIC: (-1.0, 0.0, PeriodicResidualTooLarge, "|g^({})(alpha_j) - alpha_j|"),
+}
+
+
 @dataclass(frozen=True)
 class Gsl2Rep:
     """A ``dim``-state highest-weight representation.
@@ -128,22 +136,14 @@ def build_gsl2(
     with np.errstate(over="ignore", invalid="ignore"):
         value = alpha_j * (alpha_j + 1.0) - lower * (lower + 1.0)
     ladder_sq = _readonly(_clamped(value, NegativeLadderSquare))
+    if kind in _CLOSURE:
+        sign, shift, error, text = _CLOSURE[kind]
+        defect = abs(next_weight + sign * alpha_j + shift)
+        if defect > cut_tol:
+            raise error(f"{text.format(dim)} = {defect!r} > {cut_tol!r}")
+    if kind is RepKind.FINITE_CUT and (ladder_sq == 0.0).any():
+        raise ValueError("an interior ladder square vanishes; the cut representation decomposes")
     cut_residual = alpha_j + next_weight + 1.0
-    if kind is RepKind.FINITE_CUT:
-        if abs(cut_residual) > cut_tol:
-            raise CutResidualTooLarge(
-                f"|alpha_j + g^({dim})(alpha_j) + 1| = {abs(cut_residual)!r} > {cut_tol!r}"
-            )
-        if (ladder_sq == 0.0).any():
-            raise ValueError(
-                "an interior ladder square vanishes; the cut representation decomposes"
-            )
-    elif kind is RepKind.FINITE_PERIODIC:
-        periodic_residual = next_weight - alpha_j
-        if abs(periodic_residual) > cut_tol:
-            raise PeriodicResidualTooLarge(
-                f"|g^({dim})(alpha_j) - alpha_j| = {abs(periodic_residual)!r} > {cut_tol!r}"
-            )
     return Gsl2Rep(
         gn, float(alpha_j), int(dim), kind, weights, ladder_sq, next_weight, float(cut_residual)
     )
@@ -178,8 +178,9 @@ def matrix_Jminus(rep: Gsl2Rep) -> OperatorMatrix:
     return matrix_Jplus(rep).T
 
 
-def _weight_casimir(j0, jp, jm, gn: CharFn) -> np.ndarray:
-    """Diagonal of ``(J+ J- + J- J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2``; ``j0`` is diagonal."""
+def _weight_casimir(j0, jp, gn: CharFn) -> np.ndarray:
+    """Diagonal of ``(J+ J+^T + J+^T J+ + J0(J0+1) + g(J0)(g(J0)+1)) / 2``; ``j0`` is diagonal."""
+    jm = jp.T
     with np.errstate(over="ignore"):
         gj0 = evaluate(gn, j0)
         return 0.5 * (
@@ -207,9 +208,7 @@ def casimir_gsl2(rep: Gsl2Rep) -> OperatorMatrix:
     term leaks on the lowest retained state, so constancy holds on states
     ``0..dim-2`` only.
     """
-    jp = matrix_Jplus(rep)
-    c = _weight_casimir(matrix_J0(rep).values, jp, jp.T, rep.gn)
-    return OperatorMatrix(c, 0)
+    return OperatorMatrix(_weight_casimir(matrix_J0(rep).values, matrix_Jplus(rep), rep.gn), 0)
 
 
 def verify_gsl2_relations(rep: Gsl2Rep, tol: float = 1e-10) -> ResidualReport:
@@ -243,14 +242,14 @@ class CutSolutions:
 
 
 def _closure_roots(gn: CharFn, d: int, kind: RepKind):
-    """Roots of ``g^(d)(x) + x + 1`` (cut) or ``g^(d)(x) - x`` (periodic), flagged in-region.
+    """Roots of the closure equation of ``kind`` (see ``_CLOSURE``), flagged in-region.
 
     All lie within ``R = Composition.radius()``; ``[-R, 1.3 R]`` keeps a root at 0
     off the first-level box edges, where it would take the slower cluster path.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    sign, shift = (1.0, 1.0) if kind is RepKind.FINITE_CUT else (-1.0, 0.0)
+    sign, shift, _, _ = _CLOSURE[kind]
     lo_r, hi_r = invertibility_region(gn)
     closure = Composition(gn.coefficients, d, sign, shift)
     radius = closure.radius()

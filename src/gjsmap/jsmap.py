@@ -270,7 +270,7 @@ def build_jsmap(
     s_z = OperatorMatrix(g, 0)
     offset, hop = _hop(space)
     s_plus = OperatorMatrix(f[max(-offset, 0):][: len(hop)] * hop, offset)
-    s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, s_plus.T, gn), 0)
+    s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, gn), 0)
     q2, alpha_j = float(q2), float(alpha_j)
     closes = abs(_radicand(q2 * float(gg[-1]), alpha_j)) <= 1e-9 * max(1.0, abs(alpha_j) + 1.0)
     return JsMapRep(space, gn, alpha_j, q2, float(m0_sq), s_z, s_plus, s_plus.T, s_sq, closes)
@@ -355,8 +355,7 @@ class PairingReport:
     tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return _record_data(self)
+    to_dict = _record_data
 
 
 def verify_pairing_identity(
@@ -430,13 +429,9 @@ def build_state_vector(space: TwoOscillatorSpace, n1: int, n2: int) -> np.ndarra
 
 def jsmap_to_dict(rep: JsMapRep) -> dict:
     mode = rep.space.mode
-    mode_dict = (
-        {"kind": "fixed_j", "two_j": mode.two_j}
-        if isinstance(mode, FixedJ)
-        else {"kind": "full_grid", "dim": mode.dim}
-    )
     return {
-        "mode": mode_dict,
+        "mode": {"kind": "fixed_j" if isinstance(mode, FixedJ) else "full_grid",
+                 **_record_data(mode)},
         "basis": np.stack([rep.space.n1, rep.space.n2], axis=1).tolist(),
         "oscillator": gha_to_dict(rep.space.gha),
         "gn": charfn_to_dict(rep.gn),

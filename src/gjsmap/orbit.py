@@ -69,8 +69,7 @@ class GuideLine:
     value: float
     label: str
 
-    def to_dict(self) -> dict:
-        return _record_data(self)
+    to_dict = _record_data
 
 
 def _segment_rows(orbit, drawn: int):

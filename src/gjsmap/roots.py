@@ -104,22 +104,22 @@ BOXES = 512
 SPLIT = 16
 
 
-def _sign_change_root(comp: Composition, u, v, tol: float, slope=False) -> Optional[float]:
+def _sign_change_root(comp: Composition, u, v, fu, fv, tol: float, slope=False) -> Optional[float]:
     """A zero of ``F`` (``F'`` with ``slope``) at ``u`` or ``v``, or bisected between them.
 
-    The values are ``comp.value`` (``comp.slope_value``), whose signs are
-    certain; between finite ones of opposite sign the bisection runs on the
-    float ``comp.func`` (``comp.dfunc``), a cheaper stand-in.  Its result
-    stands, as the float where the stand-in changes sign, if the value
-    changes sign between it and the next float on one side (a zero of the
-    value there is the result); otherwise it runs again on the value.
+    ``fu`` and ``fv`` are the caller's values at the ends, ``comp.value``
+    (``comp.slope_value``) or ones of the same certain sign.  Between finite
+    ones of opposite sign the bisection runs on the float ``comp.func``
+    (``comp.dfunc``), a cheaper stand-in.  Its result stands, as the float
+    where the stand-in changes sign, if the value changes sign between it and
+    the next float on one side (a zero of the value there is the result);
+    otherwise it runs again on the value.
     """
-    f = comp.slope_value if slope else functools.partial(comp.value, tol=tol)
-    fu, fv = f(u), f(v)
     if fu == 0.0 or fv == 0.0:
         return u if fu == 0.0 else v
     if not (math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0)):
         return None
+    f = comp.slope_value if slope else functools.partial(comp.value, tol=tol)
     c = _bisect(comp.dfunc if slope else comp.func, u, v, fu, fv)
     fc = f(c)
     n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
@@ -169,7 +169,6 @@ class Composition:
         self._gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
         self._tiny = 2.0 * len(coeffs) * 2.0**-1074  # what underflow may add to a Horner value
         self._float_only = d * math.log2(len(coeffs) - 1 or 1) > math.log2(BOXES * SPLIT)
-        self._slopes = {}  # F'(x) with a certain sign, by x
         self.exact = functools.lru_cache(maxsize=None)(self.exact)
 
     def func(self, x):
@@ -237,8 +236,6 @@ class Composition:
 
     def slope_value(self, x):
         """``F'(x)``, exact where the float lies within its rounding of 0."""
-        if x in self._slopes:
-            return self._slopes[x]
         s = self.dfunc(x)
         return s if abs(s) > self.rounding(x, slope=True) else self.exact(x, slope=True)
 
@@ -420,13 +417,13 @@ class Composition:
             edges = edges.tolist()
             signs = [v if sure else exact(x, slope=True)
                      for x, v, sure in zip(edges, s.tolist(), certain.tolist())]
-            self._slopes.update(zip(edges, signs))
-            crit = {_sign_change_root(self, a, b, tol, slope=True)
-                    for a, b, sa, sb in zip(edges, edges[1:], signs, signs[1:])
-                    if sa == 0.0 or sb == 0.0 or (sa < 0.0) != (sb < 0.0)}
+            crit = {_sign_change_root(self, a, b, sa, sb, tol, slope=True)
+                    for a, b, sa, sb in zip(edges, edges[1:], signs, signs[1:])}
             crit.discard(None)
             points = sorted({edges[0], edges[-1], *crit})
-            found = [_sign_change_root(self, a, b, tol) for a, b in zip(points, points[1:])]
+            values = [self.value(p, tol) for p in points]
+            found = [_sign_change_root(self, a, b, fa, fb, tol)
+                     for a, b, fa, fb in zip(points, points[1:], values, values[1:])]
             found.append(None)
             tangent = [p in crit and abs(exact(p)) <= self.rounding(p) for p in points] + [False]
             group = []

@@ -117,6 +117,16 @@ def test_only_the_np_module_imports_numpy():
     assert importers == {"_np.py"}
 
 
+def test_no_source_line_is_longer_than_100_columns():
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(gjsmap.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
+
+
 #: One instance of each class of ``gjsmap.errors``.
 ERRORS = [
     errors.GjsError("any"),

@@ -472,6 +472,12 @@ UNWRITABLE_JOB = {"jobs": [{"command": "gha build", "output": 5,
 HUGE_FN = '{"coefficients":[1,1%s],"orientation":"oscillator"}' % ("0" * 400)
 HUGE_FN_JOB = {"jobs": [{"name": "huge", "command": "gha build",
                          "params": {"fn": json.loads(HUGE_FN), "alpha0": 0, "dim": 3}}]}
+#: ``coefficients`` that are not a JSON list of numbers.
+BAD_COEFFICIENTS = {
+    case: '{"coefficients":%s,"orientation":"oscillator"}' % text
+    for case, text in [("a string", '"12"'), ("strings", '["1","2"]'), ("a bool", "[true,2]"),
+                       ("an object", '{"1":0,"2":0}')]
+}
 #: Non-finite ``--perturb`` amounts, which once reached numpy and failed as unencodable NaN.
 NON_FINITE_PERTURB = {
     "perturb amount inf": [*SHELL, "--perturb", "sz:0,0:inf"],
@@ -581,6 +587,13 @@ BAD_INPUTS = {
                                            "weights:0:1e200"], None, None, "cannot be encoded"),
     "perturbed s_z square overflows": ([*SHELL, "--perturb", "sz:0,0:1e200"], None, None,
                                        "cannot be encoded"),
+    # each of these once read as [1.0, 2.0]
+    **{f"coefficients {case}": (["charfun", "analyze", "--fn", fn], None, None,
+                                "'coefficients' must be a list of numbers")
+       for case, fn in BAD_COEFFICIENTS.items()},
+    "batch coefficients a string": (["run", "--config", "jobs.json"], None, {"jobs": [
+        {"command": "charfun analyze", "params": {"fn": json.loads(BAD_COEFFICIENTS["a string"])}}
+    ]}, "'coefficients' must be a list of numbers"),
 }
 
 
