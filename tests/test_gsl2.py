@@ -450,6 +450,27 @@ def wide_mix():
 WIDE_MIX_DIGEST = "ec6e68edf1113d70e1f02d2772af4bba54f9b1db97fdf13dc9bf1eb3c7ce1f75"
 
 
+def deep_mix():
+    """The roots of 36 deep closure solves, one list each.
+
+    Cut and periodic solves at d = 13, 14 and 20 for the showcase and five
+    weight quadratics drawn as in ``root_mix``.  Unlike ``root_mix``, whose
+    only such levels are the showcase's at d = 16 and 32, these solves run
+    many levels with mean-value ("tight") iterate bounds.
+    """
+    rng = random.Random(29)
+    quadratics = [(-rng.uniform(0.25, 1.5), rng.uniform(1.5, 3.5), -rng.uniform(0.5, 1.5))
+                  for _ in range(5)]
+    for gn in [FIG2_GN] + [CharFn(q, Orientation.WEIGHT) for q in quadratics]:
+        for d in (13, 14, 20):
+            for kind in (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC):
+                yield [r for r, _ in _closure_roots(gn, d, kind)]
+
+
+#: sha256 of the ``float.hex`` texts of the roots of ``deep_mix``, one line per solve.
+DEEP_MIX_DIGEST = "f24092beb4e3d0293a67f8a3dca86967d7a134b8fd6adfd80df536b3e5a0d289"
+
+
 class TestIsolator:
     """``Composition.roots`` behind both solvers and ``find_roots``."""
 
@@ -586,6 +607,17 @@ class TestIsolator:
         assert (len(rows), sum(len(row.split()) for row in rows)) == (150, 271)
         assert len(calls) > 1000  # the cluster path ran
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == WIDE_MIX_DIGEST
+
+    def test_every_root_of_the_deep_mix_keeps_its_bits(self, monkeypatch):
+        # The mean-value levels, which root_mix reaches only at d = 16 and 32, are pinned too.
+        tight = []
+        enclose = Composition.enclose
+        monkeypatch.setattr(Composition, "enclose", lambda self, lo, hi, t=False:
+                            tight.append(t) or enclose(self, lo, hi, t))
+        rows = [" ".join(map(float.hex, roots)) for roots in deep_mix()]
+        assert (len(rows), sum(len(row.split()) for row in rows)) == (36, 34)
+        assert any(tight)  # a tight level ran
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEEP_MIX_DIGEST
 
     def test_composition_is_freed_after_its_roots(self):
         # The exact-value cache belongs to the instance, so it does not keep it alive.
