@@ -4,7 +4,8 @@ Every library operation is exposed as a subcommand producing deterministic
 JSON on stdout (fixed field order, shortest round-trip float formatting) and
 optional CSV/JSON files under ``--out``.  Exit codes: 0 on success, 1 on any
 validation or construction error (output that cannot be encoded as JSON
-included), 2 when a verification report fails its tolerance.  The environment
+included) and when stdout is closed before the output is written, 2 when a
+verification report fails its tolerance.  The environment
 variable ``GJS_DIVERGENCE_BOUND`` overrides the default iterate bound of 1e12.
 
 A batch mode (``run --config jobs.json``) executes a list of jobs, each the
@@ -740,7 +741,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet the exit flush
+        print(json.dumps({"error": f"BrokenPipeError: {exc}"}), file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

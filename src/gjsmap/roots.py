@@ -145,7 +145,7 @@ class Composition:
     are not finite anyway); ``sign`` is -1, 0 or 1 and ``shift`` an integer.
     ``exact(x)`` is ``F(x)`` in integers over powers of two rounded once, so
     its sign is exact, and ``exact(x, slope=True)`` is ``F'(x)`` so, up to
-    degree ``BOXES * SPLIT``; each instance caches its exact values.
+    degree ``BOXES * SPLIT``.
     ``dfunc`` is the chain rule ``g'(x) g'(g(x)) ... + sign``.
     ``rounding(x)`` bounds, to first order, the rounding in ``func(x)``
     (Higham's Horner bound, carried along the chain rule), and
@@ -154,7 +154,7 @@ class Composition:
     bounds ``F'``, by the operations of ``func`` and ``dfunc`` in their order,
     so they hold every float those return there (``tight`` cuts each iterate
     to its mean-value form, which bounds the exact iterate); ``curve`` bounds
-    ``F''`` by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
+    ``F''`` from the same iterate bounds by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
     """
 
     def __init__(self, coeffs: Sequence[float], d: int, sign: float, shift: float):
@@ -169,7 +169,6 @@ class Composition:
         self._gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
         self._tiny = 2.0 * len(coeffs) * 2.0**-1074  # what underflow may add to a Horner value
         self._float_only = d * math.log2(len(coeffs) - 1 or 1) > math.log2(BOXES * SPLIT)
-        self.exact = functools.lru_cache(maxsize=None)(self.exact)
 
     def func(self, x):
         lead, rest, y = self._lead, self._rest, x
@@ -259,14 +258,13 @@ class Composition:
             s = _interval_product(*s, *_horner_interval(self.dcoeffs, *y))
         return s[0] + self.sign, s[1] + self.sign
 
-    def curve(self, lo, hi):
-        y, s, c = (lo, hi), (np.ones_like(lo),) * 2, (np.zeros_like(lo),) * 2
-        for _ in range(self.d):
+    def curve(self, ys):
+        s, c = (np.ones_like(ys[0][0]),) * 2, (np.zeros_like(ys[0][0]),) * 2
+        for y in ys[:-1]:
             t = _horner_interval(self.dcoeffs, *y)
             u = _interval_product(*_horner_interval(self.ddcoeffs, *y), *_interval_product(*s, *s))
             v = _interval_product(*t, *c)
             c, s = (u[0] + v[0], u[1] + v[1]), _interval_product(*s, *t)
-            y = _horner_interval(self.coeffs, *y)
         return c
 
     def radius(self) -> float:
@@ -336,7 +334,7 @@ class Composition:
             raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are not "
                              "isolated")
         narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
-        finished, clusters = [(np.empty(0),) * 2], [(np.empty(0),) * 2]
+        finished, clusters = [(np.empty(0),) * 4], [(np.empty(0),) * 2]
         parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
         with np.errstate(over="ignore", invalid="ignore"):
             while parent_lo.size:
@@ -365,13 +363,13 @@ class Composition:
                 flat = np.flatnonzero(inside & (d_lo <= 0.0) & (d_hi >= 0.0))
                 last = width <= narrow * scale
                 if flat.size:  # in the band, a convex or concave F leaves F' one zero at most
-                    c_lo, c_hi = self.curve(box_lo[flat], box_hi[flat])
+                    c_lo, c_hi = self.curve([(y_lo[flat], y_hi[flat]) for y_lo, y_hi in iterates])
                     last[flat[(c_lo > 0.0) | (c_hi < 0.0)]] = True
                 # Outside the band an end value's sign is far beyond rounding.
                 monotone = keep & ((d_lo > 0.0) | (d_hi < 0.0))
                 done = monotone & (np.abs(f_left) > band) & (np.abs(f_right) > band)
                 crossing = done & ((f_left < 0.0) != (f_right < 0.0))
-                finished.append((box_lo[crossing], box_hi[crossing]))
+                finished.append(tuple(a[crossing] for a in (box_lo, box_hi, f_left, f_right)))
                 last = (last | monotone) & keep & ~done
                 clusters.append((box_lo[last], box_hi[last]))
                 keep &= ~(done | last)
@@ -406,8 +404,8 @@ class Composition:
         tolerance).
         """
         func, exact = self.func, self.exact
-        fin_lo, fin_hi = (np.concatenate(a).tolist() for a in zip(*finished))
-        roots = [_bisect(func, u, v, func(u), func(v)) for u, v in zip(fin_lo, fin_hi)]
+        ends = (np.concatenate(a).tolist() for a in zip(*finished))  # lo, hi, F(lo), F(hi)
+        roots = [_bisect(func, *box) for box in zip(*ends)]
         c_lo, c_hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
         for start, stop in zip(*_runs(c_lo, c_hi)) if c_lo.size else ():
             edges = np.append(c_lo[start:stop + 1], c_hi[stop])
@@ -423,13 +421,13 @@ class Composition:
             points = sorted({edges[0], edges[-1], *crit})
             values = [self.value(p, tol) for p in points]
             found = [_sign_change_root(self, a, b, fa, fb, tol)
-                     for a, b, fa, fb in zip(points, points[1:], values, values[1:])]
-            found.append(None)
-            tangent = [p in crit and abs(exact(p)) <= self.rounding(p) for p in points] + [False]
+                     for a, b, fa, fb in zip(points, points[1:], values, values[1:])] + [None]
+            size = [abs(exact(p)) if p in crit else math.inf for p in points]
+            tangent = [p in crit and a <= self.rounding(p) for p, a in zip(points, size)] + [False]
             group = []
             for i, p in enumerate(points):
                 if tangent[i]:
-                    group.append((abs(exact(p)), p))
+                    group.append((size[i], p))
                     continue
                 if group:
                     roots.append(min(group)[1])

@@ -1177,6 +1177,18 @@ class TestDeterminismAndEnv:
         assert result.returncode == 0
         assert b"charfun" in result.stdout
 
+    def test_closed_stdout_is_one_json_error(self):
+        # The 632 kB of output outgrow a pipe buffer, so a write meets the closed pipe.
+        argv = [sys.executable, "-m", "gjsmap.cli", "jsmap", "build", "--fn", BOSON,
+                "--alpha0", "0", "--gn", SL2, "--alphaj", "50", "--j", "50"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 1
+        assert err.count("\n") == 1  # no traceback
+        assert json.loads(err)["error"].startswith("BrokenPipeError: ")
+
 
 #: Fresh-process paths that must finish without importing numpy.
 NUMPY_FREE = {

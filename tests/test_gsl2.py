@@ -1,5 +1,4 @@
 import functools
-import gc
 import hashlib
 import json
 import math
@@ -619,14 +618,17 @@ class TestIsolator:
         assert any(tight)  # a tight level ran
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEEP_MIX_DIGEST
 
-    def test_composition_is_freed_after_its_roots(self):
-        # The exact-value cache belongs to the instance, so it does not keep it alive.
+    def test_composition_is_freed_after_its_roots(self, monkeypatch):
+        # An instance keeps no state, so no reference cycle holds it until a gc pass.
+        calls = []
+        exact = Composition.exact
+        monkeypatch.setattr(Composition, "exact", lambda self, x, slope=False:
+                            calls.append((x, slope)) or exact(self, x, slope))
         closure = Composition(FIG2_GN.coefficients, 1, -1.0, 0.0)
         assert closure.roots(-5.0, 5.0, CUT_SOLVE_TOL) == [1.0]
-        assert closure.exact.cache_info().currsize > 0  # the tangency is decided exactly
+        assert (1.0, False) in calls  # the tangency is decided exactly
         freed = weakref.ref(closure)
         del closure
-        gc.collect()
         assert freed() is None
 
 
