@@ -5,8 +5,8 @@ JSON on stdout (fixed field order, shortest round-trip float formatting) and
 optional CSV/JSON files under ``--out``.  Exit codes: 0 on success, 1 on any
 validation or construction error (output that cannot be encoded as JSON
 included) and when stdout is closed before the output is written, 2 when a
-verification report fails its tolerance.  The environment
-variable ``GJS_DIVERGENCE_BOUND`` overrides the default iterate bound of 1e12.
+verification report fails its tolerance.  The environment variable
+``GJS_DIVERGENCE_BOUND`` overrides the default iterate bound of 1e12.
 
 A batch mode (``run --config jobs.json``) executes a list of jobs, each the
 equivalent of one subcommand invocation with parameters given as JSON values;
