@@ -697,6 +697,33 @@ class TestEnclosure:
                     assert_in_box(float(func(np.array([x]))[0]), flo, fhi)
                     assert_in_box(dfunc(x), dlo, dhi)
 
+    @given(
+        coeffs=CLOSURE_COEFFS,
+        d=st.integers(1, 6),
+        lo=st.floats(-50.0, 50.0) | st.floats(-1e200, 1e200),
+        width=st.floats(0.0, 10.0) | st.floats(0.0, 1e200),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_second_derivative_lies_in_enclosure(self, coeffs, d, lo, width, data):
+        # F'' is g^(d)'' (the line sign x + shift adds nothing), by the chain
+        # rule in the order of the interval operations.
+        hi = lo + width
+        points = data.draw(st.lists(st.floats(lo, hi), max_size=8)) + [lo, hi]
+        closure = Composition(coeffs, d, 0.0, 0.0)
+        dcoeffs = _derivative(closure.coeffs)
+        ddcoeffs = _derivative(dcoeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, iterates = closure.enclose(np.array([lo]), np.array([hi]))
+            c_lo, c_hi = (float(b[0]) for b in closure.curve(iterates))
+        for x in points:
+            y, s, c = x, 1.0, 0.0
+            for _ in range(d):
+                t = _horner(dcoeffs, y)
+                c = _horner(ddcoeffs, y) * (s * s) + t * c
+                s, y = s * t, _horner(closure.coeffs, y)
+            assert_in_box(c, c_lo, c_hi)
+
     @given(coeffs=CLOSURE_COEFFS, d=st.integers(1, 4),
            xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
                        min_size=1, max_size=6))
