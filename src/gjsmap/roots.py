@@ -150,11 +150,13 @@ class Composition:
     ``rounding(x)`` bounds, to first order, the rounding in ``func(x)``
     (Higham's Horner bound, carried along the chain rule), and
     ``rounding(x, slope=True)`` that in ``dfunc(x)``.  ``enclose(lo, hi)``
-    bounds ``F`` over boxes, with the iterate bounds from which ``slope``
-    bounds ``F'``, by the operations of ``func`` and ``dfunc`` in their order,
-    so they hold every float those return there (``tight`` cuts each iterate
-    to its mean-value form, which bounds the exact iterate); ``curve`` bounds
-    ``F''`` from the same iterate bounds by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
+    bounds ``F`` over boxes in one sweep of the iterate bounds
+    ``Y_(k+1) = g(Y_k)``, by the operations of ``func`` in their order, so
+    they hold every float ``func`` returns there (``tight`` cuts each iterate
+    to its mean-value form, which bounds the exact iterate).  It returns
+    ``(F_lo, F_hi, F', F'')``: at ``order`` 0 the last two are ``None``, at 1
+    the same sweep bounds ``F'`` by the operations of ``dfunc``, and at 2 also
+    ``F''`` by ``(h o g)'' = h''(g) g'^2 + h'(g) g''``.
     """
 
     def __init__(self, coeffs: Sequence[float], d: int, sign: float, shift: float):
@@ -238,34 +240,30 @@ class Composition:
         s = self.dfunc(x)
         return s if abs(s) > self.rounding(x, slope=True) else self.exact(x, slope=True)
 
-    def enclose(self, lo, hi, tight=False):
-        coeffs, sign = self.coeffs, self.sign
-        ys = [(lo, hi)]
+    def enclose(self, lo, hi, tight=False, order=0):
+        coeffs, dcoeffs, sign = self.coeffs, self.dcoeffs, self.sign
+        y_lo, y_hi, s = lo, hi, None  # Y_k and the product of g'(Y_j), j < k
+        if order > 1:  # F'' and its own product of g', from zeros and ones
+            c, p = (np.zeros_like(lo),) * 2, (np.ones_like(lo),) * 2
         for _ in range(self.d):
-            y_lo, y_hi = y = ys[-1]
-            ys.append(_horner_interval(coeffs, *y))
+            if order or tight:  # g'(Y_k), once for the cut and the chain rule
+                t = _horner_interval(dcoeffs, y_lo, y_hi)
+                s = t if s is None else _interval_product(*s, *t)
+            if order > 1:
+                u = _interval_product(*_horner_interval(self.ddcoeffs, y_lo, y_hi),
+                                      *_interval_product(*p, *p))
+                v = _interval_product(*t, *c)
+                c, p = (u[0] + v[0], u[1] + v[1]), _interval_product(*p, *t)
+            g_lo, g_hi = _horner_interval(coeffs, y_lo, y_hi)
             if tight:  # cut to the mean-value form g(m) + g'(Y)(Y - m), m the midpoint
                 m = 0.5 * (y_lo + y_hi)
-                t = _interval_product(*_horner_interval(self.dcoeffs, *y), y_lo - m, y_hi - m)
+                w = _interval_product(*t, y_lo - m, y_hi - m)
                 gm = _horner(coeffs, m)
-                ys[-1] = np.fmax(ys[-1][0], gm + t[0]), np.fmin(ys[-1][1], gm + t[1])
+                g_lo, g_hi = np.fmax(g_lo, gm + w[0]), np.fmin(g_hi, gm + w[1])
+            y_lo, y_hi = g_lo, g_hi
         x_lo, x_hi = (sign * lo, sign * hi) if sign >= 0.0 else (sign * hi, sign * lo)
-        return ys[-1][0] + x_lo + self.shift, ys[-1][1] + x_hi + self.shift, ys
-
-    def slope(self, ys):
-        s = _horner_interval(self.dcoeffs, *ys[0])
-        for y in ys[1:-1]:
-            s = _interval_product(*s, *_horner_interval(self.dcoeffs, *y))
-        return s[0] + self.sign, s[1] + self.sign
-
-    def curve(self, ys):
-        s, c = (np.ones_like(ys[0][0]),) * 2, (np.zeros_like(ys[0][0]),) * 2
-        for y in ys[:-1]:
-            t = _horner_interval(self.dcoeffs, *y)
-            u = _interval_product(*_horner_interval(self.ddcoeffs, *y), *_interval_product(*s, *s))
-            v = _interval_product(*t, *c)
-            c, s = (u[0] + v[0], u[1] + v[1]), _interval_product(*s, *t)
-        return c
+        return (y_lo + x_lo + self.shift, y_hi + x_hi + self.shift,
+                (s[0] + sign, s[1] + sign) if order else None, c if order > 1 else None)
 
     def radius(self) -> float:
         """A radius ``R`` past which ``F`` has no root.
@@ -345,7 +343,7 @@ class Composition:
                 box_lo, box_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
                 scale = np.maximum(1.0, np.maximum(np.abs(box_lo), np.abs(box_hi)))
                 band = 2.0 * tol * scale
-                f_lo, f_hi, iterates = self.enclose(box_lo, box_hi, tight)
+                f_lo, f_hi, slope, _ = self.enclose(box_lo, box_hi, tight, 0 if first else 1)
                 keep = ~((f_lo > band) | (f_hi < -band))
                 if first or not keep.any():  # first-level boxes are too wide to be monotone
                     parent_lo, parent_hi, first = box_lo[keep], box_hi[keep], False
@@ -353,7 +351,7 @@ class Composition:
                 values = self.func(ends)
                 f_left, f_right = values[:, :-1].ravel(), values[:, 1:].ravel()
                 width = box_hi - box_lo
-                d_lo, d_hi = self.slope(iterates)
+                d_lo, d_hi = slope
                 # Cut the enclosure to the mean-value forms F(e) + F'(X)(X - e) from both ends.
                 t_lo, t_hi = np.minimum(d_lo * width, 0.0), np.maximum(d_hi * width, 0.0)
                 f_lo = np.fmax(f_lo, np.fmax(f_left + t_lo, f_right - t_hi))
@@ -363,7 +361,7 @@ class Composition:
                 flat = np.flatnonzero(inside & (d_lo <= 0.0) & (d_hi >= 0.0))
                 last = width <= narrow * scale
                 if flat.size:  # in the band, a convex or concave F leaves F' one zero at most
-                    c_lo, c_hi = self.curve([(y_lo[flat], y_hi[flat]) for y_lo, y_hi in iterates])
+                    _, _, _, (c_lo, c_hi) = self.enclose(box_lo[flat], box_hi[flat], tight, 2)
                     last[flat[(c_lo > 0.0) | (c_hi < 0.0)]] = True
                 # Outside the band an end value's sign is far beyond rounding.
                 monotone = keep & ((d_lo > 0.0) | (d_hi < 0.0))

@@ -611,8 +611,8 @@ class TestIsolator:
         # The mean-value levels, which root_mix reaches only at d = 16 and 32, are pinned too.
         tight = []
         enclose = Composition.enclose
-        monkeypatch.setattr(Composition, "enclose", lambda self, lo, hi, t=False:
-                            tight.append(t) or enclose(self, lo, hi, t))
+        monkeypatch.setattr(Composition, "enclose", lambda self, lo, hi, t=False, order=0:
+                            tight.append(t) or enclose(self, lo, hi, t, order))
         rows = [" ".join(map(float.hex, roots)) for roots in deep_mix()]
         assert (len(rows), sum(len(row.split()) for row in rows)) == (36, 34)
         assert any(tight)  # a tight level ran
@@ -682,8 +682,8 @@ class TestEnclosure:
             closures = []
             for sign, shift in CLOSURE_LINES:
                 closure = Composition(coeffs, d, sign, shift)
-                f_lo, f_hi, iterates = closure.enclose(*box)
-                bounds = [float(b[0]) for b in (f_lo, f_hi, *closure.slope(iterates))]
+                f_lo, f_hi, slope, _ = closure.enclose(*box, order=1)
+                bounds = [float(b[0]) for b in (f_lo, f_hi, *slope)]
                 closures.append((closure.func, closure.dfunc, bounds))
             for x in points:
                 # g^(d) composed of evaluate calls, trailing zeros included
@@ -714,8 +714,8 @@ class TestEnclosure:
         dcoeffs = _derivative(closure.coeffs)
         ddcoeffs = _derivative(dcoeffs)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, _, iterates = closure.enclose(np.array([lo]), np.array([hi]))
-            c_lo, c_hi = (float(b[0]) for b in closure.curve(iterates))
+            curve = closure.enclose(np.array([lo]), np.array([hi]), order=2)[3]
+            c_lo, c_hi = (float(b[0]) for b in curve)
         for x in points:
             y, s, c = x, 1.0, 0.0
             for _ in range(d):
