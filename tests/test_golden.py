@@ -11,6 +11,10 @@ Regenerate the digest file only from a commit whose output is the intended
 reference, never to make a refactoring pass::
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py "orbit figure fig1" "run mixed"
+
+With case names, only those records are rewritten; every other record stays
+byte for byte, and each digest that changed is printed.
 """
 
 from __future__ import annotations
@@ -307,10 +311,27 @@ def test_output_matches_digest(name, tmp_path):
     assert run_case(name, tmp_path) == _reference()[name]
 
 
-if __name__ == "__main__":
-    records = {}
-    for case in sorted(CASES):
+def regenerate(names: list[str]) -> None:
+    """Rewrite the records of ``names`` (every case if empty); print each changed digest."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no such case: {', '.join(map(repr, unknown))}")
+    old = _reference() if DIGESTS.exists() else {}
+    records = {**old} if names else {}
+    for case in sorted(names or CASES):
         with tempfile.TemporaryDirectory() as tmp:
             records[case] = run_case(case, Path(tmp))
+        was = old.get(case, {})
+        for key in ("exit", "stdout", "stderr"):
+            if was.get(key) != records[case][key]:
+                print(f"{case}: {key} {was.get(key)} -> {records[case][key]}")
+        for path in sorted({*was.get("files", {}), *records[case]["files"]}):
+            before, after = was.get("files", {}).get(path), records[case]["files"].get(path)
+            if before != after:
+                print(f"{case}: {path} {before} -> {after}")
     DIGESTS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} digests to {DIGESTS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])
