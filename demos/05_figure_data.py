@@ -1,8 +1,9 @@
 """Produce the plot data behind the four stock figures.
 
-Each bundle carries curve samples, the diagonal, cobweb segments, the full
-iterate sequence, fixed points and boundaries, serialized as JSON plus a CSV
-pair per series.  Point any plotting tool at the CSVs; nothing here renders
+Each series is written as its report JSON, the record (curve samples, the
+full iterate sequence and its drawn step count, fixed points and
+boundaries), plus a CSV pair, the plot table: curve with diagonal, and the
+cobweb segments.  Point any plotting tool at the CSVs; nothing here renders
 images.
 """
 

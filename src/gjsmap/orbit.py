@@ -3,8 +3,8 @@
 A cobweb trace alternates vertical moves onto the curve ``y = f(x)`` and
 horizontal moves back to the diagonal ``y = x``, visualizing how an orbit
 approaches (or escapes) a fixed point.  Reports carry everything an external
-plotter needs: curve samples, the diagonal, the segment list, the full
-iterate sequence, fixed points with stability labels, the invertibility
+plotter needs: curve samples, the full iterate sequence and how many of its
+steps are drawn, fixed points with stability labels, the invertibility
 boundary and optional guide lines.
 
 The iterate sequence runs until the requested step count or the divergence
@@ -13,9 +13,11 @@ recorded orbit.
 
 A report stores the iterates, the number of drawn steps and the flat curve
 samples, and derives the sample pairs, the diagonal and the segments.  Its
-writers build every JSON nest and CSV row from one repr per number, which
-the report makes on first use (:attr:`OrbitReport.texts`) and keeps, so the
-stdout payload and the three files of a report share them.
+JSON is that record, each fact once; the CSV pair is the plot table, curve
+with diagonal and one row per segment.  The writers build every JSON nest and
+CSV row from one repr per number, which the report makes on first use
+(:attr:`OrbitReport.texts`) and keeps, so the stdout payload and the three
+files of a report share them.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ def _segment_rows(orbit, drawn: int):
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Plot-ready data for one orbit of one characteristic function.
+    """One orbit of one characteristic function, with its curve samples.
 
-    The segments draw ``drawn`` orbit steps; the curve samples are ``sample_x``, ``sample_fx``.
+    The fields are the record; ``fn_samples``, ``diagonal_samples`` and ``cobweb_segments``
+    are views derived from ``sample_x``, ``sample_fx`` and the first ``drawn`` steps.
     """
 
     fn: CharFn
@@ -263,7 +266,8 @@ def figure_bundle(name, bound: float = DIVERGENCE_BOUND) -> FigureBundle:
 
 
 def report_to_dict(report: OrbitReport) -> dict:
-    """The report as JSON-ready values; the sample and segment nests are plain tuples."""
+    """The report's fields as JSON-ready values, in declaration order (``region_label`` is
+    ``region``); the derived views are not written, since the fields rebuild them."""
     return {
         "fn": charfn_to_dict(report.fn),
         "x0": report.x0,
@@ -272,36 +276,28 @@ def report_to_dict(report: OrbitReport) -> dict:
         "iterates": list(report.iterates),
         "truncated_divergence": report.truncated_divergence,
         "truncated_window": report.truncated_window,
+        "drawn": report.drawn,
+        "sample_x": list(report.sample_x),
+        "sample_fx": list(report.sample_fx),
         "fixed_points": [fp.to_dict() for fp in report.fixed_points],
         "boundary": report.boundary,
         "region": report.region_label.value if report.region_label else None,
         "guide_lines": [g.to_dict() for g in report.guide_lines],
-        "fn_samples": report.fn_samples,
-        "diagonal_samples": report.diagonal_samples,
-        "cobweb_segments": report.cobweb_segments,
     }
 
 
 def formatted_report(report: OrbitReport) -> dict:
-    """:func:`report_to_dict` with each number nest a :class:`FormattedNest` of the report's texts.
-
-    The leaves are tuples, so the dict can be encoded more than once.
-    """
+    """:func:`report_to_dict` with each of its three number lists a :class:`FormattedNest` of
+    the report's texts; no pair or segment is shaped, and the dict encodes more than once."""
     x, fx, it = report.texts
-    segments = chain.from_iterable(_segment_rows(it, report.drawn))
     payload = report_to_dict(report)
-    for key, shape, leaves in (
-        ("iterates", (len(it),), it),
-        ("fn_samples", (len(x), 2), chain.from_iterable(zip(x, fx))),
-        ("diagonal_samples", (len(x), 2), chain.from_iterable(zip(x, x))),
-        ("cobweb_segments", (2 * report.drawn, 2, 2), segments),
-    ):
-        payload[key] = FormattedNest(payload[key], shape, tuple(leaves))
+    for key, leaves in (("iterates", it), ("sample_x", x), ("sample_fx", fx)):
+        payload[key] = FormattedNest(payload[key], (len(leaves),), leaves)
     return payload
 
 
 def write_report_json(report: OrbitReport, path) -> None:
-    """The report as indented JSON, from :func:`formatted_report`."""
+    """The report's record as indented JSON, from :func:`formatted_report`."""
     text = json.dumps(formatted_report(report), cls=OutputEncoder, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 

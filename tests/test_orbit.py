@@ -143,7 +143,7 @@ class TestSerialization:
         data = json.loads(payload)
         assert data["region"] == "convergent_interval"
         assert data["iterates"] == list(report.iterates)
-        assert len(data["cobweb_segments"]) == len(report.cobweb_segments)
+        assert 2 * data["drawn"] == len(report.cobweb_segments)
 
     def test_write_bundle_files(self, tmp_path):
         files = write_bundle(figure_bundle("fig1"), tmp_path)

@@ -2,9 +2,11 @@
 
 The writers build every JSON nest and CSV row from one formatted string per
 number, and a report derives its sample pairs, diagonal and segments from its
-iterates and flat samples.  Both must give the bytes the old code gave.
+iterates and flat samples.  Both must give the bytes the old code gave.  The
+JSON holds only the record, so every derived view must be rebuilt from it.
 """
 
+import json
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -64,6 +66,20 @@ def windows(draw, orbit: list[float]):
     return (lo - pad, hi + pad)
 
 
+def views_from_json(text: str) -> tuple:
+    """``(fn_samples, diagonal_samples, cobweb_segments)`` rebuilt from a report's JSON.
+
+    Step ``k < drawn`` draws ``(x_k, x_k) -> (x_k, x_k+1) -> (x_k+1, x_k+1)``.
+    """
+    data = json.loads(text)
+    xs, fxs, orbit = data["sample_x"], data["sample_fx"], data["iterates"]
+    segments = []
+    for k in range(data["drawn"]):
+        a, b = orbit[k], orbit[k + 1]
+        segments += [((a, a), (a, b)), ((a, b), (b, b))]
+    return tuple(zip(xs, fxs)), tuple(zip(xs, xs)), tuple(segments)
+
+
 def written(report) -> tuple[str, str, str]:
     with TemporaryDirectory() as tmp:
         paths = [Path(tmp) / name for name in ("r.json", "curve.csv", "cobweb.csv")]
@@ -85,7 +101,10 @@ def test_reports_match_the_reference(fn, x0, steps, samples, data):
     assert report.diagonal_samples == diagonal
     assert report.cobweb_segments == segments
     assert report.truncated_window is truncated
-    assert written(report) == (reference_report_json(report), *reference_report_csvs(report))
+    files = written(report)
+    assert files == (reference_report_json(report), *reference_report_csvs(report))
+    views = (report.fn_samples, report.diagonal_samples, report.cobweb_segments)
+    assert views_from_json(files[0]) == views
 
 
 def test_diverging_orbit_matches_the_reference():
