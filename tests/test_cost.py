@@ -1,24 +1,48 @@
-"""Cost contracts of the root isolator, counted in bytes rather than time."""
+"""Cost contracts, counted in bytes rather than time: the root isolator's memory, the
+memory of the three builds with their checks, and the bytes of an orbit report."""
 
+import contextlib
+import io
 import tracemalloc
 
-from gjsmap import CharFn, Orientation, RepKind
+import pytest
+
+from gjsmap import (
+    CharFn,
+    FixedJ,
+    Orientation,
+    RepKind,
+    build_gha,
+    build_gsl2,
+    build_jsmap,
+    figure_bundle,
+    verify_gha_relations,
+    verify_gsl2_relations,
+    verify_jsmap_relations,
+    verify_map_equals_gsl2,
+    write_bundle,
+)
+from gjsmap.cli import main
 from gjsmap.gsl2 import _closure_roots
 
 SHOWCASE = CharFn((-1.0, 3.0, -1.0), Orientation.WEIGHT)
 KINDS = (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC)
 MIB = 2**20
 
+# The Schwinger pair: f = x + 1 from alpha0 = 0, g = x - 1 from alpha_j = j.
+BOSON = CharFn((1.0, 1.0), Orientation.OSCILLATOR)
+SL2 = CharFn((-1.0, 1.0), Orientation.WEIGHT)
 
-def peak_bytes(d: int, kind: RepKind) -> int:
-    """The ``tracemalloc`` peak of one closure solve, above what was allocated before it."""
+
+def peak_bytes(call, *args) -> int:
+    """The ``tracemalloc`` peak of ``call(*args)``, above what was allocated before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _closure_roots(SHOWCASE, d, kind)
+        call(*args)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -28,7 +52,63 @@ def peak_bytes(d: int, kind: RepKind) -> int:
 def test_a_deep_solve_holds_no_array_per_composition_order():
     # One forward sweep keeps a few level arrays alive, not the d + 1 iterate bounds.
     _closure_roots(SHOWCASE, 16, RepKind.FINITE_CUT)  # warm-up: imports and caches
-    peaks = {(d, kind): peak_bytes(d, kind) for d in (16, 20, 32) for kind in KINDS}
+    peaks = {(d, kind): peak_bytes(_closure_roots, SHOWCASE, d, kind)
+             for d in (16, 20, 32) for kind in KINDS}
     assert max(peaks.values()) <= 4 * MIB, peaks
     for kind in KINDS:
         assert peaks[32, kind] <= 1.1 * peaks[16, kind], peaks
+
+
+def gha_checked(two_j: int) -> None:
+    verify_gha_relations(build_gha(BOSON, 0.0, two_j + 1))
+
+
+def gsl2_checked(two_j: int) -> None:
+    verify_gsl2_relations(build_gsl2(SL2, two_j / 2, two_j + 1, RepKind.FINITE_CUT))
+
+
+def jsmap_checked(two_j: int) -> None:
+    rep = build_jsmap(BOSON, 0.0, SL2, two_j / 2, FixedJ(two_j))
+    verify_jsmap_relations(rep)
+    verify_map_equals_gsl2(rep, build_gsl2(SL2, two_j / 2, two_j + 1, RepKind.FINITE_CUT))
+
+
+#: Bytes per state allowed at either size: 1.3 times the larger of the peaks measured at
+#: 2j = 300 and 3,000 (gha 90.1 and 81.0, gsl2 88.9 and 80.9, jsmap 149.0 and 138.2).
+BYTES_PER_STATE = {gha_checked: 117, gsl2_checked: 116, jsmap_checked: 194}
+
+
+@pytest.mark.parametrize("checked", BYTES_PER_STATE, ids=lambda f: f.__name__)
+def test_a_build_and_its_checks_hold_memory_linear_in_the_states(checked):
+    # Every operator is one diagonal, so a dense matrix would multiply the peak by 100 a decade.
+    checked(300)  # warm-up: imports and caches
+    peaks = {two_j: peak_bytes(checked, two_j) for two_j in (300, 3000)}
+    assert peaks[3000] <= 11 * peaks[300], peaks
+    for two_j, peak in peaks.items():
+        assert peak <= BYTES_PER_STATE[checked] * (two_j + 1), peaks
+
+
+#: Bytes of each stock report JSON and of the README cobweb's stdout as written when the
+#: JSON became the report's record; the contract allows 1.15 times as many.
+REPORT_BYTES = {
+    "fig1_a.json": 29745, "fig1_b.json": 25182, "fig2_b.json": 25518, "fig3_a.json": 25603,
+    "fig4_oscillator.json": 26192, "fig4_weight.json": 25480,
+}
+README_COBWEB = ["orbit", "cobweb", "--fn",
+                 '{"coefficients":[1.225,-2.5,2.5],"orientation":"oscillator"}',
+                 "--x0", "0.56", "--steps", "50"]
+README_COBWEB_BYTES = 28398
+
+
+def test_an_orbit_report_writes_its_record_not_its_derived_views(tmp_path):
+    # Restating the curve pairs, the diagonal and the segments would more than double each.
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        write_bundle(figure_bundle(name), tmp_path)
+    sizes = {path.name: path.stat().st_size for path in tmp_path.glob("*.json")}
+    assert sorted(sizes) == sorted(REPORT_BYTES)
+    for name, size in sizes.items():
+        assert size <= 1.15 * REPORT_BYTES[name], sizes
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(README_COBWEB) == 0
+    assert len(out.getvalue().encode("utf-8")) <= 1.15 * README_COBWEB_BYTES
