@@ -321,14 +321,14 @@ def regenerate(names: list[str]) -> None:
     for case in sorted(names or CASES):
         with tempfile.TemporaryDirectory() as tmp:
             records[case] = run_case(case, Path(tmp))
-        was = old.get(case, {})
-        for key in ("exit", "stdout", "stderr"):
-            if was.get(key) != records[case][key]:
-                print(f"{case}: {key} {was.get(key)} -> {records[case][key]}")
-        for path in sorted({*was.get("files", {}), *records[case]["files"]}):
-            before, after = was.get("files", {}).get(path), records[case]["files"].get(path)
+        was, now = old.get(case, {}), records[case]
+        files = was.get("files", {})
+        changes = [(key, was.get(key), now[key]) for key in ("exit", "stdout", "stderr")]
+        changes += [(path, files.get(path), now["files"].get(path))
+                    for path in sorted({*files, *now["files"]})]
+        for what, before, after in changes:
             if before != after:
-                print(f"{case}: {path} {before} -> {after}")
+                print(f"{case}: {what} {before} -> {after}")
     DIGESTS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} digests to {DIGESTS}", file=sys.stderr)
 
