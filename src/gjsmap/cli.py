@@ -86,12 +86,13 @@ from .orbit import (
     FigureBundle,
     FigureName,
     OrbitReport,
+    _write_report,
     cobweb,
     figure_bundle,
     formatted_report,
     write_bundle,
-    write_report_csvs,
-    write_report_json,
+    write_report_csvs,  # unused here, but bench/tracing.py wraps this name
+    write_report_json,  # and this one on gjsmap.cli
 )
 
 
@@ -581,9 +582,7 @@ def _write_files(out_dir, files: dict) -> list[str]:
                 names += write_bundle(content, out)
                 continue
             if isinstance(content, OrbitReport):
-                write_report_json(content, out / f"{name}.json")
-                write_report_csvs(content, out / f"{name}_curve.csv", out / f"{name}_cobweb.csv")
-                names += [f"{name}.json", f"{name}_curve.csv", f"{name}_cobweb.csv"]
+                names += _write_report(content, out, name)
                 continue
         except ValueError as exc:  # a report JSON with a non-finite number
             raise _unencodable(exc) from exc

@@ -316,14 +316,17 @@ def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _write_report(report: OrbitReport, out: Path, stem: str) -> list[str]:
+    """Write a report's ``stem.json`` and its curve/cobweb CSV pair into ``out``; the names."""
+    names = [f"{stem}.json", f"{stem}_curve.csv", f"{stem}_cobweb.csv"]
+    write_report_json(report, out / names[0])
+    write_report_csvs(report, out / names[1], out / names[2])
+    return names
+
+
 def write_bundle(bundle: FigureBundle, out_dir) -> list[str]:
     """Write every report of a bundle; returns the created file names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    created = []
-    for series, report in bundle.reports:
-        stem = f"{bundle.name}_{series}"
-        write_report_json(report, out / f"{stem}.json")
-        write_report_csvs(report, out / f"{stem}_curve.csv", out / f"{stem}_cobweb.csv")
-        created.extend([f"{stem}.json", f"{stem}_curve.csv", f"{stem}_cobweb.csv"])
-    return created
+    return [name for series, report in bundle.reports
+            for name in _write_report(report, out, f"{bundle.name}_{series}")]

@@ -16,6 +16,7 @@ from ._np import np
 
 #: The least positive float.
 _TINY = math.ulp(0.0)
+_MAX_DIGITS = 2**14  # past which Composition.exact gives up
 
 
 def _strip_trailing_zeros(coeffs: Sequence[float]) -> list[float]:
@@ -56,6 +57,17 @@ def _horner_interval(coeffs: Sequence[float], lo, hi):
     for c in coeffs[-2:0:-1]:
         acc_lo, acc_hi = _interval_product(acc_lo + c, acc_hi + c, lo, hi)
     return acc_lo + coeffs[0], acc_hi + coeffs[0]
+
+
+def _decimal_horner(coeffs, lo, hi, down, up):
+    """:func:`_horner_interval` in Decimals, for coefficients ``(c_lo, c_hi)``: ``down`` rounds
+    each lower bound toward -inf and ``up`` each upper bound toward +inf."""
+    acc_lo, acc_hi = coeffs[-1]
+    for c_lo, c_hi in coeffs[-2::-1]:
+        ends = [(a, b) for a in (acc_lo, acc_hi) for b in (lo, hi)]
+        acc_lo = down.add(min(down.multiply(a, b) for a, b in ends), c_lo)
+        acc_hi = up.add(max(up.multiply(a, b) for a, b in ends), c_hi)
+    return acc_lo, acc_hi
 
 
 def _dyadic(coeffs: Sequence[float]) -> tuple[list[int], int]:
@@ -143,9 +155,11 @@ class Composition:
 
     ``g`` is ``coeffs`` without trailing zeros (they change only values that
     are not finite anyway); ``sign`` is -1, 0 or 1 and ``shift`` an integer.
-    ``exact(x)`` is ``F(x)`` in integers over powers of two rounded once, so
-    its sign is exact, and ``exact(x, slope=True)`` is ``F'(x)`` so, up to
-    degree ``BOXES * SPLIT``.
+    ``exact(x)`` is ``F(x)`` rounded once (+0.0 if it is 0, ``±inf`` past the float
+    range), so its sign is exact, and ``exact(x, slope=True)`` is ``F'(x)`` so.  Both
+    enclose the value from the exact coefficients in outward-rounded decimal intervals of
+    24 digits, then twice as many each time, until both ends round to the same float
+    (A. Ziv, *ACM TOMS* 17, 1991); past ``_MAX_DIGITS`` digits a ``ValueError`` names ``x``.
     ``dfunc`` is the chain rule ``g'(x) g'(g(x)) ... + sign``.
     ``rounding(x)`` bounds, to first order, the rounding in ``func(x)``
     (Higham's Horner bound, carried along the chain rule), and
@@ -166,11 +180,9 @@ class Composition:
         self.ddcoeffs = _derivative(self.dcoeffs)
         self._lead, self._rest = coeffs[-1], coeffs[-2::-1]
         self._ints, self._top = _dyadic(coeffs)
-        self._dints = [i * c for i, c in enumerate(self._ints)][1:] or [0]
         self._mags, self._dmags = [abs(c) for c in coeffs], [abs(c) for c in self.dcoeffs]
         self._gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
         self._tiny = 2.0 * len(coeffs) * 2.0**-1074  # what underflow may add to a Horner value
-        self._float_only = d * math.log2(len(coeffs) - 1 or 1) > math.log2(BOXES * SPLIT)
 
     def func(self, x):
         lead, rest, y = self._lead, self._rest, x
@@ -181,33 +193,34 @@ class Composition:
             y = acc
         return y + self.sign * x + self.shift
 
-    def _horner_int(self, cs, y, e):  # sum cs[i] (y / 2**e)**i / 2**top as acc / 2**a
-        acc, a, top = cs[-1], self._top, self._top
-        for c in cs[-2::-1]:
-            acc, a = acc * y + (c << (a + e - top)), a + e
-        return acc, a
-
     def exact(self, x, slope=False):
-        if self._float_only:  # past degree BOXES * SPLIT an exact value costs 20 ms and more
-            return self.dfunc(x) if slope else self.func(x)
-        num, den = x.as_integer_ratio()
-        y, e = num, den.bit_length() - 1  # y / 2**e
-        s, f = 1, 0  # the chain-rule product s / 2**f
-        for i in range(self.d):
-            if slope:
-                t, a = self._horner_int(self._dints, y, e)
-                s, f = s * t, f + a
-                if i == self.d - 1:
-                    break
-            y, e = self._horner_int(self._ints, y, e)
-        if slope:
-            y, e = s + (int(self.sign) << f), f
-        else:
-            y += (int(self.sign) * num << (e + 1 - den.bit_length())) + (int(self.shift) << e)
-        try:
-            return y / (1 << e)
-        except OverflowError:
-            return math.inf if y > 0 else -math.inf
+        from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context,
+                             Decimal, InvalidOperation)  # here: start-up needs no decimal
+        whole = Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # exact: 3 * 0.05 is not rounded
+        points = [Decimal(c) for c in self.coeffs]  # Decimal(float) is exact
+        dpoints = [whole.multiply(i, c) for i, c in enumerate(points)][1:] or [Decimal(0)]
+        coeffs, dcoeffs = ([(c, c) for c in cs] for cs in (points, dpoints))
+        prec = 24
+        while prec <= _MAX_DIGITS:
+            down, up = (Context(prec, r, MIN_EMIN, MAX_EMAX, traps=[InvalidOperation])
+                        for r in (ROUND_FLOOR, ROUND_CEILING))
+            y, s = (Decimal(x),) * 2, (Decimal(1),) * 2  # g^(k)(x) and the product of g' so far
+            try:
+                for k in range(self.d):
+                    if slope:  # s g'(y) is the Horner value of s t + 0 at t = g'(y)
+                        t = _decimal_horner(dcoeffs, *y, down, up)
+                        s = _decimal_horner([(Decimal(0),) * 2, s], *t, down, up)
+                    if not slope or k < self.d - 1:
+                        y = _decimal_horner(coeffs, *y, down, up)
+            except InvalidOperation:  # inf * 0: not decided at this precision
+                y = s = (Decimal("-Infinity"), Decimal("Infinity"))
+            lo, hi = s if slope else y
+            for c in map(Decimal, (self.sign,) if slope else (self.sign * x, self.shift)):
+                lo, hi = down.add(lo, c), up.add(hi, c)  # exact: sign * x is a float
+            if lo == hi or float(lo).hex() == float(hi).hex():
+                return float(lo) if lo else 0.0
+            prec *= 2
+        raise ValueError(f"exact({x!r}, slope={slope}) is not one float in {_MAX_DIGITS} digits")
 
     def dfunc(self, x):
         out = _horner(self.dcoeffs, x)
@@ -406,13 +419,8 @@ class Composition:
         roots = [_bisect(func, *box) for box in zip(*ends)]
         c_lo, c_hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
         for start, stop in zip(*_runs(c_lo, c_hi)) if c_lo.size else ():
-            edges = np.append(c_lo[start:stop + 1], c_hi[stop])
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = np.broadcast_to(self.dfunc(edges), edges.shape)  # one float for a linear g
-                certain = np.abs(s) > self.rounding(edges, slope=True)
-            edges = edges.tolist()
-            signs = [v if sure else exact(x, slope=True)
-                     for x, v, sure in zip(edges, s.tolist(), certain.tolist())]
+            edges = np.append(c_lo[start:stop + 1], c_hi[stop]).tolist()
+            signs = [self.slope_value(x) for x in edges]
             crit = {_sign_change_root(self, a, b, sa, sb, tol, slope=True)
                     for a, b, sa, sb in zip(edges, edges[1:], signs, signs[1:])}
             crit.discard(None)

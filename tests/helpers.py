@@ -26,7 +26,7 @@ from gjsmap import (
 from gjsmap.charfun import DIVERGENCE_BOUND
 from gjsmap.errors import NegativeRadicand, OverflowDiverged
 from gjsmap.gha import CLAMP_TOL
-from gjsmap.roots import _horner
+from gjsmap.roots import _dyadic, _horner, _strip_trailing_zeros
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
 #: exactly by hand:  -x^4 + 6x^3 - 14x^2 + 16x - 4 = 0.
@@ -57,6 +57,38 @@ def exact_closure_slope(coeffs, d: int, sign: int, x: float) -> Fraction:
             acc = acc * y + Fraction(c)
         y = acc
     return out + sign
+
+
+def dyadic_closure(coeffs, d: int, sign: int, shift: int, x: float, slope=False) -> float:
+    """:func:`exact_closure` (:func:`exact_closure_slope` with ``slope``) rounded once to a
+    float, ``±inf`` past the float range, from integers over powers of two: a faster oracle."""
+    ints, top = _dyadic(_strip_trailing_zeros(coeffs))
+    dints = [i * c for i, c in enumerate(ints)][1:] or [0]
+
+    def horner(cs, y, e):  # sum cs[i] (y / 2**e)**i / 2**top as acc / 2**a
+        acc, a = cs[-1], top
+        for c in cs[-2::-1]:
+            acc, a = acc * y + (c << (a + e - top)), a + e
+        return acc, a
+
+    num, den = x.as_integer_ratio()
+    y, e = num, den.bit_length() - 1  # y / 2**e
+    s, f = 1, 0  # the chain-rule product s / 2**f
+    for i in range(d):
+        if slope:
+            t, a = horner(dints, y, e)
+            s, f = s * t, f + a
+            if i == d - 1:
+                break
+        y, e = horner(ints, y, e)
+    if slope:
+        y, e = s + (int(sign) << f), f
+    else:
+        y += (int(sign) * num << (e + 1 - den.bit_length())) + (int(shift) << e)
+    try:
+        return y / (1 << e)
+    except OverflowError:
+        return math.inf if y > 0 else -math.inf
 
 
 def cut_quartic_roots_oracle() -> list[float]:

@@ -1,5 +1,6 @@
-"""Cost contracts, counted in bytes rather than time: the root isolator's memory, the
-memory of the three builds with their checks, and the bytes of an orbit report."""
+"""Cost contracts, counted in bytes rather than time: the root isolator's memory and that of
+an exact value, the memory of the three builds with their checks, and the bytes of an orbit
+report."""
 
 import contextlib
 import io
@@ -16,6 +17,7 @@ from gjsmap import (
     build_gsl2,
     build_jsmap,
     figure_bundle,
+    periodic_condition_solve,
     verify_gha_relations,
     verify_gsl2_relations,
     verify_jsmap_relations,
@@ -24,6 +26,7 @@ from gjsmap import (
 )
 from gjsmap.cli import main
 from gjsmap.gsl2 import _closure_roots
+from gjsmap.roots import Composition
 
 SHOWCASE = CharFn((-1.0, 3.0, -1.0), Orientation.WEIGHT)
 KINDS = (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC)
@@ -57,6 +60,19 @@ def test_a_deep_solve_holds_no_array_per_composition_order():
     assert max(peaks.values()) <= 4 * MIB, peaks
     for kind in KINDS:
         assert peaks[32, kind] <= 1.1 * peaks[16, kind], peaks
+
+
+#: A cubic whose 1e200 coefficient makes every exact iterate a number of many digits.
+WIDE_CUBIC = CharFn((-2.5, 1.0, 1e200, -1.0), Orientation.WEIGHT)
+
+
+def test_an_exact_slope_holds_a_few_digits_not_the_whole_iterate():
+    # An exact integer evaluation carries every digit of g^(7)(x), a 1.3 MiB peak; each bound
+    # of a decimal interval carries 24 digits.
+    assert periodic_condition_solve(WIDE_CUBIC, 8) == ()
+    closure = Composition(WIDE_CUBIC.coefficients, 8, -1.0, 0.0)
+    closure.exact(0.5, slope=True)  # warm-up: imports and caches
+    assert peak_bytes(closure.exact, 0.5, True) <= 64 * 1024
 
 
 def gha_checked(two_j: int) -> None:

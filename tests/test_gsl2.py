@@ -42,6 +42,7 @@ from helpers import (
     Q_PARAMETER,
     cut_quartic_roots_oracle,
     dense_gsl2,
+    dyadic_closure,
     exact_closure,
     exact_closure_slope,
     identical,
@@ -729,13 +730,35 @@ class TestEnclosure:
                        min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_exact_value_is_the_rounded_rational_value(self, coeffs, d, xs):
-        # Integer arithmetic over powers of two: the sign is exact (dyadic
+        # Decimal intervals refined to one float: the sign is exact (dyadic
         # zeros included) and the value is the rational value rounded once.
         for sign, shift in CLOSURE_LINES:
             exact = Composition(coeffs, d, sign, shift).exact
             for x in xs:
                 assert exact(x) == float(exact_closure(coeffs, d, int(sign), int(shift), x))
                 assert exact(x, slope=True) == float(exact_closure_slope(coeffs, d, int(sign), x))
+
+    @pytest.mark.parametrize("x", [0.9144468337498393, 0.9126487217250238, 1.5])
+    @pytest.mark.parametrize("slope", [False, True])
+    @pytest.mark.parametrize("sign, shift", CLOSURE_LINES)
+    def test_exact_value_past_degree_boxes_times_split(self, sign, shift, slope, x):
+        # At d = 14 the showcase composes to degree 16,384 > BOXES * SPLIT; the second x is
+        # the d = 14 cut root, where the float cut value even has the wrong sign.
+        exact = Composition(FIG2_GN.coefficients, 14, sign, shift).exact(x, slope)
+        want = dyadic_closure(FIG2_GN.coefficients, 14, sign, shift, x, slope)
+        assert exact.hex() == want.hex()
+
+    def test_exact_value_of_an_escaping_orbit_is_infinite(self):
+        # The outward-rounded ends overflow to an infinity and the largest Decimal, which
+        # round to the same float.
+        periodic = Composition(FIG2_GN.coefficients, 128, -1.0, 0.0)
+        assert (periodic.exact(0.5), periodic.exact(0.5, slope=True)) == (-math.inf, math.inf)
+
+    def test_exact_value_past_the_digit_cap_raises(self, monkeypatch):
+        # The d = 13 cut root needs 48 digits to decide its value's float.
+        monkeypatch.setattr("gjsmap.roots._MAX_DIGITS", 24)
+        with pytest.raises(ValueError, match="0.9050395006845084"):
+            Composition(FIG2_GN.coefficients, 13, 1.0, 1.0).exact(0.9050395006845084)
 
     @given(coeffs=CLOSURE_COEFFS, d=st.integers(1, 4),
            xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
