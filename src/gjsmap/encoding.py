@@ -1,22 +1,24 @@
 """The one JSON encoder for stdout and every JSON file the package writes.
 
-``json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)`` returns
-the same text as ``json.dumps(value, indent=2, allow_nan=False)``, byte for
-byte.  With an indent the standard library encodes in pure Python, one
-generator step per number.  Payloads here are mostly rectangular nests of
-floats (curve samples, cobweb segments, matrices, the basis), so this encoder
-formats each such nest in one pass: it flattens the nest, formats the leaves
-with ``map(float.__repr__, ...)`` and joins them list by list with the
-separators that fall between items.  Every other value is walked in the
-standard library's order.  Anything this walk does not cover (a non-finite
-float, a non-string key, an unknown type, a cycle, no indent, ``sort_keys``
-or ``ensure_ascii=False``) sends the whole value to the standard encoder, so
-its output and its exact error messages are kept.
+``json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)`` writes the standard
+library's indented layout, except that a list of numbers is one line: ``[1.0, -2.5, 3]``, its
+items joined by the item separator and a space.  A matrix is then one line per row under
+indented brackets.  Whitespace between JSON tokens is insignificant (RFC 8259, section 2), so
+the text parses to the same value as ``json.dumps(value, indent=2, allow_nan=False)``; it only
+lacks the newline and indent that the standard library writes before every number.
 
-A caller that has already formatted the leaves of a nest (an orbit report
-formats each distinct number once and repeats its text) passes a
-:class:`FormattedNest`.  The walk joins those strings with the same
-separators; the standard encoder gets the plain nest instead.
+With an indent the standard library encodes in pure Python, one generator step per number.
+Payloads here are mostly rectangular nests of numbers (curve samples, matrices, ladders), so
+this encoder formats each such nest in one pass: it flattens the nest, formats the leaves with
+``map(float.__repr__, ...)`` and joins them list by list with the separators that fall between
+items.  Every other value is walked in the standard library's order.  The standard encoder
+stays for what this walk does not write: no indent, ``sort_keys``, an indent or item separator
+with an "n" in it (the walk finds a "nan" or "inf" by its "n"), and every error (a non-finite
+float, an unknown type, a cycle, an int too long for ``str``), so its exact messages are kept.
+
+A caller that has already formatted the leaves of a nest (an orbit report formats each
+distinct number once and repeats its text) passes a :class:`FormattedNest`.  The walk joins
+those strings with the same separators; the standard encoder gets the plain nest instead.
 
 :func:`_record_data` is the one rule that turns a record (a dataclass) into a value.
 """
@@ -28,7 +30,7 @@ import math
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 _SEQUENCES = (list, tuple)
 
@@ -66,15 +68,18 @@ class FormattedNest:
 
 
 class OutputEncoder(json.JSONEncoder):
-    """``json.JSONEncoder`` with a fast path for indented numeric nests."""
+    """``json.JSONEncoder`` whose indented layout writes a list of numbers on one line."""
 
     def encode(self, o) -> str:
-        if self.indent is None or self.sort_keys or not self.ensure_ascii:
+        if self.indent is None or self.sort_keys:
             return super().encode(o)
         indent = self.indent if isinstance(self.indent, str) else " " * self.indent
+        if "n" in indent + self.item_separator:  # the walk finds "nan" and "inf" by their "n"
+            return super().encode(o)
+        string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         out: list[str] = []
         try:
-            _Walk(indent, self.item_separator, self.key_separator, out).value(o, 0)
+            _Walk(indent, self.item_separator, self.key_separator, string, out).value(o, 0)
         except (_Unsupported, RecursionError, ValueError):  # a cycle; an int too long for str
             return super().encode(o)
         return "".join(out)
@@ -88,12 +93,13 @@ class OutputEncoder(json.JSONEncoder):
 class _Walk:
     """Appends the chunks of one indented encoding to ``out``."""
 
-    def __init__(self, indent: str, item_sep: str, key_sep: str, out: list[str]):
+    def __init__(self, indent: str, item_sep: str, key_sep: str, string, out: list[str]):
         self.indent, self.item_sep, self.key_sep, self.out = indent, item_sep, key_sep, out
+        self.string = string
 
     def value(self, o, level: int) -> None:
         if isinstance(o, str):
-            self.out.append(encode_basestring_ascii(o))
+            self.out.append(self.string(o))
         elif o is None:
             self.out.append("null")
         elif o is True:
@@ -140,25 +146,34 @@ class _Walk:
         self.out.append("{" + newline)
         separator = self.item_sep + newline
         for pos, (key, item) in enumerate(o.items()):
-            if not isinstance(key, str):
-                raise _Unsupported
             if pos:
                 self.out.append(separator)
-            self.out.append(encode_basestring_ascii(key))
+            self.out.append(self.key(key))
             self.out.append(self.key_sep)
             self.value(item, level + 1)
         self.out.append("\n" + self.indent * level + "}")
 
-    def numeric_nest(self, o, level: int) -> str | None:
-        """Text of ``o`` if it is a rectangular nest of only floats or only ints.
+    def key(self, key) -> str:
+        """A mapping key as the standard library writes it; a number, bool or null is quoted."""
+        if isinstance(key, str):
+            return self.string(key)
+        if isinstance(key, float) and math.isfinite(key):
+            return '"' + float.__repr__(key) + '"'
+        if key is None or key is True or key is False:
+            return '"' + json.dumps(key) + '"'
+        if isinstance(key, int):
+            return '"' + int.__repr__(key) + '"'
+        raise _Unsupported
 
-        Lists and tuples count (not their subclasses), every dimension must
-        be non-empty, and ``None`` means the nest takes the general walk.
+    def numeric_nest(self, o, level: int) -> str | None:
+        """Text of the non-empty sequence ``o`` if it is a rectangular nest of numbers.
+
+        Below the top level only lists and tuples count (not their subclasses),
+        every dimension must be non-empty, and ``None`` means the nest takes
+        the general walk, which meets each list of numbers in it here again.
         """
-        if type(o) not in _SEQUENCES:
-            return None
-        shape = []
-        inner = o
+        shape = [len(o)]
+        inner = o[0]
         while type(inner) in _SEQUENCES:
             if not inner:
                 return None
@@ -170,38 +185,38 @@ class _Walk:
                 return None
             leaves = list(chain.from_iterable(leaves))
         kinds = set(map(type, leaves))
-        if all(issubclass(kind, float) for kind in kinds):
-            fmt = float.__repr__
-        elif all(issubclass(kind, int) and not issubclass(kind, bool) for kind in kinds):
-            fmt = int.__repr__
-        else:
+        if any(kind is bool or not issubclass(kind, (int, float)) for kind in kinds):
             return None
+        floats = [issubclass(kind, float) for kind in kinds]
+        fmt = float.__repr__ if all(floats) else _number_text if any(floats) else int.__repr__
         return self.nest_text(shape, map(fmt, leaves), level)
 
     def nest_text(self, shape: tuple[int, ...] | list[int], leaves, level: int) -> str:
         """Text of a non-empty nest of ``shape`` from its leaf strings, in row-major order.
 
-        The texts are joined list by list, innermost first: between two items
-        that end ``r`` inner lists the separator closes those ``r`` lists, puts
-        the item separator and opens ``r`` new ones.
+        An innermost list is one line; every outer list opens and closes on its own lines.
+        The texts are joined list by list, innermost first: between two items that end ``r``
+        inner lists the separator closes those ``r`` lists, puts the item separator and a
+        space (``r = 0``) or a new line (``r > 0``) and opens ``r`` new ones.
         """
         depth, indent = len(shape), self.indent
+        opens = ["[\n" + indent * (level + d + 1) for d in range(depth - 1)] + ["["]
+        closes = ["\n" + indent * (level + d) + "]" for d in range(depth - 1)] + ["]"]
         texts = leaves
         for rolled in range(depth):
             inner = range(depth - rolled, depth)
             separator = (
-                "".join("\n" + indent * (level + d) + "]" for d in reversed(inner))
-                + self.item_sep + "\n" + indent * (level + depth - rolled)
-                + "".join("[\n" + indent * (level + d + 1) for d in inner)
+                "".join(closes[d] for d in reversed(inner))
+                + self.item_sep + ("\n" + indent * (level + depth - rolled) if rolled else " ")
+                + "".join(opens[d] for d in inner)
             )
             if rolled + 1 < depth:  # one text per list: groups of its length
                 texts = map(separator.join, zip(*[iter(texts)] * shape[depth - 1 - rolled]))
         body = separator.join(texts)
         if "n" in body:
-            raise _Unsupported  # "nan" or "inf", or an indent with an "n" in it
-        every = range(depth)
-        return (
-            "".join("[\n" + indent * (level + d + 1) for d in every)
-            + body
-            + "".join("\n" + indent * (level + d) + "]" for d in reversed(every))
-        )
+            raise _Unsupported  # "nan" or "inf"
+        return "".join(opens) + body + "".join(reversed(closes))
+
+
+def _number_text(number) -> str:
+    return float.__repr__(number) if isinstance(number, float) else int.__repr__(number)

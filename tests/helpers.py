@@ -370,8 +370,8 @@ def kron_state_vector(space, n1: int, n2: int) -> np.ndarray:
 
 # Orbit reports as cobweb built them and the writers wrote them before a report
 # stored flat samples and each number was formatted once per file: the segment
-# loop, one float() per sample, the standard library's JSON encoding and
-# csv.writer rows.
+# loop, one float() per sample, a JSON printer independent of the package's
+# encoder and csv.writer rows.
 
 
 def reference_cobweb_parts(fn: CharFn, orbit: list[float], window: tuple[float, float],
@@ -400,7 +400,25 @@ def reference_cobweb_parts(fn: CharFn, orbit: list[float], window: tuple[float, 
 
 
 def reference_report_json(report) -> str:
-    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+    return reference_json(report_to_dict(report)) + "\n"
+
+
+def reference_json(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, except that a list of numbers is one
+    line, ``[1.0, 2]``: the layout of ``gjsmap.encoding``, printed without its walk."""
+    if isinstance(value, (list, tuple)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        return "[" + ", ".join(json.dumps(v, allow_nan=False) for v in value) + "]"
+    if isinstance(value, (list, tuple)):
+        items, brackets = [reference_json(v, level + 1) for v in value], "[]"
+    elif isinstance(value, dict) and value:
+        items = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + reference_json(v, level + 1) for k, v in value.items()]
+        brackets = "{}"
+    else:
+        return json.dumps(value, allow_nan=False)
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def reference_report_csvs(report) -> tuple[str, str]:

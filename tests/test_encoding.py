@@ -1,4 +1,10 @@
-"""``OutputEncoder`` against the standard library's indented encoding."""
+"""``OutputEncoder`` against an independent printer of its layout and the standard library.
+
+Each indented text equals ``reference_json``'s (the standard library's indented layout with
+every list of numbers on one line) and parses to the value of the standard library's text.
+Without an indent, with ``sort_keys`` and in every error the text or message is the standard
+library's own.
+"""
 
 import json
 import math
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 
 from gjsmap.charfun import CharFn, Orientation
 from gjsmap.encoding import OutputEncoder, _record_data
+from helpers import reference_json
 
 
 def stdlib(value) -> str:
@@ -19,6 +26,13 @@ def stdlib(value) -> str:
 
 def ours(value) -> str:
     return json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)
+
+
+def assert_layout(value) -> None:
+    """``value``'s text is the reference layout and parses as the standard library's does."""
+    text = ours(value)
+    assert text == reference_json(value)
+    assert json.loads(text) == json.loads(stdlib(value))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -66,14 +80,14 @@ VALUES = st.recursive(
 
 @given(VALUES)
 @settings(max_examples=200, deadline=None)
-def test_same_text_as_the_standard_encoder(value):
-    assert ours(value) == stdlib(value)
+def test_layout_of_any_value(value):
+    assert_layout(value)
 
 
 @given(NESTS)
 @settings(max_examples=200, deadline=None)
-def test_nests_alone(value):
-    assert ours(value) == stdlib(value)
+def test_layout_of_nests_alone(value):
+    assert_layout(value)
 
 
 @given(VALUES, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
@@ -101,6 +115,8 @@ def test_non_finite_raises_the_standard_error(value, bad, data):
         [[1.0, 2.0], [3.0]],
         [[1.0, 2.0], 3.0],
         [1, 2.0, True, None, "x"],
+        [1, 2.0, -0.0, 10**40],
+        [[1, 2.0], (3.0, 4)],
         [[True, False], [False, True]],
         {"a": [[[1.0, -0.0], [1e-300, 2.5]]], "b": ([1, 2], (3, 4))},
         [np.float64(0.1), np.float64(-0.0)],
@@ -111,7 +127,15 @@ def test_non_finite_raises_the_standard_error(value, bad, data):
     ],
 )
 def test_examples(value):
-    assert ours(value) == stdlib(value)
+    assert_layout(value)
+
+
+def test_a_matrix_is_one_line_per_row():
+    value = {"m": [[1.0, -0.0], [2.5, 3]], "v": [], "w": [[[1]]]}
+    assert ours(value) == (
+        '{\n  "m": [\n    [1.0, -0.0],\n    [2.5, 3]\n  ],\n  "v": [],\n'
+        '  "w": [\n    [\n      [1]\n    ]\n  ]\n}'
+    )
 
 
 def test_circular_reference_raises_the_standard_error():
@@ -127,16 +151,20 @@ def test_unknown_type_raises_the_standard_error():
 
 
 class _Row(list):
-    """A list subclass, which the nest pass leaves to the general walk."""
+    """A list subclass, which the nest pass takes only as the outer list."""
 
 
-@pytest.mark.parametrize(
-    "settings", [{"indent": 2}, {"indent": None}, {"indent": 2, "sort_keys": True}]
-)
-def test_settings_and_types_past_the_fast_path(settings):
-    value = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
-    assert (json.dumps(value, cls=OutputEncoder, allow_nan=False, **settings)
-            == json.dumps(value, allow_nan=False, **settings))
+ROWS = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
+
+
+def test_list_subclasses_keep_the_layout():
+    assert_layout(ROWS)
+
+
+@pytest.mark.parametrize("settings", [{"indent": None}, {"indent": 2, "sort_keys": True}])
+def test_settings_past_the_walk_are_the_standard_encoding(settings):
+    assert (json.dumps(ROWS, cls=OutputEncoder, allow_nan=False, **settings)
+            == json.dumps(ROWS, allow_nan=False, **settings))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ directory and records the exit code and the SHA-256 of stdout, of stderr and
 of every file left in that directory (``--out`` paths are relative, because
 payloads echo them).  ``golden_digests.json`` holds the reference digests.
 They pin the output down to the byte, so a refactoring of the CLI or of the
-numerics behind it has to reproduce it exactly.
+numerics behind it has to reproduce it exactly.  Every JSON text a case prints
+or writes must also be ``reference_json`` of its own value, the encoder's layout
+from a printer of its own.
 
 Regenerate the digest file only from a commit whose output is the intended
 reference, never to make a refactoring pass::
@@ -31,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from gjsmap.cli import main
+from helpers import reference_json
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -269,8 +272,8 @@ def _environment(overrides: dict):
                 os.environ[key] = value
 
 
-def run_case(name: str, workdir: Path) -> dict:
-    """Run one case inside the empty ``workdir``; returns its digest record."""
+def run_case(name: str, workdir: Path) -> tuple[dict, str]:
+    """Run one case inside the empty ``workdir``; returns its digest record and its stdout."""
     argv, env, config = CASES[name]
     if config is not None:
         (workdir / "jobs.json").write_text(json.dumps(config), encoding="utf-8")
@@ -290,12 +293,13 @@ def run_case(name: str, workdir: Path) -> dict:
         for path in sorted(workdir.rglob("*"))
         if path.is_file()
     }
-    return {
+    record = {
         "exit": code,
         "stdout": _sha(out.getvalue().encode("utf-8")),
         "stderr": _sha(err.getvalue().encode("utf-8")),
         "files": files,
     }
+    return record, out.getvalue()
 
 
 def _reference() -> dict:
@@ -308,7 +312,13 @@ def test_every_case_has_a_digest():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_digest(name, tmp_path):
-    assert run_case(name, tmp_path) == _reference()[name]
+    record, out = run_case(name, tmp_path)
+    texts = [out] if out.startswith(("{", "[")) else []  # not a help text or empty
+    texts += [path.read_text(encoding="utf-8") for path in sorted(tmp_path.rglob("*.json"))
+              if path.is_file() and path.name != "jobs.json"]  # the config is the case's input
+    for text in texts:
+        assert text == reference_json(json.loads(text)) + "\n"
+    assert record == _reference()[name]
 
 
 def regenerate(names: list[str]) -> None:
@@ -320,7 +330,7 @@ def regenerate(names: list[str]) -> None:
     records = {**old} if names else {}
     for case in sorted(names or CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            records[case] = run_case(case, Path(tmp))
+            records[case] = run_case(case, Path(tmp))[0]
         was, now = old.get(case, {}), records[case]
         files = was.get("files", {})
         changes = [(key, was.get(key), now[key]) for key in ("exit", "stdout", "stderr")]
