@@ -1,6 +1,6 @@
 """Cost contracts, counted in bytes rather than time: the root isolator's memory and that of
 an exact value, the memory of the three builds with their checks, and the bytes of an orbit
-report."""
+report and of two large payloads on stdout."""
 
 import contextlib
 import io
@@ -104,16 +104,23 @@ def test_a_build_and_its_checks_hold_memory_linear_in_the_states(checked):
         assert peak <= BYTES_PER_STATE[checked] * (two_j + 1), peaks
 
 
-#: Bytes of each stock report JSON and of the README cobweb's stdout as written when the
-#: JSON became the report's record; the contract allows 1.15 times as many.
+def stdout_bytes(argv: list[str]) -> int:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return len(out.getvalue().encode("utf-8"))
+
+
+#: Bytes of each stock report JSON and of the README cobweb's stdout as written once a list
+#: of numbers became one line; the contract allows 1.15 times as many.
 REPORT_BYTES = {
-    "fig1_a.json": 29745, "fig1_b.json": 25182, "fig2_b.json": 25518, "fig3_a.json": 25603,
-    "fig4_oscillator.json": 26192, "fig4_weight.json": 25480,
+    "fig1_a.json": 24797, "fig1_b.json": 20998, "fig2_b.json": 21346, "fig3_a.json": 21447,
+    "fig4_oscillator.json": 22016, "fig4_weight.json": 21304,
 }
 README_COBWEB = ["orbit", "cobweb", "--fn",
                  '{"coefficients":[1.225,-2.5,2.5],"orientation":"oscillator"}',
                  "--x0", "0.56", "--steps", "50"]
-README_COBWEB_BYTES = 28398
+README_COBWEB_BYTES = 21880
 
 
 def test_an_orbit_report_writes_its_record_not_its_derived_views(tmp_path):
@@ -124,7 +131,25 @@ def test_an_orbit_report_writes_its_record_not_its_derived_views(tmp_path):
     assert sorted(sizes) == sorted(REPORT_BYTES)
     for name, size in sizes.items():
         assert size <= 1.15 * REPORT_BYTES[name], sizes
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(README_COBWEB) == 0
-    assert len(out.getvalue().encode("utf-8")) <= 1.15 * README_COBWEB_BYTES
+    assert stdout_bytes(README_COBWEB) <= 1.15 * README_COBWEB_BYTES
+
+
+#: Bytes of stdout as written once a list of numbers became one line (41,176 and 2,464,282
+#: with one number per line); the contract allows 1.15 times as many.
+STDOUT_BYTES = {
+    "gha build q 801": (
+        ["gha", "build", "--fn", '{"coefficients":[1,1.002],"orientation":"oscillator"}',
+         "--alpha0", "0.25", "--dim", "801", "--verify", "--tol", "1e-9"], 31534),
+    "jsmap build dense j 100": (
+        ["jsmap", "build", "--fn", '{"coefficients":[1,1],"orientation":"oscillator"}',
+         "--alpha0", "0", "--gn", '{"coefficients":[-1,1],"orientation":"weight"}',
+         "--alphaj", "100", "--j", "100"], 832100),
+}
+
+
+@pytest.mark.parametrize("name", STDOUT_BYTES)
+def test_a_list_of_numbers_is_one_line_on_stdout(name):
+    # A ladder or a matrix row written one number per line is a third larger, a dense
+    # matrix three times as large.
+    argv, size = STDOUT_BYTES[name]
+    assert stdout_bytes(argv) <= 1.15 * size
