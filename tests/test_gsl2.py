@@ -33,7 +33,7 @@ from gjsmap.errors import (
     NegativeLadderSquare,
     PeriodicResidualTooLarge,
 )
-from gjsmap.gsl2 import CUT_SOLVE_TOL, _closure_roots
+from gjsmap.gsl2 import _CLOSURE, CUT_SOLVE_TOL, _closure_roots
 from gjsmap.roots import BOXES, Composition, _derivative, _horner, find_roots
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -450,8 +450,8 @@ def wide_mix():
 WIDE_MIX_DIGEST = "ec6e68edf1113d70e1f02d2772af4bba54f9b1db97fdf13dc9bf1eb3c7ce1f75"
 
 
-def deep_mix():
-    """The roots of 36 deep closure solves, one list each.
+def deep_mix_solves():
+    """36 deep closure solves, ``(gn, d, kind)`` each.
 
     Cut and periodic solves at d = 13, 14 and 20 for the showcase and five
     weight quadratics drawn as in ``root_mix``.  Unlike ``root_mix``, whose
@@ -464,11 +464,38 @@ def deep_mix():
     for gn in [FIG2_GN] + [CharFn(q, Orientation.WEIGHT) for q in quadratics]:
         for d in (13, 14, 20):
             for kind in (RepKind.FINITE_CUT, RepKind.FINITE_PERIODIC):
-                yield [r for r, _ in _closure_roots(gn, d, kind)]
+                yield gn, d, kind
+
+
+def deep_mix():
+    """The roots of ``deep_mix_solves``, one list each."""
+    for gn, d, kind in deep_mix_solves():
+        yield [r for r, _ in _closure_roots(gn, d, kind)]
 
 
 #: sha256 of the ``float.hex`` texts of the roots of ``deep_mix``, one line per solve.
 DEEP_MIX_DIGEST = "f24092beb4e3d0293a67f8a3dca86967d7a134b8fd6adfd80df536b3e5a0d289"
+
+
+def floats_to_sign_change(closure: Composition, root: float, reach: int = 64) -> int | None:
+    """How many floats lie strictly between ``root`` and the nearest exact sign change of
+    ``closure`` (0 at either float next to it, or at an exact zero); ``None`` past ``reach``."""
+    first = closure.exact(root)
+    up = down = root
+    for count in range(reach + 1):
+        if first == 0.0:
+            return count
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        if any(closure.exact(x) * first <= 0.0 for x in (up, down)):
+            return count
+    return None
+
+
+#: The largest count of floats strictly between a root and its exact sign change, for the
+#: showcase's cut and periodic roots at d = 13, 14, 16, 20, 32 and 64 and for ``deep_mix``,
+#: by the largest d of each range.  Today's counts; a change may lower them, none raise them.
+SHOWCASE_FLOATS_OFF = {16: 1, 32: 2, 64: 1}
+DEEP_MIX_FLOATS_OFF = {16: 26, 32: 26}
 
 
 class TestIsolator:
@@ -618,6 +645,20 @@ class TestIsolator:
         assert (len(rows), sum(len(row.split()) for row in rows)) == (36, 34)
         assert any(tight)  # a tight level ran
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEEP_MIX_DIGEST
+
+    def test_every_deep_root_is_within_its_pinned_floats_of_an_exact_sign_change(self):
+        showcase = [(FIG2_GN, d, kind) for d in (13, 14, 16, 20, 32, 64) for kind in _CLOSURE]
+        for bounds, solves in ((SHOWCASE_FLOATS_OFF, showcase),
+                               (DEEP_MIX_FLOATS_OFF, deep_mix_solves())):
+            worst = dict.fromkeys(bounds, 0)
+            for gn, d, kind in solves:
+                closure = Composition(gn.coefficients, d, *_CLOSURE[kind][:2])
+                for root, _ in _closure_roots(gn, d, kind):
+                    count = floats_to_sign_change(closure, root)
+                    assert count is not None, (gn, d, kind, root)
+                    top = min(top for top in bounds if d <= top)
+                    worst[top] = max(worst[top], count)
+            assert all(worst[top] <= bounds[top] for top in bounds), worst
 
     def test_composition_is_freed_after_its_roots(self, monkeypatch):
         # An instance keeps no state, so no reference cycle holds it until a gc pass.
