@@ -86,7 +86,7 @@ def test_layout_of_any_value(value):
 
 @given(NESTS)
 @settings(max_examples=200, deadline=None)
-def test_layout_of_nests_alone(value):
+def test_nests_alone(value):
     assert_layout(value)
 
 
@@ -115,8 +115,6 @@ def test_non_finite_raises_the_standard_error(value, bad, data):
         [[1.0, 2.0], [3.0]],
         [[1.0, 2.0], 3.0],
         [1, 2.0, True, None, "x"],
-        [1, 2.0, -0.0, 10**40],
-        [[1, 2.0], (3.0, 4)],
         [[True, False], [False, True]],
         {"a": [[[1.0, -0.0], [1e-300, 2.5]]], "b": ([1, 2], (3, 4))},
         [np.float64(0.1), np.float64(-0.0)],
@@ -124,6 +122,8 @@ def test_non_finite_raises_the_standard_error(value, bad, data):
         {1: [1.0], 2.5: [2.0], None: [], True: "x"},
         "é\n\"",
         1e-300,
+        [1, 2.0, -0.0, 10**40],
+        [[1, 2.0], (3.0, 4)],
     ],
 )
 def test_examples(value):
@@ -150,21 +150,26 @@ def test_unknown_type_raises_the_standard_error():
         ours({"matrix": [np.int64(1)]})
 
 
+def test_unescaped_text_keeps_the_layout():
+    text = json.dumps({"é": [1.0, "€"], "n": [1, 2]}, cls=OutputEncoder, indent=2,
+                      ensure_ascii=False)
+    assert text == '{\n  "é": [\n    1.0,\n    "€"\n  ],\n  "n": [1, 2]\n}'
+
+
 class _Row(list):
     """A list subclass, which the nest pass takes only as the outer list."""
 
 
-ROWS = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
-
-
-def test_list_subclasses_keep_the_layout():
-    assert_layout(ROWS)
-
-
-@pytest.mark.parametrize("settings", [{"indent": None}, {"indent": 2, "sort_keys": True}])
-def test_settings_past_the_walk_are_the_standard_encoding(settings):
-    assert (json.dumps(ROWS, cls=OutputEncoder, allow_nan=False, **settings)
-            == json.dumps(ROWS, allow_nan=False, **settings))
+@pytest.mark.parametrize(
+    "settings", [{"indent": 2}, {"indent": None}, {"indent": 2, "sort_keys": True}]
+)
+def test_settings_and_types_past_the_fast_path(settings):
+    value = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
+    if settings == {"indent": 2}:  # the walk, subclasses included
+        assert_layout(value)
+    else:  # no indent or sort_keys: the standard encoder
+        assert (json.dumps(value, cls=OutputEncoder, allow_nan=False, **settings)
+                == json.dumps(value, allow_nan=False, **settings))
 
 
 @dataclass(frozen=True)
