@@ -481,10 +481,10 @@ def floats_to_sign_change(closure: Composition, root: float, reach: int = 64) ->
     """How many floats lie strictly between ``root`` and the nearest exact sign change of
     ``closure`` (0 at either float next to it, or at an exact zero); ``None`` past ``reach``."""
     first = closure.exact(root)
+    if first == 0.0:
+        return 0
     up = down = root
     for count in range(reach + 1):
-        if first == 0.0:
-            return count
         up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
         if any(closure.exact(x) * first <= 0.0 for x in (up, down)):
             return count
