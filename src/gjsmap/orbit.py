@@ -13,11 +13,11 @@ recorded orbit.
 
 A report stores the iterates, the number of drawn steps and the flat curve
 samples, and derives the sample pairs, the diagonal and the segments.  Its
-JSON is that record, each fact once; the CSV pair is the plot table, curve
-with diagonal and one row per segment.  The writers build every JSON nest and
-CSV row from one repr per number, which the report makes on first use
-(:attr:`OrbitReport.texts`) and keeps, so the stdout payload and the three
-files of a report share them.
+JSON is that record, each fact once; the CSV pair is the plot table, the
+curve as ``x,fn`` (``x`` is the diagonal too) and one row per segment.  The
+writers build every JSON list and CSV row from one repr per number, which the
+report makes on first use (:attr:`OrbitReport.texts`) and keeps, so the
+stdout payload and the three files of a report share them.
 """
 
 from __future__ import annotations
@@ -303,13 +303,13 @@ def write_report_json(report: OrbitReport, path) -> None:
 
 
 def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
-    """CSV pair: curve/diagonal samples and cobweb segments, from the report's texts.
+    """CSV pair: curve samples (``x,fn``) and cobweb segments, from the report's texts.
 
     A float's repr never needs CSV quoting, so each row is its fields joined by commas.
     """
     x, fx, it = report.texts
     for path, header, rows in (
-        (curve_path, ("x", "fn", "diagonal"), zip(x, fx, x)),
+        (curve_path, ("x", "fn"), zip(x, fx)),
         (cobweb_path, ("x1", "y1", "x2", "y2"), _segment_rows(it, report.drawn)),
     ):
         text = "\n".join(map(",".join, chain((header,), rows, ((),))))

@@ -425,9 +425,9 @@ def reference_report_csvs(report) -> tuple[str, str]:
     """Text of the curve CSV and of the cobweb CSV."""
     curve, cobweb = io.StringIO(), io.StringIO()
     writer = csv.writer(curve, lineterminator="\n")
-    writer.writerow(["x", "fn", "diagonal"])
-    for (x, y), (_, d) in zip(report.fn_samples, report.diagonal_samples):
-        writer.writerow([repr(x), repr(y), repr(d)])
+    writer.writerow(["x", "fn"])
+    for x, y in report.fn_samples:
+        writer.writerow([repr(x), repr(y)])
     writer = csv.writer(cobweb, lineterminator="\n")
     writer.writerow(["x1", "y1", "x2", "y2"])
     for (x1, y1), (x2, y2) in report.cobweb_segments:

@@ -159,11 +159,10 @@ class TestSerialization:
             assert (tmp_path / name).exists()
         with open(tmp_path / "fig1_a_curve.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "fn", "diagonal"]
+        assert rows[0] == ["x", "fn"]
         assert len(rows) == 513
-        x, fn_val, diag = (float(v) for v in rows[1])
+        x, fn_val = (float(v) for v in rows[1])
         assert fn_val == evaluate(FIG1_FN, x)
-        assert diag == x
         with open(tmp_path / "fig1_a_cobweb.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x1", "y1", "x2", "y2"]
