@@ -8,17 +8,16 @@ the text parses to the same value as ``json.dumps(value, indent=2, allow_nan=Fal
 lacks the newline and indent that the standard library writes before every number.
 
 With an indent the standard library encodes in pure Python, one generator step per number.
-Payloads here are mostly rectangular nests of numbers (curve samples, matrices, ladders), so
-this encoder formats each such nest in one pass: it flattens the nest, formats the leaves with
-``map(float.__repr__, ...)`` and joins them list by list with the separators that fall between
-items.  Every other value is walked in the standard library's order.  The standard encoder
-stays for what this walk does not write: no indent, ``sort_keys``, an indent or item separator
-with an "n" in it (the walk finds a "nan" or "inf" by its "n"), and every error (a non-finite
-float, an unknown type, a cycle, an int too long for ``str``), so its exact messages are kept.
+Payloads here are mostly lists of numbers (curve samples, matrix rows, ladders), so this
+encoder formats such a list in one pass, ``map(float.__repr__, ...)`` joined into its line.
+Every other value is walked in the standard library's order.  The standard encoder stays for
+what this walk does not write: no indent, ``sort_keys``, an indent or item separator with an
+"n" in it (the walk finds a "nan" or "inf" by its "n"), and every error (a non-finite float,
+an unknown type, a cycle, an int too long for ``str``), so its exact messages are kept.
 
-A caller that has already formatted the leaves of a nest (an orbit report formats each
-distinct number once and repeats its text) passes a :class:`FormattedNest`.  The walk joins
-those strings with the same separators; the standard encoder gets the plain nest instead.
+A caller that has already formatted a list of numbers (an orbit report formats each distinct
+number once and repeats its text) passes a :class:`FormattedNest`.  The walk joins its texts
+into the same line; the standard encoder gets the plain list instead.
 
 :func:`_record_data` is the one rule that turns a record (a dataclass) into a value.
 """
@@ -29,7 +28,6 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from itertools import chain
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 _SEQUENCES = (list, tuple)
@@ -59,12 +57,12 @@ class _Unsupported(Exception):
 
 
 class FormattedNest:
-    """The float nest ``plain`` of ``shape``, with ``leaves`` yielding its leaf texts row-major."""
+    """The list of numbers ``plain`` with ``texts``, the text of each of its items."""
 
-    __slots__ = ("plain", "shape", "leaves")
+    __slots__ = ("plain", "texts")
 
-    def __init__(self, plain, shape: tuple[int, ...], leaves):
-        self.plain, self.shape, self.leaves = plain, shape, leaves
+    def __init__(self, plain: list, texts: list[str]):
+        self.plain, self.texts = plain, texts
 
 
 class OutputEncoder(json.JSONEncoder):
@@ -117,17 +115,16 @@ class _Walk:
         elif isinstance(o, dict):
             self.mapping(o, level)
         elif type(o) is FormattedNest:
-            self.out.append(self.nest_text(o.shape, o.leaves, level) if o.shape[0] else "[]")
+            self.out.append(self.line(o.texts))
         else:
             raise _Unsupported
 
     def sequence(self, o, level: int) -> None:
-        if not o:
-            self.out.append("[]")
-            return
-        nest = self.numeric_nest(o, level)
-        if nest is not None:
-            self.out.append(nest)
+        kinds = set(map(type, o))
+        if not any(kind is bool or not issubclass(kind, (int, float)) for kind in kinds):
+            floats = [issubclass(kind, float) for kind in kinds]  # an empty list is "[]" here
+            fmt = float.__repr__ if all(floats) else _number_text if any(floats) else int.__repr__
+            self.out.append(self.line(map(fmt, o)))
             return
         newline = "\n" + self.indent * (level + 1)
         self.out.append("[" + newline)
@@ -165,57 +162,12 @@ class _Walk:
             return '"' + int.__repr__(key) + '"'
         raise _Unsupported
 
-    def numeric_nest(self, o, level: int) -> str | None:
-        """Text of the non-empty sequence ``o`` if it is a rectangular nest of numbers.
-
-        Below the top level only lists and tuples count (not their subclasses),
-        every dimension must be non-empty, and ``None`` means the nest takes
-        the general walk, which meets each list of numbers in it here again.
-        """
-        shape = [len(o)]
-        inner = o[0]
-        while type(inner) in _SEQUENCES:
-            if not inner:
-                return None
-            shape.append(len(inner))
-            inner = inner[0]
-        leaves = o
-        for size in shape[1:]:
-            if not set(map(type, leaves)) <= {list, tuple} or set(map(len, leaves)) != {size}:
-                return None
-            leaves = list(chain.from_iterable(leaves))
-        kinds = set(map(type, leaves))
-        if any(kind is bool or not issubclass(kind, (int, float)) for kind in kinds):
-            return None
-        floats = [issubclass(kind, float) for kind in kinds]
-        fmt = float.__repr__ if all(floats) else _number_text if any(floats) else int.__repr__
-        return self.nest_text(shape, map(fmt, leaves), level)
-
-    def nest_text(self, shape: tuple[int, ...] | list[int], leaves, level: int) -> str:
-        """Text of a non-empty nest of ``shape`` from its leaf strings, in row-major order.
-
-        An innermost list is one line; every outer list opens and closes on its own lines.
-        The texts are joined list by list, innermost first: between two items that end ``r``
-        inner lists the separator closes those ``r`` lists, puts the item separator and a
-        space (``r = 0``) or a new line (``r > 0``) and opens ``r`` new ones.
-        """
-        depth, indent = len(shape), self.indent
-        opens = ["[\n" + indent * (level + d + 1) for d in range(depth - 1)] + ["["]
-        closes = ["\n" + indent * (level + d) + "]" for d in range(depth - 1)] + ["]"]
-        texts = leaves
-        for rolled in range(depth):
-            inner = range(depth - rolled, depth)
-            separator = (
-                "".join(closes[d] for d in reversed(inner))
-                + self.item_sep + ("\n" + indent * (level + depth - rolled) if rolled else " ")
-                + "".join(opens[d] for d in inner)
-            )
-            if rolled + 1 < depth:  # one text per list: groups of its length
-                texts = map(separator.join, zip(*[iter(texts)] * shape[depth - 1 - rolled]))
-        body = separator.join(texts)
-        if "n" in body:
+    def line(self, texts) -> str:
+        """A list of numbers on one line, from the texts of its items."""
+        text = "[" + (self.item_sep + " ").join(texts) + "]"
+        if "n" in text:
             raise _Unsupported  # "nan" or "inf"
-        return "".join(opens) + body + "".join(reversed(closes))
+        return text
 
 
 def _number_text(number) -> str:

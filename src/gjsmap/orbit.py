@@ -292,7 +292,7 @@ def formatted_report(report: OrbitReport) -> dict:
     x, fx, it = report.texts
     payload = report_to_dict(report)
     for key, leaves in (("iterates", it), ("sample_x", x), ("sample_fx", fx)):
-        payload[key] = FormattedNest(payload[key], (len(leaves),), leaves)
+        payload[key] = FormattedNest(payload[key], leaves)
     return payload
 
 

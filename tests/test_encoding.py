@@ -157,7 +157,7 @@ def test_unescaped_text_keeps_the_layout():
 
 
 class _Row(list):
-    """A list subclass, which the nest pass takes only as the outer list."""
+    """A list subclass, which the walk writes as it writes a list."""
 
 
 @pytest.mark.parametrize(
