@@ -134,6 +134,25 @@ def test_an_orbit_report_writes_its_record_not_its_derived_views(tmp_path):
     assert stdout_bytes(README_COBWEB) <= 1.15 * README_COBWEB_BYTES
 
 
+#: Bytes of each stock curve CSV as written once the curve file became ``x,fn`` (28,910 to
+#: 30,565 with its ``diagonal`` column); the contract allows 1.15 times as many.
+CURVE_BYTES = {
+    "fig1_a_curve.csv": 19264, "fig1_b_curve.csv": 19264, "fig2_b_curve.csv": 19689,
+    "fig3_a_curve.csv": 19746, "fig4_oscillator_curve.csv": 20337,
+    "fig4_weight_curve.csv": 19624,
+}
+
+
+def test_a_curve_file_states_x_once(tmp_path):
+    # A column that restates x, the y = x line, would make each file half as large again.
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        write_bundle(figure_bundle(name), tmp_path)
+    sizes = {path.name: path.stat().st_size for path in tmp_path.glob("*_curve.csv")}
+    assert sorted(sizes) == sorted(CURVE_BYTES)
+    for name, size in sizes.items():
+        assert size <= 1.15 * CURVE_BYTES[name], sizes
+
+
 #: Bytes of stdout as written once a list of numbers became one line (41,176 and 2,464,282
 #: with one number per line); the contract allows 1.15 times as many.
 STDOUT_BYTES = {
