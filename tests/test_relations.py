@@ -2,20 +2,36 @@
 
 Conjugation by a power of two: ``g_k(x) = 2^k g(x / 2^k)`` has the exact coefficients
 ``c_i 2^(k(1-i))``, and each Horner step of ``g_k`` at ``2^k x`` is ``2^k`` times that of ``g``
-at ``x``, barring overflow and underflow.  So orbits and the invertibility region scale by
-``2^k`` exactly, and for even ``k`` the oscillator ladder by ``2^(k/2)``.
+at ``x``, barring overflow and underflow.  So orbits, the invertibility region, roots, fixed
+points and periodic roots scale by ``2^k`` exactly, and for even ``k`` the oscillator ladder
+by ``2^(k/2)``.
 
 Negation: the reflection partner ``g(x) = -f(-x)`` has ``g^(d)(x) = -f^(d)(-x)``, exactly in
-floats too, since negation is exact.
+floats too, since negation is exact.  So orbits and periodic roots negate.
+
+Divisibility: for ``e | d`` every solution of ``g^(e)(x) = x`` solves ``g^(d)(x) = x``.
 
 Where a relation goes through the root isolator it does not hold exactly today; the count of
 draws that break it at the seed is pinned as an upper bound, which may only fall.
 """
 
+import math
 import random
+import struct
+from functools import cache
 
-from gjsmap import CharFn, Orientation, build_gha, invertibility_region, iterate, reflection_pair
-from gjsmap.errors import GjsError, OverflowDiverged
+from gjsmap import (
+    CharFn,
+    Orientation,
+    build_gha,
+    find_roots,
+    fixed_points,
+    invertibility_region,
+    iterate,
+    periodic_condition_solve,
+    reflection_pair,
+)
+from gjsmap.errors import GjsError, NoRealFixedPoint, OverflowDiverged
 
 KS = (2, 10, 40, -2, -10, -40)
 DRAWS = 300
@@ -108,3 +124,127 @@ def test_the_reflection_partner_negates_every_orbit_exactly():
         assert iterate(reflection_pair(fn), -x0, m) == [-x for x in orbit], (fn, x0, m)
         checked += 1
     assert checked >= 150
+
+
+# ------------------------------------------------ relations through the root isolator
+
+#: The scales of the isolator sweeps, away from the ones above so that no draw repeats.
+ISOLATOR_KS = (3, 7, 20, -3, -7, -20)
+#: The periods ``d`` the sweep solves, and the pairs ``(e, d)`` with ``e | d`` it compares.
+PERIODS = (1, 2, 3, 4, 6)
+DIVISORS = ((1, 2), (1, 3), (2, 4), (1, 4), (3, 6))
+#: A root of ``g^(d)(x) = x`` farther than this many floats from every period-e root is missing.
+NEAR_FLOATS = 1000
+
+
+def coefficient(rng: random.Random) -> float:
+    """``±10^U(-2, 1)``."""
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 1.0)
+
+
+def weight_fn(rng: random.Random) -> CharFn:
+    """A weight quadratic (opening down) or cubic with coefficients ``±10^U(-2, 1)``."""
+    coeffs = [coefficient(rng) for _ in range(rng.randint(3, 4))]
+    if len(coeffs) == 3:
+        coeffs[2] = -abs(coeffs[2])
+    return CharFn(tuple(coeffs), Orientation.WEIGHT)
+
+
+@cache
+def periodic_sweep() -> tuple[tuple[CharFn, dict[int, tuple[float, ...]]], ...]:
+    """80 weight functions from ``random.Random(3)``, each with its periodic roots at every d
+    of ``PERIODS``."""
+    rng = random.Random(3)
+    fns = [weight_fn(rng) for _ in range(80)]
+    return tuple((g, {d: periodic_condition_solve(g, d) for d in PERIODS}) for g in fns)
+
+
+def float_index(x: float) -> int:
+    """Consecutive floats have consecutive indices."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+#: Period-e roots at ``random.Random(3)`` with no period-d root within ``NEAR_FLOATS`` floats
+#: (steep roots that the residual filter drops), and those found moved by a few floats.
+DIVISIBILITY_MISSING = 22
+DIVISIBILITY_MOVED = 47
+
+
+def test_a_period_e_root_is_a_root_at_each_multiple_d():
+    missing, moved, checked = [], [], 0
+    for g, roots in periodic_sweep():
+        for e, d in DIVISORS:
+            for r in roots[e]:
+                checked += 1
+                apart = min((abs(float_index(s) - float_index(r)) for s in roots[d]),
+                            default=math.inf)
+                if apart > NEAR_FLOATS:
+                    missing.append((g, e, d, r))
+                elif apart:
+                    moved.append((g, e, d, r))
+    assert checked >= 450
+    assert len(missing) <= DIVISIBILITY_MISSING, missing
+    assert len(moved) <= DIVISIBILITY_MOVED, moved
+
+
+def scaled_or_off(found, scaled, k: int) -> bool:
+    """Whether ``scaled`` is not ``found`` times ``2^k``."""
+    return list(scaled) != [x * 2.0**k for x in found]
+
+
+#: Draws at ``random.Random(11)`` whose conjugate gives other roots than the scaled ones.
+CONJUGATE_ROOTS_OFF = 5
+CONJUGATE_PERIODIC_OFF = 5
+CONJUGATE_FIXED_POINTS_OFF = 1
+
+
+def test_conjugation_scales_the_roots_of_a_polynomial():
+    rng = random.Random(11)
+    off = []
+    for _ in range(150):
+        coeffs, k = [coefficient(rng) for _ in range(rng.randint(3, 6))], rng.choice(ISOLATOR_KS)
+        scaled = [c * 2.0 ** (k * (1 - i)) for i, c in enumerate(coeffs)]
+        everywhere = (-math.inf, math.inf)
+        if scaled_or_off(find_roots(coeffs, everywhere), find_roots(scaled, everywhere), k):
+            off.append((coeffs, k))
+    assert len(off) <= CONJUGATE_ROOTS_OFF, off
+
+
+def test_conjugation_scales_the_periodic_roots():
+    rng = random.Random(11)
+    off = []
+    for g, roots in periodic_sweep():
+        k, d = rng.choice(ISOLATOR_KS), rng.choice(PERIODS[:4])
+        if scaled_or_off(roots[d], periodic_condition_solve(conjugate(g, k), d), k):
+            off.append((g, k, d))
+    assert len(off) <= CONJUGATE_PERIODIC_OFF, off
+
+
+def test_conjugation_scales_the_fixed_points():
+    def locations(fn: CharFn) -> list[float]:
+        try:
+            return [p.location for p in fixed_points(fn)]
+        except NoRealFixedPoint:
+            return []
+
+    rng = random.Random(11)
+    off = [(g, k) for g, _ in periodic_sweep() for k in [rng.choice(ISOLATOR_KS)]
+           if scaled_or_off(locations(g), locations(conjugate(g, k)), k)]
+    assert all(g.degree == 3 for g, _ in off), off  # a quadratic's closed form scales exactly
+    assert len(off) <= CONJUGATE_FIXED_POINTS_OFF, off
+
+
+#: Draws at ``random.Random(11)`` whose reflection partner's periodic roots are not the negated
+#: roots: the solver's interval ``[-R, 1.3 R]`` is not symmetric.
+REFLECTED_PERIODIC_OFF = 10
+
+
+def test_the_reflection_partner_negates_the_periodic_roots():
+    rng = random.Random(11)
+    off = []
+    for g, roots in periodic_sweep():
+        d = rng.choice(PERIODS[:4])
+        if periodic_condition_solve(reflection_pair(g), d) != tuple(sorted(-r for r in roots[d])):
+            off.append((g, d))
+    assert len(off) <= REFLECTED_PERIODIC_OFF, off
