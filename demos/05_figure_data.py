@@ -2,9 +2,9 @@
 
 Each series is written as its report JSON, the record (curve samples, the
 full iterate sequence and its drawn step count, fixed points and
-boundaries), plus a CSV pair, the plot table: curve with diagonal, and the
-cobweb segments.  Point any plotting tool at the CSVs; nothing here renders
-images.
+boundaries), plus a CSV pair, the plot table: the curve as ``x,fn`` (draw
+the diagonal y = x from its ``x`` column) and the cobweb segments.  Point any
+plotting tool at the CSVs; nothing here renders images.
 """
 
 import json

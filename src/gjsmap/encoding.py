@@ -122,7 +122,8 @@ class _Walk:
     def sequence(self, o, level: int) -> None:
         kinds = set(map(type, o))
         if not any(kind is bool or not issubclass(kind, (int, float)) for kind in kinds):
-            floats = [issubclass(kind, float) for kind in kinds]  # an empty list is "[]" here
+            # a list of numbers is one line, and so an empty list is "[]"
+            floats = [issubclass(kind, float) for kind in kinds]
             fmt = float.__repr__ if all(floats) else _number_text if any(floats) else int.__repr__
             self.out.append(self.line(map(fmt, o)))
             return

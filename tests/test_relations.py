@@ -37,10 +37,14 @@ KS = (2, 10, 40, -2, -10, -40)
 DRAWS = 300
 
 
+def conjugate_coefficients(coeffs, k: int) -> tuple[float, ...]:
+    """The coefficients of ``2^k p(x / 2^k)``, which are exact."""
+    return tuple(c * 2.0 ** (k * (1 - i)) for i, c in enumerate(coeffs))
+
+
 def conjugate(fn: CharFn, k: int) -> CharFn:
-    """``2^k fn(x / 2^k)``, whose coefficients are exact."""
-    return CharFn(tuple(c * 2.0 ** (k * (1 - i)) for i, c in enumerate(fn.coefficients)),
-                  fn.orientation)
+    """``2^k fn(x / 2^k)``."""
+    return CharFn(conjugate_coefficients(fn.coefficients, k), fn.orientation)
 
 
 def random_fn(rng: random.Random, orientation: Orientation | None = None) -> CharFn:
@@ -128,7 +132,7 @@ def test_the_reflection_partner_negates_every_orbit_exactly():
 
 # ------------------------------------------------ relations through the root isolator
 
-#: The scales of the isolator sweeps, away from the ones above so that no draw repeats.
+#: The scales of the isolator sweeps.
 ISOLATOR_KS = (3, 7, 20, -3, -7, -20)
 #: The periods ``d`` the sweep solves, and the pairs ``(e, d)`` with ``e | d`` it compares.
 PERIODS = (1, 2, 3, 4, 6)
@@ -200,12 +204,11 @@ CONJUGATE_FIXED_POINTS_OFF = 1
 
 
 def test_conjugation_scales_the_roots_of_a_polynomial():
-    rng = random.Random(11)
+    rng, everywhere = random.Random(11), (-math.inf, math.inf)
     off = []
     for _ in range(150):
         coeffs, k = [coefficient(rng) for _ in range(rng.randint(3, 6))], rng.choice(ISOLATOR_KS)
-        scaled = [c * 2.0 ** (k * (1 - i)) for i, c in enumerate(coeffs)]
-        everywhere = (-math.inf, math.inf)
+        scaled = conjugate_coefficients(coeffs, k)
         if scaled_or_off(find_roots(coeffs, everywhere), find_roots(scaled, everywhere), k):
             off.append((coeffs, k))
     assert len(off) <= CONJUGATE_ROOTS_OFF, off
@@ -229,8 +232,11 @@ def test_conjugation_scales_the_fixed_points():
             return []
 
     rng = random.Random(11)
-    off = [(g, k) for g, _ in periodic_sweep() for k in [rng.choice(ISOLATOR_KS)]
-           if scaled_or_off(locations(g), locations(conjugate(g, k)), k)]
+    off = []
+    for g, _ in periodic_sweep():
+        k = rng.choice(ISOLATOR_KS)
+        if scaled_or_off(locations(g), locations(conjugate(g, k)), k):
+            off.append((g, k))
     assert all(g.degree == 3 for g, _ in off), off  # a quadratic's closed form scales exactly
     assert len(off) <= CONJUGATE_FIXED_POINTS_OFF, off
 
