@@ -8,15 +8,15 @@ the text parses to the same value as ``json.dumps(value, indent=2, allow_nan=Fal
 lacks the newline and indent that the standard library writes before every number.
 
 With an indent the standard library encodes in pure Python, one generator step per number.
-Payloads here are mostly lists of numbers (curve samples, matrix rows, ladders), so this
+Payloads here are mostly lists of numbers (matrix rows, ladders, iterates), so this
 encoder formats such a list in one pass, ``map(float.__repr__, ...)`` joined into its line.
 Every other value is walked in the standard library's order.  The standard encoder stays for
 what this walk does not write: no indent, ``sort_keys``, an indent or item separator with an
 "n" in it (the walk finds a "nan" or "inf" by its "n"), and every error (a non-finite float,
 an unknown type, a cycle, an int too long for ``str``), so its exact messages are kept.
 
-A caller that has already formatted a list of numbers (an orbit report formats each distinct
-number once and repeats its text) passes a :class:`FormattedNest`.  The walk joins its texts
+A caller that has already formatted a list of numbers (an orbit report formats each iterate
+once and repeats its text) passes a :class:`FormattedNest`.  The walk joins its texts
 into the same line; the standard encoder gets the plain list instead.
 
 :func:`_record_data` is the one rule that turns a record (a dataclass) into a value.
@@ -37,7 +37,8 @@ def _record_data(record) -> dict:
     """``{field: value}`` of a dataclass ``record``, in declaration order.
 
     An enum gives its value, an array its ``tolist()`` (anything with ``tolist``, so numpy
-    is never imported), a tuple a list, a nested record this rule's dict, the rest itself.
+    is never imported), a tuple a list (of records, their dicts), a nested record this rule's
+    dict, the rest itself.
     """
     return {field.name: _plain(getattr(record, field.name)) for field in fields(record)}
 
@@ -48,7 +49,7 @@ def _plain(value):
     if hasattr(value, "tolist"):
         return value.tolist()
     if isinstance(value, tuple):
-        return list(value)
+        return [_plain(v) for v in value] if value and is_dataclass(value[0]) else list(value)
     return _record_data(value) if is_dataclass(value) else value
 
 

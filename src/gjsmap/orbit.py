@@ -3,21 +3,22 @@
 A cobweb trace alternates vertical moves onto the curve ``y = f(x)`` and
 horizontal moves back to the diagonal ``y = x``, visualizing how an orbit
 approaches (or escapes) a fixed point.  Reports carry everything an external
-plotter needs: curve samples, the full iterate sequence and how many of its
-steps are drawn, fixed points with stability labels, the invertibility
-boundary and optional guide lines.
+plotter needs: the curve's sample count, the full iterate sequence and how
+many of its steps are drawn, fixed points with stability labels, the
+invertibility boundary and optional guide lines.
 
 The iterate sequence runs until the requested step count or the divergence
 bound; leaving the plot window only stops the drawn segments, not the
 recorded orbit.
 
-A report stores the iterates, the number of drawn steps and the flat curve
-samples, and derives the sample pairs, the diagonal and the segments.  Its
-JSON is that record, each fact once; the CSV pair is the plot table, the
-curve as ``x,fn`` (``x`` is the diagonal too) and one row per segment.  The
-writers build every JSON list and CSV row from one repr per number, which the
-report makes on first use (:attr:`OrbitReport.texts`) and keeps, so the
-stdout payload and the three files of a report share them.
+A report stores the iterates, the number of drawn steps and of curve
+samples, and derives the curve, the diagonal and the segments.  Its JSON is
+that record, each fact once; the CSV pair is the plot table, the curve as
+``x,fn`` (``np.linspace(*window, samples)`` and ``fn`` there; ``x`` is the
+diagonal too) and one row per segment.  The writers build every JSON list and
+CSV row from one repr per number, made on first use and kept by the report
+(``iterate_texts``, ``curve_texts``), so a report formats its curve only for
+its CSV and each number once however many of its outputs a request writes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .charfun import (
     FixedPointInfo,
     Orientation,
     RegionLabel,
-    charfn_to_dict,
     classify_region,
     fixed_points,
     invertibility_boundary,
@@ -74,6 +74,13 @@ class GuideLine:
     to_dict = _record_data
 
 
+def _curve(fn: CharFn, window: tuple[float, float], samples: int):
+    """``np.linspace(*window, samples)`` and ``fn`` at those points, as arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(*window, samples)
+        return xs, _horner(fn.coefficients, xs)
+
+
 def _segment_rows(orbit, drawn: int):
     """``(x1, y1, x2, y2)`` of each segment that the first ``drawn`` steps of ``orbit`` draw.
 
@@ -86,10 +93,10 @@ def _segment_rows(orbit, drawn: int):
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """One orbit of one characteristic function, with its curve samples.
+    """One orbit of one characteristic function, with the number of its curve samples.
 
-    The fields are the record; ``fn_samples``, ``diagonal_samples`` and ``cobweb_segments``
-    are views derived from ``sample_x``, ``sample_fx`` and the first ``drawn`` steps.
+    The fields are the record; ``sample_x``, ``sample_fx`` and the views built on them are
+    derived from ``fn``, ``window`` and ``samples``, and the segments from ``drawn`` steps.
     """
 
     fn: CharFn
@@ -100,12 +107,19 @@ class OrbitReport:
     truncated_divergence: bool
     truncated_window: bool
     drawn: int
-    sample_x: tuple[float, ...]
-    sample_fx: tuple[float, ...]
+    samples: int
     fixed_points: tuple[FixedPointInfo, ...]
     boundary: Optional[float]
     region_label: Optional[RegionLabel]
     guide_lines: tuple[GuideLine, ...] = ()
+
+    @property
+    def sample_x(self) -> tuple[float, ...]:
+        return tuple(_curve(self.fn, self.window, self.samples)[0].tolist())
+
+    @property
+    def sample_fx(self) -> tuple[float, ...]:
+        return tuple(_curve(self.fn, self.window, self.samples)[1].tolist())
 
     @property
     def fn_samples(self) -> tuple[Point, ...]:
@@ -122,10 +136,14 @@ class OrbitReport:
         return tuple(((x1, y1), (x2, y2)) for x1, y1, x2, y2 in rows)
 
     @cached_property
-    def texts(self) -> tuple[list[str], list[str], list[str]]:
-        """The reprs of ``sample_x``, ``sample_fx`` and ``iterates``, made once for the writers."""
-        values = (self.sample_x, self.sample_fx, self.iterates)
-        return tuple(list(map(float.__repr__, v)) for v in values)
+    def iterate_texts(self) -> list[str]:
+        """The reprs of ``iterates``, made once for the JSON and the cobweb CSV."""
+        return list(map(float.__repr__, self.iterates))
+
+    @cached_property
+    def curve_texts(self) -> tuple[list[str], list[str]]:
+        """The reprs of ``sample_x`` and ``sample_fx``, made once for the curve CSV."""
+        return tuple(list(map(float.__repr__, v)) for v in (self.sample_x, self.sample_fx))
 
 
 def cobweb(
@@ -149,6 +167,8 @@ def cobweb(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+        raise ValueError(f"samples must be an int >= 2, not {samples!r}")
     fps = tuple(or_none((NoRealFixedPoint, ValueError), fixed_points, fn) or ())
     boundary = or_none(NotQuadratic, invertibility_boundary, fn)
     if window is None:
@@ -170,10 +190,7 @@ def cobweb(
     truncated_window = outside < len(orbit) and len(orbit) > 1
     drawn = min(outside, len(orbit) - 1)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs = np.linspace(lo, hi, samples)
-        ys = _horner(fn.coefficients, xs)
-    if not np.isfinite(ys).all():  # a non-finite x gives a non-finite fn(x)
+    if not np.isfinite(_curve(fn, (lo, hi), samples)[1]).all():  # so is fn at a non-finite x
         raise ValueError(f"the curve samples on the window [{lo!r}, {hi!r}] are not finite")
 
     return OrbitReport(
@@ -185,8 +202,7 @@ def cobweb(
         truncated_divergence=truncated_divergence,
         truncated_window=truncated_window,
         drawn=drawn,
-        sample_x=tuple(xs.tolist()),
-        sample_fx=tuple(ys.tolist()),
+        samples=samples,
         fixed_points=fps,
         boundary=boundary,
         region_label=or_none((NotQuadratic, UnsupportedDiscriminant), classify_region, fn, x0),
@@ -209,18 +225,11 @@ class FigureBundle:
     reports: tuple[tuple[str, OrbitReport], ...]
 
     def report(self, series: str) -> OrbitReport:
-        for key, rep in self.reports:
-            if key == series:
-                return rep
-        raise KeyError(series)
+        return dict(self.reports)[series]
 
 
 def _window_from_landmarks(landmarks) -> tuple[float, float]:
-    """The landmarks' span padded by ``WINDOW_PAD`` on each side.
-
-    A span narrower than 1e-9 (a single landmark) is first widened by 1 on
-    each side.
-    """
+    """The landmarks' span (widened by 1 each side if under 1e-9) padded by ``WINDOW_PAD``."""
     lo, hi = min(landmarks), max(landmarks)
     if hi - lo < 1e-9:
         lo, hi = lo - 1.0, hi + 1.0
@@ -266,33 +275,16 @@ def figure_bundle(name, bound: float = DIVERGENCE_BOUND) -> FigureBundle:
 
 
 def report_to_dict(report: OrbitReport) -> dict:
-    """The report's fields as JSON-ready values, in declaration order (``region_label`` is
-    ``region``); the derived views are not written, since the fields rebuild them."""
-    return {
-        "fn": charfn_to_dict(report.fn),
-        "x0": report.x0,
-        "window": list(report.window),
-        "steps": report.steps,
-        "iterates": list(report.iterates),
-        "truncated_divergence": report.truncated_divergence,
-        "truncated_window": report.truncated_window,
-        "drawn": report.drawn,
-        "sample_x": list(report.sample_x),
-        "sample_fx": list(report.sample_fx),
-        "fixed_points": [fp.to_dict() for fp in report.fixed_points],
-        "boundary": report.boundary,
-        "region": report.region_label.value if report.region_label else None,
-        "guide_lines": [g.to_dict() for g in report.guide_lines],
-    }
+    """The report's fields by :func:`_record_data`, ``region_label`` written as ``region``; the
+    derived views are not written, since the fields rebuild them."""
+    return {("region" if k == "region_label" else k): v for k, v in _record_data(report).items()}
 
 
 def formatted_report(report: OrbitReport) -> dict:
-    """:func:`report_to_dict` with each of its three number lists a :class:`FormattedNest` of
-    the report's texts; no pair or segment is shaped, and the dict encodes more than once."""
-    x, fx, it = report.texts
+    """:func:`report_to_dict` with its ``iterates`` a :class:`FormattedNest` of the report's
+    texts; no segment is shaped, and the dict encodes more than once."""
     payload = report_to_dict(report)
-    for key, leaves in (("iterates", it), ("sample_x", x), ("sample_fx", fx)):
-        payload[key] = FormattedNest(payload[key], leaves)
+    payload["iterates"] = FormattedNest(payload["iterates"], report.iterate_texts)
     return payload
 
 
@@ -307,10 +299,9 @@ def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
 
     A float's repr never needs CSV quoting, so each row is its fields joined by commas.
     """
-    x, fx, it = report.texts
     for path, header, rows in (
-        (curve_path, ("x", "fn"), zip(x, fx)),
-        (cobweb_path, ("x1", "y1", "x2", "y2"), _segment_rows(it, report.drawn)),
+        (curve_path, ("x", "fn"), zip(*report.curve_texts)),
+        (cobweb_path, ("x1", "y1", "x2", "y2"), _segment_rows(report.iterate_texts, report.drawn)),
     ):
         text = "\n".join(map(",".join, chain((header,), rows, ((),))))
         Path(path).write_text(text, encoding="utf-8", newline="")

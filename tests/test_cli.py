@@ -843,28 +843,37 @@ class TestLabelsOnlyAtExport:
 
 
 class TestReportTextsOnce:
-    """An orbit report formats its numbers once per request, stdout and ``--out`` files together."""
+    """An orbit report formats each number it writes once per request, stdout and ``--out``
+    files together, and formats its curve only for the curve CSV."""
 
     @pytest.fixture
     def made(self, monkeypatch):
-        """The reports whose texts were made, once per making."""
-        reports = []
-        original = OrbitReport.texts.func
+        """``(property, report)`` of each making of a report's texts."""
+        makings = []
+        for name in ("iterate_texts", "curve_texts"):
+            original = getattr(OrbitReport, name).func
 
-        def counted(report):
-            reports.append(report)
-            return original(report)
+            def counted(report, name=name, original=original):
+                makings.append((name, report))
+                return original(report)
 
-        texts = functools.cached_property(counted)
-        texts.__set_name__(OrbitReport, "texts")
-        monkeypatch.setattr(OrbitReport, "texts", texts)
-        return reports
+            texts = functools.cached_property(counted)
+            texts.__set_name__(OrbitReport, name)
+            monkeypatch.setattr(OrbitReport, name, texts)
+        return makings
 
     def test_cobweb_with_out(self, made, capsys, tmp_path):
         code, payload, _ = run_cli(capsys, *COBWEB, "--x0", "0.56", "--out", str(tmp_path))
         assert code == 0
         assert len(payload["files"]) == 3
-        assert len(made) == 1
+        assert [name for name, _ in made] == ["iterate_texts", "curve_texts"]
+        assert made[0][1] is made[1][1]
+
+    def test_cobweb_without_out_formats_no_curve_sample(self, made, capsys):
+        code, payload, _ = run_cli(capsys, *COBWEB, "--x0", "0.56")
+        assert code == 0
+        assert payload["report"]["samples"] == 512
+        assert [name for name, _ in made] == ["iterate_texts"]
 
     @pytest.mark.parametrize("name, series", [("fig1", 2), ("fig2", 1), ("fig3", 1), ("fig4", 2)])
     def test_figure(self, name, series, made, capsys, tmp_path):
@@ -872,7 +881,9 @@ class TestReportTextsOnce:
                                    str(tmp_path))
         assert code == 0
         assert len(payload["files"]) == 3 * series
-        assert len(made) == len({id(report) for report in made}) == series
+        for texts in ("iterate_texts", "curve_texts"):
+            reports = [id(report) for made_by, report in made if made_by == texts]
+            assert len(reports) == len(set(reports)) == series
 
 
 class TestParserReuse:

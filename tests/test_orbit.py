@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -59,6 +60,17 @@ class TestCobweb:
     def test_empty_window_rejected(self, window):
         with pytest.raises(ValueError, match="non-empty interval"):
             cobweb(FIG1_FN, 0.56, 5, window)
+
+    @pytest.mark.parametrize("samples", [0, 1, -3, True, False, 2.0, 512.0, "512", None])
+    def test_samples_must_be_an_int_of_at_least_two(self, samples):
+        with pytest.raises(ValueError, match=re.escape(f"samples must be an int >= 2, not {samples!r}")):
+            cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=samples)
+
+    def test_two_samples_are_the_window_ends(self):
+        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=2)
+        assert report.samples == 2
+        assert report.sample_x == (0.4, 1.0)
+        assert report.sample_fx == (0.625, 1.225)
 
     def test_divergence_to_minus_infinity(self):
         report = cobweb(FIG2_GN, -0.05, 100, (-0.4, 1.9))

@@ -2,15 +2,17 @@
 
 The writers build every JSON nest and CSV row from one formatted string per
 number, and a report derives its sample pairs, diagonal and segments from its
-iterates and flat samples.  Both must give the bytes of the reference writers:
-``csv.writer`` rows, and JSON in the encoder's layout from a printer of its own.
-The JSON holds only the record, so every derived view must be rebuilt from it.
+iterates and its curve from ``fn``, ``window`` and ``samples``.  Both must give the
+bytes of the reference writers: ``csv.writer`` rows, and JSON in the encoder's layout
+from a printer of its own.  The JSON holds only the record, so every derived view,
+the curve among them, must be rebuilt from it, bit for bit.
 """
 
 import json
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,15 +73,27 @@ def windows(draw, orbit: list[float]):
 def views_from_json(text: str) -> tuple:
     """``(fn_samples, diagonal_samples, cobweb_segments)`` rebuilt from a report's JSON.
 
-    Step ``k < drawn`` draws ``(x_k, x_k) -> (x_k, x_k+1) -> (x_k+1, x_k+1)``.
+    The curve is ``np.linspace(*window, samples)`` and ``fn`` at those points by Horner's
+    rule; step ``k < drawn`` draws ``(x_k, x_k) -> (x_k, x_k+1) -> (x_k+1, x_k+1)``.
     """
     data = json.loads(text)
-    xs, fxs, orbit = data["sample_x"], data["sample_fx"], data["iterates"]
+    xs = np.linspace(*data["window"], data["samples"])
+    *lower, fxs = data["fn"]["coefficients"]
+    for c in reversed(lower):
+        fxs = fxs * xs + c
+    xs, fxs, orbit = xs.tolist(), fxs.tolist(), data["iterates"]
     segments = []
     for k in range(data["drawn"]):
         a, b = orbit[k], orbit[k + 1]
         segments += [((a, a), (a, b)), ((a, b), (b, b))]
     return tuple(zip(xs, fxs)), tuple(zip(xs, xs)), tuple(segments)
+
+
+def assert_rebuilt_from_json(report, json_text: str, curve_csv: str) -> None:
+    """The views rebuilt from the JSON are the report's, and the curve CSV's rows bit for bit."""
+    views = views_from_json(json_text)
+    assert views == (report.fn_samples, report.diagonal_samples, report.cobweb_segments)
+    assert curve_csv == "x,fn\n" + "".join(f"{x!r},{fx!r}\n" for x, fx in views[0])
 
 
 def written(report) -> tuple[str, str, str]:
@@ -105,8 +119,7 @@ def test_reports_match_the_reference(fn, x0, steps, samples, data):
     assert report.truncated_window is truncated
     files = written(report)
     assert files == (reference_report_json(report), *reference_report_csvs(report))
-    views = (report.fn_samples, report.diagonal_samples, report.cobweb_segments)
-    assert views_from_json(files[0]) == views
+    assert_rebuilt_from_json(report, *files[:2])
 
 
 def test_diverging_orbit_matches_the_reference():
@@ -126,6 +139,7 @@ def test_stock_bundles_match_the_reference(name, tmp_path):
         assert Path(f"{stem}.json").read_text() == reference_report_json(report)
         assert Path(f"{stem}_curve.csv").read_text() == curve
         assert Path(f"{stem}_cobweb.csv").read_text() == cobweb_rows
+        assert_rebuilt_from_json(report, Path(f"{stem}.json").read_text(), curve)
 
 
 def test_report_with_inf_raises_the_standard_error(tmp_path):
