@@ -1,7 +1,7 @@
 """Produce the plot data behind the four stock figures.
 
-Each series is written as its report JSON, the record (curve samples, the
-full iterate sequence and its drawn step count, fixed points and
+Each series is written as its report JSON, the record (the curve's sample
+count, the full iterate sequence and its drawn step count, fixed points and
 boundaries), plus a CSV pair, the plot table: the curve as ``x,fn`` (draw
 the diagonal y = x from its ``x`` column) and the cobweb segments.  Point any
 plotting tool at the CSVs; nothing here renders images.

@@ -190,7 +190,8 @@ def cobweb(
     truncated_window = outside < len(orbit) and len(orbit) > 1
     drawn = min(outside, len(orbit) - 1)
 
-    if not np.isfinite(_curve(fn, (lo, hi), samples)[1]).all():  # so is fn at a non-finite x
+    # a non-finite x gives a non-finite fn(x)
+    if not np.isfinite(_curve(fn, (lo, hi), samples)[1]).all():
         raise ValueError(f"the curve samples on the window [{lo!r}, {hi!r}] are not finite")
 
     return OrbitReport(
@@ -225,11 +226,18 @@ class FigureBundle:
     reports: tuple[tuple[str, OrbitReport], ...]
 
     def report(self, series: str) -> OrbitReport:
-        return dict(self.reports)[series]
+        for key, rep in self.reports:
+            if key == series:
+                return rep
+        raise KeyError(series)
 
 
 def _window_from_landmarks(landmarks) -> tuple[float, float]:
-    """The landmarks' span (widened by 1 each side if under 1e-9) padded by ``WINDOW_PAD``."""
+    """The landmarks' span padded by ``WINDOW_PAD`` on each side.
+
+    A span narrower than 1e-9 (a single landmark) is first widened by 1 on
+    each side.
+    """
     lo, hi = min(landmarks), max(landmarks)
     if hi - lo < 1e-9:
         lo, hi = lo - 1.0, hi + 1.0
