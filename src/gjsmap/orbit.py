@@ -167,7 +167,7 @@ def cobweb(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+    if not isinstance(samples, int) or samples < 2:  # True and False are ints below 2
         raise ValueError(f"samples must be an int >= 2, not {samples!r}")
     fps = tuple(or_none((NoRealFixedPoint, ValueError), fixed_points, fn) or ())
     boundary = or_none(NotQuadratic, invertibility_boundary, fn)

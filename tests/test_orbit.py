@@ -63,7 +63,8 @@ class TestCobweb:
 
     @pytest.mark.parametrize("samples", [0, 1, -3, True, False, 2.0, 512.0, "512", None])
     def test_samples_must_be_an_int_of_at_least_two(self, samples):
-        with pytest.raises(ValueError, match=re.escape(f"samples must be an int >= 2, not {samples!r}")):
+        message = re.escape(f"samples must be an int >= 2, not {samples!r}")
+        with pytest.raises(ValueError, match=message):
             cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=samples)
 
     def test_two_samples_are_the_window_ends(self):
