@@ -89,7 +89,7 @@ from .orbit import (
     _write_report,
     cobweb,
     figure_bundle,
-    formatted_report,
+    report_to_dict,
     write_bundle,
     write_report_csvs,  # unused here, but bench/tracing.py wraps this name
     write_report_json,  # and this one on gjsmap.cli
@@ -474,7 +474,7 @@ def cmd_orbit_figure(args):
 
 def cmd_orbit_cobweb(args):
     report = cobweb(args.fn, args.x0, args.steps, args.window, bound=_bound())
-    return {"report": formatted_report(report)}, 0, lambda: {"cobweb": report}
+    return {"report": report_to_dict(report)}, 0, lambda: {"cobweb": report}
 
 
 def _job_argv(job: dict) -> list[str]:

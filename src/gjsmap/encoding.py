@@ -15,10 +15,6 @@ what this walk does not write: no indent, ``sort_keys``, an indent or item separ
 "n" in it (the walk finds a "nan" or "inf" by its "n"), and every error (a non-finite float,
 an unknown type, a cycle, an int too long for ``str``), so its exact messages are kept.
 
-A caller that has already formatted a list of numbers (an orbit report formats each iterate
-once and repeats its text) passes a :class:`FormattedNest`.  The walk joins its texts
-into the same line; the standard encoder gets the plain list instead.
-
 :func:`_record_data` is the one rule that turns a record (a dataclass) into a value.
 """
 
@@ -57,15 +53,6 @@ class _Unsupported(Exception):
     """The value needs the standard encoder."""
 
 
-class FormattedNest:
-    """The list of numbers ``plain`` with ``texts``, the text of each of its items."""
-
-    __slots__ = ("plain", "texts")
-
-    def __init__(self, plain: list, texts: list[str]):
-        self.plain, self.texts = plain, texts
-
-
 class OutputEncoder(json.JSONEncoder):
     """``json.JSONEncoder`` whose indented layout writes a list of numbers on one line."""
 
@@ -82,11 +69,6 @@ class OutputEncoder(json.JSONEncoder):
         except (_Unsupported, RecursionError, ValueError):  # a cycle; an int too long for str
             return super().encode(o)
         return "".join(out)
-
-    def default(self, o):
-        if type(o) is FormattedNest:
-            return o.plain
-        return super().default(o)
 
 
 class _Walk:
@@ -115,8 +97,6 @@ class _Walk:
             self.sequence(o, level)
         elif isinstance(o, dict):
             self.mapping(o, level)
-        elif type(o) is FormattedNest:
-            self.out.append(self.line(o.texts))
         else:
             raise _Unsupported
 

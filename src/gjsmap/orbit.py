@@ -15,10 +15,9 @@ A report stores the iterates, the number of drawn steps and of curve
 samples, and derives the curve, the diagonal and the segments.  Its JSON is
 that record, each fact once; the CSV pair is the plot table, the curve as
 ``x,fn`` (``np.linspace(*window, samples)`` and ``fn`` there; ``x`` is the
-diagonal too) and one row per segment.  The writers build every JSON list and
-CSV row from one repr per number, made on first use and kept by the report
-(``iterate_texts``, ``curve_texts``), so a report formats its curve only for
-its CSV and each number once however many of its outputs a request writes.
+diagonal too) and one row per segment.  The JSON is encoded like every other
+record, by ``OutputEncoder``; the curve is evaluated and formatted only when its
+CSV is written.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -43,7 +41,7 @@ from .charfun import (
     invertibility_boundary,
     iterate,
 )
-from .encoding import FormattedNest, OutputEncoder, _record_data
+from .encoding import OutputEncoder, _record_data
 from .errors import (
     NoRealFixedPoint,
     NotQuadratic,
@@ -96,7 +94,8 @@ class OrbitReport:
     """One orbit of one characteristic function, with the number of its curve samples.
 
     The fields are the record; ``sample_x``, ``sample_fx`` and the views built on them are
-    derived from ``fn``, ``window`` and ``samples``, and the segments from ``drawn`` steps.
+    derived from ``fn``, ``window`` and ``samples``, each view from one evaluation of the
+    curve, and the segments from ``drawn`` steps.
     """
 
     fn: CharFn
@@ -123,27 +122,19 @@ class OrbitReport:
 
     @property
     def fn_samples(self) -> tuple[Point, ...]:
-        return tuple(zip(self.sample_x, self.sample_fx))
+        xs, fx = _curve(self.fn, self.window, self.samples)
+        return tuple(zip(xs.tolist(), fx.tolist()))
 
     @property
     def diagonal_samples(self) -> tuple[Point, ...]:
-        return tuple(zip(self.sample_x, self.sample_x))
+        xs = self.sample_x
+        return tuple(zip(xs, xs))
 
     @property
     def cobweb_segments(self) -> tuple[Segment, ...]:
         """The drawn segments, laid out by :func:`_segment_rows`."""
         rows = _segment_rows(self.iterates, self.drawn)
         return tuple(((x1, y1), (x2, y2)) for x1, y1, x2, y2 in rows)
-
-    @cached_property
-    def iterate_texts(self) -> list[str]:
-        """The reprs of ``iterates``, made once for the JSON and the cobweb CSV."""
-        return list(map(float.__repr__, self.iterates))
-
-    @cached_property
-    def curve_texts(self) -> tuple[list[str], list[str]]:
-        """The reprs of ``sample_x`` and ``sample_fx``, made once for the curve CSV."""
-        return tuple(list(map(float.__repr__, v)) for v in (self.sample_x, self.sample_fx))
 
 
 def cobweb(
@@ -288,28 +279,24 @@ def report_to_dict(report: OrbitReport) -> dict:
     return {("region" if k == "region_label" else k): v for k, v in _record_data(report).items()}
 
 
-def formatted_report(report: OrbitReport) -> dict:
-    """:func:`report_to_dict` with its ``iterates`` a :class:`FormattedNest` of the report's
-    texts; no segment is shaped, and the dict encodes more than once."""
-    payload = report_to_dict(report)
-    payload["iterates"] = FormattedNest(payload["iterates"], report.iterate_texts)
-    return payload
-
-
 def write_report_json(report: OrbitReport, path) -> None:
-    """The report's record as indented JSON, from :func:`formatted_report`."""
-    text = json.dumps(formatted_report(report), cls=OutputEncoder, indent=2, allow_nan=False)
+    """The report's record, :func:`report_to_dict`, as indented JSON."""
+    text = json.dumps(report_to_dict(report), cls=OutputEncoder, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_report_csvs(report: OrbitReport, curve_path, cobweb_path) -> None:
-    """CSV pair: curve samples (``x,fn``) and cobweb segments, from the report's texts.
+    """CSV pair: curve samples (``x,fn``), from one evaluation of the curve, and cobweb
+    segments, from the drawn iterates.
 
     A float's repr never needs CSV quoting, so each row is its fields joined by commas.
     """
+    xs, fx = _curve(report.fn, report.window, report.samples)
+    curve = zip(map(float.__repr__, xs.tolist()), map(float.__repr__, fx.tolist()))
+    drawn = list(map(float.__repr__, report.iterates[: report.drawn + 1]))
     for path, header, rows in (
-        (curve_path, ("x", "fn"), zip(*report.curve_texts)),
-        (cobweb_path, ("x1", "y1", "x2", "y2"), _segment_rows(report.iterate_texts, report.drawn)),
+        (curve_path, ("x", "fn"), curve),
+        (cobweb_path, ("x1", "y1", "x2", "y2"), _segment_rows(drawn, report.drawn)),
     ):
         text = "\n".join(map(",".join, chain((header,), rows, ((),))))
         Path(path).write_text(text, encoding="utf-8", newline="")

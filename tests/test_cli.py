@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import functools
 import io
 import json
 import os
@@ -13,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjsmap import cli, gha, gsl2, jsmap
+from gjsmap import cli, gha, gsl2, jsmap, orbit
 from gjsmap.cli import CliError, _HelpRequested, _job_argv, build_parser, main
-from gjsmap.orbit import OrbitReport
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _reference as golden_reference
 
@@ -842,48 +840,49 @@ class TestLabelsOnlyAtExport:
         assert sum(f.endswith(".csv") for f in payload["files"]) >= 4
 
 
-class TestReportTextsOnce:
-    """An orbit report formats each number it writes once per request, stdout and ``--out``
-    files together, and formats its curve only for the curve CSV."""
+class TestCurveEvaluations:
+    """An orbit report's curve is evaluated once by ``cobweb``'s finiteness check and once more
+    only to write the curve CSV; each sample view evaluates it once."""
 
     @pytest.fixture
-    def made(self, monkeypatch):
-        """``(property, report)`` of each making of a report's texts."""
-        makings = []
-        for name in ("iterate_texts", "curve_texts"):
-            original = getattr(OrbitReport, name).func
+    def curves(self, monkeypatch):
+        """The number of calls of ``gjsmap.orbit._curve`` so far, as a one-item list."""
+        calls = [0]
+        original = orbit._curve
 
-            def counted(report, name=name, original=original):
-                makings.append((name, report))
-                return original(report)
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
 
-            texts = functools.cached_property(counted)
-            texts.__set_name__(OrbitReport, name)
-            monkeypatch.setattr(OrbitReport, name, texts)
-        return makings
+        monkeypatch.setattr(orbit, "_curve", counted)
+        return calls
 
-    def test_cobweb_with_out(self, made, capsys, tmp_path):
-        code, payload, _ = run_cli(capsys, *COBWEB, "--x0", "0.56", "--out", str(tmp_path))
-        assert code == 0
-        assert len(payload["files"]) == 3
-        assert [name for name, _ in made] == ["iterate_texts", "curve_texts"]
-        assert made[0][1] is made[1][1]
-
-    def test_cobweb_without_out_formats_no_curve_sample(self, made, capsys):
+    def test_cobweb_without_out_formats_no_curve_sample(self, curves, capsys):
         code, payload, _ = run_cli(capsys, *COBWEB, "--x0", "0.56")
         assert code == 0
         assert payload["report"]["samples"] == 512
-        assert [name for name, _ in made] == ["iterate_texts"]
+        assert curves == [1]
+
+    def test_cobweb_with_out(self, curves, capsys, tmp_path):
+        code, payload, _ = run_cli(capsys, *COBWEB, "--x0", "0.56", "--out", str(tmp_path))
+        assert code == 0
+        assert len(payload["files"]) == 3
+        assert curves == [2]
 
     @pytest.mark.parametrize("name, series", [("fig1", 2), ("fig2", 1), ("fig3", 1), ("fig4", 2)])
-    def test_figure(self, name, series, made, capsys, tmp_path):
+    def test_figure(self, name, series, curves, capsys, tmp_path):
         code, payload, _ = run_cli(capsys, "orbit", "figure", "--name", name, "--out",
                                    str(tmp_path))
         assert code == 0
         assert len(payload["files"]) == 3 * series
-        for texts in ("iterate_texts", "curve_texts"):
-            reports = [id(report) for made_by, report in made if made_by == texts]
-            assert len(reports) == len(set(reports)) == series
+        assert curves == [2 * series]
+
+    @pytest.mark.parametrize("view", ["fn_samples", "diagonal_samples"])
+    def test_sample_view(self, view, curves):
+        report = orbit.figure_bundle("fig1").report("a")
+        curves[0] = 0
+        assert len(getattr(report, view)) == report.samples
+        assert curves == [1]
 
 
 class TestParserReuse:

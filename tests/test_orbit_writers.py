@@ -1,8 +1,9 @@
 """The orbit report writers against the reference writers in ``helpers``.
 
-The writers build every JSON nest and CSV row from one formatted string per
-number, and a report derives its sample pairs, diagonal and segments from its
-iterates and its curve from ``fn``, ``window`` and ``samples``.  Both must give the
+The writers encode the report's record with ``OutputEncoder`` and format the curve
+and the drawn iterates for the CSV pair, and a report derives its sample pairs,
+diagonal and segments from its iterates and its curve from ``fn``, ``window`` and
+``samples``.  Both must give the
 bytes of the reference writers: ``csv.writer`` rows, and JSON in the encoder's layout
 from a printer of its own.  The JSON holds only the record, so every derived view,
 the curve among them, must be rebuilt from it, bit for bit.
