@@ -15,6 +15,7 @@ vertex, weight-like functions open downward and act below it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -157,9 +158,10 @@ def derivative_at(fn: CharFn, x):
 def iterate(fn: CharFn, x0: float, m: int, bound: float = DIVERGENCE_BOUND) -> list[float]:
     """The orbit ``[x0, fn(x0), ..., fn^(m)(x0)]`` (length ``m + 1``).
 
-    Each step is :func:`_horner` inlined: the same operations in the same
-    order over every coefficient, trailing zeros included, so the orbit is
-    bit for bit that of repeated :func:`evaluate` calls.  Each iterate is
+    The steps run in the loop :func:`_orbit_loop` compiles for ``fn``'s
+    coefficient count: :func:`_horner`'s multiply-adds written out in the
+    same order over every coefficient, trailing zeros included, so the orbit
+    is bit for bit that of repeated :func:`evaluate` calls.  Each iterate is
     checked as it is made, by two comparisons against the bound capped at the
     largest finite float, which is ``abs(x) <= bound and math.isfinite(x)``.
 
@@ -174,22 +176,49 @@ def iterate(fn: CharFn, x0: float, m: int, bound: float = DIVERGENCE_BOUND) -> l
     x = float(x0)
     xs = [x]
     if not (abs(x) <= bound and math.isfinite(x)):
-        raise OverflowDiverged(f"start value {x!r} already exceeds the bound {bound!r}", xs)
+        raise _diverged(xs, bound)
     if m == 0:
         return xs
-    lead, rest, append = fn.coefficients[-1], fn.coefficients[-2::-1], xs.append
     # The start check passed, so 0 <= bound; capped at the largest float, inf and NaN fail.
     hi = bound if bound < math.inf else math.nextafter(math.inf, 0.0)
-    lo = -hi
-    for step in range(1, m + 1):
-        acc = lead
-        for c in rest:
-            acc = acc * x + c
-        x = acc
-        append(x)
-        if not lo <= x <= hi:
-            raise OverflowDiverged(f"iterate {step} = {x!r} exceeds the bound {bound!r}", xs)
+    if _orbit_loop(len(fn.coefficients))(x, m, hi, xs.append, *fn.coefficients):
+        raise _diverged(xs, bound)
     return xs
+
+
+def _diverged(xs: list[float], bound: float) -> OverflowDiverged:
+    """The error of an orbit ``xs`` whose last value is the first past ``bound``."""
+    if len(xs) == 1:
+        return OverflowDiverged(f"start value {xs[0]!r} already exceeds the bound {bound!r}", xs)
+    return OverflowDiverged(f"iterate {len(xs) - 1} = {xs[-1]!r} exceeds the bound {bound!r}", xs)
+
+
+@functools.lru_cache(maxsize=32)
+def _orbit_loop(count: int):
+    """The orbit loop of a polynomial with ``count >= 2`` coefficients, compiled on first use.
+
+    ``loop(x, m, hi, append, c_0, ..., c_{count-1})`` appends ``m`` iterates
+    of ``x`` and returns the first step outside ``[-hi, hi]``, or 0.  A step
+    is :func:`_horner` with one line per multiply-add, so any count compiles;
+    the source depends on ``count`` alone.
+    """
+    names = [f"c{i}" for i in range(count)]
+    step = [f"acc = {names[-1]} * x + {names[-2]}"]
+    step += [f"acc = acc * x + {name}" for name in reversed(names[:-2])]
+    step[-1] = "x" + step[-1][3:]  # the last multiply-add is the iterate
+    body = "".join(f"\n        {line}" for line in step)
+    source = (
+        f"def loop(x, m, hi, append, {', '.join(names)}):\n"
+        "    lo = -hi\n"
+        f"    for step in range(1, m + 1):{body}\n"
+        "        append(x)\n"
+        "        if not lo <= x <= hi:\n"
+        "            return step\n"
+        "    return 0\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<orbit loop of {count} coefficients>", "exec"), namespace)
+    return namespace["loop"]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ validation or construction error (output that cannot be encoded as JSON
 included) and when stdout is closed before the output is written, 2 when a
 verification report fails its tolerance.  The environment variable
 ``GJS_DIVERGENCE_BOUND`` overrides the default iterate bound of 1e12.
+``jsmap verify`` iterates ``g`` once: the direct representation is built on
+the map's orbit, held to that bound with the error its own orbit would raise.
 
 A batch mode (``run --config jobs.json``) executes a list of jobs, each the
 equivalent of one subcommand invocation with parameters given as JSON values;
@@ -60,6 +62,7 @@ from .gha import (
 from .gsl2 import (
     CUT_ACCEPT_TOL,
     RepKind,
+    _build_gsl2,
     build_gsl2,
     casimir_gsl2,
     cut_condition_solve,
@@ -74,6 +77,7 @@ from .gsl2 import (
 from .jsmap import (
     FixedJ,
     FullGrid,
+    _build_jsmap,
     build_jsmap,
     derive_pairing,
     jsmap_csv_labels,
@@ -431,13 +435,11 @@ def cmd_jsmap_build(args):
 def cmd_jsmap_verify(args):
     if args.j is None:
         raise CliError("--j is required for verification")
-    jsrep = build_jsmap(
-        args.fn, args.alpha0, args.gn, args.alphaj, FixedJ(args.j), bound=_bound()
-    )
+    # One g orbit serves both sides: the map's, unbounded, is held to the bound for the direct.
+    bound = _bound()
+    jsrep, orbit = _build_jsmap(args.fn, args.alpha0, args.gn, args.alphaj, FixedJ(args.j), bound)
     jsrep = _perturbed(jsrep, args)
-    direct = build_gsl2(
-        args.gn, args.alphaj, args.j + 1, args.kind, cut_tol=args.cut_tol, bound=_bound()
-    )
+    direct = _build_gsl2(args.gn, args.alphaj, args.j + 1, args.kind, args.cut_tol, bound, orbit)
     map_report = verify_map_equals_gsl2(jsrep, direct, tol=args.tol)
     relation_report = verify_jsmap_relations(jsrep, tol=args.tol)
     passed = map_report.passed and relation_report.passed

@@ -27,6 +27,7 @@ from .charfun import (
     DIVERGENCE_BOUND,
     CharFn,
     Orientation,
+    _diverged,
     evaluate,
     invertibility_region,
     iterate,
@@ -118,6 +119,17 @@ def build_gsl2(
     CutResidualTooLarge / PeriodicResidualTooLarge
         Closure defect above ``cut_tol`` for the finite kinds.
     """
+    return _build_gsl2(gn, alpha_j, dim, kind, cut_tol, bound, None)
+
+
+def _build_gsl2(gn: CharFn, alpha_j: float, dim: int, kind: RepKind, cut_tol: float,
+                bound: float, orbit: np.ndarray | None) -> Gsl2Rep:
+    """:func:`build_gsl2` on ``orbit``, or on its own ``iterate`` if ``orbit`` is None.
+
+    A given ``orbit`` is ``gn``'s orbit of ``alpha_j`` over ``dim`` steps as a
+    read-only array, made under a bound of at least ``bound``; it is held to
+    ``bound`` where ``iterate`` would be, with the same error.
+    """
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("weight-side algebra needs a weight-like function")
     if dim < 1:
@@ -128,7 +140,12 @@ def build_gsl2(
         raise InvalidHighestWeight(
             f"alpha_j = {alpha_j!r} outside the invertibility region ({lo!r}, {hi!r})"
         )
-    orbit = _readonly(iterate(gn, alpha_j, dim, bound=bound))
+    if orbit is None:
+        orbit = _readonly(iterate(gn, alpha_j, dim, bound=bound))
+    else:
+        beyond = np.flatnonzero(~((np.abs(orbit) <= bound) & np.isfinite(orbit)))
+        if beyond.size:
+            raise _diverged(orbit[: beyond[0] + 1].tolist(), bound)
     weights, lower, next_weight = orbit[:dim], orbit[1:dim], float(orbit[dim])
     ascent = np.flatnonzero(~(alpha_j > lower))
     if ascent.size:

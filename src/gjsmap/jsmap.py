@@ -50,6 +50,7 @@ from .gha import (
     ResidualReport,
     _clamped,
     _gauss,
+    _readonly,
     build_gha,
     gha_to_dict,
 )
@@ -57,7 +58,6 @@ from .gsl2 import (
     Gsl2Rep,
     _weight_casimir,
     _weight_residuals,
-    casimir_gsl2,
     matrix_J0,
     matrix_Jplus,
 )
@@ -135,9 +135,13 @@ def two_oscillator_space(
 
 
 def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float, steps: int) -> tuple:
-    """``(Q2, the Gauss numbers of the g orbit of alpha_j over steps steps, functional_G)``."""
-    q2, gg = _gauss(gn, alpha_j, iterate(gn, alpha_j, steps, bound=math.inf))
-    return q2, gg, alpha_j + q2 * gg[space.n2]
+    """``(the g orbit of alpha_j over steps steps, Q2, its Gauss numbers, functional_G)``.
+
+    The orbit is unbounded and read-only.
+    """
+    orbit = _readonly(iterate(gn, alpha_j, steps, bound=math.inf))
+    q2, gg = _gauss(gn, alpha_j, orbit)
+    return orbit, q2, gg, alpha_j + q2 * gg[space.n2]
 
 
 def _radicand(q, alpha_j):
@@ -153,7 +157,7 @@ def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
     orbit runs only to ``[max n2]_g``; a fixed point ``alpha_j`` of ``gn`` is
     a :class:`FixedPointVacuum`.
     """
-    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[2]
+    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[3]
 
 
 def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
@@ -178,7 +182,7 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
         entry is observable; the ``(gn, alpha_j)`` pair does not admit a real
         representation on this basis.
     """
-    q2, gg, _ = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    _, q2, gg, _ = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
     return _f_diag(space, q2, gg, alpha_j)[1]
 
 
@@ -257,6 +261,16 @@ def build_jsmap(
     :mod:`gsl2` evaluated on the mapped generators.  One ``g`` orbit serves
     ``G``, ``F`` and ``closes``.
     """
+    return _build_jsmap(fn, alpha0, gn, alpha_j, mode, bound)[0]
+
+
+def _build_jsmap(fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float, mode: Mode,
+                 bound: float) -> tuple[JsMapRep, np.ndarray]:
+    """:func:`build_jsmap` and its unbounded ``g`` orbit, a read-only array.
+
+    On a shell of ``2j + 1`` states the orbit runs ``2j + 1`` steps, the
+    orbit the direct representation of the same size is built from.
+    """
     if gn.orientation is not Orientation.WEIGHT:
         raise ValueError("the mapped algebra needs a weight-like function")
     space = two_oscillator_space(fn, alpha0, mode, bound=bound)
@@ -265,7 +279,7 @@ def build_jsmap(
     g_alpha = evaluate(gn, alpha_j)
     if not (g_alpha - alpha_j < 0.0):
         raise DescentViolation(1, g_alpha)
-    q2, gg, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    orbit, q2, gg, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
     m0_sq, f = _f_diag(space, q2, gg, alpha_j)
     s_z = OperatorMatrix(g, 0)
     offset, hop = _hop(space)
@@ -273,7 +287,8 @@ def build_jsmap(
     s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, gn), 0)
     q2, alpha_j = float(q2), float(alpha_j)
     closes = abs(_radicand(q2 * float(gg[-1]), alpha_j)) <= 1e-9 * max(1.0, abs(alpha_j) + 1.0)
-    return JsMapRep(space, gn, alpha_j, q2, float(m0_sq), s_z, s_plus, s_plus.T, s_sq, closes)
+    rep = JsMapRep(space, gn, alpha_j, q2, float(m0_sq), s_z, s_plus, s_plus.T, s_sq, closes)
+    return rep, orbit
 
 
 def jsmap_csv_labels(rep: JsMapRep) -> tuple[str, tuple[str, ...]]:
@@ -304,12 +319,12 @@ def verify_map_equals_gsl2(
         )
     if jsrep.gn != gsl2rep.gn or jsrep.alpha_j != gsl2rep.alpha_j:
         raise ValueError("the two sides use different gn or alpha_j")
-    jp = matrix_Jplus(gsl2rep).values
+    j0, jp = matrix_J0(gsl2rep).values, matrix_Jplus(gsl2rep)
     pairs = {
-        "s_z_vs_j0": (jsrep.s_z.values, matrix_J0(gsl2rep).values),
-        "s_plus_vs_jplus": (jsrep.s_plus.values, jp),
-        "s_minus_vs_jminus": (jsrep.s_minus.values, jp),
-        "s_sq_vs_casimir": (jsrep.s_sq.values, casimir_gsl2(gsl2rep).values),
+        "s_z_vs_j0": (jsrep.s_z.values, j0),
+        "s_plus_vs_jplus": (jsrep.s_plus.values, jp.values),
+        "s_minus_vs_jminus": (jsrep.s_minus.values, jp.values),
+        "s_sq_vs_casimir": (jsrep.s_sq.values, _weight_casimir(j0, jp, gsl2rep.gn)),
     }
     residuals = {
         name: float(np.abs(mapped - direct).max(initial=0.0))

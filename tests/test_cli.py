@@ -617,6 +617,16 @@ def test_bad_input_is_a_json_error(case, capsys, monkeypatch, tmp_path):
     assert named in json.loads(err)["error"]
 
 
+def test_jsmap_verify_past_the_bound_is_the_direct_builds_error(capsys, monkeypatch):
+    # g = x - 1 from alpha_j = 1 reaches -2.0 at step 3.  The map runs its g orbit unbounded, so
+    # the error is the direct representation's, in the text its own iterate gave.
+    monkeypatch.setenv("GJS_DIVERGENCE_BOUND", "1.5")
+    code, payload, err = run_cli(capsys, "jsmap", "verify", "--fn", BOSON, "--alpha0", "-1",
+                                 "--gn", SL2, "--alphaj", "1", "--j", "1")
+    assert (code, payload) == (1, None)
+    assert err == '{"error": "OverflowDiverged: iterate 3 = -2.0 exceeds the bound 1.5"}\n'
+
+
 @pytest.mark.parametrize("case", sorted(NON_FINITE_PERTURB))
 def test_non_finite_perturbation_rejected_without_warnings(case, capsys):
     with warnings.catch_warnings():

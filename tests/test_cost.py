@@ -1,6 +1,6 @@
-"""Cost contracts, counted in bytes rather than time: the root isolator's memory and that of
-an exact value, the memory of the three builds with their checks, and the bytes of an orbit
-report and of two large payloads on stdout."""
+"""Cost contracts, counted in bytes and orbits rather than time: the root isolator's memory and
+that of an exact value, the memory of the three builds with their checks, the orbits a request
+runs, and the bytes of an orbit report and of two large payloads on stdout."""
 
 import contextlib
 import io
@@ -24,6 +24,7 @@ from gjsmap import (
     verify_map_equals_gsl2,
     write_bundle,
 )
+from gjsmap import charfun
 from gjsmap.cli import main
 from gjsmap.gsl2 import _closure_roots
 from gjsmap.roots import Composition
@@ -109,6 +110,48 @@ def stdout_bytes(argv: list[str]) -> int:
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return len(out.getvalue().encode("utf-8"))
+
+
+@pytest.fixture
+def orbit_loops(monkeypatch) -> list[int]:
+    """The coefficient count of each orbit loop run, whichever module's ``iterate`` runs it."""
+    runs = []
+    compiled = charfun._orbit_loop
+
+    def counted(count):
+        loop = compiled(count)
+
+        def counting(*args):
+            runs.append(count)
+            return loop(*args)
+
+        return counting
+
+    monkeypatch.setattr(charfun, "_orbit_loop", counted)
+    return runs
+
+
+BOSON_JSON = '{"coefficients":[1,1],"orientation":"oscillator"}'
+SL2_JSON = '{"coefficients":[-1,1],"orientation":"weight"}'
+
+#: Each request with the orbits it runs, one per characteristic function: a ``jsmap verify``
+#: builds the map and the direct representation on one ``g`` orbit (it ran three orbits when
+#: the direct build iterated ``g`` again).
+REQUEST_ORBITS = {
+    "gha build": (["gha", "build", "--fn", BOSON_JSON, "--alpha0", "0", "--dim", "7",
+                   "--verify"], 1),
+    "gsl2 build": (["gsl2", "build", "--gn", SL2_JSON, "--alphaj", "3", "--dim", "7",
+                    "--kind", "cut", "--verify"], 1),
+    "jsmap verify": (["jsmap", "verify", "--fn", BOSON_JSON, "--alpha0", "0", "--gn", SL2_JSON,
+                      "--alphaj", "3", "--j", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REQUEST_ORBITS))
+def test_a_request_iterates_each_characteristic_function_once(case, orbit_loops):
+    argv, orbits = REQUEST_ORBITS[case]
+    stdout_bytes(argv)
+    assert orbit_loops == [2] * orbits
 
 
 #: Bytes of each stock report JSON and of the README cobweb's stdout as written once the record

@@ -35,6 +35,7 @@ from gjsmap.errors import (
     FixedPointVacuum,
     NegativeRadicand,
     OutOfBasis,
+    OverflowDiverged,
 )
 from gjsmap import charfun, gha, gsl2, jsmap
 from hypothesis import given, settings
@@ -261,6 +262,29 @@ class TestOrbitPasses:
         orbit_calls.clear()
         assert verify_jsmap_relations(rep, tol=1e-12).passed
         assert orbit_calls == []
+
+
+class TestSharedOrbit:
+    """A ``jsmap verify`` builds the direct representation on the map's ``g`` orbit."""
+
+    @staticmethod
+    def outcome(build) -> tuple:
+        try:
+            rep = build()
+        except GjsError as exc:
+            return (type(exc), str(exc), [x.hex() for x in exc.iterates])
+        return ("rep", rep.weights.tobytes(), rep.ladder_sq.tobytes(), rep.next_weight.hex())
+
+    # g = x - 1 from alpha_j = 1 runs 1, 0, -1, -2: a bound of 0.5 stops the start value, 1.0
+    # (which keeps the values on it) and 1.5 stop -2.0, and 2.0 keeps the whole orbit.
+    @pytest.mark.parametrize("bound", [0.5, 1.0, 1.5, 2.0, math.inf])
+    def test_same_representation_or_same_divergence(self, bound):
+        _, orbit = jsmap._build_jsmap(BOSON, -1.0, SL2, 1.0, FixedJ(2), math.inf)
+        tol, cut = gsl2.CUT_ACCEPT_TOL, RepKind.FINITE_CUT
+        shared = self.outcome(lambda: gsl2._build_gsl2(SL2, 1.0, 3, cut, tol, bound, orbit))
+        own = self.outcome(lambda: build_gsl2(SL2, 1.0, 3, cut, bound=bound))
+        assert shared == own
+        assert shared[0] == ("rep" if bound >= 2.0 else OverflowDiverged)
 
 
 class TestDenseReference:
