@@ -10,7 +10,8 @@ that analysis for real polynomials.
 Polynomials are stored as ascending coefficient lists ``a_0..a_n`` and carry
 an orientation tag saying on which side of the vertex a quadratic is taken to
 be invertible: oscillator-like functions open upward and act above the
-vertex, weight-like functions open downward and act below it.
+vertex, weight-like functions open downward and act below it, as the
+reflection of an oscillator function does; ``_SIDE`` states that rule once.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ class Orientation(Enum):
     WEIGHT = "weight"
 
 
+#: The side of the vertex an orientation acts on, above or below; multiplying by it is exact.
+_SIDE = {Orientation.OSCILLATOR: 1, Orientation.WEIGHT: -1}
+_ORIENTATION_OF_SIDE = {side: orientation for orientation, side in _SIDE.items()}
+
+
 class Stability(Enum):
     ATTRACTING = "attracting"
     REPELLING = "repelling"
@@ -92,11 +98,7 @@ class CharFn:
             coeffs = tuple(float(c) for c in self.coefficients)
         except OverflowError as exc:
             raise ValueError(f"coefficient too large for a float: {exc}") from exc
-        orientation = (
-            self.orientation
-            if isinstance(self.orientation, Orientation)
-            else Orientation(self.orientation)
-        )
+        orientation = Orientation(self.orientation)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "orientation", orientation)
         stripped = _strip_trailing_zeros(coeffs)
@@ -104,16 +106,11 @@ class CharFn:
             raise ValueError("characteristic function must have degree >= 1")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
-        if len(stripped) == 3:
-            lead = stripped[2]
-            if orientation is Orientation.OSCILLATOR and lead <= 0.0:
-                raise ValueError(
-                    "oscillator-like quadratic needs a positive leading coefficient"
-                )
-            if orientation is Orientation.WEIGHT and lead >= 0.0:
-                raise ValueError(
-                    "weight-like quadratic needs a negative leading coefficient"
-                )
+        side = _SIDE[orientation]
+        if len(stripped) == 3 and not side * stripped[2] > 0.0:
+            sign = "positive" if side > 0 else "negative"
+            raise ValueError(
+                f"{orientation.value}-like quadratic needs a {sign} leading coefficient")
 
     @property
     def degree(self) -> int:
@@ -366,20 +363,18 @@ def invertibility_region(fn: CharFn) -> tuple[float, float]:
     stripped = _strip_trailing_zeros(fn.coefficients)
     if len(stripped) == 2:
         return (-math.inf, math.inf)
+    side = _SIDE[fn.orientation]
     if len(stripped) == 3:
-        vertex = invertibility_boundary(fn)
-        if fn.orientation is Orientation.OSCILLATOR:
-            return (vertex, math.inf)
-        return (-math.inf, vertex)
-    slope = _derivative(stripped)
-    if not all(map(math.isfinite, slope)):
-        raise ValueError(f"the derivative {slope!r} of fn overflows, so its region is unknown")
-    crit = find_roots(slope, (-math.inf, math.inf), 1e-12)
-    if not crit:
-        return (-math.inf, math.inf)
-    if fn.orientation is Orientation.OSCILLATOR:
-        return (max(crit), math.inf)
-    return (-math.inf, min(crit))
+        edge = invertibility_boundary(fn)
+    else:
+        slope = _derivative(stripped)
+        if not all(map(math.isfinite, slope)):
+            raise ValueError(f"the derivative {slope!r} of fn overflows, so its region is unknown")
+        crit = find_roots(slope, (-math.inf, math.inf), 1e-12)
+        if not crit:
+            return (-math.inf, math.inf)
+        edge = side * max(side * c for c in crit)
+    return (edge, math.inf) if side > 0 else (-math.inf, edge)
 
 
 def classify_region(fn: CharFn, x0: float) -> RegionLabel:
@@ -403,24 +398,14 @@ def classify_region(fn: CharFn, x0: float) -> RegionLabel:
             f"discriminant {disc!r} is not zero; region structure undefined"
         )
     star = -(a1 - 1.0) / (2.0 * a2)
-    boundary = -a1 / (2.0 * a2)
     if abs(x0 - star) <= ON_FIXED_POINT_TOL:
         return RegionLabel.ON_FIXED_POINT
-    if fn.orientation is Orientation.OSCILLATOR:
-        if x0 <= boundary:
-            return RegionLabel.OUTSIDE_INVERTIBLE_REGION
-        return (
-            RegionLabel.CONVERGENT_INTERVAL
-            if x0 < star
-            else RegionLabel.DIVERGENT_INTERVAL
-        )
-    if x0 >= boundary:
+    side = _SIDE[fn.orientation]
+    if side * x0 <= side * invertibility_boundary(fn):
         return RegionLabel.OUTSIDE_INVERTIBLE_REGION
-    return (
-        RegionLabel.CONVERGENT_INTERVAL
-        if x0 > star
-        else RegionLabel.DIVERGENT_INTERVAL
-    )
+    if side * x0 < side * star:
+        return RegionLabel.CONVERGENT_INTERVAL
+    return RegionLabel.DIVERGENT_INTERVAL
 
 
 def reflection_pair(fn: CharFn) -> CharFn:
@@ -431,12 +416,5 @@ def reflection_pair(fn: CharFn) -> CharFn:
     function this way yields the -1-constant weight function whose Gauss
     numbers match the original's.
     """
-    coeffs = tuple(
-        -c if i % 2 == 0 else c for i, c in enumerate(fn.coefficients)
-    )
-    flipped = (
-        Orientation.WEIGHT
-        if fn.orientation is Orientation.OSCILLATOR
-        else Orientation.OSCILLATOR
-    )
-    return CharFn(coeffs, flipped)
+    coeffs = tuple(-c if i % 2 == 0 else c for i, c in enumerate(fn.coefficients))
+    return CharFn(coeffs, _ORIENTATION_OF_SIDE[-_SIDE[fn.orientation]])

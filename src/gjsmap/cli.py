@@ -543,7 +543,7 @@ def cmd_run(args):
                 _encode(payload)
         except (CliError, GjsError, ValueError, OSError, MemoryError) as exc:
             entry["status"] = "error"
-            entry["error"] = f"{type(exc).__name__}: {exc}"
+            entry["error"] = _error_text(exc)
         else:
             entry["status"] = "ok" if code == 0 else "verification_failed"
             entry["exit_code"] = code
@@ -554,6 +554,19 @@ def cmd_run(args):
         statuses.append(entry)
     codes = {entry.get("exit_code", 1) for entry in statuses}  # an error has no exit code
     return {"jobs": statuses}, 1 if 1 in codes else max(codes, default=0), None
+
+
+def _error_text(exc: BaseException) -> str:
+    """``"Type: message"`` of a caught ``exc``, made once the frames it left are cleared: a
+    ``MemoryError``'s locals may hold what filled the memory, and formatting needs some."""
+    tb = exc.__traceback__
+    while tb is not None:
+        try:
+            tb.tb_frame.clear()
+        except RuntimeError:  # the frame that caught ``exc``, still running
+            pass
+        tb = tb.tb_next
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _encode(value) -> str:
@@ -735,7 +748,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     except (GjsError, ValueError, OSError, MemoryError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        print(json.dumps({"error": _error_text(exc)}), file=sys.stderr)
         return 1
     print(text)
     return code

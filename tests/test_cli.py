@@ -1210,6 +1210,49 @@ class TestDeterminismAndEnv:
         assert json.loads(err)["error"].startswith("BrokenPipeError: ")
 
 
+#: Runs ``gjsmap.cli.main(json.loads(sys.argv[1]))`` with the address space limited to the
+#: process's start-up size plus 100 MiB, so a request too large to allocate soon runs out.
+MEMORY_LIMITED = """
+import json, resource, sys
+from gjsmap.cli import main
+with open("/proc/self/statm") as statm:
+    limit = int(statm.read().split()[0]) * resource.getpagesize() + 100 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+TOO_LARGE = {
+    "gha build": ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "10000000000"],
+    "orbit cobweb": ["orbit", "cobweb", "--fn", BOSON, "--x0", "0", "--steps", "10000000000"],
+    "jsmap build": ["jsmap", "build", "--fn", BOSON, "--alpha0", "0", "--gn", SL2,
+                    "--alphaj", "0", "--j", "10000000000"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_a_request_too_large_to_allocate_is_one_json_error(tmp_path):
+    # The partial orbit lives on in the error's frames until they are cleared, and formatting
+    # the error line in what memory it leaves ended in a second MemoryError and a traceback.
+    config = tmp_path / "jobs.json"
+    job = {"command": "gha build", "params": {"fn": json.loads(BOSON), "alpha0": 0, "dim": 10**10}}
+    config.write_text(json.dumps({"jobs": [job]}))
+    argvs = {**TOO_LARGE, "run": ["run", "--config", str(config)]}
+    env = {**os.environ, "LC_ALL": "C"}
+    procs = {name: subprocess.Popen([sys.executable, "-c", MEMORY_LIMITED, json.dumps(argv)],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             for name, argv in argvs.items()}  # side by side, about 0.6 s each
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1, (name, err.decode())
+        if name == "run":
+            assert err == b""
+            (entry,) = json.loads(out)["jobs"]
+            assert entry["status"] == "error" and entry["error"].startswith("MemoryError"), entry
+        else:
+            assert out == b"" and err.count(b"\n") == 1, (name, err.decode())  # no traceback
+            assert json.loads(err)["error"].startswith("MemoryError: "), name
+
+
 #: Fresh-process paths that must finish without importing numpy.
 NUMPY_FREE = {
     "import": "import gjsmap",

@@ -150,6 +150,15 @@ def test_unknown_type_raises_the_standard_error():
         ours({"matrix": [np.int64(1)]})
 
 
+@pytest.mark.parametrize("key, error", [((1, 2), TypeError), (math.nan, ValueError)])
+def test_a_key_the_walk_cannot_write_raises_the_standard_error(key, error):
+    with pytest.raises(error) as want:
+        stdlib({key: [1.0]})
+    with pytest.raises(error) as got:
+        ours({key: [1.0]})
+    assert str(got.value) == str(want.value)
+
+
 def test_unescaped_text_keeps_the_layout():
     text = json.dumps({"é": [1.0, "€"], "n": [1, 2]}, cls=OutputEncoder, indent=2,
                       ensure_ascii=False)
@@ -161,13 +170,14 @@ class _Row(list):
 
 
 @pytest.mark.parametrize(
-    "settings", [{"indent": 2}, {"indent": None}, {"indent": 2, "sort_keys": True}]
+    "settings", [{"indent": 2}, {"indent": None}, {"indent": 2, "sort_keys": True},
+                 {"indent": "n"}, {"indent": 2, "separators": ("n,", ": ")}]
 )
 def test_settings_and_types_past_the_fast_path(settings):
     value = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
     if settings == {"indent": 2}:  # the walk, subclasses included
         assert_layout(value)
-    else:  # no indent or sort_keys: the standard encoder
+    else:  # no indent, sort_keys or an "n" in the indent or item separator: the standard encoder
         assert (json.dumps(value, cls=OutputEncoder, allow_nan=False, **settings)
                 == json.dumps(value, allow_nan=False, **settings))
 

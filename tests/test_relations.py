@@ -7,7 +7,8 @@ points and periodic roots scale by ``2^k`` exactly, and for even ``k`` the oscil
 by ``2^(k/2)``.
 
 Negation: the reflection partner ``g(x) = -f(-x)`` has ``g^(d)(x) = -f^(d)(-x)``, exactly in
-floats too, since negation is exact.  So orbits and periodic roots negate.
+floats too, since negation is exact.  So orbits and periodic roots negate, and a quadratic's
+analysis (region, fixed points, region labels) is its partner's reflected.
 
 Divisibility: for ``e | d`` every solution of ``g^(e)(x) = x`` solves ``g^(d)(x) = x``.
 
@@ -24,6 +25,7 @@ from gjsmap import (
     CharFn,
     Orientation,
     build_gha,
+    classify_region,
     find_roots,
     fixed_points,
     invertibility_region,
@@ -31,7 +33,7 @@ from gjsmap import (
     periodic_condition_solve,
     reflection_pair,
 )
-from gjsmap.errors import GjsError, NoRealFixedPoint, OverflowDiverged
+from gjsmap.errors import GjsError, NoRealFixedPoint, OverflowDiverged, UnsupportedDiscriminant
 
 KS = (2, 10, 40, -2, -10, -40)
 DRAWS = 300
@@ -128,6 +130,50 @@ def test_the_reflection_partner_negates_every_orbit_exactly():
         assert iterate(reflection_pair(fn), -x0, m) == [-x for x in orbit], (fn, x0, m)
         checked += 1
     assert checked >= 150
+
+
+def fixed_points_or_none(fn: CharFn):
+    try:
+        return fixed_points(fn)
+    except NoRealFixedPoint:
+        return None
+
+
+def label_or_none(fn: CharFn, x0: float):
+    """``fn``'s region label of ``x0``; None where ``fn`` is not tangent."""
+    try:
+        return classify_region(fn, x0)
+    except UnsupportedDiscriminant:
+        return None
+
+
+def test_the_reflection_partner_mirrors_the_quadratic_analysis_exactly():
+    rng = random.Random(7)
+    labelled = 0
+    for _ in range(DRAWS):
+        orientation = rng.choice(list(Orientation))
+        a1, a2 = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)
+        a2 = a2 if orientation is Orientation.OSCILLATOR else -a2
+        tangent = rng.random() < 0.5  # the fixed-point discriminant vanishes
+        a0 = (a1 - 1.0) ** 2 / (4.0 * a2) if tangent else rng.uniform(-2.0, 2.0)
+        fn = CharFn((a0, a1, a2), orientation)
+        g = reflection_pair(fn)
+        lo, hi = invertibility_region(fn)
+        assert invertibility_region(g) == (-hi, -lo), fn
+        points, mirrored = fixed_points_or_none(fn), fixed_points_or_none(g)
+        if points is None:
+            assert mirrored is None, fn
+            points = mirrored = []
+        assert [((-p.location).hex(), p.multiplier.hex(), p.stability) for p in points[::-1]] == [
+            (q.location.hex(), q.multiplier.hex(), q.stability) for q in mirrored], fn
+        edges = [x for x in (lo, hi) + tuple(p.location for p in points) if math.isfinite(x)]
+        x0s = [rng.uniform(-3.0, 3.0)] + [y for x in edges for y in (
+            x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf), x - 2e-12, x + 2e-12)]
+        for x0 in x0s:
+            label = label_or_none(fn, x0)
+            assert label_or_none(g, -x0) == label, (fn, x0)
+            labelled += label is not None
+    assert labelled >= 1000
 
 
 # ------------------------------------------------ relations through the root isolator
