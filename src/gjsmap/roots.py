@@ -8,7 +8,6 @@ its isolator needs; :func:`find_roots` is the ``d = 1`` case.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -116,29 +115,28 @@ BOXES = 512
 SPLIT = 16
 
 
-def _sign_change_root(comp: Composition, u, v, fu, fv, tol: float, slope=False) -> Optional[float]:
+def _sign_change_root(comp: Composition, u, v, fu, fv, slope=False) -> Optional[float]:
     """A zero of ``F`` (``F'`` with ``slope``) at ``u`` or ``v``, or bisected between them.
 
-    ``fu`` and ``fv`` are the caller's values at the ends, ``comp.value``
-    (``comp.slope_value``) or ones of the same certain sign.  Between finite
-    ones of opposite sign the bisection runs on the float ``comp.func``
-    (``comp.dfunc``), a cheaper stand-in.  Its result stands, as the float
-    where the stand-in changes sign, if the value changes sign between it and
-    the next float on one side (a zero of the value there is the result);
-    otherwise it runs again on the value.
+    ``fu`` and ``fv`` are the caller's values at the ends, ``comp.value(x, slope)``
+    or ones of the same certain sign.  Between finite ones of opposite sign the
+    bisection runs on the float ``comp.func`` (``comp.dfunc``), a cheaper
+    stand-in.  Its result stands, as the float where the stand-in changes
+    sign, if the value changes sign between it and the next float on one side
+    (a zero of the value there is the result); otherwise it runs again on the
+    value.
     """
     if fu == 0.0 or fv == 0.0:
         return u if fu == 0.0 else v
     if not (math.isfinite(fu) and math.isfinite(fv) and (fu < 0.0) != (fv < 0.0)):
         return None
-    f = comp.slope_value if slope else functools.partial(comp.value, tol=tol)
     c = _bisect(comp.dfunc if slope else comp.func, u, v, fu, fv)
-    fc = f(c)
+    fc = comp.value(c, slope)
     n = math.nextafter(c, v if (fc < 0.0) == (fu < 0.0) else u)
-    fn = f(n)
+    fn = comp.value(n, slope)
     if fc == 0.0 or fn == 0.0 or (fn < 0.0) != (fc < 0.0):
         return n if fn == 0.0 and fc != 0.0 else c
-    return _bisect(f, u, v, fu, fv)
+    return _bisect(lambda x: comp.value(x, slope), u, v, fu, fv)
 
 
 def _runs(lo, hi):
@@ -163,7 +161,10 @@ class Composition:
     ``dfunc`` is the chain rule ``g'(x) g'(g(x)) ... + sign``.
     ``rounding(x)`` bounds, to first order, the rounding in ``func(x)``
     (Higham's Horner bound, carried along the chain rule), and
-    ``rounding(x, slope=True)`` that in ``dfunc(x)``.  ``enclose(lo, hi)``
+    ``rounding(x, slope=True)`` that in ``dfunc(x)``.  ``value(x, slope)`` is
+    the one sign rule of the isolator: the float (``func`` or ``dfunc``) where
+    it lies farther from 0 than its rounding, so that its sign is exact, and
+    ``exact(x, slope)`` elsewhere (a NaN or an infinity included).  ``enclose(lo, hi)``
     bounds ``F`` over boxes in one sweep of the iterate bounds
     ``Y_(k+1) = g(Y_k)``, by the operations of ``func`` in their order, so
     they hold every float ``func`` returns there (``tight`` cuts each iterate
@@ -243,15 +244,9 @@ class Composition:
             return perr + gamma * (abs(p) + 1.0) + tiny
         return err + gamma * (abs(y) + abs(x) + abs(self.shift)) + tiny
 
-    def value(self, x, tol):
-        """``F(x)``, exact where the float lies within ``2 tol max(1, |x|)`` of 0."""
-        y = self.func(x)
-        return y if abs(y) > 2.0 * tol * max(1.0, abs(x)) else self.exact(x)
-
-    def slope_value(self, x):
-        """``F'(x)``, exact where the float lies within its rounding of 0."""
-        s = self.dfunc(x)
-        return s if abs(s) > self.rounding(x, slope=True) else self.exact(x, slope=True)
+    def value(self, x, slope=False):
+        y = self.dfunc(x) if slope else self.func(x)
+        return y if abs(y) > self.rounding(x, slope) else self.exact(x, slope)
 
     def enclose(self, lo, hi, tight=False, order=0):
         coeffs, dcoeffs, sign = self.coeffs, self.dcoeffs, self.sign
@@ -376,7 +371,7 @@ class Composition:
                 if flat.size:  # in the band, a convex or concave F leaves F' one zero at most
                     _, _, _, (c_lo, c_hi) = self.enclose(box_lo[flat], box_hi[flat], tight, 2)
                     last[flat[(c_lo > 0.0) | (c_hi < 0.0)]] = True
-                # Outside the band an end value's sign is far beyond rounding.
+                # Outside the band an end float's sign is trusted without its rounding.
                 monotone = keep & ((d_lo > 0.0) | (d_hi < 0.0))
                 done = monotone & (np.abs(f_left) > band) & (np.abs(f_right) > band)
                 crossing = done & ((f_left < 0.0) != (f_right < 0.0))
@@ -414,21 +409,21 @@ class Composition:
         change is next to it (a near tangency, kept if ``|F|`` is within the
         tolerance).
         """
-        func, exact = self.func, self.exact
+        func = self.func
         ends = (np.concatenate(a).tolist() for a in zip(*finished))  # lo, hi, F(lo), F(hi)
         roots = [_bisect(func, *box) for box in zip(*ends)]
         c_lo, c_hi = (np.sort(np.concatenate(a)) for a in zip(*clusters))  # disjoint boxes
         for start, stop in zip(*_runs(c_lo, c_hi)) if c_lo.size else ():
             edges = np.append(c_lo[start:stop + 1], c_hi[stop]).tolist()
-            signs = [self.slope_value(x) for x in edges]
-            crit = {_sign_change_root(self, a, b, sa, sb, tol, slope=True)
+            signs = [self.value(x, slope=True) for x in edges]
+            crit = {_sign_change_root(self, a, b, sa, sb, slope=True)
                     for a, b, sa, sb in zip(edges, edges[1:], signs, signs[1:])}
             crit.discard(None)
             points = sorted({edges[0], edges[-1], *crit})
-            values = [self.value(p, tol) for p in points]
-            found = [_sign_change_root(self, a, b, fa, fb, tol)
+            values = [self.value(p) for p in points]
+            found = [_sign_change_root(self, a, b, fa, fb)
                      for a, b, fa, fb in zip(points, points[1:], values, values[1:])] + [None]
-            size = [abs(exact(p)) if p in crit else math.inf for p in points]
+            size = [abs(f) if p in crit else math.inf for p, f in zip(points, values)]
             tangent = [p in crit and a <= self.rounding(p) for p, a in zip(points, size)] + [False]
             group = []
             for i, p in enumerate(points):

@@ -373,6 +373,13 @@ CLOSURE_COEFFS = st.one_of(
 )
 
 
+#: ``wide_mix``'s coefficient law, ``U(-1, 1) * 10**U(-3, 6)``, at degree 1 to 3: an exact
+#: value's bits grow as the degree to the d, so degree 4 at d = 4 made one seed's ``Fraction``
+#: oracles take seconds.
+WIDE_COEFFS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 6.0))
+                       .map(lambda t: t[0] * 10 ** t[1]), min_size=2, max_size=4)
+
+
 #: Dyadic roots in [-4, 4], 2**-14 apart at the finest.
 DYADIC_ROOT = st.integers(-(2**16), 2**16).map(lambda k: k / 2**14)
 
@@ -628,12 +635,36 @@ class TestIsolator:
         # The cluster path, which root_mix seldom takes, is pinned the same way.
         calls = []
         value = Composition.value
-        monkeypatch.setattr(Composition, "value",
-                            lambda self, x, tol: calls.append(x) or value(self, x, tol))
+        exact = Composition.exact
+        decided = []  # the exact calls so far
+        monkeypatch.setattr(Composition, "exact", lambda self, x, slope=False:
+                            decided.append(x) or exact(self, x, slope))
+
+        def probe(self, x, slope=False):  # records (closure, x, slope, whether exact decided)
+            before = len(decided)
+            out = value(self, x, slope)
+            calls.append((self, x, slope, len(decided) > before))
+            return out
+
+        monkeypatch.setattr(Composition, "value", probe)
         rows = [" ".join(map(float.hex, roots)) for roots in wide_mix()]
         assert (len(rows), sum(len(row.split()) for row in rows)) == (150, 271)
         assert len(calls) > 1000  # the cluster path ran
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == WIDE_MIX_DIGEST
+        # The isolator reads no float that lies within its rounding, where its sign may flip.
+        trusted = [(closure, x, slope) for closure, x, slope, by_exact in calls if not by_exact]
+        assert all(abs(closure.dfunc(x) if slope else closure.func(x)) > closure.rounding(x, slope)
+                   for closure, x, slope in trusted)
+
+    def test_value_within_its_rounding_is_exact(self):
+        # A wide_mix draw where the float F, 1.8967567941253516, lies within its rounding,
+        # 3.07, and has the wrong sign.
+        closure = Composition([1.8870469771120528, -0.026546733024239415, -0.005092036863703937,
+                               -831.9888442271697, -16.13482549288312, 0.0013597931823693308,
+                               0.029122082485312586], 4, 0.0, 0.0)
+        x = float.fromhex("-0x1.63b0f5f4a7686p-2")
+        assert 0.0 < closure.func(x) < closure.rounding(x)
+        assert closure.value(x) == closure.exact(x) == -0.7412667786539545
 
     def test_every_root_of_the_deep_mix_keeps_its_bits(self, monkeypatch):
         # The mean-value levels, which root_mix reaches only at d = 16 and 32, are pinned too.
@@ -801,7 +832,7 @@ class TestEnclosure:
         with pytest.raises(ValueError, match="0.9050395006845084"):
             Composition(FIG2_GN.coefficients, 13, 1.0, 1.0).exact(0.9050395006845084)
 
-    @given(coeffs=CLOSURE_COEFFS, d=st.integers(1, 4),
+    @given(coeffs=CLOSURE_COEFFS | WIDE_COEFFS, d=st.integers(1, 4),
            xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
                        min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
