@@ -1,19 +1,20 @@
 """The one JSON encoder for stdout and every JSON file the package writes.
 
 ``json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)`` writes the standard
-library's indented layout, except that a list of numbers is one line: ``[1.0, -2.5, 3]``, its
-items joined by the item separator and a space.  A matrix is then one line per row under
-indented brackets.  Whitespace between JSON tokens is insignificant (RFC 8259, section 2), so
-the text parses to the same value as ``json.dumps(value, indent=2, allow_nan=False)``; it only
-lacks the newline and indent that the standard library writes before every number.
+library's indented layout, except that a list of numbers is one line: ``[1.0, -2.5, 3]``.  A
+matrix is then one line per row under indented brackets.  Whitespace between JSON tokens is
+insignificant (RFC 8259, section 2), so the text parses to the same value as
+``json.dumps(value, indent=2, allow_nan=False)``; it only lacks the newline and indent that the
+standard library writes before every number.
 
 With an indent the standard library encodes in pure Python, one generator step per number.
-Payloads here are mostly lists of numbers (matrix rows, ladders, iterates), so this
-encoder formats such a list in one pass, ``map(float.__repr__, ...)`` joined into its line.
-Every other value is walked in the standard library's order.  The standard encoder stays for
-what this walk does not write: no indent, ``sort_keys``, an indent or item separator with an
-"n" in it (the walk finds a "nan" or "inf" by its "n"), and every error (a non-finite float,
-an unknown type, a cycle, an int too long for ``str``), so its exact messages are kept.
+Payloads here are mostly lists of numbers (matrix rows, ladders, iterates), so this encoder
+formats such a list in one pass, ``map(float.__repr__, ...)`` joined into its line, and walks
+every other value in the standard library's order.  It walks only the package's one
+configuration: ``indent=2``, the default separators, ``ensure_ascii``, no ``sort_keys`` and
+string mapping keys.  Every other configuration or key, and every error (a non-finite float, an
+unknown type, a cycle, an int too long for ``str``), goes to the standard encoder, so its exact
+text or message is kept.
 
 :func:`_record_data` is the one rule that turns a record (a dataclass) into a value.
 """
@@ -24,9 +25,10 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from json.encoder import encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
-_SEQUENCES = (list, tuple)
+#: The walked configuration: indent, item and key separators, ensure_ascii, sort_keys.
+_WALKED = (2, ",", ": ", True, False)
 
 
 def _record_data(record) -> dict:
@@ -54,102 +56,69 @@ class _Unsupported(Exception):
 
 
 class OutputEncoder(json.JSONEncoder):
-    """``json.JSONEncoder`` whose indented layout writes a list of numbers on one line."""
+    """``json.JSONEncoder`` whose ``indent=2`` layout writes a list of numbers on one line."""
 
     def encode(self, o) -> str:
-        if self.indent is None or self.sort_keys:
+        config = (self.indent, self.item_separator, self.key_separator, self.ensure_ascii,
+                  self.sort_keys)
+        if config != _WALKED or type(self.indent) is not int:  # an indent of 2.0 is a TypeError
             return super().encode(o)
-        indent = self.indent if isinstance(self.indent, str) else " " * self.indent
-        if "n" in indent + self.item_separator:  # the walk finds "nan" and "inf" by their "n"
-            return super().encode(o)
-        string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         out: list[str] = []
         try:
-            _Walk(indent, self.item_separator, self.key_separator, string, out).value(o, 0)
+            _walk(o, "\n", out)
         except (_Unsupported, RecursionError, ValueError):  # a cycle; an int too long for str
             return super().encode(o)
         return "".join(out)
 
 
-class _Walk:
-    """Appends the chunks of one indented encoding to ``out``."""
-
-    def __init__(self, indent: str, item_sep: str, key_sep: str, string, out: list[str]):
-        self.indent, self.item_sep, self.key_sep, self.out = indent, item_sep, key_sep, out
-        self.string = string
-
-    def value(self, o, level: int) -> None:
-        if isinstance(o, str):
-            self.out.append(self.string(o))
-        elif o is None:
-            self.out.append("null")
-        elif o is True:
-            self.out.append("true")
-        elif o is False:
-            self.out.append("false")
-        elif isinstance(o, int):
-            self.out.append(int.__repr__(o))
-        elif isinstance(o, float):
-            if not math.isfinite(o):
-                raise _Unsupported
-            self.out.append(float.__repr__(o))
-        elif isinstance(o, _SEQUENCES):
-            self.sequence(o, level)
-        elif isinstance(o, dict):
-            self.mapping(o, level)
-        else:
-            raise _Unsupported
-
-    def sequence(self, o, level: int) -> None:
+def _walk(o, newline: str, out: list[str]) -> None:
+    """Appends the chunks of ``o``'s encoding to ``out``; ``newline`` is a newline and the
+    indent of ``o``'s level."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float) and math.isfinite(o):
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
         kinds = set(map(type, o))
         if not any(kind is bool or not issubclass(kind, (int, float)) for kind in kinds):
             # a list of numbers is one line, and so an empty list is "[]"
             floats = [issubclass(kind, float) for kind in kinds]
             fmt = float.__repr__ if all(floats) else _number_text if any(floats) else int.__repr__
-            self.out.append(self.line(map(fmt, o)))
+            line = "[" + ", ".join(map(fmt, o)) + "]"
+            if "n" in line:
+                raise _Unsupported  # "nan" or "inf"
+            out.append(line)
             return
-        newline = "\n" + self.indent * (level + 1)
-        self.out.append("[" + newline)
-        separator = self.item_sep + newline
-        for pos, item in enumerate(o):
-            if pos:
-                self.out.append(separator)
-            self.value(item, level + 1)
-        self.out.append("\n" + self.indent * level + "]")
-
-    def mapping(self, o: dict, level: int) -> None:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in o:
+            out.append(separator)
+            _walk(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
         if not o:
-            self.out.append("{}")
+            out.append("{}")
             return
-        newline = "\n" + self.indent * (level + 1)
-        self.out.append("{" + newline)
-        separator = self.item_sep + newline
-        for pos, (key, item) in enumerate(o.items()):
-            if pos:
-                self.out.append(separator)
-            self.out.append(self.key(key))
-            self.out.append(self.key_sep)
-            self.value(item, level + 1)
-        self.out.append("\n" + self.indent * level + "}")
-
-    def key(self, key) -> str:
-        """A mapping key as the standard library writes it; a number, bool or null is quoted."""
-        if isinstance(key, str):
-            return self.string(key)
-        if isinstance(key, float) and math.isfinite(key):
-            return '"' + float.__repr__(key) + '"'
-        if key is None or key is True or key is False:
-            return '"' + json.dumps(key) + '"'
-        if isinstance(key, int):
-            return '"' + int.__repr__(key) + '"'
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in o.items():
+            if not isinstance(key, str):
+                raise _Unsupported
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _walk(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
         raise _Unsupported
-
-    def line(self, texts) -> str:
-        """A list of numbers on one line, from the texts of its items."""
-        text = "[" + (self.item_sep + " ").join(texts) + "]"
-        if "n" in text:
-            raise _Unsupported  # "nan" or "inf"
-        return text
 
 
 def _number_text(number) -> str:

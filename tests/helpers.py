@@ -59,9 +59,10 @@ def exact_closure_slope(coeffs, d: int, sign: int, x: float) -> Fraction:
     return out + sign
 
 
-def dyadic_closure(coeffs, d: int, sign: int, shift: int, x: float, slope=False) -> float:
-    """:func:`exact_closure` (:func:`exact_closure_slope` with ``slope``) rounded once to a
-    float, ``±inf`` past the float range, from integers over powers of two: a faster oracle."""
+def dyadic_closure_ratio(coeffs, d: int, sign: int, shift: int, x: float,
+                         slope=False) -> tuple[int, int]:
+    """:func:`exact_closure` (:func:`exact_closure_slope` with ``slope``) as ``(n, e)``, the
+    value ``n / 2**e``, from integers over powers of two: a faster oracle."""
     ints, top = _dyadic(_strip_trailing_zeros(coeffs))
     dints = [i * c for i, c in enumerate(ints)][1:] or [0]
 
@@ -82,9 +83,15 @@ def dyadic_closure(coeffs, d: int, sign: int, shift: int, x: float, slope=False)
                 break
         y, e = horner(ints, y, e)
     if slope:
-        y, e = s + (int(sign) << f), f
-    else:
-        y += (int(sign) * num << (e + 1 - den.bit_length())) + (int(shift) << e)
+        return s + (int(sign) << f), f
+    lift = max(0, den.bit_length() - 1 - e)  # a constant g leaves y / 2**e coarser than x
+    y, e = y << lift, e + lift
+    return y + (int(sign) * num << (e + 1 - den.bit_length())) + (int(shift) << e), e
+
+
+def dyadic_closure(coeffs, d: int, sign: int, shift: int, x: float, slope=False) -> float:
+    """:func:`dyadic_closure_ratio` rounded once to a float, ``±inf`` past the float range."""
+    y, e = dyadic_closure_ratio(coeffs, d, sign, shift, x, slope)
     try:
         return y / (1 << e)
     except OverflowError:
@@ -412,8 +419,7 @@ def reference_json(value, level: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         items, brackets = [reference_json(v, level + 1) for v in value], "[]"
     elif isinstance(value, dict) and value:
-        items = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
-                 + reference_json(v, level + 1) for k, v in value.items()]
+        items = [json.dumps(k) + ": " + reference_json(v, level + 1) for k, v in value.items()]
         brackets = "{}"
     else:
         return json.dumps(value, allow_nan=False)

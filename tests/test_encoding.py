@@ -1,9 +1,10 @@
 """``OutputEncoder`` against an independent printer of its layout and the standard library.
 
-Each indented text equals ``reference_json``'s (the standard library's indented layout with
-every list of numbers on one line) and parses to the value of the standard library's text.
-Without an indent, with ``sort_keys`` and in every error the text or message is the standard
-library's own.
+At ``indent=2`` with the default separators, ``ensure_ascii`` and no ``sort_keys``, each text
+equals ``reference_json``'s (the standard library's indented layout with every list of numbers
+on one line) and parses to the value of the standard library's text.  In every other
+configuration, for a key that is not a string and in every error the text or message is the
+standard library's own.
 """
 
 import json
@@ -119,7 +120,7 @@ def test_non_finite_raises_the_standard_error(value, bad, data):
         {"a": [[[1.0, -0.0], [1e-300, 2.5]]], "b": ([1, 2], (3, 4))},
         [np.float64(0.1), np.float64(-0.0)],
         [10**40, -(10**40)],
-        {1: [1.0], 2.5: [2.0], None: [], True: "x"},
+        {"a": {}, "b": {"c": {"d": [1.0]}, "e": ["x"]}},
         "é\n\"",
         1e-300,
         [1, 2.0, -0.0, 10**40],
@@ -159,27 +160,37 @@ def test_a_key_the_walk_cannot_write_raises_the_standard_error(key, error):
     assert str(got.value) == str(want.value)
 
 
-def test_unescaped_text_keeps_the_layout():
-    text = json.dumps({"é": [1.0, "€"], "n": [1, 2]}, cls=OutputEncoder, indent=2,
-                      ensure_ascii=False)
-    assert text == '{\n  "é": [\n    1.0,\n    "€"\n  ],\n  "n": [1, 2]\n}'
-
-
 class _Row(list):
     """A list subclass, which the walk writes as it writes a list."""
 
 
+#: Lists of numbers, list subclasses and text that ``ensure_ascii`` escapes.
+_MIXED = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])],
+          "é": ["€"]}
+#: Number, bool and null keys, which the standard library writes as strings.
+_KEYED = {1: [1.0], 2.5: [2.0], None: [], True: "x"}
+
+
+def _text_or_error(value, settings, **encoder) -> str:
+    try:
+        return json.dumps(value, allow_nan=False, **encoder, **settings)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
 @pytest.mark.parametrize(
     "settings", [{"indent": 2}, {"indent": None}, {"indent": 2, "sort_keys": True},
-                 {"indent": "n"}, {"indent": 2, "separators": ("n,", ": ")}]
+                 {"indent": "n"}, {"indent": 2, "separators": ("n,", ": ")},
+                 {"indent": 2, "ensure_ascii": False}, {"indent": "  "}, {"indent": 2.0}]
 )
 def test_settings_and_types_past_the_fast_path(settings):
-    value = {"b": [[1.0, 2.5], [3.0, -0.0]], "a": _Row([1.0, 2.0]), "c": [_Row([1]), _Row([2])]}
-    if settings == {"indent": 2}:  # the walk, subclasses included
-        assert_layout(value)
-    else:  # no indent, sort_keys or an "n" in the indent or item separator: the standard encoder
-        assert (json.dumps(value, cls=OutputEncoder, allow_nan=False, **settings)
-                == json.dumps(value, allow_nan=False, **settings))
+    if (settings, type(settings["indent"])) == ({"indent": 2}, int):  # the walk, not 2.0
+        assert_layout(_MIXED)  # list subclasses included
+    else:  # any other configuration: the standard encoder
+        assert (_text_or_error(_MIXED, settings, cls=OutputEncoder)
+                == _text_or_error(_MIXED, settings))
+    # a key that is not a string: the standard encoder in every configuration
+    assert _text_or_error(_KEYED, settings, cls=OutputEncoder) == _text_or_error(_KEYED, settings)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from gjsmap.errors import (
 )
 from gjsmap.gsl2 import _CLOSURE, CUT_SOLVE_TOL, _closure_roots
 from gjsmap.roots import BOXES, Composition, _derivative, _horner, find_roots
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -43,6 +43,7 @@ from helpers import (
     cut_quartic_roots_oracle,
     dense_gsl2,
     dyadic_closure,
+    dyadic_closure_ratio,
     exact_closure,
     exact_closure_slope,
     identical,
@@ -374,8 +375,7 @@ CLOSURE_COEFFS = st.one_of(
 
 
 #: ``wide_mix``'s coefficient law, ``U(-1, 1) * 10**U(-3, 6)``, at degree 1 to 3: an exact
-#: value's bits grow as the degree to the d, so degree 4 at d = 4 made one seed's ``Fraction``
-#: oracles take seconds.
+#: value's bits grow as the degree to the d, and so does the oracle's time.
 WIDE_COEFFS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 6.0))
                        .map(lambda t: t[0] * 10 ** t[1]), min_size=2, max_size=4)
 
@@ -482,6 +482,20 @@ def deep_mix():
 
 #: sha256 of the ``float.hex`` texts of the roots of ``deep_mix``, one line per solve.
 DEEP_MIX_DIGEST = "f24092beb4e3d0293a67f8a3dca86967d7a134b8fd6adfd80df536b3e5a0d289"
+
+
+#: ``Composition.exact`` calls of ``root_mix``, ``wide_mix`` and ``deep_mix``: today's counts,
+#: which a change may lower and none may raise.
+ROOT_MIX_EXACT_CALLS, WIDE_MIX_EXACT_CALLS, DEEP_MIX_EXACT_CALLS = 41, 1525, 9
+
+
+def exact_calls(monkeypatch) -> list[tuple]:
+    """``(x, slope)`` of every ``Composition.exact`` call from now on, appended as it is made."""
+    calls = []
+    exact = Composition.exact
+    monkeypatch.setattr(Composition, "exact", lambda self, x, slope=False:
+                        calls.append((x, slope)) or exact(self, x, slope))
+    return calls
 
 
 def floats_to_sign_change(closure: Composition, root: float, reach: int = 64) -> int | None:
@@ -624,21 +638,20 @@ class TestIsolator:
         closure.dfunc(0.3)
         assert calls == [2, 3, 2, 3, 2, 3, 2]  # g' four times, g three times
 
-    def test_every_root_of_the_mix_keeps_its_bits(self):
+    def test_every_root_of_the_mix_keeps_its_bits(self, monkeypatch):
         # A root that moves by one ulp moves the digest; it moves only on
         # purpose, in a commit of its own.
+        decided = exact_calls(monkeypatch)
         rows = [" ".join(map(float.hex, roots)) for roots in root_mix()]
         assert (len(rows), sum(len(row.split()) for row in rows)) == (1004, 1118)
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == ROOT_MIX_DIGEST
+        assert len(decided) <= ROOT_MIX_EXACT_CALLS
 
     def test_every_root_of_the_wide_mix_keeps_its_bits(self, monkeypatch):
         # The cluster path, which root_mix seldom takes, is pinned the same way.
         calls = []
         value = Composition.value
-        exact = Composition.exact
-        decided = []  # the exact calls so far
-        monkeypatch.setattr(Composition, "exact", lambda self, x, slope=False:
-                            decided.append(x) or exact(self, x, slope))
+        decided = exact_calls(monkeypatch)
 
         def probe(self, x, slope=False):  # records (closure, x, slope, whether exact decided)
             before = len(decided)
@@ -651,6 +664,7 @@ class TestIsolator:
         assert (len(rows), sum(len(row.split()) for row in rows)) == (150, 271)
         assert len(calls) > 1000  # the cluster path ran
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == WIDE_MIX_DIGEST
+        assert len(decided) <= WIDE_MIX_EXACT_CALLS
         # The isolator reads no float that lies within its rounding, where its sign may flip.
         trusted = [(closure, x, slope) for closure, x, slope, by_exact in calls if not by_exact]
         assert all(abs(closure.dfunc(x) if slope else closure.func(x)) > closure.rounding(x, slope)
@@ -672,10 +686,12 @@ class TestIsolator:
         enclose = Composition.enclose
         monkeypatch.setattr(Composition, "enclose", lambda self, lo, hi, t=False, order=0:
                             tight.append(t) or enclose(self, lo, hi, t, order))
+        decided = exact_calls(monkeypatch)
         rows = [" ".join(map(float.hex, roots)) for roots in deep_mix()]
         assert (len(rows), sum(len(row.split()) for row in rows)) == (36, 34)
         assert any(tight)  # a tight level ran
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DEEP_MIX_DIGEST
+        assert len(decided) <= DEEP_MIX_EXACT_CALLS
 
     def test_every_deep_root_is_within_its_pinned_floats_of_an_exact_sign_change(self):
         showcase = [(FIG2_GN, d, kind) for d in (13, 14, 16, 20, 32, 64) for kind in _CLOSURE]
@@ -693,10 +709,7 @@ class TestIsolator:
 
     def test_composition_is_freed_after_its_roots(self, monkeypatch):
         # An instance keeps no state, so no reference cycle holds it until a gc pass.
-        calls = []
-        exact = Composition.exact
-        monkeypatch.setattr(Composition, "exact", lambda self, x, slope=False:
-                            calls.append((x, slope)) or exact(self, x, slope))
+        calls = exact_calls(monkeypatch)
         closure = Composition(FIG2_GN.coefficients, 1, -1.0, 0.0)
         assert closure.roots(-5.0, 5.0, CUT_SOLVE_TOL) == [1.0]
         assert (1.0, False) in calls  # the tangency is decided exactly
@@ -728,6 +741,12 @@ class TestClosureScanDefects:
 def assert_in_box(value: float, lo: float, hi: float) -> None:
     """``value`` lies in ``[lo, hi]``, or it or a bound is NaN."""
     assert math.isnan(value) or math.isnan(lo) or math.isnan(hi) or lo <= value <= hi
+
+
+def times_power_of_two(q: float, e: int) -> int:
+    """``q * 2**e`` of a finite float ``q``, exactly, for ``e >= 1074``."""
+    num, den = q.as_integer_ratio()
+    return num << (e + 1 - den.bit_length())
 
 
 #: ``(sign, shift)`` of the cut function ``g^(d)(x) + x + 1`` and of the periodic
@@ -835,6 +854,7 @@ class TestEnclosure:
     @given(coeffs=CLOSURE_COEFFS | WIDE_COEFFS, d=st.integers(1, 4),
            xs=st.lists(st.floats(-3.0, 3.0) | st.integers(-48, 48).map(lambda k: k / 16),
                        min_size=1, max_size=6))
+    @example(coeffs=[0.0, 0.0], d=1, xs=[0.5])  # g^(d) is a constant coarser than x
     @settings(max_examples=150, deadline=None)
     def test_rounding_bounds_the_float_error(self, coeffs, d, xs):
         # So wherever a float value is farther from 0 than its rounding, its sign is exact.
@@ -842,13 +862,15 @@ class TestEnclosure:
             closure = Composition(coeffs, d, sign, shift)
             for x in xs:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    pairs = ((closure.func(x), closure.rounding(x),
-                              exact_closure(coeffs, d, int(sign), int(shift), x)),
-                             (closure.dfunc(x), closure.rounding(x, slope=True),
-                              exact_closure_slope(coeffs, d, int(sign), x)))
-                for value, bound, want in pairs:
+                    pairs = ((closure.func(x), closure.rounding(x), False),
+                             (closure.dfunc(x), closure.rounding(x, slope=True), True))
+                for value, bound, slope in pairs:
                     if math.isfinite(value) and math.isfinite(bound):
-                        assert abs(Fraction(value) - want) <= Fraction(bound)
+                        # |value - n / 2**e| <= bound in integers over 2**top
+                        n, e = dyadic_closure_ratio(coeffs, d, int(sign), int(shift), x, slope)
+                        top = max(e, 1074)
+                        assert (abs(times_power_of_two(value, top) - (n << (top - e)))
+                                <= times_power_of_two(bound, top))
 
 
 #: g of degree 1 to 4, its leading coefficient down to 1e-6 in magnitude.
