@@ -298,7 +298,7 @@ def fixed_points(fn: CharFn) -> list[FixedPointInfo]:
     Quadratics go through the closed form with a stable evaluation of the
     quadratic formula; a discriminant within ``DOUBLE_ROOT_RTOL`` (relative to
     the coefficient scale) of zero is treated as an exact double root and
-    reported once.  Higher degrees go through :func:`find_roots`.
+    reported once.  Other degrees go through :func:`find_roots`.
 
     Raises
     ------
@@ -310,9 +310,7 @@ def fixed_points(fn: CharFn) -> list[FixedPointInfo]:
         if h[0] == 0.0:
             raise ValueError("fn(x) = x: every point is a fixed point")
         raise NoRealFixedPoint(f"fn(x) - x = {h[0]!r} never vanishes")
-    if len(h) == 2:
-        locations = [-h[0] / h[1]]
-    elif len(h) == 3:
+    if len(h) == 3:
         c0, c1, c2 = h
         disc, tangent = _tangency(c0, c1, c2)
         if tangent:
@@ -356,13 +354,11 @@ def invertibility_boundary(fn: CharFn) -> float:
 def invertibility_region(fn: CharFn) -> tuple[float, float]:
     """Open interval on which ``fn`` is taken to be invertible.
 
-    Quadratics are bounded by their vertex, the whole line works for linear
-    functions, and higher degrees are bounded by the critical point nearest
-    the orientation's unbounded side.
+    Quadratics are bounded by their vertex, and other degrees by the critical
+    point nearest the orientation's unbounded side, or not at all where there
+    is none (a linear function).
     """
     stripped = _strip_trailing_zeros(fn.coefficients)
-    if len(stripped) == 2:
-        return (-math.inf, math.inf)
     side = _SIDE[fn.orientation]
     if len(stripped) == 3:
         edge = invertibility_boundary(fn)

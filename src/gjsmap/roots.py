@@ -1,6 +1,7 @@
-"""Real roots of ``F(x) = g^(d)(x) + sign x + shift``, isolated by interval subdivision.
+"""Real roots of ``F(x) = g^(d)(x) + sign x + shift``: one division if ``F`` is linear, else
+isolated by interval subdivision.
 
-Closure conditions, fixed points past degree two and critical points are all
+Closure conditions, fixed points but a quadratic's and critical points are all
 roots of this form.  :class:`Composition` is one ``F``, with the rounding
 bounds (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, 2002)
 its isolator needs; :func:`find_roots` is the ``d = 1`` case.
@@ -273,6 +274,19 @@ class Composition:
         return (y_lo + x_lo + self.shift, y_hi + x_hi + self.shift,
                 (s[0] + sign, s[1] + sign) if order else None, c if order > 1 else None)
 
+    def _exact_coefficients(self) -> list[int]:
+        """F's coefficients ``f_k / 2**e`` as the integers ``f_k``, for ``d = 1`` or a linear
+        ``g``: ``g = b + a x`` composes to ``g^(d)(x) = y + s x``."""
+        f, e = self._ints + [0] * (2 - len(self._ints)), self._top
+        if self.d > 1:
+            (b, a), y, s = f, 0, 1
+            for k in range(self.d):
+                y, s = a * y + (b << (e * k)), a * s
+            f, e = [y, s], e * self.d
+        f[0] += int(self.shift) << e
+        f[1] += int(self.sign) << e
+        return f
+
     def radius(self) -> float:
         """A radius ``R`` past which ``F`` has no root.
 
@@ -285,20 +299,11 @@ class Composition:
         so ``|g^(d)(x)| >= 4 |x| + 3`` and ``|F(x)| >= 3 |x| + 2 > |x|``.  ``R`` is the exact
         bound rounded up to a float, ``inf`` past the float range; a constant ``F`` gives 1.
         """
-        ints, top, d = self._ints, self._top, self.d
-        if d > 1 and len(ints) > 2:
-            q = abs(ints[-1])
-            p = max(q, sum(abs(c) for c in ints[:-1]) + (3 << top))
-        else:  # F's coefficients are f / 2**e
-            f, e = ints + [0] * (2 - len(ints)), top
-            if d > 1:  # g = b + a x composes to g^(d)(x) = y + s x
-                (b, a), y, s = f, 0, 1
-                for k in range(d):
-                    y, s = a * y + (b << (top * k)), a * s
-                f, e = [y, s], top * d
-            f[0] += int(self.shift) << e
-            f[1] += int(self.sign) << e
-            f = _strip_trailing_zeros(f)
+        if self.d > 1 and len(self._ints) > 2:
+            q = abs(self._ints[-1])
+            p = max(q, sum(abs(c) for c in self._ints[:-1]) + (3 << self._top))
+        else:
+            f = _strip_trailing_zeros(self._exact_coefficients())
             if len(f) == 1:
                 return 1.0
             q = abs(f[-1])
@@ -313,32 +318,39 @@ class Composition:
     def roots(self, lo: float, hi: float, tol: float) -> list[float]:
         """Real roots of ``F`` on ``[lo, hi]``, sorted.
 
-        Interval subdivision with a monotonicity test (R. E. Moore, *Interval
-        Analysis*, 1966).  With ``t = tol max(1, |x|)``, the first level keeps
-        those of ``BOXES`` equal boxes whose Horner enclosure meets ``[-2t, 2t]``.
-        Each later level cuts the boxes kept into ``SPLIT`` or more children,
-        about ``BOXES`` in all, drops the same way once the enclosure is cut to
-        the mean-value forms ``F(e) + F'(X)(X - e)`` from both ends ``e``, and
-        finishes each box whose derivative enclosure excludes 0 and whose end
-        values lie outside the band: opposite signs hold one root, which
-        :func:`_bisect` refines.  Other monotone boxes, boxes narrower than ``t``
-        (or ``SPLIT`` ulps) and boxes in the band with a convex or concave ``F``
-        form clusters, on each of which ``F'`` has one zero at most;
-        :meth:`_collect` finds the roots of each run of adjacent ones.  A
-        sign change next to a run is never in a finished box, whose ends lie
-        outside the band.  Every root meets ``|F| <= t``.  A level that leaves
-        more than ``BOXES * SPLIT`` boxes is redone with each iterate bound cut
-        to its mean-value form; if it still does, each stretch of boxes on
-        which ``F`` stays in the band (a root of high multiplicity) becomes one
-        cluster.  A ``ValueError`` names a ``hi - lo`` that is not finite, more
-        boxes left than that, or an ``F`` that vanishes on ``[lo, hi]``.
+        A linear ``g`` makes ``F`` linear: its root is the quotient of F's exact integer
+        coefficients, rounded once, or none past the float range.  Any other ``F`` goes through
+        interval subdivision with a monotonicity test (R. E. Moore, *Interval Analysis*, 1966).
+        With ``t = tol max(1, |x|)``, the first level keeps those of ``BOXES`` equal boxes whose
+        Horner enclosure meets ``[-2t, 2t]``.  Each later level cuts the boxes kept into
+        ``SPLIT`` or more children, about ``BOXES`` in all, drops the same way once the
+        enclosure is cut to the mean-value forms ``F(e) + F'(X)(X - e)`` from both ends ``e``,
+        and finishes each box whose derivative enclosure excludes 0 and whose end values lie
+        outside the band: opposite signs hold one root, which :func:`_bisect` refines.  Other
+        monotone boxes, boxes narrower than ``t`` (or ``SPLIT`` ulps) and boxes in the band with
+        a convex or concave ``F`` form clusters, on each of which ``F'`` has one zero at most;
+        :meth:`_collect` finds the roots of each run of adjacent ones.  A sign change next to a
+        run is never in a finished box, whose ends lie outside the band.  Each of these roots
+        meets ``|F| <= t``.  A level that leaves more than ``BOXES * SPLIT`` boxes is redone with
+        each iterate bound cut to its mean-value form; if it still does, each stretch of boxes
+        on which ``F`` stays in the band (a root of high multiplicity) becomes one cluster.  A
+        ``ValueError`` names an ``F`` that vanishes on ``[lo, hi]``, and for a nonlinear ``F`` a
+        ``hi - lo`` that is not finite or more boxes left than that.
         """
+        if len(self.coeffs) <= 2:  # F = (f_0 + f_1 x) / 2**e is linear: its root is one division
+            f_0, f_1 = self._exact_coefficients()
+            if f_1 == 0:  # a constant F has no root, or vanishes at every point
+                if f_0 == 0 and lo < hi:
+                    raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are "
+                                     "not isolated")
+                return [lo] if f_0 == 0 and lo == hi else []
+            try:  # an int quotient is rounded once; a root at 0 is 0.0, whatever the sign of f_1
+                root = -f_0 / f_1 if f_0 else 0.0
+            except OverflowError:  # past the float range
+                return []
+            return [root] if lo <= root <= hi else []
         if not math.isfinite(hi - lo):
             raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
-        if len(self.coeffs) <= 2 and lo < hi and self.exact(lo) == 0.0 == self.exact(hi):
-            # F is linear or constant here, so two zeros make it vanish everywhere
-            raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are not "
-                             "isolated")
         narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
         finished, clusters = [(np.empty(0),) * 4], [(np.empty(0),) * 2]
         parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
@@ -449,9 +461,9 @@ def find_roots(
 ) -> list[float]:
     """All real roots of a polynomial inside an interval, sorted ascending.
 
-    The roots :meth:`Composition.roots` finds for the polynomial itself
-    (``d = 1``): each meets ``|p(x)| <= tol max(1, |x|)``, and a root of even
-    multiplicity is a zero of the derivative.  The interval is clipped to the
+    The roots :meth:`Composition.roots` finds for the polynomial itself (``d = 1``): a linear
+    one's is its exact root rounded once, every other meets ``|p(x)| <= tol max(1, |x|)``, and
+    a root of even multiplicity is a zero of the derivative.  The interval is clipped to the
     Cauchy bound :meth:`Composition.radius`, outside which no root can live.
     """
     if not 0.0 < tol < math.inf:

@@ -312,12 +312,13 @@ class TestCutSolve:
         g2 = FIG2_GN(FIG2_GN(root))
         assert abs(root + g2 + 1.0) <= 1e-9
 
-    def test_standard_limit_spin(self):
-        for d in range(1, 6):
+    def test_standard_limit_spin(self, monkeypatch):
+        # x + g^(d)(x) + 1 = 2x - d + 1 for g = x - 1: one division, with no box enclosed,
+        # gives Schwinger's cut root exactly.
+        monkeypatch.setattr(Composition, "enclose", None)
+        for d in range(1, 1002):
             sols = cut_condition_solve(SL2, d)
-            assert len(sols.included) == 1
-            assert sols.included[0] == pytest.approx((d - 1) / 2.0, abs=1e-9)
-            assert sols.excluded == ()
+            assert (sols.included, sols.excluded) == (((d - 1) / 2.0,), ()), d
 
     def test_three_state_roots_against_grid_oracle(self):
         # brute-force sign-change scan on a fine grid, then refine by hand
@@ -378,6 +379,11 @@ CLOSURE_COEFFS = st.one_of(
 #: value's bits grow as the degree to the d, and so does the oracle's time.
 WIDE_COEFFS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 6.0))
                        .map(lambda t: t[0] * 10 ** t[1]), min_size=2, max_size=4)
+
+
+#: ``(sign, shift)`` of the cut function ``g^(d)(x) + x + 1`` and of the periodic
+#: one ``g^(d)(x) - x``.
+CLOSURE_LINES = ((1.0, 1.0), (-1.0, 0.0))
 
 
 #: Dyadic roots in [-4, 4], 2**-14 apart at the finest.
@@ -486,7 +492,7 @@ DEEP_MIX_DIGEST = "f24092beb4e3d0293a67f8a3dca86967d7a134b8fd6adfd80df536b3e5a0d
 
 #: ``Composition.exact`` calls of ``root_mix``, ``wide_mix`` and ``deep_mix``: today's counts,
 #: which a change may lower and none may raise.
-ROOT_MIX_EXACT_CALLS, WIDE_MIX_EXACT_CALLS, DEEP_MIX_EXACT_CALLS = 41, 1525, 9
+ROOT_MIX_EXACT_CALLS, WIDE_MIX_EXACT_CALLS, DEEP_MIX_EXACT_CALLS = 6, 1490, 9
 
 
 def exact_calls(monkeypatch) -> list[tuple]:
@@ -534,25 +540,63 @@ class TestIsolator:
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_root_on_a_box_edge(self, d):
-        # x + g^(d)(x) + 1 = 2x - d + 1 vanishes exactly at an end of a first-level box.
-        roots = Composition(SL2.coefficients, d, 1.0, 1.0).roots(-16.0, 16.0, 1e-9)
-        assert roots == [(d - 1) / 2.0]
-        assert ((d - 1) / 2.0 + 16.0) / (32.0 / BOXES) % 1.0 == 0.0
+        # x + g^(d)(x) + 1 = 2x - d + 1 vanishes exactly at an end of a first-level box, and so
+        # does (x - r)(x - 100), which the isolator solves.
+        r = (d - 1) / 2.0
+        assert Composition(SL2.coefficients, d, 1.0, 1.0).roots(-16.0, 16.0, 1e-9) == [r]
+        quadratic = Composition((100.0 * r, -(r + 100.0), 1.0), 1, 0.0, 0.0)
+        assert quadratic.roots(-16.0, 16.0, 1e-9) == [r]
+        assert (r + 16.0) / (32.0 / BOXES) % 1.0 == 0.0
 
     @pytest.mark.parametrize("side", [-0.25, 0.25])
     def test_sign_change_next_to_a_shared_box_edge(self, side):
-        # g(x) - x = x - r changes sign a quarter box from the edge boxes 299 and 300 share.
+        # g(x) - x = x - r changes sign a quarter box from the edge boxes 299 and 300 share, and
+        # so does (x - r)(x - 100), which the isolator solves.
         width = 10.0 / BOXES
         r = -5.0 + 300 * width + side * width
-        roots = Composition((-r, 2.0), 1, -1.0, 0.0).roots(-5.0, 5.0, 1e-9)
-        assert roots == pytest.approx([r], abs=1e-15)
+        assert Composition((-r, 2.0), 1, -1.0, 0.0).roots(-5.0, 5.0, 1e-9) == [r]
+        quadratic = Composition((100.0 * r, -(r + 100.0), 1.0), 1, 0.0, 0.0)
+        assert quadratic.roots(-5.0, 5.0, 1e-9) == pytest.approx([r], abs=1e-15)
 
     def test_zero_at_hi(self):
-        # x + g(x) + 1 = 2x - 10 vanishes at hi = 5, even at zero residual tolerance.
+        # x + g(x) + 1 = 2x - 10 and (x - 5)(x + 100) vanish at hi = 5, even at zero residual
+        # tolerance.
         gn = CharFn((-11.0, 1.0), Orientation.WEIGHT)
         assert Composition(gn.coefficients, 1, 1.0, 1.0).roots(-5.0, 5.0, 0.0) == [5.0]
+        assert Composition((-500.0, 95.0, 1.0), 1, 0.0, 0.0).roots(-5.0, 5.0, 0.0) == [5.0]
         sols = cut_condition_solve(gn, 1)
         assert sols.included + sols.excluded == (5.0,)
+
+    @given(coeffs=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+           d=st.integers(1, 8), line=st.sampled_from(CLOSURE_LINES + ((0.0, 0.0),)))
+    @settings(max_examples=300, deadline=None)
+    @example(coeffs=(-1.0, 1.0), d=3, line=(1.0, 1.0))  # Schwinger's cut root 1
+    @example(coeffs=(1e308, 1e-10), d=1, line=(0.0, 0.0))  # the root -1e318
+    def test_linear_root_is_the_exact_root_rounded_once(self, coeffs, d, line):
+        # A linear g composes to a linear F, whose root Fraction arithmetic gives exactly.
+        sign, shift = line
+        b, a = map(Fraction, coeffs)
+        y, s = Fraction(0), Fraction(1)
+        for _ in range(d):  # g^(d)(x) = y + s x
+            y, s = a * y + b, a * s
+        c0, c1 = y + int(shift), s + int(sign)
+        closure = Composition(coeffs, d, sign, shift)
+        if c1 == 0:  # a constant F: no root, or it vanishes everywhere
+            if c0 == 0:
+                with pytest.raises(ValueError, match="the function vanishes on"):
+                    closure.roots(-1.0, 1.0, CUT_SOLVE_TOL)
+            else:
+                assert closure.roots(-math.inf, math.inf, CUT_SOLVE_TOL) == []
+            return
+        try:
+            want = [float(-c0 / c1)]
+        except OverflowError:  # past the float range
+            want = []
+        got = closure.roots(-math.inf, math.inf, CUT_SOLVE_TOL)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        radius = closure.radius()
+        if want and math.isfinite(1.3 * radius):  # the interval the closure solvers search
+            assert closure.roots(-radius, 1.3 * radius, CUT_SOLVE_TOL) == want
 
     def test_showcase_tangent_fixed_point(self):
         # -x^2 + 3x - 1 touches the diagonal at 1 without crossing it: the
@@ -747,11 +791,6 @@ def times_power_of_two(q: float, e: int) -> int:
     """``q * 2**e`` of a finite float ``q``, exactly, for ``e >= 1074``."""
     num, den = q.as_integer_ratio()
     return num << (e + 1 - den.bit_length())
-
-
-#: ``(sign, shift)`` of the cut function ``g^(d)(x) + x + 1`` and of the periodic
-#: one ``g^(d)(x) - x``.
-CLOSURE_LINES = ((1.0, 1.0), (-1.0, 0.0))
 
 
 class TestEnclosure:
