@@ -113,9 +113,7 @@ class _HelpRequested(CliError):
 
 
 class _Parser(argparse.ArgumentParser):
-    #: ``argv[:2]``, or ``argv[:1]`` for ``run``, to that command's parser and
-    #: its value options and switches by option string.  :func:`build_parser`
-    #: fills it on the root parser; every other parser has none.
+    #: ``argv[:2]`` (``argv[:1]`` for ``run``) to its command's parser; empty but on the root.
     _commands: dict = {}
 
     def __init__(self, *args, **kwargs):
@@ -151,34 +149,34 @@ class _Parser(argparse.ArgumentParser):
     def _parse_well_formed(self, argv) -> argparse.Namespace | None:
         """The namespace argparse gives ``argv``, in one pass; None unless it is well formed.
 
-        Well formed is a command followed by its exact option strings, each at
-        most once: switches, ``--flag=value``, and ``--flag value`` where a
-        value that starts with "-" is a number.  Every required option is
-        given, and every value passes its type and lies in its choices.
-        argparse rescans the items once per parser level (root, group,
-        command); this walks them once.  Anything else (help, abbreviations,
-        repeats, stray items, "--" and every error) is left to argparse, so
-        its texts stay the only ones.
+        Well formed is a command followed by plain store and store-const options
+        by their exact strings: switches, ``--flag=value``, and ``--flag value``
+        where a value that starts with "-" is a number; a repeat keeps its last
+        value.  Every required option is given, and every value passes its type
+        and lies in its choices.  argparse rescans the items once per parser
+        level (root, group, command); this walks them once.  Anything else (help,
+        abbreviations, stray items, "--" and every error) is left to argparse,
+        so its texts stay the only ones.
         """
         path = tuple(argv[:2])
         if path not in self._commands:
             path = path[:1]
             if path not in self._commands:
                 return None
-        command, options = self._commands[path]
+        command = self._commands[path]
+        options = command._option_string_actions
         given: dict = {}
         items = iter(argv[len(path):])
         for item in items:
-            action = options.get(item)
-            if action is not None and action.nargs == 0:
+            flag, inline, text = item.partition("=")  # "--flag=value", the value verbatim
+            action = options.get(flag)  # no option string holds "="
+            if not (isinstance(action, argparse._StoreConstAction) and not inline
+                    or type(action) is argparse._StoreAction and action.nargs is None):
+                return None
+            if action.nargs == 0:
                 value = action.const
             else:
-                if action is None:  # "--flag=value", taken verbatim
-                    flag, _, text = item.partition("=")
-                    action = options.get(flag)
-                    if action is None or action.nargs == 0:
-                        return None
-                else:  # "--flag value"; no value left reads as "-", which is declined
+                if not inline:  # "--flag value"; no value left reads as "-", which is declined
                     text = next(items, "-")
                     if text.startswith("-") and not self._negative_number_matcher.match(text):
                         return None
@@ -188,8 +186,6 @@ class _Parser(argparse.ArgumentParser):
                     return None
                 if action.choices is not None and value not in action.choices:
                     return None
-            if action in given:
-                return None
             given[action] = value
         values = {"group": path[0]}
         if len(path) > 1:
@@ -510,6 +506,8 @@ def cmd_run(args):
         params, output = job.get("params", {}), job.get("output", "")
         if not (isinstance(params, dict) and isinstance(output, str)):
             raise CliError(f"job {name!r}: 'params' must be an object and 'output' a string")
+        if "output" in job and os.path.basename(output) in ("", ".", ".."):
+            raise CliError(f"job {name!r}: 'output' {output!r} names no file")
         argv = _job_argv(job)
         try:
             ns = parser.parse_args(argv)
@@ -725,11 +723,7 @@ def build_parser() -> _Parser:
         for flag, kwargs in options:
             command.add_argument(flag, **kwargs)
         command.set_defaults(handler=handler)
-        parser._commands[path] = (command, {
-            flag: action for action in command._actions for flag in action.option_strings
-            if isinstance(action, argparse._StoreConstAction)
-            or (type(action) is argparse._StoreAction and action.nargs is None)
-        })
+        parser._commands[path] = command
     return parser
 
 

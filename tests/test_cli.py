@@ -426,6 +426,23 @@ class TestRunConfig:
         assert "bad" in json.loads(err)["error"]
         assert not (tmp_path / "good.json").exists()
 
+    @pytest.mark.parametrize("output", ["", ".", "..", "d/..", "d/"])
+    def test_output_that_names_no_file_rejected_before_running(self, output, capsys,
+                                                                monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        config = {"jobs": [
+            {"name": "good", "command": "charfun analyze", "output": "good.json",
+             "params": {"fn": json.loads(FN_FIG1)}},
+            {"name": "bad", "command": "charfun analyze", "output": output,
+             "params": {"fn": json.loads(FN_FIG1)}},
+        ]}
+        (tmp_path / "jobs.json").write_text(json.dumps(config))
+        code, payload, err = run_cli(capsys, "run", "--config", "jobs.json")
+        assert (code, payload) == (1, None)
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": f"job 'bad': 'output' {output!r} names no file"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.json"]
+
     def test_verification_failure_propagates(self, capsys, tmp_path):
         config = {
             "jobs": [
@@ -1037,11 +1054,11 @@ class TestOnePassParse:
     @pytest.mark.parametrize("argv, declined", [
         ([*GHA3, "--out=--"], False),  # argparse before Python 3.13 gave the value []
         (["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3", "--kind", "bogus"], True),
-        ([*GHA3, "--dim", "4"], True),
-        ([*GHA3, "--verify", "--verify"], True),
+        ([*GHA3, "--dim", "4"], False),  # a repeat keeps its last value, as in argparse
+        ([*GHA3, "--verify", "--verify"], False),
     ])
     def test_edge_argvs(self, argv, declined):
-        """A value outside the choices and a repeated option are declined; the rest equal argparse."""
+        """A value outside the choices is declined; the rest equal argparse."""
         parsed = build_parser()._parse_well_formed(argv)
         assert (parsed is None) == declined
         if parsed is not None:
