@@ -53,6 +53,6 @@ xs = np.linspace(-2.0, 2.0, 5)
 print("  g(-x) + f(x) on a grid:",
       [float(evaluate(gn4, -x) + evaluate(fn4, x)) for x in xs])
 
-print("\nGeneral-purpose root finding (all real roots, bisection-refined):")
-print("  roots of x^5 - 5x^3 + 4x on [-3, 3]:",
-      [round(r, 12) for r in find_roots([0, 4, 0, -5, 0, 1], (-3, 3), 1e-12)])
+print("\nGeneral-purpose root finding (the real roots, bisection-refined):")
+p = [0, 4, 0, -5, 0, 1]
+print("  roots of x^5 - 5x^3 + 4x:", [round(r, 12) for r in find_roots(p)])

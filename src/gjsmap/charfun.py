@@ -293,12 +293,14 @@ def _info_at(fn: CharFn, h: Sequence[float], p: float) -> FixedPointInfo:
 
 
 def fixed_points(fn: CharFn) -> list[FixedPointInfo]:
-    """All real fixed points of ``fn``, sorted by location.
+    """The real fixed points of ``fn``, sorted by location.
 
     Quadratics go through the closed form with a stable evaluation of the
     quadratic formula; a discriminant within ``DOUBLE_ROOT_RTOL`` (relative to
     the coefficient scale) of zero is treated as an exact double root and
-    reported once.  Other degrees go through :func:`find_roots`.
+    reported once.  Other degrees take the roots :func:`find_roots` gives for
+    ``fn(x) - x``: a linear ``fn``'s is exact, rounded once, and each other
+    meets ``|fn(x) - x| <= 1e-12 max(1, |x|)``.
 
     Raises
     ------
@@ -322,7 +324,7 @@ def fixed_points(fn: CharFn) -> list[FixedPointInfo]:
             q = -0.5 * (c1 + math.copysign(sq, c1))
             locations = sorted((q / c2, c0 / q))
     else:
-        locations = find_roots(h, (-math.inf, math.inf), 1e-12)
+        locations = find_roots(h)
         if not locations:
             raise NoRealFixedPoint("no real root of fn(x) - x")
     return [_info_at(fn, h, p) for p in locations]
@@ -366,7 +368,7 @@ def invertibility_region(fn: CharFn) -> tuple[float, float]:
         slope = _derivative(stripped)
         if not all(map(math.isfinite, slope)):
             raise ValueError(f"the derivative {slope!r} of fn overflows, so its region is unknown")
-        crit = find_roots(slope, (-math.inf, math.inf), 1e-12)
+        crit = find_roots(slope)
         if not crit:
             return (-math.inf, math.inf)
         edge = side * max(side * c for c in crit)

@@ -330,6 +330,8 @@ def _perturbed(rep, args):
 
 def _verify(payload: dict, args, verify, rep) -> int:
     """Add the ``--verify`` report of the (perturbed) ``rep``; returns the exit code."""
+    if args.perturb is not None and not args.verify:
+        raise CliError("--perturb needs --verify")
     if not args.verify:
         return 0
     report = verify(_perturbed(rep, args), tol=args.tol)

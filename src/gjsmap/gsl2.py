@@ -10,11 +10,12 @@ A representation closes after ``d`` states when the next ladder square
 vanishes, which happens in exactly two ways: the orbit returns to the highest
 weight (``g^(d)(alpha_j) = alpha_j``, periodic) or the closure equation
 ``alpha_j + g^(d)(alpha_j) + 1 = 0`` holds (cut).  Solvers for both equations
-find every real root with ``roots.Composition.roots`` within the radius
-``Composition.radius`` derives from ``g`` (no closure root lies past it):
-interval subdivision drops the boxes whose enclosure keeps away from zero,
-finishes the monotone ones and bisects each sign change; the iterated ``g``
-is composed numerically, never expanded symbolically.
+search with ``roots.Composition.roots`` within the radius ``Composition.radius``
+derives from ``g`` (no closure root lies past it): a linear ``g`` gives the exact
+root rounded once, and every other root they report meets
+``|F| <= CUT_SOLVE_TOL max(1, |x|)``.  Interval subdivision drops the boxes whose
+enclosure keeps away from zero, finishes the monotone ones and bisects each sign
+change; the iterated ``g`` is composed numerically, never expanded symbolically.
 """
 
 from __future__ import annotations

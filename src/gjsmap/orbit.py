@@ -142,7 +142,6 @@ def cobweb(
     x0: float,
     steps: int,
     window: Optional[tuple[float, float]] = None,
-    samples: int = DEFAULT_SAMPLES,
     bound: float = DIVERGENCE_BOUND,
     guide_lines: tuple[GuideLine, ...] = (),
 ) -> OrbitReport:
@@ -154,12 +153,11 @@ def cobweb(
     sequence bit for bit.  Segments stop at the first point outside the
     window (``truncated_window``); iterates stop only at the divergence
     bound (``truncated_divergence``).  The default window pads the span of
-    ``x0``, the fixed points and the invertibility boundary.
+    ``x0``, the fixed points and the invertibility boundary.  The curve is
+    ``DEFAULT_SAMPLES`` points across the window, each of which must be finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not isinstance(samples, int) or samples < 2:  # True and False are ints below 2
-        raise ValueError(f"samples must be an int >= 2, not {samples!r}")
     fps = tuple(or_none((NoRealFixedPoint, ValueError), fixed_points, fn) or ())
     boundary = or_none(NotQuadratic, invertibility_boundary, fn)
     if window is None:
@@ -182,7 +180,7 @@ def cobweb(
     drawn = min(outside, len(orbit) - 1)
 
     # a non-finite x gives a non-finite fn(x)
-    if not np.isfinite(_curve(fn, (lo, hi), samples)[1]).all():
+    if not np.isfinite(_curve(fn, (lo, hi), DEFAULT_SAMPLES)[1]).all():
         raise ValueError(f"the curve samples on the window [{lo!r}, {hi!r}] are not finite")
 
     return OrbitReport(
@@ -194,7 +192,7 @@ def cobweb(
         truncated_divergence=truncated_divergence,
         truncated_window=truncated_window,
         drawn=drawn,
-        samples=samples,
+        samples=DEFAULT_SAMPLES,
         fixed_points=fps,
         boundary=boundary,
         region_label=or_none((NotQuadratic, UnsupportedDiscriminant), classify_region, fn, x0),

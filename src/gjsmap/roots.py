@@ -182,6 +182,7 @@ class Composition:
         self.ddcoeffs = _derivative(self.dcoeffs)
         self._lead, self._rest = coeffs[-1], coeffs[-2::-1]
         self._ints, self._top = _dyadic(coeffs)
+        self._exact = self._exact_coefficients() if d == 1 or len(coeffs) <= 2 else None
         self._mags, self._dmags = [abs(c) for c in coeffs], [abs(c) for c in self.dcoeffs]
         self._gamma = 2.0 * len(coeffs) * 2.0**-53  # Higham's gamma_2n, to first order
         self._tiny = 2.0 * len(coeffs) * 2.0**-1074  # what underflow may add to a Horner value
@@ -276,7 +277,8 @@ class Composition:
 
     def _exact_coefficients(self) -> list[int]:
         """F's coefficients ``f_k / 2**e`` as the integers ``f_k``, for ``d = 1`` or a linear
-        ``g``: ``g = b + a x`` composes to ``g^(d)(x) = y + s x``."""
+        ``g``: ``g = b + a x`` composes to ``g^(d)(x) = y + s x``.  ``__init__`` keeps them as
+        ``_exact``, which :meth:`radius` and :meth:`roots` read."""
         f, e = self._ints + [0] * (2 - len(self._ints)), self._top
         if self.d > 1:
             (b, a), y, s = f, 0, 1
@@ -299,11 +301,11 @@ class Composition:
         so ``|g^(d)(x)| >= 4 |x| + 3`` and ``|F(x)| >= 3 |x| + 2 > |x|``.  ``R`` is the exact
         bound rounded up to a float, ``inf`` past the float range; a constant ``F`` gives 1.
         """
-        if self.d > 1 and len(self._ints) > 2:
+        if self._exact is None:
             q = abs(self._ints[-1])
             p = max(q, sum(abs(c) for c in self._ints[:-1]) + (3 << self._top))
         else:
-            f = _strip_trailing_zeros(self._exact_coefficients())
+            f = _strip_trailing_zeros(self._exact)
             if len(f) == 1:
                 return 1.0
             q = abs(f[-1])
@@ -338,7 +340,7 @@ class Composition:
         ``hi - lo`` that is not finite or more boxes left than that.
         """
         if len(self.coeffs) <= 2:  # F = (f_0 + f_1 x) / 2**e is linear: its root is one division
-            f_0, f_1 = self._exact_coefficients()
+            f_0, f_1 = self._exact
             if f_1 == 0:  # a constant F has no root, or vanishes at every point
                 if f_0 == 0 and lo < hi:
                     raise ValueError(f"the function vanishes on [{lo!r}, {hi!r}]: the roots are "
@@ -454,27 +456,18 @@ class Composition:
         return sorted(r for r in roots if abs(func(r)) <= tol * max(1.0, abs(r)))
 
 
-def find_roots(
-    poly_coefficients: Sequence[float],
-    interval: tuple[float, float],
-    tol: float = 1e-12,
-) -> list[float]:
-    """All real roots of a polynomial inside an interval, sorted ascending.
+def find_roots(poly_coefficients: Sequence[float]) -> list[float]:
+    """The real roots of a polynomial on the whole line, sorted ascending.
 
-    The roots :meth:`Composition.roots` finds for the polynomial itself (``d = 1``): a linear
-    one's is its exact root rounded once, every other meets ``|p(x)| <= tol max(1, |x|)``, and
-    a root of even multiplicity is a zero of the derivative.  The interval is clipped to the
-    Cauchy bound :meth:`Composition.radius`, outside which no root can live.
+    The roots :meth:`Composition.roots` finds for the polynomial itself (``d = 1``) at tolerance
+    1e-12 on ``[-R, R]``, ``R`` the Cauchy bound :meth:`Composition.radius` past which no root
+    lives: a linear one's is its exact root rounded once, every other meets
+    ``|p(x)| <= 1e-12 max(1, |x|)``, and a root of even multiplicity is a zero of the
+    derivative.  A constant gives none.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo <= hi:
-        raise ValueError("interval is empty")
     coeffs = _strip_trailing_zeros([float(c) for c in poly_coefficients])
     if len(coeffs) < 2:
         return []
     poly = Composition(coeffs, 1, 0.0, 0.0)
-    bound = poly.radius()
-    lo, hi = max(lo, -bound), min(hi, bound)
-    return poly.roots(lo, hi, tol) if lo <= hi else []
+    radius = poly.radius()
+    return poly.roots(-radius, radius, 1e-12)

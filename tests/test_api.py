@@ -59,9 +59,8 @@ SETTINGS = {
     "build_gha": ["bound"],
     "build_gsl2": ["cut_tol", "bound"],
     "build_jsmap": ["bound"],
-    "cobweb": ["window", "samples", "bound", "guide_lines"],
+    "cobweb": ["window", "bound", "guide_lines"],
     "figure_bundle": ["bound"],
-    "find_roots": ["tol"],
     "iterate": ["bound"],
     "two_oscillator_space": ["bound"],
     "verify_gha_relations": ["tol"],

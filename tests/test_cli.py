@@ -465,6 +465,20 @@ class TestRunConfig:
         assert code == 2
         assert payload["jobs"][0]["status"] == "verification_failed"
 
+    def test_perturb_without_verify_is_a_job_error(self, capsys, tmp_path):
+        # --perturb changes only what --verify checks, so alone it would be ignored
+        build = {"gn": json.loads(SL2), "alphaj": 1, "dim": 3, "kind": "cut"}
+        jobs = [{"name": "unchecked", "command": "gsl2 build",
+                 "params": {**build, "perturb": "weights:9:1"}},
+                {"name": "plain", "command": "gsl2 build", "params": build}]
+        (tmp_path / "jobs.json").write_text(json.dumps({"jobs": jobs}))
+        code, payload, err = run_cli(capsys, "run", "--config", str(tmp_path / "jobs.json"))
+        assert (code, err) == (1, "")
+        unchecked, plain = payload["jobs"]
+        assert (unchecked["status"], unchecked["error"]) == ("error",
+                                                            "CliError: --perturb needs --verify")
+        assert plain["status"] == "ok"
+
 
 GHA3 = ["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "3"]
 CUT = ["gsl2", "cut", "--gn", GN_FIG2, "--d", "1"]
@@ -546,6 +560,9 @@ BAD_INPUTS = {
          "--perturb", "ladder_sq:0:-5"], None, None, "ladder squares"),
     "perturb off the diagonal": ([*SHELL, "--perturb", "s_sq:0,2:0.01"], None, None,
                                  "(0, 2) is off the diagonal of s_sq"),
+    "perturb without verify": (["gsl2", "build", "--gn", SL2, "--alphaj", "1", "--dim", "3",
+                                "--kind", "cut", "--perturb", "weights:9:1"], None, None,
+                               "--perturb needs --verify"),
     **{case: (argv, None, None, "is not a finite number")
        for case, argv in NON_FINITE_PERTURB.items()},
     "coefficient too large for a float": (["gha", "build", "--fn", HUGE_FN, "--alpha0", "0",

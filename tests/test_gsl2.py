@@ -432,7 +432,7 @@ def root_mix():
                 yield [r for r, _ in _closure_roots(gn, d, kind)]
     for _ in range(200):
         coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 7))]
-        yield find_roots(coeffs, (-math.inf, math.inf))
+        yield find_roots(coeffs)
 
 
 #: sha256 of the ``float.hex`` texts of the roots of ``root_mix``, one line per solve.
@@ -532,7 +532,7 @@ class TestIsolator:
     @settings(max_examples=150, deadline=None)
     def test_known_dyadic_roots_each_reported_once(self, case):
         coeffs, roots = case
-        assert find_roots(coeffs, (-math.inf, math.inf)) == pytest.approx(roots, abs=1e-9)
+        assert find_roots(coeffs) == pytest.approx(roots, abs=1e-9)
         # x + g(x) + 1 is the polynomial itself
         gn = CharFn((coeffs[0] - 1.0, coeffs[1] - 1.0, *coeffs[2:]), Orientation.WEIGHT)
         sols = cut_condition_solve(gn, 1)
@@ -602,7 +602,7 @@ class TestIsolator:
         # -x^2 + 3x - 1 touches the diagonal at 1 without crossing it: the
         # root is the zero of the derivative inside a cluster.
         assert periodic_condition_solve(FIG2_GN, 1) == (1.0,)
-        assert find_roots([-1.0, 2.0, -1.0], (-20.0, 20.0)) == [1.0]
+        assert Composition([-1.0, 2.0, -1.0], 1, 0.0, 0.0).roots(-20.0, 20.0, 1e-12) == [1.0]
 
     @given(a=st.floats(-3.0, 3.0), lead=st.floats(-2.0, -0.2))
     @settings(max_examples=100, deadline=None)

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import re
 
 import pytest
 
@@ -61,17 +60,11 @@ class TestCobweb:
         with pytest.raises(ValueError, match="non-empty interval"):
             cobweb(FIG1_FN, 0.56, 5, window)
 
-    @pytest.mark.parametrize("samples", [0, 1, -3, True, False, 2.0, 512.0, "512", None])
-    def test_samples_must_be_an_int_of_at_least_two(self, samples):
-        message = re.escape(f"samples must be an int >= 2, not {samples!r}")
-        with pytest.raises(ValueError, match=message):
-            cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=samples)
-
-    def test_two_samples_are_the_window_ends(self):
-        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=2)
-        assert report.samples == 2
-        assert report.sample_x == (0.4, 1.0)
-        assert report.sample_fx == (0.625, 1.225)
+    def test_end_samples_are_the_window_ends(self):
+        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0))
+        assert report.samples == len(report.sample_x) == len(report.sample_fx) == 512
+        assert report.sample_x[::511] == (0.4, 1.0)
+        assert report.sample_fx[::511] == (0.625, 1.225)
 
     def test_divergence_to_minus_infinity(self):
         report = cobweb(FIG2_GN, -0.05, 100, (-0.4, 1.9))
@@ -80,10 +73,10 @@ class TestCobweb:
         assert report.region_label is RegionLabel.DIVERGENT_INTERVAL
 
     def test_metadata_fields(self):
-        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=32)
+        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0))
         assert report.boundary == 0.5
-        assert len(report.fn_samples) == 32
-        assert len(report.diagonal_samples) == 32
+        assert len(report.fn_samples) == 512
+        assert len(report.diagonal_samples) == 512
         (fp,) = report.fixed_points
         assert fp.stability is Stability.NEUTRAL_TANGENT
         assert report.region_label is RegionLabel.CONVERGENT_INTERVAL
@@ -151,7 +144,7 @@ class TestFigureBundles:
 
 class TestSerialization:
     def test_report_dict_round_trips_json(self):
-        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0), samples=16)
+        report = cobweb(FIG1_FN, 0.56, 5, (0.4, 1.0))
         payload = json.dumps(report_to_dict(report), allow_nan=False)
         data = json.loads(payload)
         assert data["region"] == "convergent_interval"
