@@ -29,75 +29,52 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
 from ._np import np
-from .charfun import (
-    DIVERGENCE_BOUND,
-    CharFn,
-    charfn_from_dict,
-    charfn_to_dict,
-    classify_region,
-    discriminant,
-    fixed_points,
-    invertibility_boundary,
-)
-from .encoding import OutputEncoder
 from .errors import GjsError, NoRealFixedPoint, NotQuadratic, UnsupportedDiscriminant, or_none
-from .gha import (
-    OperatorMatrix,
-    _readonly,
-    build_gha,
-    casimir_gha,
-    gha_csv_labels,
-    gha_to_dict,
-    matrix_A,
-    matrix_Adag,
-    matrix_H,
-    matrix_N,
-    verify_gha_relations,
-    write_matrix_csv,
-)
-from .gsl2 import (
-    CUT_ACCEPT_TOL,
-    RepKind,
-    _build_gsl2,
-    build_gsl2,
-    casimir_gsl2,
-    cut_condition_solve,
-    gsl2_csv_labels,
-    gsl2_to_dict,
-    matrix_J0,
-    matrix_Jminus,
-    matrix_Jplus,
-    periodic_condition_solve,
-    verify_gsl2_relations,
-)
-from .jsmap import (
-    FixedJ,
-    FullGrid,
-    _build_jsmap,
-    build_jsmap,
-    derive_pairing,
-    jsmap_csv_labels,
-    jsmap_to_dict,
-    verify_jsmap_relations,
-    verify_map_equals_gsl2,
-    verify_pairing_identity,
-)
-from .orbit import (
-    FigureBundle,
-    FigureName,
-    OrbitReport,
-    _write_report,
-    cobweb,
-    figure_bundle,
-    report_to_dict,
-    write_bundle,
-    write_report_csvs,  # unused here, but bench/tracing.py wraps this name
-    write_report_json,  # and this one on gjsmap.cli
-)
+
+#: Layer module to the names this module calls from it, bound as its globals when a command
+#: group that calls the module first dispatches (:func:`_dispatch`) or when a name is read
+#: from outside (:func:`__getattr__`).  A bind never replaces a name already set, such as a
+#: test's patch; bench/tracing.py wraps ``write_report_json`` and ``write_report_csvs`` too.
+_LAYERS = {
+    "charfun": ("DIVERGENCE_BOUND", "CharFn", "charfn_to_dict", "classify_region",
+                "discriminant", "fixed_points", "invertibility_boundary"),
+    "gha": ("OperatorMatrix", "_readonly", "build_gha", "casimir_gha", "gha_csv_labels",
+            "gha_to_dict", "matrix_A", "matrix_Adag", "matrix_H", "matrix_N",
+            "verify_gha_relations", "write_matrix_csv"),
+    "gsl2": ("_build_gsl2", "build_gsl2", "casimir_gsl2", "cut_condition_solve",
+             "gsl2_csv_labels", "gsl2_to_dict", "matrix_J0", "matrix_Jminus", "matrix_Jplus",
+             "periodic_condition_solve", "verify_gsl2_relations"),
+    "jsmap": ("FixedJ", "FullGrid", "_build_jsmap", "build_jsmap", "derive_pairing",
+              "jsmap_csv_labels", "jsmap_to_dict", "verify_jsmap_relations",
+              "verify_map_equals_gsl2", "verify_pairing_identity"),
+    "orbit": ("FigureBundle", "_write_report", "cobweb", "figure_bundle", "report_to_dict",
+              "write_bundle", "write_report_csvs", "write_report_json"),
+}
+
+#: Command group to the layer modules its handlers call; ``run`` dispatches each job's group.
+_GROUP_LAYERS = {
+    "charfun": ("charfun",), "gha": ("charfun", "gha"), "gsl2": ("charfun", "gha", "gsl2"),
+    "jsmap": ("charfun", "gha", "gsl2", "jsmap"), "orbit": ("charfun", "orbit"), "run": (),
+}
+
+
+@functools.cache
+def _bind(layer: str) -> None:
+    module = import_module(f".{layer}", __package__)
+    for name in _LAYERS[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _bind(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -203,6 +180,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _charfn_arg(text: str) -> CharFn:
+    from .charfun import charfn_from_dict
+
     try:
         return charfn_from_dict(json.loads(text))
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
@@ -304,6 +283,8 @@ def _perturbed(rep, args):
     """
     if args.perturb is None:
         return rep
+    from dataclasses import replace
+
     target, indices, amount = args.perturb
     fields = _PERTURB_FIELDS[args.group]
     if target not in fields:
@@ -571,6 +552,8 @@ def _error_text(exc: BaseException) -> str:
 
 def _encode(value) -> str:
     """The one JSON encoding, for stdout and every JSON file but the orbit reports'."""
+    from .encoding import OutputEncoder
+
     try:
         return json.dumps(value, cls=OutputEncoder, indent=2, allow_nan=False)
     except ValueError as exc:
@@ -584,33 +567,35 @@ def _unencodable(exc: ValueError) -> CliError:
 def _write_files(out_dir, files: dict) -> list[str]:
     """Create ``out_dir`` and write ``files`` into it; returns the file names.
 
-    A ``(matrix, labels)`` pair becomes ``name`` as CSV, an orbit report
-    ``name.json`` plus its curve/cobweb CSV pair, a figure bundle its stock
-    files, and any other value ``name`` as JSON.
+    A ``(matrix, labels)`` pair becomes ``name`` as CSV, a dict ``name`` as
+    JSON, an orbit report ``name.json`` plus its curve/cobweb CSV pair, and a
+    figure bundle its stock files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     for name, content in files.items():
-        try:
-            if isinstance(content, FigureBundle):
-                names += write_bundle(content, out)
-                continue
-            if isinstance(content, OrbitReport):
-                names += _write_report(content, out, name)
-                continue
-        except ValueError as exc:  # a report JSON with a non-finite number
-            raise _unencodable(exc) from exc
         if isinstance(content, tuple):
             write_matrix_csv(content[0], out / name, content[1])
-        else:
+            names.append(name)
+        elif isinstance(content, dict):
             (out / name).write_text(_encode(content) + "\n", encoding="utf-8")
-        names.append(name)
+            names.append(name)
+        else:  # only an orbit command returns these, so its dispatch has bound orbit
+            try:
+                if isinstance(content, FigureBundle):
+                    names += write_bundle(content, out)
+                else:
+                    names += _write_report(content, out, name)
+            except ValueError as exc:  # a report JSON with a non-finite number
+                raise _unencodable(exc) from exc
     return names
 
 
 def _dispatch(args) -> tuple[dict, int]:
-    """Run the handler, then write its files when ``--out`` is given."""
+    """Bind the group's layers once, run the handler, then write its files under ``--out``."""
+    for layer in _GROUP_LAYERS[args.group]:
+        _bind(layer)
     payload, code, files = args.handler(args)
     if files is not None and args.out is not None:
         payload["files"] = _write_files(args.out, files())
@@ -628,9 +613,11 @@ _ALPHAJ = _option("--alphaj", type=float, required=True)
 _DIM = _option("--dim", type=int, required=True)
 _TOL = _option("--tol", type=_tolerance_arg, default=1e-10)
 _VERIFY = [_option("--verify", action="store_true"), _TOL]
-_CUT_TOL = _option("--cut-tol", type=_tolerance_arg, default=CUT_ACCEPT_TOL)
+# build_parser loads no layer module, so the values it takes from gsl2 (CUT_ACCEPT_TOL, the
+# RepKind values) and orbit (the FigureName values) are literals here; a test pins each one.
+_CUT_TOL = _option("--cut-tol", type=_tolerance_arg, default=1e-4)
 _OUT = _option("--out", default=None)
-_KINDS = [k.value for k in RepKind]
+_KINDS = ["periodic", "cut", "truncated"]
 _SHELL = [_FN, _ALPHA0, _GN, _ALPHAJ, _option(
     "--j", type=_two_j_arg, default=None, help="shell spin, e.g. 1/2"
 )]
@@ -675,14 +662,14 @@ _COMMANDS = {
     ]),
     ("jsmap", "verify"): ("compare the map with the direct representation", cmd_jsmap_verify, [
         *_SHELL, _TOL,
-        _option("--kind", choices=_KINDS, default=RepKind.FINITE_CUT.value), _CUT_TOL,
+        _option("--kind", choices=_KINDS, default="cut"), _CUT_TOL,
         _perturb_option("'splus:ROW,COL:AMOUNT' etc."),
     ]),
     ("jsmap", "pairing"): ("check the reflection-pairing identity", cmd_jsmap_pairing, [
         _FN, _ALPHA0, _option("--mmax", type=int, required=True), _TOL,
     ]),
     ("orbit", "figure"): ("write a stock figure bundle", cmd_orbit_figure, [
-        _option("--name", choices=[f.value for f in FigureName], required=True),
+        _option("--name", choices=["fig1", "fig2", "fig3", "fig4"], required=True),
         _option("--out", required=True),
     ]),
     ("orbit", "cobweb"): ("trace one orbit", cmd_orbit_cobweb, [

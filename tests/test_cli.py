@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gjsmap import cli, gha, gsl2, jsmap, orbit
 from gjsmap.cli import CliError, _HelpRequested, _job_argv, build_parser, main
+from test_api import EXPORTS
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _reference as golden_reference
 
@@ -1299,11 +1300,36 @@ NUMPY_FREE = {
     ),
 }
 
+_CLI_MODULES = {"gjsmap", "gjsmap._np", "gjsmap.cli", "gjsmap.errors"}
+_CHARFUN_MODULES = _CLI_MODULES | {"gjsmap.charfun", "gjsmap.encoding", "gjsmap.roots"}
+
+#: Fresh-process paths and the ``gjsmap`` modules each leaves loaded: a command loads the layers
+#: its handler calls, and the parser, help and argument errors load none.
+MODULES_LOADED = {
+    "import": (NUMPY_FREE["import"], {"gjsmap"}),
+    "parser": (NUMPY_FREE["parser"], _CLI_MODULES),
+    "help": (NUMPY_FREE["help"], _CLI_MODULES),
+    "bad-input": (NUMPY_FREE["bad-input"], _CLI_MODULES),
+    "charfun-analyze": (NUMPY_FREE["linear-analyze"], _CHARFUN_MODULES),
+    "gsl2-cut": (
+        "from gjsmap import cli\n"
+        f"assert cli.main(['gsl2', 'cut', '--gn', {GN_FIG2!r}, '--d', '2']) == 0",
+        _CHARFUN_MODULES | {"gjsmap.gha", "gjsmap.gsl2"},
+    ),
+}
+
 
 class TestColdStart:
     @pytest.mark.parametrize("source", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
     def test_path_loads_no_numpy(self, source):
         script = f"{source}\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+    @pytest.mark.parametrize("source, loaded", MODULES_LOADED.values(), ids=MODULES_LOADED.keys())
+    def test_path_loads_only_the_modules_it_calls(self, source, loaded):
+        script = (f"{source}\nimport sys\nloaded = sorted(m for m in sys.modules if "
+                  f"m.split('.')[0] == 'gjsmap')\nassert loaded == {sorted(loaded)!r}, loaded")
         result = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
 
@@ -1313,3 +1339,67 @@ class TestColdStart:
         result = subprocess.run(argv, capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
         assert json.loads(result.stdout)["verification"]["passed"] is True
+
+
+def _fake_cut(gn, d):
+    return gsl2.CutSolutions(included=(1.5,), excluded=())
+
+
+class TestLayerBinding:
+    """Names of the layer modules are bound on ``gjsmap.cli`` lazily, and never over a patch."""
+
+    def test_every_table_name_reads_as_its_layer_object_before_any_dispatch(self):
+        script = (
+            "import importlib\n"
+            "from gjsmap import cli\n"
+            "read = {(layer, name): getattr(cli, name)\n"
+            "        for layer, names in cli._LAYERS.items() for name in names}\n"
+            "for (layer, name), value in read.items():\n"
+            "    assert value is getattr(importlib.import_module('gjsmap.' + layer), name), name\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+    def test_a_name_set_before_the_first_dispatch_is_the_one_called(self):
+        script = (
+            "from gjsmap import cli, gsl2\n"
+            "cli.cut_condition_solve = lambda gn, d: gsl2.CutSolutions((1.5,), ())\n"
+            f"cli.main(['gsl2', 'cut', '--gn', {GN_FIG2!r}, '--d', '2'])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+        assert json.loads(result.stdout)["included"] == [1.5]
+
+    def test_a_monkeypatched_name_is_the_one_called(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cut_condition_solve", _fake_cut)
+        code, payload, _ = run_cli(capsys, "gsl2", "cut", "--gn", GN_FIG2, "--d", "2")
+        assert code == 0
+        assert (payload["included"], payload["excluded"]) == ([1.5], [])
+
+    def test_star_import_and_dir_cover_the_exports(self):
+        script = (
+            "import json, sys, gjsmap\n"
+            "exports = set(json.loads(sys.argv[1]))\n"
+            "assert exports <= set(dir(gjsmap)), exports - set(dir(gjsmap))\n"
+            "namespace = {}\n"
+            "exec('from gjsmap import *', namespace)\n"
+            "assert exports <= set(namespace), exports - set(namespace)\n"
+        )
+        argv = [sys.executable, "-c", script, json.dumps(sorted(EXPORTS))]
+        result = subprocess.run(argv, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+
+def test_parser_vocabulary_is_its_sources():
+    # build_parser loads neither gsl2 nor orbit, so these values are literals in cli.
+    def action(path, flag):
+        return build_parser()._commands[path]._option_string_actions[flag]
+
+    kinds = [kind.value for kind in gsl2.RepKind]
+    assert action(("gsl2", "build"), "--kind").choices == kinds
+    assert action(("jsmap", "verify"), "--kind").choices == kinds
+    assert action(("jsmap", "verify"), "--kind").default == gsl2.RepKind.FINITE_CUT.value
+    names = [name.value for name in orbit.FigureName]
+    assert action(("orbit", "figure"), "--name").choices == names
+    for path in [("gsl2", "build"), ("jsmap", "verify")]:
+        assert action(path, "--cut-tol").default == gsl2.CUT_ACCEPT_TOL
