@@ -1300,22 +1300,47 @@ NUMPY_FREE = {
     ),
 }
 
+def _commands_source(*runs) -> str:
+    """Source asserting each ``(argv, exit code)`` of ``cli.main``; "OUT" is a fresh directory."""
+    lines = ["import tempfile", "from gjsmap import cli",
+             "with tempfile.TemporaryDirectory() as out:"]
+    for argv, code in runs:
+        lines.append(f"    assert cli.main([a.replace('OUT', out) for a in {argv!r}]) == {code}")
+    return "\n".join(lines)
+
+
 _CLI_MODULES = {"gjsmap", "gjsmap._np", "gjsmap.cli", "gjsmap.errors"}
 _CHARFUN_MODULES = _CLI_MODULES | {"gjsmap.charfun", "gjsmap.encoding", "gjsmap.roots"}
+_GSL2_MODULES = _CHARFUN_MODULES | {"gjsmap.gha", "gjsmap.gsl2"}
+_JS = ["--fn", BOSON, "--alpha0", "0", "--gn", SL2, "--alphaj", "2", "--j", "2"]
 
-#: Fresh-process paths and the ``gjsmap`` modules each leaves loaded: a command loads the layers
-#: its handler calls, and the parser, help and argument errors load none.
+#: Fresh-process paths and the ``gjsmap`` modules each leaves loaded: every command of a group
+#: runs on the layers that group binds, and the parser, help and argument errors load none.
 MODULES_LOADED = {
     "import": (NUMPY_FREE["import"], {"gjsmap"}),
     "parser": (NUMPY_FREE["parser"], _CLI_MODULES),
     "help": (NUMPY_FREE["help"], _CLI_MODULES),
     "bad-input": (NUMPY_FREE["bad-input"], _CLI_MODULES),
-    "charfun-analyze": (NUMPY_FREE["linear-analyze"], _CHARFUN_MODULES),
-    "gsl2-cut": (
-        "from gjsmap import cli\n"
-        f"assert cli.main(['gsl2', 'cut', '--gn', {GN_FIG2!r}, '--d', '2']) == 0",
-        _CHARFUN_MODULES | {"gjsmap.gha", "gjsmap.gsl2"},
-    ),
+    "charfun": (NUMPY_FREE["linear-analyze"], _CHARFUN_MODULES),
+    "gha": (_commands_source(
+        (["gha", "build", "--fn", BOSON, "--alpha0", "0", "--dim", "4", "--verify",
+          "--perturb", "ladder:1:0.5", "--out", "OUT"], 2),
+    ), _CHARFUN_MODULES | {"gjsmap.gha"}),
+    "gsl2": (_commands_source(
+        (["gsl2", "cut", "--gn", GN_FIG2, "--d", "2"], 0),
+        (["gsl2", "periodic", "--gn", GN_FIG2, "--d", "2"], 0),
+        (["gsl2", "build", "--gn", SL2, "--alphaj", "2", "--dim", "5", "--kind", "cut",
+          "--verify", "--perturb", "weights:1:0.5", "--out", "OUT"], 2),
+    ), _GSL2_MODULES),
+    "jsmap": (_commands_source(
+        (["jsmap", "build", *_JS, "--out", "OUT"], 0),
+        (["jsmap", "verify", *_JS, "--perturb", "splus:0,1:0.5"], 2),
+        (["jsmap", "pairing", "--fn", BOSON, "--alpha0", "0", "--mmax", "3"], 0),
+    ), _GSL2_MODULES | {"gjsmap.jsmap"}),
+    "orbit": (_commands_source(
+        (["orbit", "figure", "--name", "fig1", "--out", "OUT"], 0),
+        (["orbit", "cobweb", "--fn", FN_FIG1, "--x0", "0.56", "--steps", "5", "--out", "OUT"], 0),
+    ), _CHARFUN_MODULES | {"gjsmap.orbit"}),
 }
 
 
