@@ -26,8 +26,9 @@ from .charfun import (
 from .encoding import _record_data
 from .errors import FixedPointVacuum, InvalidVacuum, NegativeNormSquared
 
-#: Norm squares, ladder squares and radicands in [-CLAMP_TOL, 0) are rounding
-#: around an exact zero and are clamped to it; anything lower is an error.
+#: Oscillator norm squares in [-CLAMP_TOL, 0) are rounding around an exact zero
+#: and are clamped to it; anything lower is an error.  Weight ladder squares need
+#: no band: ``gsl2._ladder_squares`` gives each the exact sign of its strip test.
 CLAMP_TOL = 1e-12
 
 #: |f(alpha0) - alpha0| at or below this makes Gauss numbers undefined.
@@ -132,17 +133,6 @@ class GhaRep:
     ladder: np.ndarray
 
 
-def _clamped(values: np.ndarray, error) -> np.ndarray:
-    """``values`` with the entries in ``[-CLAMP_TOL, 0)`` set to 0.
-
-    The first entry below ``-CLAMP_TOL`` raises ``error(index, value)``.
-    """
-    below = np.flatnonzero(values < -CLAMP_TOL)
-    if below.size:
-        raise error(int(below[0]), float(values[below[0]]))
-    return np.where(values < 0.0, 0.0, values)
-
-
 def build_gha(
     fn: CharFn, alpha0: float, dim: int, bound: float = DIVERGENCE_BOUND
 ) -> GhaRep:
@@ -169,7 +159,10 @@ def build_gha(
     eigenvalues = _readonly(iterate(fn, alpha0, dim - 1, bound=bound))
     with np.errstate(over="ignore"):
         norm_sq = eigenvalues[1:] - eigenvalues[0]
-    ladder = _readonly(np.sqrt(_clamped(norm_sq, NegativeNormSquared)))
+    below = np.flatnonzero(norm_sq < -CLAMP_TOL)
+    if below.size:
+        raise NegativeNormSquared(int(below[0]), float(norm_sq[below[0]]))
+    ladder = _readonly(np.sqrt(np.where(norm_sq < 0.0, 0.0, norm_sq)))
     return GhaRep(fn, float(alpha0), int(dim), eigenvalues, ladder)
 
 

@@ -4,7 +4,9 @@ A weight-like characteristic function ``g`` and a highest weight ``alpha_j``
 fix the descending weight ladder ``alpha_j, g(alpha_j), g^(2)(alpha_j), ...``
 with ladder squares
 
-    M_m^2 = alpha_j (alpha_j + 1) - w (w + 1),   w = g^(m+1)(alpha_j).
+    M_m^2 = (alpha_j - w)(alpha_j + w + 1),   w = g^(m+1)(alpha_j),
+
+each with the exact sign of the strip test ``-alpha_j - 1 < w < alpha_j``.
 
 A representation closes after ``d`` states when the next ladder square
 vanishes, which happens in exactly two ways: the orbit returns to the highest
@@ -45,7 +47,6 @@ from .errors import (
 from .gha import (
     OperatorMatrix,
     ResidualReport,
-    _clamped,
     _diag_product,
     _readonly,
     _relation_residuals,
@@ -95,28 +96,24 @@ class Gsl2Rep:
     cut_residual: float
 
 
-def build_gsl2(
-    gn: CharFn,
-    alpha_j: float,
-    dim: int,
-    kind: RepKind,
-    cut_tol: float = CUT_ACCEPT_TOL,
-    bound: float = DIVERGENCE_BOUND,
-) -> Gsl2Rep:
+def build_gsl2(gn: CharFn, alpha_j: float, dim: int, kind: RepKind,
+               cut_tol: float = CUT_ACCEPT_TOL, bound: float = DIVERGENCE_BOUND) -> Gsl2Rep:
     """Construct a highest-weight representation and validate its kind.
 
-    Finite kinds check their closure residual against ``cut_tol``; cut
-    representations additionally require every interior ladder square to be
-    strictly positive (a vanishing one would split the module early).
+    Every stored weight lies in ``-alpha_j - 1 <= w < alpha_j``, decided exactly;
+    a cut also needs each interior square positive (a zero splits the module
+    early).  Finite kinds then check their closure residual against ``cut_tol``.
 
     Raises
     ------
     InvalidHighestWeight
         ``alpha_j`` outside the invertibility region.
     DescentViolation
-        Some iterate fails ``alpha_j > g^(m)(alpha_j)``.
+        Some iterate fails ``alpha_j > g^(m)(alpha_j)``; checked over all ``m`` first.
     NegativeLadderSquare
-        A ladder square below ``-gha.CLAMP_TOL``: not unitary.
+        Some weight lies below ``-alpha_j - 1``, by any amount: not unitary.
+    ValueError
+        A cut representation with an interior weight equal to ``-alpha_j - 1``.
     CutResidualTooLarge / PeriodicResidualTooLarge
         Closure defect above ``cut_tol`` for the finite kinds.
     """
@@ -151,20 +148,38 @@ def _build_gsl2(gn: CharFn, alpha_j: float, dim: int, kind: RepKind, cut_tol: fl
     ascent = np.flatnonzero(~(alpha_j > lower))
     if ascent.size:
         raise DescentViolation(int(ascent[0]) + 1, float(lower[ascent[0]]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = alpha_j * (alpha_j + 1.0) - lower * (lower + 1.0)
-    ladder_sq = _readonly(_clamped(value, NegativeLadderSquare))
+    ladder_sq, past = _ladder_squares(alpha_j, lower)
+    if past >= 0:
+        raise NegativeLadderSquare(past, float(ladder_sq[past]))
+    if kind is RepKind.FINITE_CUT and not ladder_sq.all():  # 0 only at w = -alpha_j - 1
+        raise ValueError("an interior ladder square vanishes; the cut representation decomposes")
     if kind in _CLOSURE:
         sign, shift, error, text = _CLOSURE[kind]
         defect = abs(next_weight + sign * alpha_j + shift)
         if defect > cut_tol:
             raise error(f"{text.format(dim)} = {defect!r} > {cut_tol!r}")
-    if kind is RepKind.FINITE_CUT and (ladder_sq == 0.0).any():
-        raise ValueError("an interior ladder square vanishes; the cut representation decomposes")
     cut_residual = alpha_j + next_weight + 1.0
-    return Gsl2Rep(
-        gn, float(alpha_j), int(dim), kind, weights, ladder_sq, next_weight, float(cut_residual)
-    )
+    return Gsl2Rep(gn, float(alpha_j), int(dim), kind, weights, _readonly(ladder_sq),
+                   next_weight, float(cut_residual))
+
+
+def _ladder_squares(alpha_j: float, weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(squares, past)``: ``fl(alpha_j - w) fl(alpha_j + w + 1)`` for each of ``weights``.
+
+    The second factor is ``(s + 1) + e``, with ``s = fl(alpha_j + w)`` and its error ``e``
+    from a TwoSum (Dekker), so each factor and square has its exact value's sign: 0 on an
+    edge of the strip ``-alpha_j - 1 < w < alpha_j``, negative past one.  ``past`` is the
+    first weight past an edge, or -1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = alpha_j + weights
+        t = s - alpha_j
+        above = (s + 1.0) + ((alpha_j - (s - t)) + (weights - t))
+        above = np.where(np.isnan(above), s, above)  # TwoSum overflowed: 1 + e cannot flip s
+        below = alpha_j - weights
+        squares = below * above
+    past = np.flatnonzero(np.minimum(below, above) < 0.0)
+    return squares, int(past[0]) if past.size else -1
 
 
 def gsl2_csv_labels(rep: Gsl2Rep) -> tuple[str, tuple[str, ...]]:

@@ -48,7 +48,6 @@ from .gha import (
     GhaRep,
     OperatorMatrix,
     ResidualReport,
-    _clamped,
     _gauss,
     _readonly,
     build_gha,
@@ -56,6 +55,7 @@ from .gha import (
 )
 from .gsl2 import (
     Gsl2Rep,
+    _ladder_squares,
     _weight_casimir,
     _weight_residuals,
     matrix_J0,
@@ -135,18 +135,10 @@ def two_oscillator_space(
 
 
 def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float, steps: int) -> tuple:
-    """``(the g orbit of alpha_j over steps steps, Q2, its Gauss numbers, functional_G)``.
-
-    The orbit is unbounded and read-only.
-    """
+    """``(the unbounded read-only g orbit of alpha_j over steps steps, Q2, functional_G)``."""
     orbit = _readonly(iterate(gn, alpha_j, steps, bound=math.inf))
     q2, gg = _gauss(gn, alpha_j, orbit)
-    return orbit, q2, gg, alpha_j + q2 * gg[space.n2]
-
-
-def _radicand(q, alpha_j):
-    """``-q (2 alpha_j + 1 + q)`` for ``q = Q2 [n]_g``: the square of a ladder weight."""
-    return -q * (2.0 * alpha_j + 1.0 + q)
+    return orbit, q2, alpha_j + q2 * gg[space.n2]
 
 
 def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
@@ -157,7 +149,7 @@ def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
     orbit runs only to ``[max n2]_g``; a fixed point ``alpha_j`` of ``gn`` is
     a :class:`FixedPointVacuum`.
     """
-    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[3]
+    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[2]
 
 
 def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
@@ -169,6 +161,10 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
         ------------------------------------------------
                 M0^2 sqrt([n2+1]_f [n1]_f)
 
+    The radicand is evaluated on the orbit: with ``w = g^(n2+1)(alpha_j)`` it is the
+    ladder square ``(alpha_j - w)(alpha_j + w + 1)``, the same number in exact arithmetic
+    without the cancellation in ``2 alpha_j + 1 + Q2 [n2+1]_g``.
+
     The entry is 0 by convention where the row of ``S_+`` is empty (``n1 = 0``,
     or the largest ``n2``: the last state of a shell, the top ``n2`` row of a
     grid) and where the squared denominator is not finite and positive.  Such
@@ -178,29 +174,30 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
     Raises
     ------
     NegativeRadicand
-        If the radicand drops below ``-gha.CLAMP_TOL`` at a state whose
-        entry is observable; the ``(gn, alpha_j)`` pair does not admit a real
-        representation on this basis.
+        If ``w_(n2+1)`` lies above ``alpha_j`` or below ``-alpha_j - 1``, by any
+        amount, at a state whose entry is observable; the ``(gn, alpha_j)`` pair
+        does not admit a real representation on this basis.
     """
-    _, q2, gg, _ = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
-    return _f_diag(space, q2, gg, alpha_j)[1]
+    orbit = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)[0]
+    return _f_diag(space, orbit, alpha_j)[1]
 
 
-def _f_diag(space: TwoOscillatorSpace, q2, gg, alpha_j) -> tuple[float, np.ndarray]:
-    """``(M0^2, functional_F)`` from ``Q2`` and the ``g`` Gauss numbers ``gg``."""
+def _f_diag(space: TwoOscillatorSpace, orbit, alpha_j) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(M0^2, functional_F, the ladder squares of orbit[1:])``; rows read ``orbit[1:-1]``."""
     m0_sq, fg = _gauss(space.gha.fn, space.gha.alpha0, space.gha.eigenvalues)
+    squares, past = _ladder_squares(alpha_j, orbit[1:])
     obs = np.flatnonzero((space.n1 >= 1) & (space.n2 < space.n2.max()))
     n1, n2 = space.n1[obs], space.n2[obs]
+    if 0 <= past < len(squares) - 1:
+        state = int(np.argmax(n2 == past))
+        raise NegativeRadicand((int(n1[state]), past), float(squares[past]))
     out = np.zeros(space.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        radicand = _radicand(q2 * gg[n2 + 1], alpha_j)
-        root = np.sqrt(
-            _clamped(radicand, lambda i, v: NegativeRadicand((int(n1[i]), int(n2[i])), v))
-        )
+        root = np.sqrt(squares[n2])
         den_sq = fg[n2 + 1] * fg[n1]
         keep = (den_sq > 0.0) & np.isfinite(den_sq)
         out[obs[keep]] = root[keep] / (m0_sq * np.sqrt(den_sq[keep]))
-    return m0_sq, out
+    return m0_sq, out, squares
 
 
 @dataclass(frozen=True)
@@ -246,14 +243,8 @@ def _hop(space: TwoOscillatorSpace) -> tuple[int, np.ndarray]:
     return offset, weights[max(offset, 0):][: space.size - abs(offset)]
 
 
-def build_jsmap(
-    fn: CharFn,
-    alpha0: float,
-    gn: CharFn,
-    alpha_j: float,
-    mode: Mode,
-    bound: float = DIVERGENCE_BOUND,
-) -> JsMapRep:
+def build_jsmap(fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float, mode: Mode,
+                bound: float = DIVERGENCE_BOUND) -> JsMapRep:
     """Assemble ``S_z``, ``S_+``, ``S_-`` and the invariant ``S^2``.
 
     ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2`` and
@@ -279,14 +270,14 @@ def _build_jsmap(fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float, mode: Mo
     g_alpha = evaluate(gn, alpha_j)
     if not (g_alpha - alpha_j < 0.0):
         raise DescentViolation(1, g_alpha)
-    orbit, q2, gg, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
-    m0_sq, f = _f_diag(space, q2, gg, alpha_j)
+    orbit, q2, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
+    m0_sq, f, squares = _f_diag(space, orbit, alpha_j)
     s_z = OperatorMatrix(g, 0)
     offset, hop = _hop(space)
     s_plus = OperatorMatrix(f[max(-offset, 0):][: len(hop)] * hop, offset)
     s_sq = OperatorMatrix(_weight_casimir(s_z.values, s_plus, gn), 0)
     q2, alpha_j = float(q2), float(alpha_j)
-    closes = abs(_radicand(q2 * float(gg[-1]), alpha_j)) <= 1e-9 * max(1.0, abs(alpha_j) + 1.0)
+    closes = abs(float(squares[-1])) <= 1e-9 * max(1.0, abs(alpha_j) + 1.0)
     rep = JsMapRep(space, gn, alpha_j, q2, float(m0_sq), s_z, s_plus, s_plus.T, s_sq, closes)
     return rep, orbit
 

@@ -25,7 +25,6 @@ from gjsmap import (
 )
 from gjsmap.charfun import DIVERGENCE_BOUND
 from gjsmap.errors import NegativeRadicand, OverflowDiverged
-from gjsmap.gha import CLAMP_TOL
 from gjsmap.roots import _dyadic, _horner, _strip_trailing_zeros
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
@@ -303,10 +302,11 @@ def reference_functionals(space, gn: CharFn, alpha_j: float) -> tuple[np.ndarray
     The paper's formulas with ``Q2 = g(alpha_j) - alpha_j``,
     ``M0^2 = f(alpha0) - alpha0`` and ``[m] = (x_m - x_0) / denominator``,
     in the package's operation order: ``G = alpha_j + Q2 [n2]_g`` and
-    ``F = sqrt(-q (2 alpha_j + 1 + q)) / (M0^2 sqrt([n2+1]_f [n1]_f))`` with
-    ``q = Q2 [n2+1]_g``.  ``F`` is 0 where the row of ``S_+`` is empty and
-    where the squared denominator is not finite and positive; a radicand in
-    ``[-CLAMP_TOL, 0)`` counts as 0.
+    ``F = sqrt((alpha_j - w)(alpha_j + w + 1)) / (M0^2 sqrt([n2+1]_f [n1]_f))``
+    with ``w = g^(n2+1)(alpha_j)`` and ``alpha_j + w + 1`` from a TwoSum, which
+    is ``-Q2 [n2+1]_g (2 alpha_j + 1 + Q2 [n2+1]_g)`` in exact arithmetic.  ``F``
+    is 0 where the row of ``S_+`` is empty and where the squared denominator is
+    not finite and positive; any negative radicand raises.
     """
     fn, alpha0 = space.gha.fn, space.gha.alpha0
     top = int(max(space.n2))
@@ -323,13 +323,15 @@ def reference_functionals(space, gn: CharFn, alpha_j: float) -> tuple[np.ndarray
         g_diag.append(alpha_j + q2 * gauss(g_orbit, q2, n2))
         entry = 0.0
         if n1 >= 1 and n2 < top:
-            q = q2 * gauss(g_orbit, q2, n2 + 1)
-            radicand = -q * (2.0 * alpha_j + 1.0 + q)
-            if radicand < -CLAMP_TOL:
+            w = g_orbit[n2 + 1]
+            s = alpha_j + w
+            t = s - alpha_j
+            radicand = (alpha_j - w) * ((s + 1.0) + ((alpha_j - (s - t)) + (w - t)))
+            if radicand < 0.0:
                 raise NegativeRadicand((n1, n2), radicand)
             den_sq = gauss(f_orbit, m0_sq, n2 + 1) * gauss(f_orbit, m0_sq, n1)
             if 0.0 < den_sq < math.inf:
-                entry = math.sqrt(max(radicand, 0.0)) / (m0_sq * math.sqrt(den_sq))
+                entry = math.sqrt(radicand) / (m0_sq * math.sqrt(den_sq))
         f_diag.append(entry)
     return np.array(g_diag), np.array(f_diag)
 

@@ -31,9 +31,11 @@ from gjsmap.errors import (
     DescentViolation,
     InvalidHighestWeight,
     NegativeLadderSquare,
+    OverflowDiverged,
     PeriodicResidualTooLarge,
 )
-from gjsmap.gsl2 import _CLOSURE, CUT_SOLVE_TOL, _closure_roots
+from gjsmap.charfun import iterate
+from gjsmap.gsl2 import _CLOSURE, CUT_SOLVE_TOL, _closure_roots, _ladder_squares
 from gjsmap.roots import BOXES, Composition, _derivative, _horner, find_roots
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -55,6 +57,8 @@ from helpers import (
 )
 
 SL2 = CharFn((-1.0, 1.0), Orientation.WEIGHT)  # g(x) = x - 1
+#: Floats ``m 2**e`` with ``|m| <= 2**40`` and ``-100 <= e <= 20``: 0, or 2**-100 to 2**60.
+DYADIC = st.builds(math.ldexp, st.integers(-2**40, 2**40), st.integers(-100, 20))
 FIG2_GN = CharFn((-1.0, 3.0, -1.0), Orientation.WEIGHT)
 ROUNDED_ROOT = 0.33479  # the cut root quoted to five digits
 
@@ -155,6 +159,87 @@ class TestBuild:
         a, w = rep.alpha_j, rep.next_weight
         closing_sq = a * (a + 1.0) - w * (w + 1.0)
         assert abs(closing_sq) <= 1e-9
+
+
+#: Unit roundoff of float64.
+U = 2.0**-53
+Q_WEIGHT = CharFn((-1 / 1.1, 1 / 1.1), Orientation.WEIGHT)  # g = (x - 1) / 1.1
+
+
+def exact_square(alpha_j: float, w: float) -> Fraction:
+    """``(alpha_j - w)(alpha_j + w + 1)`` of the two floats, exactly."""
+    return (Fraction(alpha_j) - Fraction(w)) * (Fraction(alpha_j) + Fraction(w) + 1)
+
+
+def relative_error(square: float, exact: Fraction) -> float:
+    """``|square - exact| / |exact|`` in units of ``U``; 0 for an exact 0 met exactly."""
+    if exact == 0:
+        return 0.0 if square == 0.0 else math.inf
+    return float(abs(Fraction(square) - exact) / abs(exact)) / U
+
+
+class TestLadderSquares:
+    """Each ladder square is the exact square of its own stored weights, rounded within 3 u,
+    and its sign is the exact strip test ``-alpha_j - 1 < w < alpha_j``."""
+
+    # The cut builds sit at the roots cut_condition_solve reports.  The difference of
+    # squares alpha_j (alpha_j + 1) - w (w + 1) reads 3.4, 775, 45, 547 and 7.3e10 u on
+    # these five builds.
+    @pytest.mark.parametrize("gn, alpha_j, dim, kind", [
+        (Q_WEIGHT, 6.541248770676706, 20, RepKind.FINITE_CUT),
+        (Q_WEIGHT, 8.937803135964167, 60, RepKind.FINITE_CUT),
+        (FIG2_GN, 0.9248095957609905, 16, RepKind.FINITE_CUT),
+        (FIG2_GN, 0.9832789057447455, 64, RepKind.FINITE_CUT),
+        (CharFn((-1e-6, 1.0), Orientation.WEIGHT), 1e6, 8, RepKind.TRUNCATED_INFINITE),
+    ])
+    def test_within_three_units_of_the_stored_weights(self, gn, alpha_j, dim, kind):
+        rep = build_gsl2(gn, alpha_j, dim, kind)
+        errors = [relative_error(sq, exact_square(alpha_j, w))
+                  for sq, w in zip(rep.ladder_sq.tolist(), rep.weights[1:].tolist())]
+        assert len(errors) == dim - 1 and max(errors) <= 3.0, max(errors)
+
+    @staticmethod
+    def planted(alpha_j: float, offsets: list[int]) -> list[float]:
+        """``alpha_j`` and ``-alpha_j - 1`` (where it is a float), each moved ``k`` floats."""
+        edges = [alpha_j]
+        lower = -Fraction(alpha_j) - 1
+        if Fraction(float(lower)) == lower:
+            edges.append(float(lower))
+        out = []
+        for edge in edges:
+            for k in offsets:
+                x = edge
+                for _ in range(abs(k)):
+                    x = math.nextafter(x, math.copysign(math.inf, k))
+                out.append(x)
+        return out
+
+    @given(
+        alpha_j=DYADIC,
+        free=st.lists(DYADIC, max_size=6),
+        offsets=st.lists(st.integers(-4, 4), max_size=6),
+        coeffs=st.tuples(DYADIC, DYADIC, DYADIC.map(lambda c: -abs(c) or -1.0))
+        | st.tuples(DYADIC, DYADIC, DYADIC, DYADIC.map(lambda c: -abs(c) or -1.0)),
+        steps=st.integers(0, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_strip_verdicts_and_squares_match_fractions(self, alpha_j, free, offsets, coeffs,
+                                                        steps, data):
+        try:
+            orbit = iterate(CharFn(coeffs, Orientation.WEIGHT), alpha_j, steps, bound=2.0**80)
+        except OverflowDiverged as exc:
+            orbit = exc.iterates[:-1]
+        weights = free + self.planted(alpha_j, offsets) + orbit[1:]
+        weights = data.draw(st.permutations(weights))
+        squares, past = _ladder_squares(alpha_j, np.array(weights, dtype=float))
+        a = Fraction(alpha_j)
+        outside = [i for i, w in enumerate(map(Fraction, weights)) if not (-a - 1 <= w <= a)]
+        assert past == (outside[0] if outside else -1)
+        for square, w in zip(squares.tolist(), weights):
+            exact = exact_square(alpha_j, w)
+            assert (square > 0) - (square < 0) == (exact > 0) - (exact < 0), (alpha_j, w)
+            assert relative_error(square, exact) <= 3.0, (alpha_j, w, square)
 
 
 class TestMatrices:

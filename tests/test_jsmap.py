@@ -287,6 +287,20 @@ class TestSharedOrbit:
         assert shared[0] == ("rep" if bound >= 2.0 else OverflowDiverged)
 
 
+class TestLadderSquares:
+    def test_map_radicand_is_the_direct_ladder_square(self):
+        # f = 1.1 x + 1 and g = (x - 1) / 1.1 on the 2j = 59 shell at its cut root, where
+        # -Q2 [n]_g (2 alpha_j + 1 + Q2 [n]_g) reads 2,572 u from the exact square
+        fn = CharFn((1.0, 1.1), Orientation.OSCILLATOR)
+        gn = CharFn((-1 / 1.1, 1 / 1.1), Orientation.WEIGHT)
+        alpha_j = 8.937803135964167
+        rep, orbit = jsmap._build_jsmap(fn, 0.0, gn, alpha_j, FixedJ(59), math.inf)
+        direct = build_gsl2(gn, alpha_j, 60, RepKind.FINITE_CUT)
+        squares = jsmap._f_diag(rep.space, orbit, alpha_j)[2]
+        assert identical(squares[:-1], direct.ladder_sq)
+        assert rep.closes and verify_map_equals_gsl2(rep, direct).passed
+
+
 class TestDenseReference:
     """The diagonal forms equal the dense matmul formulas bit for bit."""
 
