@@ -167,9 +167,9 @@ def _ladder_squares(alpha_j: float, weights: np.ndarray) -> tuple[np.ndarray, in
     """``(squares, past)``: ``fl(alpha_j - w) fl(alpha_j + w + 1)`` for each of ``weights``.
 
     The second factor is ``(s + 1) + e``, with ``s = fl(alpha_j + w)`` and its error ``e``
-    from a TwoSum (Dekker), so each factor and square has its exact value's sign: 0 on an
-    edge of the strip ``-alpha_j - 1 < w < alpha_j``, negative past one.  ``past`` is the
-    first weight past an edge, or -1.
+    from Knuth's TwoSum, so each factor and square has its exact value's sign: a factor is
+    0 on its edge of the strip ``-alpha_j - 1 < w < alpha_j`` and negative past it.
+    ``past`` is the first weight with a negative factor, or -1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = alpha_j + weights
