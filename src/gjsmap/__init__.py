@@ -34,8 +34,8 @@ _EXPORTS = {
     "errors": (
         "CutResidualTooLarge", "DescentViolation", "DimensionMismatch", "FixedPointVacuum",
         "GjsError", "InvalidHighestWeight", "InvalidVacuum", "NegativeLadderSquare",
-        "NegativeNormSquared", "NegativeRadicand", "NoRealFixedPoint", "NotQuadratic",
-        "OutOfBasis", "OverflowDiverged", "PeriodicResidualTooLarge", "UnsupportedDiscriminant",
+        "NegativeNormSquared", "NoRealFixedPoint", "NotQuadratic", "OutOfBasis",
+        "OverflowDiverged", "PeriodicResidualTooLarge", "UnsupportedDiscriminant",
     ),
     "gha": (
         "GhaRep", "OperatorMatrix", "ResidualReport", "build_gha", "casimir_gha",

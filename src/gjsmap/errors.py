@@ -58,7 +58,7 @@ class _LocatedError(GjsError):
 
     template: str
 
-    def __init__(self, index, value: float):
+    def __init__(self, index: int, value: float):
         super().__init__(index, value)
         self.index, self.value = index, value
 
@@ -94,13 +94,6 @@ class CutResidualTooLarge(GjsError):
 
 class PeriodicResidualTooLarge(GjsError):
     """g^(d)(alpha_j) - alpha_j is too far from zero for a periodic rep."""
-
-
-class NegativeRadicand(_LocatedError):
-    """The raising-functional radicand is negative at the basis state ``state``."""
-
-    template = "radicand at state {} is {!r} < 0"
-    state = property(lambda self: self.index)
 
 
 class DimensionMismatch(GjsError):

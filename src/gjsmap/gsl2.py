@@ -133,24 +133,8 @@ def _build_gsl2(gn: CharFn, alpha_j: float, dim: int, kind: RepKind, cut_tol: fl
     if dim < 1:
         raise ValueError("dim must be >= 1")
     kind = RepKind(kind)
-    lo, hi = invertibility_region(gn)
-    if not (lo < alpha_j < hi):
-        raise InvalidHighestWeight(
-            f"alpha_j = {alpha_j!r} outside the invertibility region ({lo!r}, {hi!r})"
-        )
-    if orbit is None:
-        orbit = _readonly(iterate(gn, alpha_j, dim, bound=bound))
-    else:
-        beyond = np.flatnonzero(~((np.abs(orbit) <= bound) & np.isfinite(orbit)))
-        if beyond.size:
-            raise _diverged(orbit[: beyond[0] + 1].tolist(), bound)
-    weights, lower, next_weight = orbit[:dim], orbit[1:dim], float(orbit[dim])
-    ascent = np.flatnonzero(~(alpha_j > lower))
-    if ascent.size:
-        raise DescentViolation(int(ascent[0]) + 1, float(lower[ascent[0]]))
-    ladder_sq, past = _ladder_squares(alpha_j, lower)
-    if past >= 0:
-        raise NegativeLadderSquare(past, float(ladder_sq[past]))
+    orbit, squares = _weight_ladder(gn, alpha_j, dim, bound, orbit)
+    ladder_sq, next_weight = squares[:-1], float(orbit[dim])
     if kind is RepKind.FINITE_CUT and not ladder_sq.all():  # 0 only at w = -alpha_j - 1
         raise ValueError("an interior ladder square vanishes; the cut representation decomposes")
     if kind in _CLOSURE:
@@ -159,8 +143,32 @@ def _build_gsl2(gn: CharFn, alpha_j: float, dim: int, kind: RepKind, cut_tol: fl
         if defect > cut_tol:
             raise error(f"{text.format(dim)} = {defect!r} > {cut_tol!r}")
     cut_residual = alpha_j + next_weight + 1.0
-    return Gsl2Rep(gn, float(alpha_j), int(dim), kind, weights, _readonly(ladder_sq),
+    return Gsl2Rep(gn, float(alpha_j), int(dim), kind, orbit[:dim], _readonly(ladder_sq),
                    next_weight, float(cut_residual))
+
+
+def _weight_ladder(gn: CharFn, alpha_j: float, dim: int, bound: float, orbit) -> tuple:
+    """``(orbit, squares)`` of ``dim`` states, checked by the rule every kind and the map share:
+    the region (before any iterate is made), the bound, the descent, then the strip.  ``squares``
+    end with the square past the states, which no check reads."""
+    lo, hi = invertibility_region(gn)
+    if not (lo < alpha_j < hi):
+        raise InvalidHighestWeight(f"alpha_j = {alpha_j!r} outside the invertibility region "
+                                   f"({lo!r}, {hi!r})")
+    if orbit is None:
+        orbit = _readonly(iterate(gn, alpha_j, dim, bound=bound))
+    else:
+        beyond = np.flatnonzero(~((np.abs(orbit) <= bound) & np.isfinite(orbit)))
+        if beyond.size:
+            raise _diverged(orbit[: beyond[0] + 1].tolist(), bound)
+    lower = orbit[1:dim]
+    ascent = np.flatnonzero(~(alpha_j > lower))
+    if ascent.size:
+        raise DescentViolation(int(ascent[0]) + 1, float(lower[ascent[0]]))
+    squares, past = _ladder_squares(alpha_j, orbit[1:dim + 1])
+    if 0 <= past < dim - 1:
+        raise NegativeLadderSquare(past, float(squares[past]))
+    return orbit, squares
 
 
 def _ladder_squares(alpha_j: float, weights: np.ndarray) -> tuple[np.ndarray, int]:

@@ -29,34 +29,24 @@ from .charfun import (
     CharFn,
     Orientation,
     charfn_to_dict,
-    evaluate,
     fixed_points,
     iterate,
     reflection_pair,
 )
 from .encoding import _record_data
-from .errors import (
-    DescentViolation,
-    DimensionMismatch,
-    GjsError,
-    InvalidHighestWeight,
-    NegativeRadicand,
-    NoRealFixedPoint,
-    OutOfBasis,
-)
+from .errors import DimensionMismatch, GjsError, InvalidHighestWeight, NoRealFixedPoint, OutOfBasis
 from .gha import (
     GhaRep,
     OperatorMatrix,
     ResidualReport,
     _gauss,
-    _readonly,
     build_gha,
     gha_to_dict,
 )
 from .gsl2 import (
     Gsl2Rep,
-    _ladder_squares,
     _weight_casimir,
+    _weight_ladder,
     _weight_residuals,
     matrix_J0,
     matrix_Jplus,
@@ -134,11 +124,12 @@ def two_oscillator_space(
     return TwoOscillatorSpace(rep, n1, n2, mode)
 
 
-def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float, steps: int) -> tuple:
-    """``(the unbounded read-only g orbit of alpha_j over steps steps, Q2, functional_G)``."""
-    orbit = _readonly(iterate(gn, alpha_j, steps, bound=math.inf))
+def _weight_side(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> tuple:
+    """``(g orbit, ladder squares, Q2, functional_G)`` of the weight states ``0..max n2``:
+    the orbit and squares of their direct truncated build, on the unbounded orbit."""
+    orbit, squares = _weight_ladder(gn, alpha_j, int(space.n2.max()) + 1, math.inf, None)
     q2, gg = _gauss(gn, alpha_j, orbit)
-    return orbit, q2, alpha_j + q2 * gg[space.n2]
+    return orbit, squares, q2, alpha_j + q2 * gg[space.n2]
 
 
 def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
@@ -146,10 +137,14 @@ def functional_G(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
 
     ``Q2 = g(alpha_j) - alpha_j``; the Gauss-number index reduces to ``n2``
     on every shell because the shell spin enters as ``(n1 + n2) / 2``.  The
-    orbit runs only to ``[max n2]_g``; a fixed point ``alpha_j`` of ``gn`` is
-    a :class:`FixedPointVacuum`.
+    orbit runs ``max n2 + 1`` steps, one past ``[max n2]_g``, as in :func:`functional_F`.
+
+    Raises
+    ------
+    InvalidHighestWeight, DescentViolation, NegativeLadderSquare, FixedPointVacuum
+        As :func:`functional_F` does.
     """
-    return _weight_side(space, gn, alpha_j, int(space.n2.max()))[2]
+    return _weight_side(space, gn, alpha_j)[3]
 
 
 def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.ndarray:
@@ -161,9 +156,9 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
         ------------------------------------------------
                 M0^2 sqrt([n2+1]_f [n1]_f)
 
-    The radicand is evaluated on the orbit: with ``w = g^(n2+1)(alpha_j)`` it is the
-    ladder square ``(alpha_j - w)(alpha_j + w + 1)``, the same number in exact arithmetic
-    without the cancellation in ``2 alpha_j + 1 + Q2 [n2+1]_g``.
+    The radicand is the direct representation's ladder square: with
+    ``w = g^(n2+1)(alpha_j)`` it is ``(alpha_j - w)(alpha_j + w + 1)``, the same number
+    in exact arithmetic without the cancellation in ``2 alpha_j + 1 + Q2 [n2+1]_g``.
 
     The entry is 0 by convention where the row of ``S_+`` is empty (``n1 = 0``,
     or the largest ``n2``: the last state of a shell, the top ``n2`` row of a
@@ -173,40 +168,35 @@ def functional_F(space: TwoOscillatorSpace, gn: CharFn, alpha_j: float) -> np.nd
 
     Raises
     ------
-    NegativeRadicand
-        If ``w_(n2+1)`` lies above ``alpha_j`` or below ``-alpha_j - 1``, by any
-        amount, at a state whose entry is observable; the ``(gn, alpha_j)`` pair
-        does not admit a real representation on this basis.
+    InvalidHighestWeight, DescentViolation, NegativeLadderSquare
+        If ``build_gsl2(gn, alpha_j, max n2 + 1, "truncated", bound=math.inf)`` raises it:
+        the ``(gn, alpha_j)`` pair does not head a representation on this basis.
+    FixedPointVacuum
+        If ``alpha_j`` is a fixed point of ``gn``, which a one-state basis admits.
     """
-    orbit = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)[0]
-    return _f_diag(space, orbit, alpha_j)[1]
+    return _f_diag(space, _weight_side(space, gn, alpha_j)[1])[1]
 
 
-def _f_diag(space: TwoOscillatorSpace, orbit, alpha_j) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(M0^2, functional_F, the ladder squares of orbit[1:])``; rows read ``orbit[1:-1]``."""
+def _f_diag(space: TwoOscillatorSpace, squares: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(M0^2, functional_F)`` from the ladder squares; rows read ``squares[:-1]``."""
     m0_sq, fg = _gauss(space.gha.fn, space.gha.alpha0, space.gha.eigenvalues)
-    squares, past = _ladder_squares(alpha_j, orbit[1:])
     obs = np.flatnonzero((space.n1 >= 1) & (space.n2 < space.n2.max()))
     n1, n2 = space.n1[obs], space.n2[obs]
-    if 0 <= past < len(squares) - 1:
-        state = int(np.argmax(n2 == past))
-        raise NegativeRadicand((int(n1[state]), past), float(squares[past]))
     out = np.zeros(space.size)
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(squares[n2])
         den_sq = fg[n2 + 1] * fg[n1]
         keep = (den_sq > 0.0) & np.isfinite(den_sq)
         out[obs[keep]] = root[keep] / (m0_sq * np.sqrt(den_sq[keep]))
-    return m0_sq, out, squares
+    return m0_sq, out
 
 
 @dataclass(frozen=True)
 class JsMapRep:
     """The mapped generators on a two-oscillator basis.
 
-    ``q2 = g(alpha_j) - alpha_j`` must be negative for the raising/lowering
-    square roots to be real wherever the ladder squares are positive; this is
-    the first step of the descent hypothesis and is validated at build time.
+    ``q2 = g(alpha_j) - alpha_j`` is negative on two or more weight states, as the
+    descent of their direct build requires; one state needs only ``q2 != 0``.
     ``closes`` says whether the ladder square past the shell's last state
     vanishes, which decides the columns :func:`verify_jsmap_relations` checks.
     """
@@ -250,7 +240,8 @@ def build_jsmap(fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float, mode: Mod
     ``S_+`` is the diagonal ``F`` applied after the hop ``A1+ A2`` and
     ``S_-`` its transpose.  ``S^2`` is the weight-algebra invariant of
     :mod:`gsl2` evaluated on the mapped generators.  One ``g`` orbit serves
-    ``G``, ``F`` and ``closes``.
+    ``G``, ``F`` and ``closes``.  A shell raises what ``build_gsl2(gn, alpha_j, 2j + 1,
+    "truncated", bound=math.inf)`` raises; only the map adds :class:`FixedPointVacuum`.
     """
     return _build_jsmap(fn, alpha0, gn, alpha_j, mode, bound)[0]
 
@@ -267,11 +258,8 @@ def _build_jsmap(fn: CharFn, alpha0: float, gn: CharFn, alpha_j: float, mode: Mo
     space = two_oscillator_space(fn, alpha0, mode, bound=bound)
     if not math.isfinite(alpha_j):
         raise InvalidHighestWeight(f"alpha_j = {alpha_j!r} is not finite")
-    g_alpha = evaluate(gn, alpha_j)
-    if not (g_alpha - alpha_j < 0.0):
-        raise DescentViolation(1, g_alpha)
-    orbit, q2, g = _weight_side(space, gn, alpha_j, int(space.n2.max()) + 1)
-    m0_sq, f, squares = _f_diag(space, orbit, alpha_j)
+    orbit, squares, q2, g = _weight_side(space, gn, alpha_j)
+    m0_sq, f = _f_diag(space, squares)
     s_z = OperatorMatrix(g, 0)
     offset, hop = _hop(space)
     s_plus = OperatorMatrix(f[max(-offset, 0):][: len(hop)] * hop, offset)

@@ -323,21 +323,21 @@ class Composition:
         A linear ``g`` makes ``F`` linear: its root is the quotient of F's exact integer
         coefficients, rounded once, or none past the float range.  Any other ``F`` goes through
         interval subdivision with a monotonicity test (R. E. Moore, *Interval Analysis*, 1966).
-        With ``t = tol max(1, |x|)``, the first level keeps those of ``BOXES`` equal boxes whose
-        Horner enclosure meets ``[-2t, 2t]``.  Each later level cuts the boxes kept into
-        ``SPLIT`` or more children, about ``BOXES`` in all, drops the same way once the
-        enclosure is cut to the mean-value forms ``F(e) + F'(X)(X - e)`` from both ends ``e``,
-        and finishes each box whose derivative enclosure excludes 0 and whose end values lie
-        outside the band: opposite signs hold one root, which :func:`_bisect` refines.  Other
-        monotone boxes, boxes narrower than ``t`` (or ``SPLIT`` ulps) and boxes in the band with
-        a convex or concave ``F`` form clusters, on each of which ``F'`` has one zero at most;
-        :meth:`_collect` finds the roots of each run of adjacent ones.  A sign change next to a
-        run is never in a finished box, whose ends lie outside the band.  Each of these roots
-        meets ``|F| <= t``.  A level that leaves more than ``BOXES * SPLIT`` boxes is redone with
-        each iterate bound cut to its mean-value form; if it still does, each stretch of boxes
-        on which ``F`` stays in the band (a root of high multiplicity) becomes one cluster.  A
-        ``ValueError`` names an ``F`` that vanishes on ``[lo, hi]``, and for a nonlinear ``F`` a
-        ``hi - lo`` that is not finite or more boxes left than that.
+        With ``t = tol max(1, |x|)``, the first level keeps those of ``BOXES`` equal boxes (per
+        half, where ``hi - lo`` overflows) whose Horner enclosure meets ``[-2t, 2t]``.  Each later
+        level cuts the boxes kept into ``SPLIT`` or more children, about ``BOXES`` in all, drops
+        the same way once the enclosure is cut to the mean-value forms ``F(e) + F'(X)(X - e)`` from
+        both ends ``e``, and finishes each box whose derivative enclosure excludes 0 and whose end
+        values lie outside the band: opposite signs hold one root, which :func:`_bisect` refines.
+        Other monotone boxes, boxes narrower than ``t`` (or ``SPLIT`` ulps) and boxes in the band
+        with a convex or concave ``F`` form clusters, on each of which ``F'`` has one zero at most;
+        :meth:`_collect` finds the roots of each run of adjacent ones.  A sign change next to a run
+        is never in a finished box, whose ends lie outside the band.  Each of these roots meets
+        ``|F| <= t``.  A level that leaves more than ``BOXES * SPLIT`` boxes is redone with each
+        iterate bound cut to its mean-value form; if it still does, each stretch of boxes on which
+        ``F`` stays in the band (a root of high multiplicity) becomes one cluster.  A
+        ``ValueError`` names an ``F`` that vanishes on ``[lo, hi]``, and for a nonlinear ``F`` an
+        end that is not finite or more boxes left than that.
         """
         if len(self.coeffs) <= 2:  # F = (f_0 + f_1 x) / 2**e is linear: its root is one division
             f_0, f_1 = self._exact
@@ -351,11 +351,12 @@ class Composition:
             except OverflowError:  # past the float range
                 return []
             return [root] if lo <= root <= hi else []
-        if not math.isfinite(hi - lo):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"the interval [{lo!r}, {hi!r}] has no finite size")
         narrow = max(tol, SPLIT * math.ulp(1.0))  # a cut must leave distinct floats
         finished, clusters = [(np.empty(0),) * 4], [(np.empty(0),) * 2]
-        parent_lo, parent_hi, first, tight = np.array([lo]), np.array([hi]), True, False
+        cuts = [lo, hi] if math.isfinite(hi - lo) else [lo, 0.5 * lo + 0.5 * hi, hi]  # halves
+        parent_lo, parent_hi, first, tight = np.array(cuts[:-1]), np.array(cuts[1:]), True, False
         with np.errstate(over="ignore", invalid="ignore"):
             while parent_lo.size:
                 parts = BOXES if first else max(SPLIT, BOXES // parent_lo.size)

@@ -24,7 +24,7 @@ from gjsmap import (
     report_to_dict,
 )
 from gjsmap.charfun import DIVERGENCE_BOUND
-from gjsmap.errors import NegativeRadicand, OverflowDiverged
+from gjsmap.errors import OverflowDiverged
 from gjsmap.roots import _dyadic, _horner, _strip_trailing_zeros
 
 #: Ascending coefficients of x + g^(2)(x) + 1 for g = -x^2 + 3x - 1, expanded
@@ -328,7 +328,7 @@ def reference_functionals(space, gn: CharFn, alpha_j: float) -> tuple[np.ndarray
             t = s - alpha_j
             radicand = (alpha_j - w) * ((s + 1.0) + ((alpha_j - (s - t)) + (w - t)))
             if radicand < 0.0:
-                raise NegativeRadicand((n1, n2), radicand)
+                raise ValueError(f"radicand at state {(n1, n2)} is {radicand!r} < 0")
             den_sq = gauss(f_orbit, m0_sq, n2 + 1) * gauss(f_orbit, m0_sq, n1)
             if 0.0 < den_sq < math.inf:
                 entry = math.sqrt(radicand) / (m0_sq * math.sqrt(den_sq))

@@ -30,8 +30,8 @@ EXPORTS = {
     # errors
     "CutResidualTooLarge", "DescentViolation", "DimensionMismatch", "FixedPointVacuum",
     "GjsError", "InvalidHighestWeight", "InvalidVacuum", "NegativeLadderSquare",
-    "NegativeNormSquared", "NegativeRadicand", "NoRealFixedPoint", "NotQuadratic",
-    "OutOfBasis", "OverflowDiverged", "PeriodicResidualTooLarge", "UnsupportedDiscriminant",
+    "NegativeNormSquared", "NoRealFixedPoint", "NotQuadratic", "OutOfBasis",
+    "OverflowDiverged", "PeriodicResidualTooLarge", "UnsupportedDiscriminant",
     # gha
     "GhaRep", "OperatorMatrix", "ResidualReport", "build_gha", "casimir_gha",
     "gauss_factorial", "gauss_numbers", "gha_to_dict", "matrix_A", "matrix_Adag", "matrix_H",
@@ -141,14 +141,13 @@ ERRORS = [
     errors.DescentViolation(3, 1.5),
     errors.CutResidualTooLarge("far"),
     errors.PeriodicResidualTooLarge("far"),
-    errors.NegativeRadicand((1, 2), -0.25),
     errors.DimensionMismatch("3 against 4"),
     errors.OutOfBasis("(5, 5)"),
 ]
 
 
 #: The attributes an error may carry besides its message.
-ATTRIBUTES = ("iterates", "index", "state", "value")
+ATTRIBUTES = ("iterates", "index", "value")
 
 
 def test_the_error_table_holds_every_error_class():

@@ -423,6 +423,22 @@ class TestFindRoots:
         roots = Composition((-1.0, 1.0, -1.0), 1, 1.0, 1.0).roots(0.5 - 1e150, 0.5 + 1e150, 1e-9)
         assert roots == [0.0, 2.0]
 
+    def test_interval_past_half_the_float_range(self):
+        # x^2 - 1e308 has the Cauchy bound 1e308, so hi - lo overflows; each half of
+        # [-R, R] is cut into the first-level boxes instead
+        roots = find_roots([-1e308, 0.0, 1.0])
+        assert roots == pytest.approx([-1e154, 1e154], rel=1e-15)
+        exact = Composition([-1e308, 0.0, 1.0], 1, 0.0, 0.0).exact
+        for r in roots:  # F changes sign exactly between r and a neighbouring float
+            below, at, above = (exact(x) < 0.0 for x in (math.nextafter(r, -math.inf), r,
+                                                          math.nextafter(r, math.inf)))
+            assert exact(r) == 0.0 or below != at or at != above, r
+        # the cubic's fixed-point polynomial x^3 - 1e308 gets past the interval too
+        try:
+            fixed_points(CharFn((-1e308, 1.0, 0.0, 1.0), Orientation.OSCILLATOR))
+        except NoRealFixedPoint:
+            pass  # its root's nearest floats miss the residual test |F| <= 1e-12 |x|
+
     def test_bisection_halves_by_value_within_a_factor_of_two(self):
         # so an ordinary bracket costs what plain bisection costs; a wider one
         # is split at 0 and at geometric means first, about 65 splits at most.

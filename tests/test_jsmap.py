@@ -33,7 +33,9 @@ from gjsmap.errors import (
     DescentViolation,
     DimensionMismatch,
     FixedPointVacuum,
-    NegativeRadicand,
+    InvalidHighestWeight,
+    NegativeLadderSquare,
+    NoRealFixedPoint,
     OutOfBasis,
     OverflowDiverged,
 )
@@ -164,23 +166,24 @@ class TestFunctionals:
                 )
                 assert fm[m] == pytest.approx(simplified, rel=1e-12)
 
-    def test_negative_radicand_on_observable_state(self):
+    def test_negative_ladder_square_on_observable_state(self):
         # past the two-state cut the weight orbit breaks unitarity, so a
         # 4x4 grid cannot carry real matrices
         root = exact_cut_root()
-        with pytest.raises(NegativeRadicand):
+        with pytest.raises(NegativeLadderSquare):
             space = two_oscillator_space(FIG4_FN, -root, FullGrid(4))
             functional_F(space, FIG2_GN, root)
 
     def test_one_state_fixed_point_has_no_gauss_numbers(self):
         # alpha_j = 1 is the fixed point of FIG2_GN; a one-state shell needs no
-        # g step yet still takes Q2 as a Gauss denominator, as larger shells do
+        # g step, so the direct build admits it, yet the map still takes Q2 as a
+        # Gauss denominator, as on larger shells
         space = two_oscillator_space(BOSON, 0.0, FixedJ(0))
         with pytest.raises(FixedPointVacuum):
             functional_G(space, FIG2_GN, 1.0)
         with pytest.raises(FixedPointVacuum):
             functional_F(space, FIG2_GN, 1.0)
-        with pytest.raises(DescentViolation):
+        with pytest.raises(FixedPointVacuum):
             build_jsmap(BOSON, 0.0, FIG2_GN, 1.0, FixedJ(0))
 
 
@@ -294,11 +297,105 @@ class TestLadderSquares:
         fn = CharFn((1.0, 1.1), Orientation.OSCILLATOR)
         gn = CharFn((-1 / 1.1, 1 / 1.1), Orientation.WEIGHT)
         alpha_j = 8.937803135964167
-        rep, orbit = jsmap._build_jsmap(fn, 0.0, gn, alpha_j, FixedJ(59), math.inf)
+        rep = build_jsmap(fn, 0.0, gn, alpha_j, FixedJ(59))
         direct = build_gsl2(gn, alpha_j, 60, RepKind.FINITE_CUT)
-        squares = jsmap._f_diag(rep.space, orbit, alpha_j)[2]
+        squares = jsmap._weight_side(rep.space, gn, alpha_j)[1]
         assert identical(squares[:-1], direct.ladder_sq)
         assert rep.closes and verify_map_equals_gsl2(rep, direct).passed
+
+
+def map_and_direct(gn: CharFn, alpha_j: float, two_j: int) -> tuple:
+    """Outcomes of the map's ``2j`` shell and of the direct truncated build of its weights.
+
+    Each is the representation, or the ``(class, message)`` of the error it raised.
+    """
+    def outcome(build):
+        try:
+            return build()
+        except (GjsError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    return (outcome(lambda: build_jsmap(BOSON, 0.0, gn, alpha_j, FixedJ(two_j))),
+            outcome(lambda: build_gsl2(gn, alpha_j, two_j + 1, RepKind.TRUNCATED_INFINITE,
+                                       bound=math.inf)))
+
+
+def planted_weight(gn: CharFn, how: str, ulps: int, rise: float, dim: int) -> float:
+    """A highest weight on an edge of ``gn``: a fixed point, a ``dim``-state cut root (of a
+    line or a quadratic: a cubic's deep closures are slow to solve), or the region's edge
+    moved ``ulps`` floats, or ``rise`` past it; None where ``gn`` has none."""
+    try:
+        if how == "cut root":
+            cut = gsl2.cut_condition_solve(gn, dim).included if gn.degree < 3 else ()
+            return next(iter(cut), None)
+        if how == "fixed point":
+            return charfun.fixed_points(gn)[0].location
+    except (NoRealFixedPoint, ValueError):  # no such point, or a whole line of them
+        return None
+    edge = charfun.invertibility_region(gn)[1]
+    if not math.isfinite(edge):
+        return None
+    if how == "above the edge":
+        return edge + rise
+    for _ in range(abs(ulps)):
+        edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+    return edge
+
+
+SMALL_DYADIC = st.integers(-64, 64).map(lambda k: k / 16)
+
+
+class TestOneRule:
+    """A map shell builds, or raises what ``build_gsl2(gn, alpha_j, 2j + 1, "truncated",
+    bound=math.inf)`` raises, with the same message; only the map's Gauss numbers add an
+    error, :class:`FixedPointVacuum`."""
+
+    @pytest.mark.parametrize("gn, alpha_j, two_j, raised", [
+        # the orbit 1, -1, 1 returns to alpha_j: a map of it, S_+ = [√2, 0, √2], splits
+        (CharFn((0.0, -1.0), Orientation.WEIGHT), 1.0, 3,
+         (DescentViolation, "iterate 2 equals 1.0, not below the highest weight")),
+        # past the showcase vertex 1.5, where g is not invertible
+        (FIG2_GN, 2.0, 1,
+         (InvalidHighestWeight, "alpha_j = 2.0 outside the invertibility region (-inf, 1.5)")),
+        # one state needs no descent, so the step g(0) = 1 is allowed
+        (CharFn((1.0, 1.0), Orientation.WEIGHT), 0.0, 0, None),
+        # 1, -1.2, 1.44: the ascent at m = 2 is reported, not the square it makes negative
+        (CharFn((0.0, -1.2), Orientation.WEIGHT), 1.0, 3,
+         (DescentViolation, "iterate 2 equals 1.44, not below the highest weight")),
+    ], ids=["returns to alpha_j", "past the vertex", "one state", "ascends at m = 2"])
+    def test_edge_inputs_match_the_direct_build(self, gn, alpha_j, two_j, raised):
+        mapped, direct = map_and_direct(gn, alpha_j, two_j)
+        if raised is None:
+            assert isinstance(mapped, jsmap.JsMapRep) and isinstance(direct, gsl2.Gsl2Rep)
+            assert mapped.s_z.values.tolist() == direct.weights.tolist() == [alpha_j]
+        else:
+            assert mapped == direct == raised
+
+    @given(
+        coeffs=st.tuples(SMALL_DYADIC, SMALL_DYADIC.filter(bool))
+        | st.tuples(SMALL_DYADIC, SMALL_DYADIC, SMALL_DYADIC.map(lambda c: -abs(c) or -1.0))
+        | st.tuples(SMALL_DYADIC, SMALL_DYADIC, SMALL_DYADIC, SMALL_DYADIC.filter(bool))
+        | st.tuples(SMALL_DYADIC, st.just(-1.0)),  # an involution: every orbit returns
+        how=st.sampled_from(["free", "fixed point", "cut root", "edge", "above the edge"]),
+        free=st.floats(-1e3, 1e3) | SMALL_DYADIC,
+        ulps=st.integers(-3, 3),
+        rise=st.floats(0.0, 8.0, exclude_min=True),
+        two_j=st.integers(0, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_map_and_direct_agree(self, coeffs, how, free, ulps, rise, two_j):
+        gn = CharFn(coeffs, Orientation.WEIGHT)
+        alpha_j = free if how == "free" else planted_weight(gn, how, ulps, rise, two_j + 1)
+        if alpha_j is None:
+            alpha_j = free
+        mapped, direct = map_and_direct(gn, alpha_j, two_j)
+        if not isinstance(direct, gsl2.Gsl2Rep):
+            assert mapped == direct
+        elif isinstance(mapped, tuple):
+            assert mapped[0] is FixedPointVacuum, mapped
+        else:
+            squares = jsmap._weight_side(mapped.space, gn, alpha_j)[1]
+            assert identical(squares[:-1], direct.ladder_sq)
 
 
 class TestDenseReference:
